@@ -5,6 +5,11 @@ Tensor class below.  Forward values are checked for finiteness on creation,
 so NaN/Inf never propagates silently.  The graph is recorded implicitly:
 each op output keeps handles to its inputs plus a backward closure, and
 ``backward`` replays them once in reverse topological order.
+
+The GRU and LSTM recurrences (``gru_scan``, ``lstm_scan``) are one graph
+node per direction: a numpy loop over time that repeats the per-step Tensor
+arithmetic exactly, with a hand-written backpropagation-through-time
+backward.  The tests check both against the per-step reference loop.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite value produced in forward pass")
     return arr
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never exponentiates a positive number:
+    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.divide(e, d, out=np.empty_like(e))
+    return np.divide(1.0, d, out=out, where=x >= 0)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -155,12 +169,7 @@ class Tensor:
         return self * -1.0
 
     def sigmoid(self):
-        x = self.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        out_data = _sigmoid(self.data)
 
         def bwd(g):
             self._accum(g * out_data * (1.0 - out_data))
@@ -299,6 +308,148 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accum(out_data * (g - dot))
 
     return Tensor._op(out_data, (x,), bwd)
+
+
+def _scan_steps(seq: int, reverse: bool) -> range:
+    if seq == 0:
+        raise ValueError("recurrence over an empty sequence")
+    return range(seq - 1, -1, -1) if reverse else range(seq)
+
+
+def _time_order(rows: np.ndarray, reverse: bool) -> np.ndarray:
+    """Rows in step order -> rows in time order (and back), C-contiguous."""
+    return np.ascontiguousarray(rows[::-1]) if reverse else rows
+
+
+def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
+             reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sequence as a single graph node.
+
+    ``x_ur`` [seq, 2h] and ``x_c`` [seq, h] are the input projections,
+    biases included.  From h = 0 every step computes
+    [u | r] = sigmoid(x_ur[t] + h U_ur), cand = tanh(x_c[t] + (r * h) U_c)
+    and h = (1 - u) * h + u * cand; ``reverse`` runs t from last to first.
+    Returns [seq, h] with row t the state after step t.  The forward repeats
+    the per-step Tensor arithmetic operation for operation, so its values
+    are identical; the backward is backpropagation through time.
+    """
+    x_ur, x_c, U_ur, U_c = (Tensor._coerce(t) for t in (x_ur, x_c, U_ur, U_c))
+    seq, h = x_c.shape
+    if (x_ur.shape != (seq, 2 * h) or U_ur.shape != (h, 2 * h)
+            or U_c.shape != (h, h)):
+        raise ValueError(
+            f"gru_scan shapes disagree: x_ur {x_ur.shape}, x_c {x_c.shape}, "
+            f"U_ur {U_ur.shape}, U_c {U_c.shape}"
+        )
+    xu, xc, Wu, Wc = x_ur.data, x_c.data, U_ur.data, U_c.data
+    h_t = np.zeros((1, h))
+    steps = []
+    for t in _scan_steps(seq, reverse):
+        ur = xu[t : t + 1] + h_t @ Wu
+        u = _sigmoid(ur[:, :h])
+        r = _sigmoid(ur[:, h:])
+        a_c = xc[t : t + 1] + (r * h_t) @ Wc
+        cand = np.tanh(a_c)
+        h_t = (u * -1.0 + 1.0) * h_t + u * cand
+        steps.append((ur, a_c, u, r, cand, h_t))
+    # rows in step order; H_prev[k] is the state step k started from
+    A_ur, A_c, U_g, R, C, H = (np.concatenate(col) for col in zip(*steps))
+    # the gates squash an overflowed pre-activation to a finite value
+    _check_finite(A_ur)
+    _check_finite(A_c)
+    H_prev = np.concatenate([np.zeros((1, h)), H[:-1]])
+
+    def bwd(g):
+        G = _time_order(g, reverse)
+        dh_du = (C - H_prev) * U_g * (1.0 - U_g)
+        dh_dc = U_g * (1.0 - C * C)
+        drh_dr = H_prev * R * (1.0 - R)
+        keep = 1.0 - U_g
+        d_ur = np.empty((seq, 2 * h))
+        d_c = np.empty((seq, h))
+        carry = np.zeros(h)
+        for k in range(seq - 1, -1, -1):
+            dh = G[k] + carry
+            dc = np.multiply(dh, dh_dc[k], out=d_c[k])
+            drh = dc @ Wc.T
+            np.multiply(dh, dh_du[k], out=d_ur[k, :h])
+            np.multiply(drh, drh_dr[k], out=d_ur[k, h:])
+            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ Wu.T
+        if U_ur.requires_grad:
+            U_ur._accum(H_prev.T @ d_ur)
+        if U_c.requires_grad:
+            U_c._accum((R * H_prev).T @ d_c)
+        if x_ur.requires_grad:
+            x_ur._accum(_time_order(d_ur, reverse))
+        if x_c.requires_grad:
+            x_c._accum(_time_order(d_c, reverse))
+
+    return Tensor._op(_time_order(H, reverse), (x_ur, x_c, U_ur, U_c), bwd)
+
+
+def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a whole sequence as a single graph node.
+
+    ``xw`` [seq, 4h] is the input projection, bias included, in the gate
+    layout [input | forget | output | cand].  From h = c = 0 every step
+    computes the gates from xw[t] + h U, c = f * c + i * cand and
+    h = o * tanh(c); ``reverse`` runs t from last to first.  Returns
+    [seq, h] with row t the state after step t.  The forward repeats the
+    per-step Tensor arithmetic operation for operation, so its values are
+    identical; the backward is backpropagation through time.
+    """
+    xw, U = Tensor._coerce(xw), Tensor._coerce(U)
+    h = U.shape[0]
+    seq = xw.shape[0]
+    if xw.shape != (seq, 4 * h) or U.shape != (h, 4 * h):
+        raise ValueError(
+            f"lstm_scan shapes disagree: xw {xw.shape}, U {U.shape}"
+        )
+    a, W = xw.data, U.data
+    h_t = np.zeros((1, h))
+    c_t = np.zeros((1, h))
+    steps = []
+    for t in _scan_steps(seq, reverse):
+        gates = a[t : t + 1] + h_t @ W
+        i_g = _sigmoid(gates[:, 0 * h : 1 * h])
+        f_g = _sigmoid(gates[:, 1 * h : 2 * h])
+        o_g = _sigmoid(gates[:, 2 * h : 3 * h])
+        cand = np.tanh(gates[:, 3 * h : 4 * h])
+        c_t = f_g * c_t + i_g * cand
+        tc = np.tanh(c_t)
+        h_t = o_g * tc
+        steps.append((gates, i_g, f_g, o_g, cand, c_t, tc, h_t))
+    # rows in step order; *_prev[k] is what step k started from
+    A, I, F, O, Gc, C, TC, H = (np.concatenate(col) for col in zip(*steps))
+    # the gates squash an overflowed pre-activation to a finite value
+    _check_finite(A)
+    zero = np.zeros((1, h))
+    H_prev = np.concatenate([zero, H[:-1]])
+    C_prev = np.concatenate([zero, C[:-1]])
+
+    def bwd(g):
+        G = _time_order(g, reverse)
+        dh_dc = O * (1.0 - TC * TC)
+        # d(step output) / d(gate pre-activation), per unit of dc, dc, dh, dc
+        local = np.concatenate([Gc * I * (1.0 - I), C_prev * F * (1.0 - F),
+                                TC * O * (1.0 - O), I * (1.0 - Gc * Gc)],
+                               axis=1)
+        d_gates = np.empty((seq, 4 * h))
+        dh_carry = np.zeros(h)
+        dc_carry = np.zeros(h)
+        for k in range(seq - 1, -1, -1):
+            dh = G[k] + dh_carry
+            dc = dc_carry + dh * dh_dc[k]
+            np.multiply(local[k], np.concatenate((dc, dc, dh, dc)),
+                        out=d_gates[k])
+            dc_carry = dc * F[k]
+            dh_carry = d_gates[k] @ W.T
+        if U.requires_grad:
+            U._accum(H_prev.T @ d_gates)
+        if xw.requires_grad:
+            xw._accum(_time_order(d_gates, reverse))
+
+    return Tensor._op(_time_order(H, reverse), (xw, U), bwd)
 
 
 def masked_fill(x: Tensor, mask, fill: float) -> Tensor:

@@ -170,7 +170,7 @@ def cmd_ensemble(args):
         sets.append(PredictionSet.from_records(
             f"model-{i}", read_predictions(path), weight=weight))
     if args.strategy == "weighted-voting":
-        records = weighted_voting(sets)
+        records = weighted_voting(sets, null_threshold=args.null_threshold)
     else:
         dumps = [load_logits_dump(p) for p in args.dumps]
         inputs += list(args.dumps) + [args.features, args.data]

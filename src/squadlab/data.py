@@ -23,6 +23,22 @@ class DataError(ValueError):
     """Malformed input data (bad schema, impossible span, bad config)."""
 
 
+class ShortReadError(DataError):
+    """A binary file ends inside a field its layout promises."""
+
+
+def read_exact(f, size: int, path) -> bytes:
+    """Read exactly ``size`` bytes from a binary file or raise ShortReadError."""
+    offset = f.tell()
+    buf = f.read(size)
+    if len(buf) != size:
+        raise ShortReadError(
+            f"{path}: truncated: needed {size} bytes at offset {offset}, "
+            f"file has {len(buf)}"
+        )
+    return buf
+
+
 @dataclass
 class RawExample:
     qid: str

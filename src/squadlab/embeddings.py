@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_exact
+
 MAGIC = b"SQEM"
 VERSION = 1
 
@@ -160,18 +162,18 @@ class EmbeddingStore:
 
 def load_embedding_fixture(path) -> EmbeddingStore:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, path)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, d_model, count = struct.unpack("<III", f.read(12))
+        version, d_model, count = struct.unpack("<III", read_exact(f, 12, path))
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         records = {}
         for _ in range(count):
-            (qlen,) = struct.unpack("<I", f.read(4))
-            qid = f.read(qlen).decode("utf-8")
-            feature_index, seq_len = struct.unpack("<II", f.read(8))
-            raw = f.read(seq_len * d_model * 8)
+            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
+            qid = read_exact(f, qlen, path).decode("utf-8")
+            feature_index, seq_len = struct.unpack("<II", read_exact(f, 8, path))
+            raw = read_exact(f, seq_len * d_model * 8, path)
             matrix = np.frombuffer(raw, dtype="<f8").reshape(seq_len, d_model)
             records[(qid, feature_index)] = EmbeddingMatrix(
                 qid=qid, feature_index=feature_index,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_exact
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
                     aggregate_features, decode_spans, prediction_record)
@@ -54,12 +55,13 @@ class PredictionSet:
             weight = weights.pop()
         return cls(model_id=model_id, records=by_qid, weight=weight)
 
-    def top_vote(self, qid: str):
+    def top_vote(self, qid: str,
+                 null_threshold: float = DEFAULT_NULL_THRESHOLD):
         """(vote key, candidate dict) for this model's single best prediction."""
         rec = self.records[qid]
         spans = [c for c in rec["nbest"] if c["start_token"] is not None]
         best = max(spans, key=lambda c: c["score"]) if spans else None
-        if best is None or rec["null_score"] - best["score"] > DEFAULT_NULL_THRESHOLD:
+        if best is None or rec["null_score"] - best["score"] > null_threshold:
             return NULL_KEY, {"text": "", "start_token": None,
                               "end_token": None, "feature_index": 0,
                               "score": rec["null_score"]}
@@ -142,12 +144,14 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
 # -- weighted voting ------------------------------------------------------
 
 
-def weighted_voting(sets) -> list:
+def weighted_voting(sets,
+                    null_threshold: float = DEFAULT_NULL_THRESHOLD) -> list:
     """Each model's best prediction votes with the model's F1 weight.
 
-    Winner per qid by (highest total weight, then highest single
-    contributing weight, then earlier start, then earlier end, then
-    non-null).  Returns prediction-file records.
+    A model votes no-answer when its null score beats its best span by
+    more than ``null_threshold``.  Winner per qid by (highest total weight,
+    then highest single contributing weight, then earlier start, then
+    earlier end, then non-null).  Returns prediction-file records.
     """
     sets = list(sets)
     if not sets:
@@ -157,7 +161,7 @@ def weighted_voting(sets) -> list:
     for qid in qids:
         tallies = {}  # key -> [total, max_single, candidate]
         for s in sets:
-            key, cand = s.top_vote(qid)
+            key, cand = s.top_vote(qid, null_threshold)
             if key not in tallies:
                 tallies[key] = [0.0, 0.0, cand]
             tallies[key][0] += s.weight
@@ -197,7 +201,7 @@ def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
     )
     mean_set = PredictionSet.from_records("mean-logits", mean_records,
                                           weight=mean_weight)
-    return weighted_voting(list(sets) + [mean_set])
+    return weighted_voting(list(sets) + [mean_set], null_threshold)
 
 
 # -- logits dump io -------------------------------------------------------
@@ -221,19 +225,19 @@ def save_logits_dump(path, logit_sets: dict) -> None:
 
 def load_logits_dump(path) -> dict:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, path)
         if magic != DUMP_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read_exact(f, 8, path))
         if version != DUMP_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         out = {}
         for _ in range(count):
-            (qlen,) = struct.unpack("<I", f.read(4))
-            qid = f.read(qlen).decode("utf-8")
-            fi, seq_len = struct.unpack("<II", f.read(8))
-            start = np.frombuffer(f.read(seq_len * 8), dtype="<f8")
-            end = np.frombuffer(f.read(seq_len * 8), dtype="<f8")
+            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
+            qid = read_exact(f, qlen, path).decode("utf-8")
+            fi, seq_len = struct.unpack("<II", read_exact(f, 8, path))
+            start = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
+            end = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
             out[(qid, fi)] = SpanLogits(
                 qid=qid, feature_index=fi,
                 start_logits=start.astype(np.float64),

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Rng, Tensor, concat, init_uniform, masked_fill,
-                       matmul, softmax)
+from .autograd import (MASK_FILL, Rng, Tensor, concat, gru_scan, init_uniform,
+                       lstm_scan, masked_fill, matmul, softmax)
 
 
 class Highway:
@@ -52,25 +52,9 @@ class LSTMCell:
 
 def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False) -> Tensor:
     """Run one direction over [seq, d_in]; zero initial h and c."""
-    seq = x.shape[0]
     if x.shape[1] != cell.d_in:
         raise ValueError(f"lstm input width {x.shape[1]}, cell expects {cell.d_in}")
-    h = cell.hidden
-    xw = matmul(x, cell.W) + cell.b  # [seq, 4h]
-    h_t = Tensor(np.zeros((1, h)))
-    c_t = Tensor(np.zeros((1, h)))
-    outputs = [None] * seq
-    order = range(seq - 1, -1, -1) if reverse else range(seq)
-    for t in order:
-        gates = xw[t : t + 1] + matmul(h_t, cell.U)  # [1, 4h]
-        i_g = gates[:, 0 * h : 1 * h].sigmoid()
-        f_g = gates[:, 1 * h : 2 * h].sigmoid()
-        o_g = gates[:, 2 * h : 3 * h].sigmoid()
-        cand = gates[:, 3 * h : 4 * h].tanh()
-        c_t = f_g * c_t + i_g * cand
-        h_t = o_g * c_t.tanh()
-        outputs[t] = h_t
-    return concat(outputs, axis=0)
+    return lstm_scan(matmul(x, cell.W) + cell.b, cell.U, reverse)
 
 
 def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor) -> Tensor:
@@ -98,23 +82,12 @@ class GRUCell:
 
 
 def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False) -> Tensor:
-    seq = x.shape[0]
+    """Run one direction over [seq, d_in]; zero initial h."""
     if x.shape[1] != cell.d_in:
         raise ValueError(f"gru input width {x.shape[1]}, cell expects {cell.d_in}")
-    h = cell.hidden
-    x_ur = matmul(x, cell.W_ur) + cell.b_ur
-    x_c = matmul(x, cell.W_c) + cell.b_c
-    h_t = Tensor(np.zeros((1, h)))
-    outputs = [None] * seq
-    order = range(seq - 1, -1, -1) if reverse else range(seq)
-    for t in order:
-        ur = x_ur[t : t + 1] + matmul(h_t, cell.U_ur)
-        u_g = ur[:, :h].sigmoid()
-        r_g = ur[:, h:].sigmoid()
-        cand = (x_c[t : t + 1] + matmul(r_g * h_t, cell.U_c)).tanh()
-        h_t = (u_g * -1.0 + 1.0) * h_t + u_g * cand
-        outputs[t] = h_t
-    return concat(outputs, axis=0)
+    return gru_scan(matmul(x, cell.W_ur) + cell.b_ur,
+                    matmul(x, cell.W_c) + cell.b_c, cell.U_ur, cell.U_c,
+                    reverse)
 
 
 def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor) -> Tensor:

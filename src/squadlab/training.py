@@ -14,6 +14,7 @@ by a single seed so checkpoints and loss curves reproduce bit-exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,6 +245,18 @@ class TrainResult:
         return self.loss_curve[-1][1] if self.loss_curve else None
 
 
+@contextmanager
+def _naming_feature(feat, what: str):
+    """Re-raise a non-finite forward value as an error naming the feature."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise RuntimeError(
+            f"{what} (qid={feat.qid!r}, feature_index={feat.feature_index}): "
+            f"{e}"
+        ) from None
+
+
 def train(model: QaModel, features, provider, hp: Hyperparams,
           max_steps: int | None = None) -> TrainResult:
     """Mini-batch Adam over seeded shuffles of the feature list."""
@@ -263,17 +276,11 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             total = None
             for feat in batch:
                 emb = provider(feat)
-                try:
+                with _naming_feature(feat, f"non-finite loss at step {step}"):
                     start, end = model.forward(feat, emb, train=True,
                                                drop_rng=drop_rng)
                     loss = span_loss(start, end, feat.start_position,
                                      feat.end_position, feat.context_mask)
-                except FloatingPointError as e:
-                    raise RuntimeError(
-                        f"non-finite loss at step {step} "
-                        f"(qid={feat.qid!r}, feature_index="
-                        f"{feat.feature_index}): {e}"
-                    ) from None
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch))
             total.backward()
@@ -296,7 +303,8 @@ def predict(model: QaModel, features, provider, context_by_qid: dict,
     by_qid = {}
     logit_sets = {}
     for feat in sorted(features, key=lambda f: (f.qid, f.feature_index)):
-        start, end = model.forward(feat, provider(feat), train=False)
+        with _naming_feature(feat, "predict"):
+            start, end = model.forward(feat, provider(feat), train=False)
         logits = to_span_logits(feat, start, end)
         if collect_logits:
             logit_sets[(feat.qid, feat.feature_index)] = logits

@@ -108,18 +108,18 @@ def test_criterion_04_gradient_suite():
 
         for seed in range(5):
             rng = Rng(seed)
-            x = Tensor(rng.normal((5, 4)))
+            x = Tensor(rng.normal((5, 4)), requires_grad=True)
 
             hw = Highway(4, rng.spawn(1))
             check_gradients(lambda: hw.forward(x).sum(), hw.parameters())
 
             lstm = LSTMCell(4, 3, rng.spawn(2))
-            check_gradients(lambda: lstm_forward(lstm, x).sum(),
-                            lstm.parameters())
-
             gru = GRUCell(4, 3, rng.spawn(3))
-            check_gradients(lambda: gru_forward(gru, x).sum(),
-                            gru.parameters())
+            for reverse in (False, True):
+                check_gradients(lambda: lstm_forward(lstm, x, reverse).sum(),
+                                {"x": x, **lstm.parameters()})
+                check_gradients(lambda: gru_forward(gru, x, reverse).sum(),
+                                {"x": x, **gru.parameters()})
 
             att_in = Tensor(rng.normal((5, 4)), requires_grad=True)
             check_gradients(

@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from squadlab.cli import main
 from squadlab.data import read_features
-from squadlab.heads import write_predictions
+from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
+                                 save_embedding_fixture)
+from squadlab.ensemble import save_logits_dump
+from squadlab.heads import (SpanLogits, read_predictions,
+                            write_predictions)
 from squadlab.synth import make_synthetic_examples, write_squad_json
 
 
@@ -235,3 +240,106 @@ class TestPipeline:
             assert main(args + extra) == 0, strategy
             assert main(["evaluate", "--pred", str(out),
                          "--gold", str(corpus)]) == 0
+
+
+def _error_line(capsys):
+    """The single stderr line of a failed command."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+class TestArtifactErrors:
+    @staticmethod
+    def _features(corpus, tmp_path, capsys):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        capsys.readouterr()
+        return feats
+
+    def test_truncated_embedding_fixture_is_2(self, corpus, tmp_path,
+                                               capsys):
+        feats = self._features(corpus, tmp_path, capsys)
+        full = tmp_path / "emb.bin"
+        save_embedding_fixture(full, [
+            EmbeddingMatrix("q0", 0, np.ones((2, 3))),
+            EmbeddingMatrix("q1", 1, np.ones((1, 3))),
+        ])
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        # every prefix, so every header boundary and every field interior
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            code = main(["train", "--features", str(feats), "--embeddings",
+                         str(cut), "--arch", "squad_out",
+                         "--out", str(tmp_path / "m.json"),
+                         "--d-model", "3"])
+            assert code == 2, size
+            assert "truncated" in _error_line(capsys), size
+
+    def test_truncated_logits_dump_is_2(self, corpus, tmp_path, capsys):
+        feats = self._features(corpus, tmp_path, capsys)
+        full = tmp_path / "dump.bin"
+        save_logits_dump(full, {
+            ("q0", 0): SpanLogits("q0", 0, np.ones(3), np.zeros(3)),
+            ("q1", 1): SpanLogits("q1", 1, np.ones(2), np.zeros(2)),
+        })
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            code = main(["ensemble", "--strategy", "mean-logits",
+                         "--dumps", str(cut), str(full),
+                         "--features", str(feats), "--data", str(corpus),
+                         "--out", str(tmp_path / "ens.jsonl")])
+            assert code == 2, size
+            assert "truncated" in _error_line(capsys), size
+
+    def test_nonfinite_embedding_in_predict_is_2(self, corpus, tmp_path,
+                                                 capsys):
+        feats = self._features(corpus, tmp_path, capsys)
+        emb = tmp_path / "emb.bin"
+        ckpt = tmp_path / "model.json"
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(emb), "--d-model", "8"]) == 0
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out", "--out", str(ckpt),
+                     "--d-model", "8", "--epochs", "1"]) == 0
+        store = load_embedding_fixture(emb)
+        features = read_features(feats)
+        victim = features[3]
+        matrices = [store.get(f.qid, f.feature_index) for f in features]
+        matrices[3].matrix[1, 2] = np.nan
+        save_embedding_fixture(emb, matrices)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(ckpt), "--features",
+                     str(feats), "--embeddings", str(emb), "--data",
+                     str(corpus), "--out", str(tmp_path / "pred.jsonl")])
+        assert code == 2
+        line = _error_line(capsys)
+        assert f"qid={victim.qid!r}" in line
+        assert f"feature_index={victim.feature_index}" in line
+
+
+class TestEnsembleThreshold:
+    def test_weighted_voting_honours_null_threshold(self, tmp_path):
+        # the span scores 1.0 below the null score: a no-answer vote at
+        # threshold 0, a span vote once the threshold exceeds the gap
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [
+            {"qid": "q", "null_score": 4.0, "model_f1_weight": 70.0,
+             "nbest": [
+                 {"text": "the span", "start_token": 3, "end_token": 4,
+                  "feature_index": 0, "score": 3.0},
+                 {"text": "", "start_token": None, "end_token": None,
+                  "feature_index": 0, "score": 4.0}]},
+        ])
+        voted = {}
+        for threshold in ("0", "2"):
+            out = tmp_path / f"ens-{threshold}.jsonl"
+            assert main(["ensemble", "--strategy", "weighted-voting",
+                         "--pred", str(pred), "--out", str(out),
+                         "--null-threshold", threshold]) == 0
+            voted[threshold] = read_predictions(out)[0]["nbest"][0]["text"]
+        assert voted == {"0": "", "2": "the span"}

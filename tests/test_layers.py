@@ -68,8 +68,9 @@ class TestLstm:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
         fwd, bwd = LSTMCell(4, 3, Rng(seed)), LSTMCell(4, 3, Rng(seed + 50))
-        x = Tensor(Rng(seed + 99).normal((5, 4)))
-        params = {f"fwd.{n}": p for n, p in fwd.parameters().items()}
+        x = Tensor(Rng(seed + 99).normal((5, 4)), requires_grad=True)
+        params = {"x": x}
+        params |= {f"fwd.{n}": p for n, p in fwd.parameters().items()}
         params |= {f"bwd.{n}": p for n, p in bwd.parameters().items()}
         check_gradients(
             lambda: (bilstm_forward(fwd, bwd, x)
@@ -116,10 +117,12 @@ class TestGru:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
         cell = GRUCell(4, 3, Rng(seed))
-        x = Tensor(Rng(seed + 40).normal((5, 4)))
-        check_gradients(
-            lambda: (gru_forward(cell, x) * gru_forward(cell, x)).sum(),
-            cell.parameters(), rtol=1e-5)
+        x = Tensor(Rng(seed + 40).normal((5, 4)), requires_grad=True)
+        for reverse in (False, True):
+            check_gradients(
+                lambda: (gru_forward(cell, x, reverse)
+                         * gru_forward(cell, x, reverse)).sum(),
+                {"x": x, **cell.parameters()}, rtol=1e-5)
 
 
 class TestDotProductAttention:

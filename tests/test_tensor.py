@@ -14,6 +14,30 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert elementwise("sigmoid", Tensor([0.0])).data[0] == 0.5
 
+    @staticmethod
+    def _masked_sigmoid(x):
+        """Branch-by-mask form of the stable logistic: the reference."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_sigmoid_bit_identical_to_masked_form(self):
+        npr = np.random.default_rng(0)
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0,
+                            -709.0, 745.0, -745.0, 1e300, -1e300])
+        for n in range(1, 70):
+            for scale in (0.1, 3.0, 40.0, 800.0):
+                x = np.concatenate([npr.normal(0.0, scale, n), special])
+                for shape in ((x.size,), (1, x.size)):
+                    got = elementwise("sigmoid", Tensor(x.reshape(shape)))
+                    want = self._masked_sigmoid(x.reshape(shape))
+                    assert np.array_equal(got.data.view(np.int64),
+                                          want.view(np.int64))
+        assert elementwise("sigmoid", Tensor(0.0)).data.shape == ()
+
     def test_relu(self):
         out = elementwise("relu", Tensor([-1.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 2.0])

@@ -14,7 +14,9 @@ backward.  The tests check both against the per-step reference loop.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -611,31 +613,64 @@ def clip_global_norm(params: dict, max_norm: float) -> float:
 # -- checkpoint io --------------------------------------------------------
 
 CHECKPOINT_MAGIC = "squadlab-checkpoint"
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: dict, seed: int, hyperparams: dict) -> None:
-    """Flat JSON map name -> {shape, values}; fp64 round-trips bit-exactly."""
+    """JSON checkpoint, version 2: {format, version, seed, hyperparams,
+    params}, where params maps each name to {shape, fp64le}, the base64 of
+    the parameter's row-major little-endian float64 bytes.  Every bit
+    round-trips (-0.0, subnormals, inf, NaN payloads); version 1 files
+    (decimal "values" lists) are rejected by ``load_checkpoint``."""
     blob = {
         "format": CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "seed": int(seed),
         "hyperparams": hyperparams,
         "params": {
-            name: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
+            name: {"shape": list(p.data.shape),
+                   "fp64le": base64.b64encode(np.ascontiguousarray(
+                       p.data, dtype="<f8").tobytes()).decode("ascii")}
             for name, p in params.items()
         },
     }
+    text = json.dumps(blob)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(blob, f)
+        f.write(text)
+
+
+def _decode_param(path, name, rec) -> np.ndarray:
+    try:
+        shape = rec["shape"]
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"bad shape {shape!r}")
+        raw = base64.b64decode(rec["fp64le"], validate=True)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: parameter {name!r}: malformed record "
+                         f"({type(e).__name__}: {e})") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"{path}: parameter {name!r} holds {len(raw)} bytes, "
+                         f"shape {shape} needs {need}")
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
 
 
 def load_checkpoint(path):
     with open(path, "r", encoding="utf-8") as f:
-        blob = json.load(f)
-    if blob.get("format") != CHECKPOINT_MAGIC:
+        try:
+            blob = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: truncated or malformed checkpoint "
+                             f"JSON: {e}") from None
+    if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a squadlab checkpoint")
-    params = {
-        name: np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in blob["params"].items()
-    }
+    if blob.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version "
+                         f"{blob.get('version')}; this build reads version "
+                         f"{CHECKPOINT_VERSION}")
+    if not isinstance(blob.get("params"), dict):
+        raise ValueError(f"{path}: checkpoint has no parameter map")
+    params = {name: _decode_param(path, name, rec)
+              for name, rec in blob["params"].items()}
     return params, blob["seed"], blob["hyperparams"]

@@ -18,8 +18,8 @@ from . import __version__
 from .data import (DataError, PreprocessConfig, load_pretokenized,
                    load_squad_json, preprocess_dataset, read_features,
                    toy_tokenize, write_features)
-from .embeddings import (PseudoEmbedder, load_embedding_fixture,
-                         save_embedding_fixture)
+from .embeddings import (PseudoEmbedder, check_embedder,
+                         load_embedding_fixture, save_embedding_fixture)
 from .ensemble import (PredictionSet, decode_logit_set, load_logits_dump,
                        mean_logits, save_logits_dump, weighted_voting,
                        weighted_voting_with_mean_logits)
@@ -110,8 +110,10 @@ def cmd_train(args):
                      doc_stride=args.doc_stride,
                      dropout_rate=args.dropout_rate, seed=seed)
     model = build_model(cfg, seed)
-    result = train(model, features, _provider(args, seed), hp)
-    save_model(args.out, model, hyperparams=vars(hp).copy())
+    provider = _provider(args, seed)
+    result = train(model, features, provider, hp)
+    save_model(args.out, model,
+               hyperparams={**vars(hp), "embeddings": provider.identity()})
     outputs = [args.out]
     if args.loss_curve:
         write_loss_curve(args.loss_curve, result)
@@ -129,8 +131,11 @@ def cmd_predict(args):
     model = load_model(args.checkpoint)
     prov_args = argparse.Namespace(embeddings=args.embeddings,
                                    d_model=model.cfg.d_model)
+    provider = _provider(prov_args, seed)
+    check_embedder(model.hyperparams.get("embeddings"), provider,
+                   args.checkpoint)
     records, logit_sets = predict(
-        model, features, _provider(prov_args, seed), context_by_qid,
+        model, features, provider, context_by_qid,
         n_best=args.n_best, max_answer_length=args.max_answer_length,
         null_threshold=args.null_threshold,
         model_f1_weight=args.model_f1_weight,
@@ -297,6 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
+    if args.command == "predict":
+        for flag, value in (("--n-best", args.n_best),
+                            ("--max-answer-length", args.max_answer_length)):
+            if value < 1:
+                parser.error(f"{flag} must be at least 1")
     if args.command == "ensemble":
         needs_dumps = args.strategy in ("mean-logits", "wv-mean-logits")
         if needs_dumps and (not args.dumps or not args.features

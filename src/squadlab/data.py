@@ -10,6 +10,7 @@ word share an identical span.  A feature packs
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 SENTINEL_TOKEN = "[CLS]"
@@ -37,6 +38,21 @@ def read_exact(f, size: int, path) -> bytes:
             f"file has {len(buf)}"
         )
     return buf
+
+
+class TrailingBytesError(DataError):
+    """A binary file goes on past the last record its header promises."""
+
+
+def expect_end(f, path) -> None:
+    """Raise TrailingBytesError unless ``f`` is at the end of the file."""
+    offset = f.tell()
+    extra = f.seek(0, os.SEEK_END) - offset
+    if extra:
+        raise TrailingBytesError(
+            f"{path}: {extra} trailing bytes after the last record "
+            f"(offset {offset})"
+        )
 
 
 @dataclass

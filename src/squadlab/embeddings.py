@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_exact
+from .data import DataError, expect_end, read_exact
 
 MAGIC = b"SQEM"
 VERSION = 1
@@ -90,6 +90,10 @@ class PseudoEmbedder:
     def __call__(self, feature) -> np.ndarray:
         return self.embed(feature).matrix
 
+    def identity(self) -> dict:
+        """What a checkpoint records of the embeddings it was trained on."""
+        return {"kind": "pseudo", "d_model": self.d_model, "seed": self.seed}
+
 
 def pseudo_embed(feature, d_model: int, seed: int) -> EmbeddingMatrix:
     return PseudoEmbedder(d_model, seed).embed(feature)
@@ -159,6 +163,29 @@ class EmbeddingStore:
             )
         return m.matrix
 
+    def identity(self) -> dict:
+        # the fixture file does not record the seed it was made with
+        return {"kind": "fixture", "d_model": self.d_model, "seed": None}
+
+
+def check_embedder(trained, provider, checkpoint) -> None:
+    """Raise DataError if ``provider`` cannot be the embedder whose identity
+    ``trained`` a checkpoint recorded (None: the checkpoint recorded none)."""
+    if not trained:
+        return
+    now = provider.identity()
+    if trained["d_model"] != now["d_model"]:
+        raise DataError(
+            f"{checkpoint} was trained on d_model={trained['d_model']} "
+            f"embeddings, these have d_model={now['d_model']}"
+        )
+    if trained["kind"] == now["kind"] == "pseudo" \
+            and trained["seed"] != now["seed"]:
+        raise DataError(
+            f"{checkpoint} was trained on pseudo embeddings with seed "
+            f"{trained['seed']}, predict would embed with seed {now['seed']}"
+        )
+
 
 def load_embedding_fixture(path) -> EmbeddingStore:
     with open(path, "rb") as f:
@@ -179,4 +206,5 @@ def load_embedding_fixture(path) -> EmbeddingStore:
                 qid=qid, feature_index=feature_index,
                 matrix=matrix.astype(np.float64),
             )
+        expect_end(f, path)
     return EmbeddingStore(d_model, records)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_exact
+from .data import DataError, expect_end, read_exact
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
                     aggregate_features, decode_spans, prediction_record)
@@ -238,9 +238,13 @@ def load_logits_dump(path) -> dict:
             fi, seq_len = struct.unpack("<II", read_exact(f, 8, path))
             start = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
             end = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
+            if not (np.isfinite(start).all() and np.isfinite(end).all()):
+                raise DataError(f"{path}: non-finite logit for (qid={qid!r}, "
+                                f"feature_index={fi})")
             out[(qid, fi)] = SpanLogits(
                 qid=qid, feature_index=fi,
                 start_logits=start.astype(np.float64),
                 end_logits=end.astype(np.float64),
             )
+        expect_end(f, path)
     return out

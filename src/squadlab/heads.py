@@ -142,8 +142,12 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     """Top-n candidates over legal (start, end) pairs plus the null candidate.
 
     A pair is legal when both ends are context positions, start <= end,
-    and the span covers fewer than ``max_answer_length`` tokens.
+    and the span covers fewer than ``max_answer_length`` tokens.  Both
+    ``n_best`` and ``max_answer_length`` must be at least 1.
     """
+    if n_best < 1 or max_answer_length < 1:
+        raise ValueError(f"n_best and max_answer_length must be >= 1, got "
+                         f"{n_best} and {max_answer_length}")
     sl, el = logits.start_logits, logits.end_logits
     ctx = feature.context_token_indices()
     candidates = []

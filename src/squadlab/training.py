@@ -108,6 +108,7 @@ class QaModel:
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.seed = int(seed)
+        self.hyperparams = {}  # what the checkpoint recorded (load_model)
         rng = Rng(seed)
         tag = cfg.architecture
         self.combiner = None
@@ -224,6 +225,7 @@ def load_model(path) -> QaModel:
     params, seed, hp = load_checkpoint(path)
     cfg = ModelConfig(**hp["model_config"])
     model = build_model(cfg, seed)
+    model.hyperparams = hp
     own = model.parameters()
     if set(own) != set(params):
         missing = sorted(set(own) ^ set(params))

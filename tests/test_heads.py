@@ -247,6 +247,15 @@ class TestDecodeSpans:
         assert any(c.is_null for c in cands)
         assert len(cands) <= 3
 
+    def test_rejects_limits_below_one(self):
+        # n_best=0 once kept all but the last candidate (slice [:-1])
+        f = make_feature(n_context=6)
+        logits = random_logits(f, Rng(7))
+        for kwargs in ({"n_best": 0}, {"n_best": -2},
+                       {"max_answer_length": 0}):
+            with pytest.raises(ValueError, match=">= 1"):
+                decode_spans(logits, f, feature_context_text(), **kwargs)
+
 
 class TestAggregate:
     def _cands(self, f, rng):

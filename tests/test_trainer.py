@@ -3,6 +3,8 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab.embeddings import PseudoEmbedder
+from squadlab.ensemble import save_logits_dump
+from squadlab.heads import write_predictions
 from squadlab.scoring import predictions_from_file
 from squadlab.training import (ARCHITECTURES, Hyperparams, ModelConfig,
                                PRESETS, QaModel, build_model, load_model,
@@ -183,6 +185,51 @@ class TestCheckpoint:
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="do not match"):
             load_model(path)
+
+
+# -0.0, the smallest subnormal, +-inf and a NaN with a payload
+SPECIAL_BITS = np.array([0x8000000000000000, 0x0000000000000001,
+                         0x7FF0000000000000, 0xFFF0000000000000,
+                         0x7FF80000DEADBEEF], dtype=np.uint64)
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_every_bit_round_trips(self, tag, tmp_path):
+        model = build_model(small_cfg(tag), seed=3)
+        params = model.parameters()
+        for name in sorted(params)[:2]:
+            flat = params[name].data.reshape(-1)
+            n = min(flat.size, SPECIAL_BITS.size)
+            flat[:n] = SPECIAL_BITS[:n].view(np.float64)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        back = load_model(path).parameters()
+        assert set(back) == set(params)
+        for name, p in params.items():
+            assert back[name].data.dtype == np.float64
+            assert back[name].data.shape == p.data.shape
+            assert np.array_equal(back[name].data.view(np.uint64),
+                                  p.data.view(np.uint64)), name
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_reloaded_model_writes_identical_files(self, tag, tmp_path):
+        feats = [make_feature(qid=f"q{i}", start=1, end=2) for i in range(3)]
+        prov = provider()
+        model = build_model(small_cfg(tag), seed=4)
+        train(model, feats, prov,
+              Hyperparams(learning_rate=1e-2, batch_size=2, epochs=1, seed=0))
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
+        ctx = {f.qid: feature_context_text(6) for f in feats}
+        blobs = []
+        for m in (model, loaded):
+            records, dumps = predict(m, feats, prov, ctx, collect_logits=True)
+            write_predictions(tmp_path / "pred.jsonl", records)
+            save_logits_dump(tmp_path / "logits.bin", dumps)
+            blobs.append(((tmp_path / "pred.jsonl").read_bytes(),
+                          (tmp_path / "logits.bin").read_bytes()))
+        assert blobs[0] == blobs[1]
 
 
 class TestPredict:

@@ -6,10 +6,14 @@ so NaN/Inf never propagates silently.  The graph is recorded implicitly:
 each op output keeps handles to its inputs plus a backward closure, and
 ``backward`` replays them once in reverse topological order.
 
-The GRU and LSTM recurrences (``gru_scan``, ``lstm_scan``) are one graph
-node per direction: a numpy loop over time that repeats the per-step Tensor
-arithmetic exactly, with a hand-written backpropagation-through-time
-backward.  The tests check both against the per-step reference loop.
+The GRU and LSTM recurrences (``gru_scans``, ``lstm_scans``) run a stack
+of D directions as one graph node: one numpy loop over time advances every
+direction on a leading axis, repeating the per-step Tensor arithmetic
+exactly, with a hand-written backpropagation-through-time backward.  A BiRNN
+is one such node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1 case.
+The tests check both against the per-step reference loop.  Layers build
+fused nodes the same way, through ``Tensor._op``: ``layers.CharCNN.forward``
+is one node per token.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function that never exponentiates a positive number:
     1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = np.divide(e, d, out=np.empty_like(e))
+    out = np.divide(e, d, out=np.empty_like(e) if out is None else out)
     return np.divide(1.0, d, out=out, where=x >= 0)
 
 
@@ -312,146 +316,184 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._op(out_data, (x,), bwd)
 
 
-def _scan_steps(seq: int, reverse: bool) -> range:
-    if seq == 0:
+def _step_rows(arrays, reverse) -> np.ndarray:
+    """D arrays [seq, k] in time order -> [seq, D, 1, k] in step order."""
+    return np.stack([a[::-1] if r else a for a, r in zip(arrays, reverse)],
+                    axis=1)[:, :, None]
+
+
+def _time_rows(steps: np.ndarray, reverse) -> list:
+    """The inverse: D arrays [seq, k] in time order (views)."""
+    return [steps[::-1, d, 0] if r else steps[:, d, 0]
+            for d, r in enumerate(reverse)]
+
+
+def _directions(name, reverse, shapes, *args):
+    """Coerce per-direction scan arguments and check every shape."""
+    groups = [[Tensor._coerce(t) for t in ts] for ts in args]
+    got = [[t.shape for t in ts] for ts in groups]
+    if any(g != [s] * len(reverse) for g, s in zip(got, shapes)):
+        raise ValueError(f"{name} shapes disagree: got {got} for "
+                         f"{len(reverse)} directions, expected {shapes}")
+    if shapes[0][0] == 0:
         raise ValueError("recurrence over an empty sequence")
-    return range(seq - 1, -1, -1) if reverse else range(seq)
+    return groups
 
 
-def _time_order(rows: np.ndarray, reverse: bool) -> np.ndarray:
-    """Rows in step order -> rows in time order (and back), C-contiguous."""
-    return np.ascontiguousarray(rows[::-1]) if reverse else rows
+def _accum_each(tensors, grads):
+    for t, g in zip(tensors, grads):
+        if t.requires_grad:
+            t._accum(g)
 
 
-def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
-             reverse: bool = False) -> Tensor:
-    """One GRU direction over a whole sequence as a single graph node.
+def gru_scans(x_ur, x_c, U_ur, U_c, reverse) -> Tensor:
+    """D GRU directions over one sequence as a single graph node.
 
-    ``x_ur`` [seq, 2h] and ``x_c`` [seq, h] are the input projections,
-    biases included.  From h = 0 every step computes
+    Each argument holds one entry per direction: x_ur [seq, 2h] and x_c
+    [seq, h] (input projections, biases included), U_ur [h, 2h], U_c [h, h]
+    and reverse.  From h = 0 every step computes
     [u | r] = sigmoid(x_ur[t] + h U_ur), cand = tanh(x_c[t] + (r * h) U_c)
-    and h = (1 - u) * h + u * cand; ``reverse`` runs t from last to first.
-    Returns [seq, h] with row t the state after step t.  The forward repeats
-    the per-step Tensor arithmetic operation for operation, so its values
-    are identical; the backward is backpropagation through time.
+    and h = (1 - u) * h + u * cand; a reverse direction runs t from last to
+    first.  The directions share one loop on a leading axis: states are
+    [D, 1, h] and each recurrent product is one [D, 1, h] @ [D, h, k]
+    matmul.  Returns [seq, D * h], row t holding every direction's state
+    after step t.  The forward repeats the per-step Tensor arithmetic, so
+    its values are identical; the backward is backpropagation through time.
     """
-    x_ur, x_c, U_ur, U_c = (Tensor._coerce(t) for t in (x_ur, x_c, U_ur, U_c))
-    seq, h = x_c.shape
-    if (x_ur.shape != (seq, 2 * h) or U_ur.shape != (h, 2 * h)
-            or U_c.shape != (h, h)):
-        raise ValueError(
-            f"gru_scan shapes disagree: x_ur {x_ur.shape}, x_c {x_c.shape}, "
-            f"U_ur {U_ur.shape}, U_c {U_c.shape}"
-        )
-    xu, xc, Wu, Wc = x_ur.data, x_c.data, U_ur.data, U_c.data
-    h_t = np.zeros((1, h))
-    steps = []
-    for t in _scan_steps(seq, reverse):
-        ur = xu[t : t + 1] + h_t @ Wu
-        u = _sigmoid(ur[:, :h])
-        r = _sigmoid(ur[:, h:])
-        a_c = xc[t : t + 1] + (r * h_t) @ Wc
-        cand = np.tanh(a_c)
-        h_t = (u * -1.0 + 1.0) * h_t + u * cand
-        steps.append((ur, a_c, u, r, cand, h_t))
-    # rows in step order; H_prev[k] is the state step k started from
-    A_ur, A_c, U_g, R, C, H = (np.concatenate(col) for col in zip(*steps))
+    seq, h = Tensor._coerce(x_c[0]).shape
+    x_ur, x_c, U_ur, U_c = _directions(
+        "gru_scan", reverse, [(seq, 2 * h), (seq, h), (h, 2 * h), (h, h)],
+        x_ur, x_c, U_ur, U_c)
+    D = len(reverse)
+    X_ur = _step_rows([t.data for t in x_ur], reverse)
+    X_c = _step_rows([t.data for t in x_c], reverse)
+    W_ur = np.stack([t.data for t in U_ur])
+    W_c = np.stack([t.data for t in U_c])
+    # step-order buffers; H[k] is the state step k starts from
+    A_ur = np.empty((seq, D, 1, 2 * h))
+    S = np.empty_like(A_ur)  # [u | r]
+    A_c, C, RH = (np.empty((seq, D, 1, h)) for _ in range(3))  # RH = r * h
+    H = np.zeros((seq + 1, D, 1, h))
+    t_ur = np.empty((D, 1, 2 * h))
+    t_c, t_h = np.empty((D, 1, h)), np.empty((D, 1, h))
+    for k in range(seq):
+        h_k = H[k]
+        np.add(X_ur[k], np.matmul(h_k, W_ur, out=t_ur), out=A_ur[k])
+        s = _sigmoid(A_ur[k], out=S[k])
+        u = s[..., :h]
+        np.multiply(s[..., h:], h_k, out=RH[k])
+        np.add(X_c[k], np.matmul(RH[k], W_c, out=t_c), out=A_c[k])
+        np.tanh(A_c[k], out=C[k])
+        # h = (u * -1.0 + 1.0) * h + u * cand
+        np.multiply(u, -1.0, out=t_h)
+        t_h += 1.0
+        t_h *= h_k
+        np.add(t_h, np.multiply(u, C[k], out=t_c), out=H[k + 1])
     # the gates squash an overflowed pre-activation to a finite value
     _check_finite(A_ur)
     _check_finite(A_c)
-    H_prev = np.concatenate([np.zeros((1, h)), H[:-1]])
+    H_prev = H[:-1]
 
     def bwd(g):
-        G = _time_order(g, reverse)
+        G = _step_rows(np.split(g, D, axis=1), reverse)
+        U_g, R = S[..., :h], S[..., h:]
         dh_du = (C - H_prev) * U_g * (1.0 - U_g)
         dh_dc = U_g * (1.0 - C * C)
         drh_dr = H_prev * R * (1.0 - R)
         keep = 1.0 - U_g
-        d_ur = np.empty((seq, 2 * h))
-        d_c = np.empty((seq, h))
-        carry = np.zeros(h)
+        W_ur_T = W_ur.transpose(0, 2, 1)
+        W_c_T = W_c.transpose(0, 2, 1)
+        d_ur = np.empty((seq, D, 1, 2 * h))
+        d_c = np.empty((seq, D, 1, h))
+        carry = np.zeros((D, 1, h))
         for k in range(seq - 1, -1, -1):
             dh = G[k] + carry
             dc = np.multiply(dh, dh_dc[k], out=d_c[k])
-            drh = dc @ Wc.T
-            np.multiply(dh, dh_du[k], out=d_ur[k, :h])
-            np.multiply(drh, drh_dr[k], out=d_ur[k, h:])
-            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ Wu.T
-        if U_ur.requires_grad:
-            U_ur._accum(H_prev.T @ d_ur)
-        if U_c.requires_grad:
-            U_c._accum((R * H_prev).T @ d_c)
-        if x_ur.requires_grad:
-            x_ur._accum(_time_order(d_ur, reverse))
-        if x_c.requires_grad:
-            x_c._accum(_time_order(d_c, reverse))
+            drh = dc @ W_c_T
+            np.multiply(dh, dh_du[k], out=d_ur[k, ..., :h])
+            np.multiply(drh, drh_dr[k], out=d_ur[k, ..., h:])
+            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ W_ur_T
+        _accum_each(U_ur, [H_prev[:, d, 0].T @ d_ur[:, d, 0]
+                           for d in range(D)])
+        _accum_each(U_c, [RH[:, d, 0].T @ d_c[:, d, 0] for d in range(D)])
+        _accum_each(x_ur, _time_rows(d_ur, reverse))
+        _accum_each(x_c, _time_rows(d_c, reverse))
 
-    return Tensor._op(_time_order(H, reverse), (x_ur, x_c, U_ur, U_c), bwd)
+    return Tensor._op(np.concatenate(_time_rows(H[1:], reverse), axis=1),
+                      (*x_ur, *x_c, *U_ur, *U_c), bwd)
 
 
-def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a whole sequence as a single graph node.
+def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
+             reverse: bool = False) -> Tensor:
+    """One GRU direction, [seq, h]: ``gru_scans`` with D = 1."""
+    return gru_scans((x_ur,), (x_c,), (U_ur,), (U_c,), (reverse,))
 
-    ``xw`` [seq, 4h] is the input projection, bias included, in the gate
-    layout [input | forget | output | cand].  From h = c = 0 every step
-    computes the gates from xw[t] + h U, c = f * c + i * cand and
-    h = o * tanh(c); ``reverse`` runs t from last to first.  Returns
-    [seq, h] with row t the state after step t.  The forward repeats the
-    per-step Tensor arithmetic operation for operation, so its values are
-    identical; the backward is backpropagation through time.
+
+def lstm_scans(xw, U, reverse) -> Tensor:
+    """D LSTM directions over one sequence as a single graph node.
+
+    Each argument holds one entry per direction: xw [seq, 4h] (the input
+    projection, bias included, gate layout [input | forget | output |
+    cand]), U [h, 4h] and reverse.  From h = c = 0 every step computes the
+    gates from xw[t] + h U, c = f * c + i * cand and h = o * tanh(c).
+    Directions, result and exactness are as in ``gru_scans``.
     """
-    xw, U = Tensor._coerce(xw), Tensor._coerce(U)
-    h = U.shape[0]
-    seq = xw.shape[0]
-    if xw.shape != (seq, 4 * h) or U.shape != (h, 4 * h):
-        raise ValueError(
-            f"lstm_scan shapes disagree: xw {xw.shape}, U {U.shape}"
-        )
-    a, W = xw.data, U.data
-    h_t = np.zeros((1, h))
-    c_t = np.zeros((1, h))
-    steps = []
-    for t in _scan_steps(seq, reverse):
-        gates = a[t : t + 1] + h_t @ W
-        i_g = _sigmoid(gates[:, 0 * h : 1 * h])
-        f_g = _sigmoid(gates[:, 1 * h : 2 * h])
-        o_g = _sigmoid(gates[:, 2 * h : 3 * h])
-        cand = np.tanh(gates[:, 3 * h : 4 * h])
-        c_t = f_g * c_t + i_g * cand
-        tc = np.tanh(c_t)
-        h_t = o_g * tc
-        steps.append((gates, i_g, f_g, o_g, cand, c_t, tc, h_t))
-    # rows in step order; *_prev[k] is what step k started from
-    A, I, F, O, Gc, C, TC, H = (np.concatenate(col) for col in zip(*steps))
+    seq = Tensor._coerce(xw[0]).shape[0]
+    h = Tensor._coerce(U[0]).shape[0]
+    xw, U = _directions("lstm_scan", reverse, [(seq, 4 * h), (h, 4 * h)],
+                        xw, U)
+    D = len(reverse)
+    X = _step_rows([t.data for t in xw], reverse)
+    W = np.stack([t.data for t in U])
+    # step-order buffers; H[k] and C[k] are what step k starts from
+    A = np.empty((seq, D, 1, 4 * h))
+    S = np.empty((seq, D, 1, 3 * h))  # [input | forget | output]
+    Gc, TC = np.empty((seq, D, 1, h)), np.empty((seq, D, 1, h))
+    C, H = np.zeros((seq + 1, D, 1, h)), np.zeros((seq + 1, D, 1, h))
+    t_a, t_c = np.empty((D, 1, 4 * h)), np.empty((D, 1, h))
+    for k in range(seq):
+        np.add(X[k], np.matmul(H[k], W, out=t_a), out=A[k])
+        s = _sigmoid(A[k, ..., :3 * h], out=S[k])
+        np.tanh(A[k, ..., 3 * h:], out=Gc[k])
+        # c = f * c + i * cand; h = o * tanh(c)
+        np.multiply(s[..., h : 2 * h], C[k], out=C[k + 1])
+        C[k + 1] += np.multiply(s[..., :h], Gc[k], out=t_c)
+        np.tanh(C[k + 1], out=TC[k])
+        np.multiply(s[..., 2 * h :], TC[k], out=H[k + 1])
     # the gates squash an overflowed pre-activation to a finite value
     _check_finite(A)
-    zero = np.zeros((1, h))
-    H_prev = np.concatenate([zero, H[:-1]])
-    C_prev = np.concatenate([zero, C[:-1]])
+    H_prev = H[:-1]
 
     def bwd(g):
-        G = _time_order(g, reverse)
+        G = _step_rows(np.split(g, D, axis=1), reverse)
+        I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
         dh_dc = O * (1.0 - TC * TC)
         # d(step output) / d(gate pre-activation), per unit of dc, dc, dh, dc
-        local = np.concatenate([Gc * I * (1.0 - I), C_prev * F * (1.0 - F),
+        local = np.concatenate([Gc * I * (1.0 - I), C[:-1] * F * (1.0 - F),
                                 TC * O * (1.0 - O), I * (1.0 - Gc * Gc)],
-                               axis=1)
-        d_gates = np.empty((seq, 4 * h))
-        dh_carry = np.zeros(h)
-        dc_carry = np.zeros(h)
+                               axis=-1)
+        W_T = W.transpose(0, 2, 1)
+        d_gates = np.empty((seq, D, 1, 4 * h))
+        dh_carry = np.zeros((D, 1, h))
+        dc_carry = np.zeros((D, 1, h))
         for k in range(seq - 1, -1, -1):
             dh = G[k] + dh_carry
             dc = dc_carry + dh * dh_dc[k]
-            np.multiply(local[k], np.concatenate((dc, dc, dh, dc)),
+            np.multiply(local[k], np.concatenate((dc, dc, dh, dc), axis=-1),
                         out=d_gates[k])
             dc_carry = dc * F[k]
-            dh_carry = d_gates[k] @ W.T
-        if U.requires_grad:
-            U._accum(H_prev.T @ d_gates)
-        if xw.requires_grad:
-            xw._accum(_time_order(d_gates, reverse))
+            dh_carry = d_gates[k] @ W_T
+        _accum_each(U, [H_prev[:, d, 0].T @ d_gates[:, d, 0]
+                        for d in range(D)])
+        _accum_each(xw, _time_rows(d_gates, reverse))
 
-    return Tensor._op(_time_order(H, reverse), (xw, U), bwd)
+    return Tensor._op(np.concatenate(_time_rows(H[1:], reverse), axis=1),
+                      (*xw, *U), bwd)
+
+
+def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction, [seq, h]: ``lstm_scans`` with D = 1."""
+    return lstm_scans((xw,), (U,), (reverse,))
 
 
 def masked_fill(x: Tensor, mask, fill: float) -> Tensor:

@@ -97,6 +97,11 @@ def _provider(args, seed):
     return load_embedding_fixture(args.embeddings)
 
 
+def _embedding_inputs(args):
+    """The embedding fixture a command read, as manifest inputs."""
+    return [] if args.embeddings == "pseudo" else [args.embeddings]
+
+
 def cmd_train(args):
     seed = _seed_from(args)
     features = read_features(args.features)
@@ -120,7 +125,7 @@ def cmd_train(args):
         outputs.append(args.loss_curve)
     print(f"trained {args.arch} ({model.parameter_count()} parameters), "
           f"final loss {result.final_loss():.4f}", file=sys.stderr)
-    return [args.features], outputs
+    return [args.features, *_embedding_inputs(args)], outputs
 
 
 def cmd_predict(args):
@@ -148,7 +153,8 @@ def cmd_predict(args):
         outputs.append(args.logits_out)
     print(f"wrote predictions for {len(records)} questions to {args.out}",
           file=sys.stderr)
-    return [args.features, args.data, args.checkpoint], outputs
+    return ([args.features, args.data, args.checkpoint,
+             *_embedding_inputs(args)], outputs)
 
 
 def cmd_evaluate(args):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Rng, Tensor, concat, gru_scan, init_uniform,
-                       lstm_scan, masked_fill, matmul, softmax)
+from .autograd import (MASK_FILL, Rng, Tensor, _check_finite, concat,
+                       gru_scans, init_uniform, lstm_scans, masked_fill,
+                       matmul, softmax)
 
 
 class Highway:
@@ -50,17 +51,23 @@ class LSTMCell:
         return {"W": self.W, "U": self.U, "b": self.b}
 
 
+def _lstm_directions(cells, x: Tensor, reverse) -> Tensor:
+    for cell in cells:
+        if x.shape[1] != cell.d_in:
+            raise ValueError(f"lstm input width {x.shape[1]}, cell expects "
+                             f"{cell.d_in}")
+    return lstm_scans([matmul(x, c.W) + c.b for c in cells],
+                      [c.U for c in cells], reverse)
+
+
 def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False) -> Tensor:
     """Run one direction over [seq, d_in]; zero initial h and c."""
-    if x.shape[1] != cell.d_in:
-        raise ValueError(f"lstm input width {x.shape[1]}, cell expects {cell.d_in}")
-    return lstm_scan(matmul(x, cell.W) + cell.b, cell.U, reverse)
+    return _lstm_directions([cell], x, [reverse])
 
 
 def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor) -> Tensor:
-    """Concat of an independent forward and backward pass: [seq, 2h]."""
-    return concat([lstm_forward(fwd, x, reverse=False),
-                   lstm_forward(bwd, x, reverse=True)], axis=1)
+    """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
+    return _lstm_directions([fwd, bwd], x, [False, True])
 
 
 class GRUCell:
@@ -81,18 +88,24 @@ class GRUCell:
                 "W_c": self.W_c, "U_c": self.U_c, "b_c": self.b_c}
 
 
+def _gru_directions(cells, x: Tensor, reverse) -> Tensor:
+    for cell in cells:
+        if x.shape[1] != cell.d_in:
+            raise ValueError(f"gru input width {x.shape[1]}, cell expects "
+                             f"{cell.d_in}")
+    return gru_scans([matmul(x, c.W_ur) + c.b_ur for c in cells],
+                     [matmul(x, c.W_c) + c.b_c for c in cells],
+                     [c.U_ur for c in cells], [c.U_c for c in cells], reverse)
+
+
 def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False) -> Tensor:
     """Run one direction over [seq, d_in]; zero initial h."""
-    if x.shape[1] != cell.d_in:
-        raise ValueError(f"gru input width {x.shape[1]}, cell expects {cell.d_in}")
-    return gru_scan(matmul(x, cell.W_ur) + cell.b_ur,
-                    matmul(x, cell.W_c) + cell.b_c, cell.U_ur, cell.U_c,
-                    reverse)
+    return _gru_directions([cell], x, [reverse])
 
 
 def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor) -> Tensor:
-    return concat([gru_forward(fwd, x, reverse=False),
-                   gru_forward(bwd, x, reverse=True)], axis=1)
+    """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
+    return _gru_directions([fwd, bwd], x, [False, True])
 
 
 def dot_product_attention(x: Tensor, attend_mask=None,
@@ -162,8 +175,24 @@ class CharCNN:
         ])
 
     def forward(self, windows: np.ndarray) -> Tensor:
-        h = (matmul(Tensor(windows), self.K) + self.b).relu()
-        return h.max(axis=0)  # [d_out]
+        """max over windows of relu(windows @ K + b), [d_out], as one graph
+        node: the values of the composed matmul, add, relu and max(axis=0),
+        and a max tie shares its gradient evenly, as in ``Tensor.max``."""
+        w = _check_finite(np.asarray(windows, dtype=np.float64))
+        K, b = self.K, self.b
+        pre = w @ K.data + b.data
+        act = np.maximum(pre, 0.0)
+        out = act.max(axis=0)
+        top = act == out
+
+        def bwd(g):
+            d_pre = g * top / top.sum(axis=0) * (pre > 0)
+            if K.requires_grad:
+                K._accum(w.T @ d_pre)
+            if b.requires_grad:
+                b._accum(d_pre.sum(axis=0))
+
+        return Tensor._op(out, (K, b), bwd)
 
 
 class EmbeddingCombiner:

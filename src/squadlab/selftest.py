@@ -1,15 +1,16 @@
-"""Quick self-verification: golden fixtures plus a gradient spot check."""
+"""Quick self-verification: golden fixtures plus gradient spot checks of the
+highway layer and the fused kernels (stacked BiGRU/BiLSTM scans, char-CNN)."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from .autograd import Rng, Tensor
 from .data import (PreprocessConfig, RawExample, TokenizedContext,
                    align_answer_to_tokens, chunk_context, span_to_text,
                    toy_tokenize)
+from .embeddings import CharEmbeddingTable
 from .gradcheck import check_gradients
-from .layers import Highway
+from .layers import (CharCNN, GRUCell, Highway, LSTMCell, bigru_forward,
+                     bilstm_forward)
 from .scoring import compute_em, compute_f1
 
 OBAMA_CONTEXT = "Obama was born in August."
@@ -77,15 +78,25 @@ def run_selftest(verbose: bool = False) -> bool:
     report("einstein f1",
            abs(compute_f1("Einstein", ["Albert Einstein"]) - 2 / 3) < 1e-4)
 
-    # gradient spot check
+    # gradient spot checks at tiny shapes, fused kernels included
     rng = Rng(7)
+    x = Tensor(rng.normal((3, 4)), requires_grad=True)
     hw = Highway(4, rng)
-    x = Tensor(rng.normal((3, 4)))
-    try:
-        check_gradients(lambda: hw.forward(x).sum(), hw.parameters(),
-                        rtol=1e-6)
-        report("highway gradients", True)
-    except AssertionError:
-        report("highway gradients", False)
+    gru = GRUCell(4, 2, rng.spawn(1)), GRUCell(4, 2, rng.spawn(2))
+    lstm = LSTMCell(4, 2, rng.spawn(3)), LSTMCell(4, 2, rng.spawn(4))
+    cnn = CharCNN(2, 3, rng.spawn(5))
+    win = cnn.windows("aaaab", CharEmbeddingTable(2, seed=0))  # a tie
+    for name, fn, modules, inputs in (
+            ("highway", lambda: hw.forward(x), [hw], {"x": x}),
+            ("bigru", lambda: bigru_forward(*gru, x), gru, {"x": x}),
+            ("bilstm", lambda: bilstm_forward(*lstm, x), lstm, {"x": x}),
+            ("char-cnn", lambda: cnn.forward(win), [cnn], {})):
+        params = inputs | {f"{i}.{n}": p for i, m in enumerate(modules)
+                           for n, p in m.parameters().items()}
+        try:
+            check_gradients(lambda: (fn() * fn()).sum(), params, rtol=1e-6)
+            report(f"{name} gradients", True)
+        except AssertionError:
+            report(f"{name} gradients", False)
 
     return ok

@@ -223,8 +223,13 @@ def save_model(path, model: QaModel, hyperparams: dict | None = None) -> None:
 
 def load_model(path) -> QaModel:
     params, seed, hp = load_checkpoint(path)
-    cfg = ModelConfig(**hp["model_config"])
-    model = build_model(cfg, seed)
+    try:
+        if not isinstance(hp, dict) or not isinstance(
+                hp.get("model_config"), dict):
+            raise TypeError("hyperparams.model_config must be an object")
+        model = build_model(ModelConfig(**hp["model_config"]), seed)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad model config: {e}") from None
     model.hyperparams = hp
     own = model.parameters()
     if set(own) != set(params):

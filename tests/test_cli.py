@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +478,48 @@ class TestCheckpointErrors:
             line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
             assert "'head.W' holds 128 bytes" in line, shape
             assert f"needs {8 * int(np.prod(shape))}" in line, shape
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda hp: hp["model_config"].update(n_layers=2), "n_layers"),
+        (lambda hp: hp.pop("model_config"), "model_config"),
+        (lambda hp: hp.update(model_config=[1, 2]), "model_config"),
+        (lambda hp: hp["model_config"].update(architecture="nope"),
+         "unknown architecture"),
+    ], ids=["unknown-key", "missing", "not-an-object", "bad-architecture"])
+    def test_bad_model_config(self, corpus, tmp_path, capsys, edit, why):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        self._corrupt(ckpt, lambda b: edit(b["hyperparams"]))
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert str(ckpt) in line and why in line
+
+    def test_hyperparams_not_an_object(self, corpus, tmp_path, capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        self._corrupt(ckpt, lambda b: b.update(hyperparams=[]))
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert str(ckpt) in line and "model_config" in line
+
+
+class TestManifests:
+    def test_embedding_fixture_is_an_input(self, corpus, tmp_path):
+        feats = tmp_path / "feats.jsonl"
+        emb = tmp_path / "emb.bin"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        assert main(["pseudo-embed", "--features", str(feats), "--out",
+                     str(emb), "--d-model", "8"]) == 0
+        for emb_arg, listed in ((str(emb), [str(emb)]), ("pseudo", [])):
+            feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                           ["--embeddings", emb_arg])
+            assert _predict(ckpt, feats, corpus, tmp_path,
+                            ["--embeddings", emb_arg]) == 0
+            train = json.loads(Path(f"{ckpt}.manifest.json").read_text())
+            pred = json.loads(
+                (tmp_path / "pred.jsonl.manifest.json").read_text())
+            assert train["inputs"] == [str(feats)] + listed
+            assert pred["inputs"] == [str(feats), str(corpus),
+                                      str(ckpt)] + listed
 
 
 class TestEmbedderIdentity:

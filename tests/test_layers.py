@@ -228,6 +228,46 @@ class TestCharCnn:
             lambda: (cnn.forward(windows) * cnn.forward(windows)).sum(),
             cnn.parameters(), rtol=1e-6)
 
+    @staticmethod
+    def _composed(cnn, windows):
+        """The char-CNN as the separate Tensor ops the fused node replaces."""
+        return (matmul(Tensor(windows), cnn.K) + cnn.b).relu().max(axis=0)
+
+    @pytest.mark.parametrize("token", ["world", "aaaa", "a"])
+    def test_node_matches_composed_ops(self, token):
+        """Same values and gradients; "aaaa" has two identical windows, so
+        every max is tied and its gradient is split."""
+        cnn = CharCNN(3, 4, Rng(2))
+        windows = cnn.windows(token, CharEmbeddingTable(3))
+        if token == "aaaa":
+            assert np.array_equal(windows[0], windows[1])
+        weights = Tensor(Rng(3).normal(4))
+        results = []
+        for forward in (cnn.forward, lambda w: self._composed(cnn, w)):
+            cnn.K.zero_grad()
+            cnn.b.zero_grad()
+            out = forward(windows)
+            (out * weights).sum().backward()
+            results.append((out.data, cnn.K.grad.copy(), cnn.b.grad.copy()))
+        (got, *got_grads), (want, *want_grads) = results
+        assert np.array_equal(got, want)
+        scale = max(float(np.abs(g).max()) for g in want_grads)
+        for g, w in zip(got_grads, want_grads):
+            assert float(np.abs(g - w).max()) <= 1e-12 * scale
+
+    def test_one_graph_node(self):
+        cnn = CharCNN(3, 4, Rng(2))
+        out = cnn.forward(cnn.windows("world", CharEmbeddingTable(3)))
+        assert out._parents == (cnn.K, cnn.b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_window_raises(self, bad):
+        cnn = CharCNN(3, 4, Rng(2))
+        windows = cnn.windows("world", CharEmbeddingTable(3))
+        windows[1, 2] = bad
+        with pytest.raises(FloatingPointError):
+            cnn.forward(windows)
+
 
 class TestCombiner:
     def _tokens(self, n):

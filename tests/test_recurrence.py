@@ -10,8 +10,9 @@ agree with their op-by-op gradients to rounding.
 import numpy as np
 import pytest
 
-from squadlab import heads, layers
-from squadlab.autograd import Rng, Tensor, concat, gru_scan, lstm_scan, matmul
+from squadlab import heads
+from squadlab.autograd import (Rng, Tensor, concat, gru_scan, lstm_scan,
+                               lstm_scans, matmul)
 from squadlab.heads import BidafOut
 from squadlab.layers import (GRUCell, LSTMCell, bigru_forward, bilstm_forward,
                              gru_forward, lstm_forward)
@@ -109,32 +110,30 @@ def _pair_tensors(fwd, bwd, x):
     return tensors
 
 
-def test_bilstm_matches_reference(monkeypatch):
+def test_bilstm_matches_reference():
+    """Both directions in one stacked scan against two reference loops."""
     fwd, bwd = LSTMCell(5, 3, Rng(0)), LSTMCell(5, 3, Rng(1))
-    x = Tensor(Rng(2).normal((12, 5)), requires_grad=True)
-
-    def reference():
-        with monkeypatch.context() as m:
-            m.setattr(layers, "lstm_forward", reference_lstm_forward)
-            return bilstm_forward(fwd, bwd, x)
-
-    _assert_fused_matches_reference(lambda: bilstm_forward(fwd, bwd, x),
-                                    reference, _pair_tensors(fwd, bwd, x),
-                                    (12, 6), seed=3)
+    for seq in (1, 2, 40):
+        x = Tensor(Rng(seq).normal((seq, 5)), requires_grad=True)
+        _assert_fused_matches_reference(
+            lambda: bilstm_forward(fwd, bwd, x),
+            lambda: concat([reference_lstm_forward(fwd, x),
+                            reference_lstm_forward(bwd, x, reverse=True)],
+                           axis=1),
+            _pair_tensors(fwd, bwd, x), (seq, 6), seed=seq + 3)
 
 
-def test_bigru_matches_reference(monkeypatch):
+def test_bigru_matches_reference():
+    """Both directions in one stacked scan against two reference loops."""
     fwd, bwd = GRUCell(5, 3, Rng(0)), GRUCell(5, 3, Rng(1))
-    x = Tensor(Rng(2).normal((12, 5)), requires_grad=True)
-
-    def reference():
-        with monkeypatch.context() as m:
-            m.setattr(layers, "gru_forward", reference_gru_forward)
-            return bigru_forward(fwd, bwd, x)
-
-    _assert_fused_matches_reference(lambda: bigru_forward(fwd, bwd, x),
-                                    reference, _pair_tensors(fwd, bwd, x),
-                                    (12, 6), seed=3)
+    for seq in (1, 2, 40):
+        x = Tensor(Rng(seq).normal((seq, 5)), requires_grad=True)
+        _assert_fused_matches_reference(
+            lambda: bigru_forward(fwd, bwd, x),
+            lambda: concat([reference_gru_forward(fwd, x),
+                            reference_gru_forward(bwd, x, reverse=True)],
+                           axis=1),
+            _pair_tensors(fwd, bwd, x), (seq, 6), seed=seq + 3)
 
 
 def test_bidaf_out_matches_reference(monkeypatch):
@@ -157,24 +156,42 @@ def test_bidaf_out_matches_reference(monkeypatch):
                                     seed=3)
 
 
-def _graph_size(out):
-    seen, stack = set(), [out]
+def _graph_nodes(out):
+    seen, nodes, stack = set(), [], [out]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            nodes.append(node)
             stack.extend(node._parents)
-    return len(seen)
+    return nodes
 
 
 @pytest.mark.parametrize("forward, cell_type", [(lstm_forward, LSTMCell),
                                                 (gru_forward, GRUCell)])
 def test_graph_size_independent_of_length(forward, cell_type):
     cell = cell_type(3, 2, Rng(0))
-    sizes = {seq: _graph_size(forward(cell, Tensor(np.ones((seq, 3))),
-                                      reverse=True))
+    sizes = {seq: len(_graph_nodes(forward(cell, Tensor(np.ones((seq, 3))),
+                                           reverse=True)))
              for seq in (2, 30)}
     assert sizes[2] == sizes[30]
+
+
+@pytest.mark.parametrize("forward, cell_type, recurrent", [
+    (bilstm_forward, LSTMCell, ("U",)),
+    (bigru_forward, GRUCell, ("U_ur", "U_c"))])
+def test_one_scan_node_per_birnn(forward, cell_type, recurrent):
+    """Both directions run in one scan node, whatever the length."""
+    cells = cell_type(3, 2, Rng(0)), cell_type(3, 2, Rng(1))
+    weights = {id(getattr(c, name)) for c in cells for name in recurrent}
+    sizes = {}
+    for seq in (1, 2, 30):
+        nodes = _graph_nodes(forward(*cells, Tensor(np.ones((seq, 3)))))
+        scans = [n for n in nodes
+                 if any(id(p) in weights for p in n._parents)]
+        assert scans == [nodes[0]], seq  # the output node, and only it
+        sizes[seq] = len(nodes)
+    assert sizes[1] == sizes[2] == sizes[30]
 
 
 class TestNonFinite:
@@ -217,6 +234,20 @@ class TestNonFinite:
             with pytest.raises(FloatingPointError):
                 gru_forward(cell, x, reverse)
 
+    @pytest.mark.parametrize("forward, saturated, cell_type", [
+        (bilstm_forward, "_saturated_lstm", LSTMCell),
+        (bigru_forward, "_saturated_gru", GRUCell)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_stacked_gate_overflow_raises(self, forward, saturated,
+                                          cell_type, which):
+        """Either direction of a stacked scan overflowing is caught."""
+        cells = [cell_type(3, 4, Rng(2)), cell_type(3, 4, Rng(3))]
+        cells[which] = getattr(self, saturated)()
+        x = Tensor(Rng(1).normal((3, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                forward(*cells, x)
+
 
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError, match="empty"):
@@ -229,3 +260,5 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="gru_scan"):
         gru_scan(np.zeros((3, 4)), np.zeros((3, 2)), np.zeros((2, 4)),
                  np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="lstm_scan shapes disagree"):
+        lstm_scans([np.zeros((3, 8))] * 2, [np.zeros((2, 8))], [False, True])

@@ -593,6 +593,28 @@ def init_uniform(rng: Rng, shape, fan_in: int, requires_grad=True) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=requires_grad)
 
 
+class Module:
+    """Parameter container.  ``parameters()`` walks the attributes in the
+    order they were first assigned: a Tensor is named ``attr``, a Module
+    ``attr.<its names>`` and a list ``attr.<i>.<its names>``.  Anything else
+    (widths, configs, lookup tables, caches) is not a parameter.  The order
+    is the checkpoint order and the summation order of ``clip_global_norm``."""
+
+    def parameters(self) -> dict:
+        return dict(_named_tensors("", self))
+
+
+def _named_tensors(prefix: str, value):
+    if isinstance(value, Tensor):
+        yield prefix[:-1], value
+    elif isinstance(value, Module):
+        for name, item in vars(value).items():
+            yield from _named_tensors(f"{prefix}{name}.", item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named_tensors(f"{prefix}{i}.", item)
+
+
 # -- adam -----------------------------------------------------------------
 
 

@@ -142,9 +142,7 @@ def cmd_predict(args):
     records, logit_sets = predict(
         model, features, provider, context_by_qid,
         n_best=args.n_best, max_answer_length=args.max_answer_length,
-        null_threshold=args.null_threshold,
         model_f1_weight=args.model_f1_weight,
-        collect_logits=args.logits_out is not None,
     )
     write_predictions(args.out, records)
     outputs = [args.out]
@@ -191,8 +189,7 @@ def cmd_ensemble(args):
         context_by_qid = {ex.qid: ex.context for ex in examples}
         if args.strategy == "mean-logits":
             records = decode_logit_set(mean_logits(dumps), features_by_key,
-                                       context_by_qid,
-                                       null_threshold=args.null_threshold)
+                                       context_by_qid)
         else:  # wv-mean-logits
             records = weighted_voting_with_mean_logits(
                 sets, dumps, args.mean_weight, features_by_key,
@@ -271,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits-out")
     p.add_argument("--n-best", type=int, default=20)
     p.add_argument("--max-answer-length", type=int, default=30)
-    p.add_argument("--null-threshold", type=float, default=0.0)
     p.add_argument("--model-f1-weight", type=float)
     _add_seed(p)
     p.set_defaults(func=cmd_predict)

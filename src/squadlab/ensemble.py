@@ -17,7 +17,8 @@ import numpy as np
 from .data import DataError, expect_end, read_exact
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
-                    aggregate_features, decode_spans, prediction_record)
+                    best_answer, prediction_record)
+from .training import decode_logit_set
 
 DUMP_MAGIC = b"SQLD"
 DUMP_VERSION = 1
@@ -59,9 +60,8 @@ class PredictionSet:
                  null_threshold: float = DEFAULT_NULL_THRESHOLD):
         """(vote key, candidate dict) for this model's single best prediction."""
         rec = self.records[qid]
-        spans = [c for c in rec["nbest"] if c["start_token"] is not None]
-        best = max(spans, key=lambda c: c["score"]) if spans else None
-        if best is None or rec["null_score"] - best["score"] > null_threshold:
+        best = best_answer(rec, null_threshold)
+        if best is None:
             return NULL_KEY, {"text": "", "start_token": None,
                               "end_token": None, "feature_index": 0,
                               "score": rec["null_score"]}
@@ -112,33 +112,6 @@ def mean_logits(dumps) -> dict:
         combined[key] = SpanLogits(qid=qid, feature_index=fi,
                                    start_logits=start, end_logits=end)
     return combined
-
-
-def decode_logit_set(logit_sets: dict, features_by_key: dict,
-                     context_by_qid: dict,
-                     n_best: int = DEFAULT_N_BEST,
-                     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
-                     null_threshold: float = DEFAULT_NULL_THRESHOLD,
-                     model_f1_weight: float | None = None) -> list:
-    """Standard decode + per-question aggregation over a SpanLogits map."""
-    by_qid = {}
-    for (qid, fi), logits in sorted(logit_sets.items()):
-        feature = features_by_key[(qid, fi)]
-        cands = decode_spans(logits, feature, context_by_qid[qid],
-                             n_best=n_best, max_answer_length=max_answer_length)
-        by_qid.setdefault(qid, []).append(cands)
-    records = []
-    for qid in sorted(by_qid):
-        merged = [c for cands in by_qid[qid] for c in cands]
-        merged.sort(key=AnswerCandidate.sort_key)
-        spans = [c for c in merged if not c.is_null][: n_best - 1]
-        _, null_score = aggregate_features(by_qid[qid], null_threshold)
-        null = AnswerCandidate(qid=qid, text="", start_token=None,
-                               end_token=None, score=null_score)
-        nbest = sorted(spans + [null], key=AnswerCandidate.sort_key)
-        records.append(prediction_record(qid, nbest, null_score,
-                                         model_f1_weight))
-    return records
 
 
 # -- weighted voting ------------------------------------------------------
@@ -197,7 +170,7 @@ def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
     combined = mean_logits(dumps)
     mean_records = decode_logit_set(
         combined, features_by_key, context_by_qid, n_best=n_best,
-        max_answer_length=max_answer_length, null_threshold=null_threshold,
+        max_answer_length=max_answer_length,
     )
     mean_set = PredictionSet.from_records("mean-logits", mean_records,
                                           weight=mean_weight)

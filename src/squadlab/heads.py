@@ -4,6 +4,14 @@ Both heads mask every position outside the context chunk to ``MASK_FILL``
 except index 0, the sentinel, which stays live to score the no-answer
 hypothesis.  A span's score is start_logit + end_logit; ties are broken by
 (non-null first, smaller start, smaller end) so decoding is deterministic.
+
+Both heads are ``autograd.Module``s, so their parameter names come from the
+attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
+chunk's candidates and ``aggregate_features`` merges a question's chunks
+into its n-best list; ``training.decode_logit_set`` is the one path that
+runs both, for ``predict`` and for the mean-logits ensemble.
+``best_answer`` is the one no-answer rule, applied to a prediction record
+by ``evaluate`` and by the voting ensembles.
 """
 
 from __future__ import annotations
@@ -13,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Rng, Tensor, cross_entropy_from_logits,
-                       init_uniform, masked_fill, matmul)
+from .autograd import (MASK_FILL, Module, Rng, Tensor,
+                       cross_entropy_from_logits, init_uniform, masked_fill,
+                       matmul)
 from .data import NULL_POSITION, Feature
 from .layers import GRUCell, gru_forward
 
@@ -59,16 +68,13 @@ def _head_mask(context_mask) -> np.ndarray:
     return blocked
 
 
-class AlbertSquadOut:
+class AlbertSquadOut(Module):
     """Linear d -> 2; column 0 start logits, column 1 end logits."""
 
     def __init__(self, d: int, rng: Rng):
         self.d = d
         self.W = init_uniform(rng, (d, 2), d)
         self.b = init_uniform(rng, (2,), d)
-
-    def parameters(self):
-        return {"W": self.W, "b": self.b}
 
     def forward(self, x: Tensor, context_mask):
         if x.shape[1] != self.d:
@@ -80,7 +86,7 @@ class AlbertSquadOut:
         return start, end
 
 
-class BidafOut:
+class BidafOut(Module):
     """Start: w1 att + w2 dec.  End: w3 att + w4 gru(dec), per-token sums."""
 
     def __init__(self, d_att: int, d_dec: int, end_hidden: int, rng: Rng):
@@ -91,12 +97,6 @@ class BidafOut:
         self.w3 = init_uniform(rng, (d_att, 1), d_att)
         self.w4 = init_uniform(rng, (end_hidden, 1), end_hidden)
         self.end_rnn = GRUCell(d_dec, end_hidden, rng.spawn(17))
-
-    def parameters(self):
-        params = {"w1": self.w1, "w2": self.w2, "w3": self.w3, "w4": self.w4}
-        for n, p in self.end_rnn.parameters().items():
-            params[f"end_rnn.{n}"] = p
-        return params
 
     def forward(self, att_out: Tensor, dec_out: Tensor, context_mask):
         if att_out.shape[1] != self.d_att or dec_out.shape[1] != self.d_dec:
@@ -173,35 +173,41 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     return out
 
 
-def aggregate_features(candidates_per_feature,
-                       null_threshold: float = DEFAULT_NULL_THRESHOLD):
-    """Pick the per-question answer across all chunks.
+def aggregate_features(candidates_per_feature, n_best: int = DEFAULT_N_BEST):
+    """Merge one question's per-chunk candidates into its n-best list.
 
-    Returns (final candidate, null_score) where null_score is the minimum
-    null score over chunks.  No-answer wins iff null_score minus the best
-    non-null score exceeds the threshold.
+    Returns (nbest, null_score): the top ``n_best - 1`` spans over all
+    chunks plus one null candidate scored with the minimum null score over
+    the chunks, in ``AnswerCandidate.sort_key`` order.
     """
     if not candidates_per_feature:
         raise ValueError("question has zero features")
-    best = None
-    null_score = None
-    qid = None
-    for cands in candidates_per_feature:
-        for c in cands:
-            qid = c.qid
-            if c.is_null:
-                if null_score is None or c.score < null_score:
-                    null_score = c.score
-            elif best is None or c.sort_key() < best.sort_key():
-                best = c
-    if null_score is None:
+    merged = [c for cands in candidates_per_feature for c in cands]
+    nulls = [c.score for c in merged if c.is_null]
+    if not nulls:
+        qid = merged[-1].qid if merged else None
         raise ValueError(f"qid {qid}: no null candidate present")
-    if best is None or null_score - best.score > null_threshold:
-        final = AnswerCandidate(qid=qid, text="", start_token=None,
-                                end_token=None, score=null_score)
-    else:
-        final = best
-    return final, null_score
+    null_score = min(nulls)
+    merged.sort(key=AnswerCandidate.sort_key)
+    spans = [c for c in merged if not c.is_null][: n_best - 1]
+    null = AnswerCandidate(qid=merged[0].qid, text="", start_token=None,
+                           end_token=None, score=null_score)
+    return sorted(spans + [null], key=AnswerCandidate.sort_key), null_score
+
+
+def best_answer(record, null_threshold: float = DEFAULT_NULL_THRESHOLD):
+    """The no-answer rule: the span a prediction record answers with, or
+    None for no-answer.
+
+    The first highest-scoring span entry of ``nbest`` is the best span;
+    no-answer wins iff there is none or ``null_score`` minus its score
+    exceeds ``null_threshold``.
+    """
+    spans = [c for c in record["nbest"] if c["start_token"] is not None]
+    best = max(spans, key=lambda c: c["score"], default=None)
+    if best is None or record["null_score"] - best["score"] > null_threshold:
+        return None
+    return best
 
 
 # -- prediction file ------------------------------------------------------

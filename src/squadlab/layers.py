@@ -1,21 +1,22 @@
 """Task-specific layer library: highway, BiLSTM, GRU, attention variants,
 char-CNN, and the combined embedding block.
 
-Every layer is a plain parameter container with a pure ``forward``;
-parameters are exposed through ``parameters()`` as a flat name -> Tensor
-map so checkpoints use hierarchical names (e.g. ``highway.0.W_proj``).
+Every layer is an ``autograd.Module`` with a pure ``forward``: its
+``parameters()`` walks the layer's attributes in assignment order and
+returns a flat name -> Tensor map, so checkpoints use hierarchical names
+(e.g. ``highway.0.W_proj``) and no layer lists its own parameters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Rng, Tensor, _check_finite, concat,
-                       gru_scans, init_uniform, lstm_scans, masked_fill,
-                       matmul, softmax)
+from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
+                       concat, gru_scans, init_uniform, lstm_scans,
+                       masked_fill, matmul, softmax)
 
 
-class Highway:
+class Highway(Module):
     """Gated residual: y = g * relu(x W_proj + b_proj) + (1 - g) * x."""
 
     def __init__(self, d: int, rng: Rng):
@@ -25,10 +26,6 @@ class Highway:
         self.W_gate = init_uniform(rng, (d, d), d)
         self.b_gate = init_uniform(rng, (d,), d)
 
-    def parameters(self):
-        return {"W_proj": self.W_proj, "b_proj": self.b_proj,
-                "W_gate": self.W_gate, "b_gate": self.b_gate}
-
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d:
             raise ValueError(f"highway width {self.d}, input width {x.shape[-1]}")
@@ -37,7 +34,7 @@ class Highway:
         return g * t + (g * -1.0 + 1.0) * x
 
 
-class LSTMCell:
+class LSTMCell(Module):
     """Standard LSTM gates; fused weight layout [input | forget | output | cand]."""
 
     def __init__(self, d_in: int, hidden: int, rng: Rng):
@@ -46,9 +43,6 @@ class LSTMCell:
         self.W = init_uniform(rng, (d_in, 4 * hidden), d_in)
         self.U = init_uniform(rng, (hidden, 4 * hidden), hidden)
         self.b = init_uniform(rng, (4 * hidden,), hidden)
-
-    def parameters(self):
-        return {"W": self.W, "U": self.U, "b": self.b}
 
 
 def _lstm_directions(cells, x: Tensor, reverse) -> Tensor:
@@ -70,7 +64,7 @@ def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor) -> Tensor:
     return _lstm_directions([fwd, bwd], x, [False, True])
 
 
-class GRUCell:
+class GRUCell(Module):
     """Convention: h_t = (1 - u) * h_{t-1} + u * tanh(W x + U (r * h_{t-1}) + b)."""
 
     def __init__(self, d_in: int, hidden: int, rng: Rng):
@@ -82,10 +76,6 @@ class GRUCell:
         self.W_c = init_uniform(rng, (d_in, hidden), d_in)
         self.U_c = init_uniform(rng, (hidden, hidden), hidden)
         self.b_c = init_uniform(rng, (hidden,), hidden)
-
-    def parameters(self):
-        return {"W_ur": self.W_ur, "U_ur": self.U_ur, "b_ur": self.b_ur,
-                "W_c": self.W_c, "U_c": self.U_c, "b_c": self.b_c}
 
 
 def _gru_directions(cells, x: Tensor, reverse) -> Tensor:
@@ -106,6 +96,14 @@ def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False) -> Tensor:
 def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
     return _gru_directions([fwd, bwd], x, [False, True])
+
+
+class BiCells(Module):
+    """The two cells of one BiLSTM or BiGRU, named ``fwd`` and ``bwd``."""
+
+    def __init__(self, fwd, bwd):
+        self.fwd = fwd
+        self.bwd = bwd
 
 
 def dot_product_attention(x: Tensor, attend_mask=None,
@@ -129,15 +127,12 @@ def dot_product_attention(x: Tensor, attend_mask=None,
     return matmul(softmax(scores, axis=1), x)
 
 
-class WeightedAvgAttention:
+class WeightedAvgAttention(Module):
     """Softmax-pooled context vector added back to every row."""
 
     def __init__(self, d: int, rng: Rng):
         self.d = d
         self.W = init_uniform(rng, (d, 1), d)
-
-    def parameters(self):
-        return {"W": self.W}
 
     def forward(self, E: Tensor) -> Tensor:
         if E.shape[1] != self.d:
@@ -147,7 +142,7 @@ class WeightedAvgAttention:
         return E + c
 
 
-class CharCNN:
+class CharCNN(Module):
     """Width-k convolution over a token's character vectors, relu, max-pool."""
 
     def __init__(self, d_char: int, d_out: int, rng: Rng, kernel_width: int = 3):
@@ -157,9 +152,6 @@ class CharCNN:
         self.K = init_uniform(rng, (kernel_width * d_char, d_out),
                               kernel_width * d_char)
         self.b = init_uniform(rng, (d_out,), d_char)
-
-    def parameters(self):
-        return {"K": self.K, "b": self.b}
 
     def windows(self, token: str, table) -> np.ndarray:
         """Constant [n_windows, k * d_char] matrix for one token's characters."""
@@ -195,7 +187,7 @@ class CharCNN:
         return Tensor._op(out, (K, b), bwd)
 
 
-class EmbeddingCombiner:
+class EmbeddingCombiner(Module):
     """Token branch + char branch, concatenated, refined by 2 highway layers.
 
     Token branch: weighted-average attention over the provider embedding.
@@ -221,20 +213,6 @@ class EmbeddingCombiner:
         self.highway = [Highway(d_comb, rng.spawn(4)),
                         Highway(d_comb, rng.spawn(5))]
         self._window_cache = {}
-
-    def parameters(self):
-        params = {}
-        for n, p in self.wavg_tok.parameters().items():
-            params[f"wavg_tok.{n}"] = p
-        if self.char_cnn is not None:
-            for n, p in self.char_cnn.parameters().items():
-                params[f"char_cnn.{n}"] = p
-            for n, p in self.wavg_char.parameters().items():
-                params[f"wavg_char.{n}"] = p
-        for i, hw in enumerate(self.highway):
-            for n, p in hw.parameters().items():
-                params[f"highway.{i}.{n}"] = p
-        return params
 
     def _token_windows(self, token: str) -> np.ndarray:
         w = self._window_cache.get(token)

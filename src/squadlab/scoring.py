@@ -13,6 +13,8 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .heads import DEFAULT_NULL_THRESHOLD, best_answer
+
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
 
@@ -119,23 +121,14 @@ def evaluate(predictions: dict, examples) -> EvalReport:
     )
 
 
-def predictions_from_file(records, null_threshold: float = 0.0) -> dict:
-    """Final answer text per question from prediction-file records.
-
-    Applies the no-answer rule: predict empty iff null_score minus the best
-    non-null score exceeds the threshold.
-    """
+def predictions_from_file(records,
+                          null_threshold: float = DEFAULT_NULL_THRESHOLD) -> dict:
+    """Final answer text per question from prediction-file records, by the
+    no-answer rule ``heads.best_answer`` (empty string for no-answer)."""
     out = {}
     for rec in records:
-        spans = [c for c in rec["nbest"] if c["start_token"] is not None]
-        if not spans:
-            out[rec["qid"]] = ""
-            continue
-        best = max(spans, key=lambda c: c["score"])
-        if rec["null_score"] - best["score"] > null_threshold:
-            out[rec["qid"]] = ""
-        else:
-            out[rec["qid"]] = best["text"]
+        best = best_answer(rec, null_threshold)
+        out[rec["qid"]] = "" if best is None else best["text"]
     return out
 
 

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import (AdamState, Rng, Tensor, adam_step, clip_global_norm,
-                       load_checkpoint, save_checkpoint, zero_grads)
+from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
+                       clip_global_norm, load_checkpoint, save_checkpoint,
+                       zero_grads)
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
-                    DEFAULT_NULL_THRESHOLD, AlbertSquadOut, AnswerCandidate,
-                    BidafOut, aggregate_features, decode_spans,
-                    prediction_record, span_loss, to_span_logits)
-from .layers import (EmbeddingCombiner, GRUCell, Highway, LSTMCell,
+                    AlbertSquadOut, BidafOut, aggregate_features,
+                    decode_spans, prediction_record, span_loss,
+                    to_span_logits)
+from .layers import (BiCells, EmbeddingCombiner, GRUCell, Highway, LSTMCell,
                      bigru_forward, bilstm_forward, dot_product_attention,
                      dropout)
 
@@ -104,68 +105,41 @@ PRESETS = {
 GRAD_CLIP_NORM = 5.0
 
 
-class QaModel:
+class QaModel(Module):
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.seed = int(seed)
         self.hyperparams = {}  # what the checkpoint recorded (load_model)
         rng = Rng(seed)
         tag = cfg.architecture
+        # assigned in checkpoint order: parameters() walks attributes in
+        # the order they were first assigned
+        self.highway = []
         self.combiner = None
         self.encoder = None
         self.decoder = None
         self.mid_highway = None
-        self.head = None
-
-        if tag in ("squad_out", "highway_squad_out"):
-            self.highways = []
-            if tag == "highway_squad_out":
-                self.highways = [Highway(cfg.d_model, rng.spawn(1)),
-                                 Highway(cfg.d_model, rng.spawn(2))]
+        if tag == "highway_squad_out":
+            self.highway = [Highway(cfg.d_model, rng.spawn(1)),
+                            Highway(cfg.d_model, rng.spawn(2))]
+        if tag not in _BIDAF_TAGS:
             self.head = AlbertSquadOut(cfg.d_model, rng.spawn(3))
-        else:
-            d_char_out = cfg.d_char_out if cfg.use_char_embedding else 0
-            self.combiner = EmbeddingCombiner(
-                cfg.d_model, cfg.d_char, d_char_out, rng.spawn(4),
-                char_table=CharEmbeddingTable(cfg.d_char, seed=0),
-            )
-            d_comb = self.combiner.d_comb
-            h = cfg.hidden
-            if tag == "bilstm_attn_bilstm_bidaf":
-                self.encoder = (LSTMCell(d_comb, h, rng.spawn(5)),
-                                LSTMCell(d_comb, h, rng.spawn(6)))
-                self.decoder = (LSTMCell(2 * h, h, rng.spawn(7)),
-                                LSTMCell(2 * h, h, rng.spawn(8)))
-            else:
-                self.encoder = (GRUCell(d_comb, h, rng.spawn(5)),
-                                GRUCell(d_comb, h, rng.spawn(6)))
-                self.decoder = (GRUCell(2 * h, h, rng.spawn(7)),
-                                GRUCell(2 * h, h, rng.spawn(8)))
-            if tag == "gru_highway_gru_bidaf":
-                self.mid_highway = Highway(2 * h, rng.spawn(9))
-            self.head = BidafOut(2 * h, 2 * h, h, rng.spawn(10))
-
-    def parameters(self) -> dict:
-        params = {}
-        tag = self.cfg.architecture
-        if tag in ("squad_out", "highway_squad_out"):
-            for i, hw in enumerate(self.highways):
-                for n, p in hw.parameters().items():
-                    params[f"highway.{i}.{n}"] = p
-        else:
-            for n, p in self.combiner.parameters().items():
-                params[f"combiner.{n}"] = p
-            for label, pair in (("encoder", self.encoder),
-                                ("decoder", self.decoder)):
-                for d, cell in zip(("fwd", "bwd"), pair):
-                    for n, p in cell.parameters().items():
-                        params[f"{label}.{d}.{n}"] = p
-            if self.mid_highway is not None:
-                for n, p in self.mid_highway.parameters().items():
-                    params[f"mid_highway.{n}"] = p
-        for n, p in self.head.parameters().items():
-            params[f"head.{n}"] = p
-        return params
+            return
+        d_char_out = cfg.d_char_out if cfg.use_char_embedding else 0
+        self.combiner = EmbeddingCombiner(
+            cfg.d_model, cfg.d_char, d_char_out, rng.spawn(4),
+            char_table=CharEmbeddingTable(cfg.d_char, seed=0),
+        )
+        d_comb = self.combiner.d_comb
+        h = cfg.hidden
+        cell = LSTMCell if tag == "bilstm_attn_bilstm_bidaf" else GRUCell
+        self.encoder = BiCells(cell(d_comb, h, rng.spawn(5)),
+                               cell(d_comb, h, rng.spawn(6)))
+        self.decoder = BiCells(cell(2 * h, h, rng.spawn(7)),
+                               cell(2 * h, h, rng.spawn(8)))
+        if tag == "gru_highway_gru_bidaf":
+            self.mid_highway = Highway(2 * h, rng.spawn(9))
+        self.head = BidafOut(2 * h, 2 * h, h, rng.spawn(10))
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
@@ -179,27 +153,24 @@ class QaModel:
         if rate > 0:
             x = dropout(x, rate, drop_rng)
         tag = cfg.architecture
-        if tag in ("squad_out", "highway_squad_out"):
-            for hw in self.highways:
+        if tag not in _BIDAF_TAGS:
+            for hw in self.highway:
                 x = hw.forward(x)
             return self.head.forward(x, feature.context_mask)
 
         x = self.combiner.forward(x, feature.tokens)
         if rate > 0:
             x = dropout(x, rate, drop_rng)
-        if tag == "bilstm_attn_bilstm_bidaf":
-            enc = bilstm_forward(self.encoder[0], self.encoder[1], x)
-            att = dot_product_attention(enc)
-            dec = bilstm_forward(self.decoder[0], self.decoder[1], att)
-        elif tag == "gru_highway_gru_bidaf":
-            enc = bigru_forward(self.encoder[0], self.encoder[1], x)
+        birnn = (bilstm_forward if tag == "bilstm_attn_bilstm_bidaf"
+                 else bigru_forward)
+        enc = birnn(self.encoder.fwd, self.encoder.bwd, x)
+        if self.mid_highway is not None:
             att = self.mid_highway.forward(enc)
-            dec = bigru_forward(self.decoder[0], self.decoder[1], att)
         else:
-            enc = bigru_forward(self.encoder[0], self.encoder[1], x)
             att = dot_product_attention(enc)
-            att = dot_product_attention(att, causal=True)
-            dec = bigru_forward(self.decoder[0], self.decoder[1], att)
+            if tag == "gru_attn_selfattn_gru_bidaf":
+                att = dot_product_attention(att, causal=True)
+        dec = birnn(self.decoder.fwd, self.decoder.bwd, att)
         return self.head.forward(att, dec, feature.context_mask)
 
 
@@ -227,6 +198,14 @@ def load_model(path) -> QaModel:
         if not isinstance(hp, dict) or not isinstance(
                 hp.get("model_config"), dict):
             raise TypeError("hyperparams.model_config must be an object")
+        emb = hp.get("embeddings")
+        if emb is not None and not (
+                isinstance(emb, dict) and "seed" in emb
+                and emb.get("kind") in ("pseudo", "fixture")
+                and type(emb.get("d_model")) is int):
+            raise TypeError("hyperparams.embeddings must be an object with "
+                            "kind pseudo|fixture, an integer d_model and a "
+                            "seed")
         model = build_model(ModelConfig(**hp["model_config"]), seed)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad model config: {e}") from None
@@ -300,36 +279,45 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
     return result
 
 
+def decode_logit_set(logit_sets: dict, features_by_key: dict,
+                     context_by_qid: dict,
+                     n_best: int = DEFAULT_N_BEST,
+                     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
+                     model_f1_weight: float | None = None) -> list:
+    """Prediction records from a (qid, feature_index) -> SpanLogits map:
+    decode each chunk, then merge each question's chunks, in key order.
+
+    This is the one decode-and-aggregate path; ``predict`` and the
+    mean-logits ensemble (``ensemble.decode_logit_set``) both use it.
+    """
+    by_qid = {}
+    for (qid, fi), logits in sorted(logit_sets.items()):
+        cands = decode_spans(logits, features_by_key[(qid, fi)],
+                             context_by_qid[qid], n_best=n_best,
+                             max_answer_length=max_answer_length)
+        by_qid.setdefault(qid, []).append(cands)
+    return [prediction_record(qid, *aggregate_features(by_qid[qid], n_best),
+                              model_f1_weight)
+            for qid in sorted(by_qid)]
+
+
 def predict(model: QaModel, features, provider, context_by_qid: dict,
             n_best: int = DEFAULT_N_BEST,
             max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
-            null_threshold: float = DEFAULT_NULL_THRESHOLD,
-            model_f1_weight: float | None = None,
-            collect_logits: bool = False):
-    """Inference over features; returns (prediction records, logits dumps)."""
-    by_qid = {}
+            model_f1_weight: float | None = None):
+    """Inference over features; returns (prediction records, logit map)."""
+    features_by_key = {}
     logit_sets = {}
     for feat in sorted(features, key=lambda f: (f.qid, f.feature_index)):
+        key = (feat.qid, feat.feature_index)
         with _naming_feature(feat, "predict"):
             start, end = model.forward(feat, provider(feat), train=False)
-        logits = to_span_logits(feat, start, end)
-        if collect_logits:
-            logit_sets[(feat.qid, feat.feature_index)] = logits
-        cands = decode_spans(logits, feat, context_by_qid[feat.qid],
-                             n_best=n_best,
-                             max_answer_length=max_answer_length)
-        by_qid.setdefault(feat.qid, []).append(cands)
-    records = []
-    for qid in sorted(by_qid):
-        merged = [c for cands in by_qid[qid] for c in cands]
-        merged.sort(key=AnswerCandidate.sort_key)
-        spans = [c for c in merged if not c.is_null][: n_best - 1]
-        _, null_score = aggregate_features(by_qid[qid], null_threshold)
-        null = AnswerCandidate(qid=qid, text="", start_token=None,
-                               end_token=None, score=null_score)
-        nbest = sorted(spans + [null], key=AnswerCandidate.sort_key)
-        records.append(prediction_record(qid, nbest, null_score,
-                                         model_f1_weight))
+        features_by_key[key] = feat
+        logit_sets[key] = to_span_logits(feat, start, end)
+    records = decode_logit_set(logit_sets, features_by_key, context_by_qid,
+                               n_best=n_best,
+                               max_answer_length=max_answer_length,
+                               model_f1_weight=model_f1_weight)
     return records, logit_sets
 
 

@@ -58,6 +58,16 @@ class TestExitCodes:
                 assert main(base + [flag, value]) == 1, (flag, value)
                 assert f"{flag} must be at least 1" in capsys.readouterr().err
 
+    def test_predict_has_no_null_threshold(self, tmp_path, capsys):
+        # the no-answer threshold belongs to evaluate and the voting
+        # ensembles; predict writes the whole n-best list
+        code = main(["predict", "--checkpoint", "c", "--features", "f",
+                     "--embeddings", "e", "--data", "d",
+                     "--out", str(tmp_path / "p.jsonl"),
+                     "--null-threshold", "1"])
+        assert code == 1
+        assert "--null-threshold" in capsys.readouterr().err
+
     def test_bad_json_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"data": "not-a-list"}')
@@ -492,6 +502,24 @@ class TestCheckpointErrors:
         self._corrupt(ckpt, lambda b: edit(b["hyperparams"]))
         line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
         assert str(ckpt) in line and why in line
+
+    @pytest.mark.parametrize("edit", [
+        lambda emb: [8],
+        lambda emb: "pseudo",
+        lambda emb: {k: v for k, v in emb.items() if k != "d_model"},
+        lambda emb: {k: v for k, v in emb.items() if k != "kind"},
+        lambda emb: {k: v for k, v in emb.items() if k != "seed"},
+        lambda emb: {**emb, "d_model": "8"},
+        lambda emb: {**emb, "kind": "albert"},
+    ], ids=["a-list", "a-string", "no-d_model", "no-kind", "no-seed",
+            "string-d_model", "unknown-kind"])
+    def test_bad_embeddings_identity(self, corpus, tmp_path, capsys, edit):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        self._corrupt(ckpt, lambda b: b["hyperparams"].update(
+            embeddings=edit(b["hyperparams"]["embeddings"])))
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert str(ckpt) in line and "hyperparams.embeddings" in line
 
     def test_hyperparams_not_an_object(self, corpus, tmp_path, capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,

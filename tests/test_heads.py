@@ -6,10 +6,13 @@ import pytest
 from conftest import feature_context_text, make_feature
 from squadlab.autograd import MASK_FILL, Rng, Tensor
 from squadlab.gradcheck import check_gradients
-from squadlab.heads import (AlbertSquadOut, AnswerCandidate, BidafOut,
-                            SpanLogits, aggregate_features, decode_spans,
-                            prediction_record, read_predictions, span_loss,
-                            to_span_logits, write_predictions)
+from squadlab.scoring import predictions_from_file
+from squadlab.ensemble import NULL_KEY, PredictionSet
+from squadlab.heads import (DEFAULT_N_BEST, AlbertSquadOut, AnswerCandidate,
+                            BidafOut, SpanLogits, aggregate_features,
+                            best_answer, decode_spans, prediction_record,
+                            read_predictions, span_loss, to_span_logits,
+                            write_predictions)
 
 
 def random_logits(feature, rng, scale=5.0):
@@ -262,17 +265,23 @@ class TestAggregate:
         return decode_spans(random_logits(f, rng), f,
                             feature_context_text(4))
 
+    @staticmethod
+    def _answer(nbest, null_score):
+        return best_answer(prediction_record(nbest[0].qid, nbest, null_score))
+
     def test_single_chunk_matches_decode(self):
         f = make_feature(n_context=4)
         cands = self._cands(f, Rng(7))
-        final, null_score = aggregate_features([cands])
+        nbest, null_score = aggregate_features([cands])
+        assert nbest == cands
         best_span = next(c for c in cands if not c.is_null)
         null = next(c for c in cands if c.is_null)
         assert null_score == null.score
+        answer = self._answer(nbest, null_score)
         if null.score - best_span.score > 0:
-            assert final.is_null
+            assert answer is None
         else:
-            assert (final.start_token, final.end_token) == \
+            assert (answer["start_token"], answer["end_token"]) == \
                 (best_span.start_token, best_span.end_token)
 
     def test_dominant_chunk_wins(self):
@@ -285,9 +294,10 @@ class TestAggregate:
         l1.end_logits[s] += 500.0
         c0 = decode_spans(l0, f0, feature_context_text(4))
         c1 = decode_spans(l1, f1, feature_context_text(4))
-        final, _ = aggregate_features([c0, c1])
-        assert final.feature_index == 1
-        assert final.start_token == s
+        nbest, null_score = aggregate_features([c0, c1])
+        answer = self._answer(nbest, null_score)
+        assert answer["feature_index"] == 1
+        assert answer["start_token"] == s
 
     def test_matches_brute_force_multichunk(self):
         rng = Rng(10)
@@ -298,20 +308,71 @@ class TestAggregate:
                 f = make_feature(n_context=3, feature_index=fi)
                 all_cands.append(decode_spans(random_logits(f, rng), f,
                                               feature_context_text(3)))
-            final, null_score = aggregate_features(all_cands)
+            nbest, null_score = aggregate_features(all_cands)
             flat = [c for cands in all_cands for c in cands]
             nulls = [c.score for c in flat if c.is_null]
             spans = sorted([c for c in flat if not c.is_null],
                            key=AnswerCandidate.sort_key)
             assert null_score == min(nulls)
+            assert [c for c in nbest if not c.is_null] == \
+                spans[: DEFAULT_N_BEST - 1]
+            assert [c.score for c in nbest if c.is_null] == [min(nulls)]
+            answer = self._answer(nbest, null_score)
             if min(nulls) - spans[0].score > 0:
-                assert final.is_null
+                assert answer is None
             else:
-                assert final.score == spans[0].score
+                assert answer["score"] == spans[0].score
 
     def test_zero_features_rejected(self):
         with pytest.raises(ValueError, match="zero features"):
             aggregate_features([])
+
+
+def _span(text, score, start):
+    return {"text": text, "start_token": start, "end_token": start + 1,
+            "feature_index": 0, "score": score}
+
+
+_NULL = {"text": "", "start_token": None, "end_token": None,
+         "feature_index": 0, "score": 0.0}
+_NEXT_ABOVE_1_5 = float(np.nextafter(1.5, 2.0))
+
+
+class TestNoAnswerRule:
+    """One rule, three callers: ``best_answer`` on a record, the answer
+    ``evaluate`` scores (``predictions_from_file``) and a model's vote
+    (``PredictionSet.top_vote``)."""
+
+    @pytest.mark.parametrize("nbest, null_score, threshold, expected", [
+        # null - best == threshold: the span still wins
+        ([_span("a", 1.0, 3), _NULL], 1.5, 0.5, "a"),
+        # a hair above the threshold: no-answer
+        ([_span("a", 1.0, 3), _NULL], _NEXT_ABOVE_1_5, 0.5, None),
+        # no span at all: no-answer whatever the threshold
+        ([_NULL], -100.0, 50.0, None),
+        # a negative threshold makes no-answer win over a better span ...
+        ([_span("a", 1.0, 3), _NULL], 0.5, -1.0, None),
+        # ... unless the span is better by more than its magnitude
+        ([_span("a", 1.0, 3), _NULL], -0.5, -1.0, "a"),
+        # at equal scores the first span entry of nbest wins
+        ([_NULL, _span("b", 2.0, 5), _span("a", 2.0, 3)], 0.0, 0.0, "b"),
+    ], ids=["gap-equals-threshold", "gap-just-above", "no-span",
+            "negative-threshold-null", "negative-threshold-span",
+            "first-of-tied-spans"])
+    def test_every_caller_applies_it(self, nbest, null_score, threshold,
+                                     expected):
+        rec = {"qid": "q", "nbest": nbest, "null_score": null_score}
+        best = best_answer(rec, threshold)
+        assert (best and best["text"]) == expected
+        text = predictions_from_file([rec], null_threshold=threshold)["q"]
+        assert text == (expected or "")
+        key, cand = PredictionSet.from_records(
+            "m", [rec], weight=1.0).top_vote("q", threshold)
+        if expected is None:
+            assert key == NULL_KEY and cand["score"] == null_score
+        else:
+            assert cand is best
+            assert key == (0, best["start_token"], best["end_token"])
 
 
 class TestPredictionFile:

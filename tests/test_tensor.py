@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from squadlab.autograd import (AdamState, Rng, Tensor, adam_step, backward,
-                               concat, cross_entropy_from_logits, elementwise,
-                               init_uniform, load_checkpoint, masked_fill,
-                               matmul, save_checkpoint, softmax, zero_grads)
+from squadlab.autograd import (AdamState, Module, Rng, Tensor, adam_step,
+                               backward, concat, cross_entropy_from_logits,
+                               elementwise, init_uniform, load_checkpoint,
+                               masked_fill, matmul, save_checkpoint, softmax,
+                               zero_grads)
 from squadlab.gradcheck import check_gradients, numerical_gradient
 
 
@@ -61,6 +62,30 @@ class TestElementwise:
     def test_nonfinite_rejected(self):
         with pytest.raises(FloatingPointError):
             Tensor([np.nan])
+
+
+class TestModule:
+    def test_walks_attributes_in_assignment_order(self):
+        class Leaf(Module):
+            def __init__(self):
+                self.width = 3
+                self.W = Tensor([1.0])
+                self.b = Tensor([2.0])
+
+        class Tree(Module):
+            def __init__(self):
+                self.z = Tensor([0.0])
+                self.layers = [Leaf(), Leaf()]
+                self.cfg = {"W": Tensor([9.0])}  # not a parameter
+                self.missing = None
+                self.a = Leaf()
+                self.missing = Leaf()  # keeps its first-assigned slot
+
+        tree = Tree()
+        assert list(tree.parameters()) == [
+            "z", "layers.0.W", "layers.0.b", "layers.1.W", "layers.1.b",
+            "missing.W", "missing.b", "a.W", "a.b"]
+        assert tree.parameters()["a.b"] is tree.a.b
 
 
 class TestMatmul:

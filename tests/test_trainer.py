@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import feature_context_text, make_feature
+from squadlab import ensemble, training
 from squadlab.embeddings import PseudoEmbedder
 from squadlab.ensemble import save_logits_dump
 from squadlab.heads import write_predictions
@@ -21,6 +22,66 @@ def small_cfg(tag, d_model=32):
     return ModelConfig(architecture=tag, d_model=d_model, hidden=8,
                        d_char=4, d_char_out=4, use_char_embedding=chars,
                        dropout_rate=0.0)
+
+
+# the ordered parameter names of each architecture, as the checkpoint
+# stores them; the order is also the summation order of clip_global_norm
+PARAMETER_NAMES = {
+    "squad_out": ["head.W", "head.b"],
+    "highway_squad_out": [
+        "highway.0.W_proj", "highway.0.b_proj", "highway.0.W_gate",
+        "highway.0.b_gate", "highway.1.W_proj", "highway.1.b_proj",
+        "highway.1.W_gate", "highway.1.b_gate", "head.W", "head.b"],
+    "bilstm_attn_bilstm_bidaf": [
+        "combiner.wavg_tok.W", "combiner.char_cnn.K", "combiner.char_cnn.b",
+        "combiner.wavg_char.W", "combiner.highway.0.W_proj",
+        "combiner.highway.0.b_proj", "combiner.highway.0.W_gate",
+        "combiner.highway.0.b_gate", "combiner.highway.1.W_proj",
+        "combiner.highway.1.b_proj", "combiner.highway.1.W_gate",
+        "combiner.highway.1.b_gate", "encoder.fwd.W", "encoder.fwd.U",
+        "encoder.fwd.b", "encoder.bwd.W", "encoder.bwd.U", "encoder.bwd.b",
+        "decoder.fwd.W", "decoder.fwd.U", "decoder.fwd.b", "decoder.bwd.W",
+        "decoder.bwd.U", "decoder.bwd.b", "head.w1", "head.w2", "head.w3",
+        "head.w4", "head.end_rnn.W_ur", "head.end_rnn.U_ur",
+        "head.end_rnn.b_ur", "head.end_rnn.W_c", "head.end_rnn.U_c",
+        "head.end_rnn.b_c"],
+    "gru_highway_gru_bidaf": [
+        "combiner.wavg_tok.W", "combiner.char_cnn.K", "combiner.char_cnn.b",
+        "combiner.wavg_char.W", "combiner.highway.0.W_proj",
+        "combiner.highway.0.b_proj", "combiner.highway.0.W_gate",
+        "combiner.highway.0.b_gate", "combiner.highway.1.W_proj",
+        "combiner.highway.1.b_proj", "combiner.highway.1.W_gate",
+        "combiner.highway.1.b_gate", "encoder.fwd.W_ur", "encoder.fwd.U_ur",
+        "encoder.fwd.b_ur", "encoder.fwd.W_c", "encoder.fwd.U_c",
+        "encoder.fwd.b_c", "encoder.bwd.W_ur", "encoder.bwd.U_ur",
+        "encoder.bwd.b_ur", "encoder.bwd.W_c", "encoder.bwd.U_c",
+        "encoder.bwd.b_c", "decoder.fwd.W_ur", "decoder.fwd.U_ur",
+        "decoder.fwd.b_ur", "decoder.fwd.W_c", "decoder.fwd.U_c",
+        "decoder.fwd.b_c", "decoder.bwd.W_ur", "decoder.bwd.U_ur",
+        "decoder.bwd.b_ur", "decoder.bwd.W_c", "decoder.bwd.U_c",
+        "decoder.bwd.b_c", "mid_highway.W_proj", "mid_highway.b_proj",
+        "mid_highway.W_gate", "mid_highway.b_gate", "head.w1", "head.w2",
+        "head.w3", "head.w4", "head.end_rnn.W_ur", "head.end_rnn.U_ur",
+        "head.end_rnn.b_ur", "head.end_rnn.W_c", "head.end_rnn.U_c",
+        "head.end_rnn.b_c"],
+    "gru_attn_selfattn_gru_bidaf": [
+        "combiner.wavg_tok.W", "combiner.char_cnn.K", "combiner.char_cnn.b",
+        "combiner.wavg_char.W", "combiner.highway.0.W_proj",
+        "combiner.highway.0.b_proj", "combiner.highway.0.W_gate",
+        "combiner.highway.0.b_gate", "combiner.highway.1.W_proj",
+        "combiner.highway.1.b_proj", "combiner.highway.1.W_gate",
+        "combiner.highway.1.b_gate", "encoder.fwd.W_ur", "encoder.fwd.U_ur",
+        "encoder.fwd.b_ur", "encoder.fwd.W_c", "encoder.fwd.U_c",
+        "encoder.fwd.b_c", "encoder.bwd.W_ur", "encoder.bwd.U_ur",
+        "encoder.bwd.b_ur", "encoder.bwd.W_c", "encoder.bwd.U_c",
+        "encoder.bwd.b_c", "decoder.fwd.W_ur", "decoder.fwd.U_ur",
+        "decoder.fwd.b_ur", "decoder.fwd.W_c", "decoder.fwd.U_c",
+        "decoder.fwd.b_c", "decoder.bwd.W_ur", "decoder.bwd.U_ur",
+        "decoder.bwd.b_ur", "decoder.bwd.W_c", "decoder.bwd.U_c",
+        "decoder.bwd.b_c", "head.w1", "head.w2", "head.w3", "head.w4",
+        "head.end_rnn.W_ur", "head.end_rnn.U_ur", "head.end_rnn.b_ur",
+        "head.end_rnn.W_c", "head.end_rnn.U_c", "head.end_rnn.b_c"],
+}
 
 
 class TestBuild:
@@ -55,6 +116,11 @@ class TestBuild:
             assert start.data.shape == (len(feat.tokens),)
             assert end.data.shape == (len(feat.tokens),)
             assert np.isfinite(start.data).all()
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_parameter_names_in_checkpoint_order(self, tag):
+        model = build_model(small_cfg(tag), seed=0)
+        assert list(model.parameters()) == PARAMETER_NAMES[tag]
 
     def test_seed_reproducibility(self):
         a = build_model(small_cfg("gru_attn_selfattn_gru_bidaf"), seed=7)
@@ -224,7 +290,7 @@ class TestCheckpointFormat:
         ctx = {f.qid: feature_context_text(6) for f in feats}
         blobs = []
         for m in (model, loaded):
-            records, dumps = predict(m, feats, prov, ctx, collect_logits=True)
+            records, dumps = predict(m, feats, prov, ctx)
             write_predictions(tmp_path / "pred.jsonl", records)
             save_logits_dump(tmp_path / "logits.bin", dumps)
             blobs.append(((tmp_path / "pred.jsonl").read_bytes(),
@@ -239,8 +305,7 @@ class TestPredict:
         prov = provider()
         model = build_model(small_cfg("squad_out"), seed=0)
         ctx = {"q": feature_context_text(6)}
-        records, dumps = predict(model, feats, prov, ctx,
-                                 collect_logits=True)
+        records, dumps = predict(model, feats, prov, ctx)
         assert set(dumps) == {("q", 0), ("q", 1)}
         assert len(records) == 1
         assert records[0]["qid"] == "q"
@@ -252,3 +317,21 @@ class TestPredict:
         records, _ = predict(model, [feat], prov,
                              {"q": feature_context_text(6)})
         assert any(c["start_token"] is None for c in records[0]["nbest"])
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_records_are_the_shared_decode_of_the_logit_map(self, tag):
+        """predict decodes through the one path the ensembles use."""
+        assert ensemble.decode_logit_set is training.decode_logit_set
+        feats = [make_feature(qid=qid, feature_index=i, start=1, end=2)
+                 for qid in ("qb", "qa") for i in (1, 0)]
+        ctx = {qid: feature_context_text(6) for qid in ("qa", "qb")}
+        model = build_model(small_cfg(tag), seed=2)
+        limits = {"n_best": 4, "max_answer_length": 3}
+        records, logit_sets = predict(model, feats, provider(), ctx,
+                                      model_f1_weight=61.5, **limits)
+        assert set(logit_sets) == {(q, i) for q in ("qa", "qb")
+                                   for i in (0, 1)}
+        by_key = {(f.qid, f.feature_index): f for f in feats}
+        assert records == ensemble.decode_logit_set(
+            logit_sets, by_key, ctx, model_f1_weight=61.5, **limits)
+        assert [r["qid"] for r in records] == ["qa", "qb"]

@@ -23,7 +23,8 @@ from .embeddings import (PseudoEmbedder, check_embedder,
 from .ensemble import (PredictionSet, decode_logit_set, load_logits_dump,
                        mean_logits, save_logits_dump, weighted_voting,
                        weighted_voting_with_mean_logits)
-from .heads import read_predictions, write_predictions
+from .heads import (DEFAULT_NULL_THRESHOLD, read_predictions,
+                    write_predictions)
 from .scoring import evaluate, predictions_from_file, write_report
 from .synth import question_tokens, word_tokenize
 from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--mean-weight", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--null-threshold", type=float, default=0.0)
+    p.add_argument("--null-threshold", type=float, default=None,
+                   help="voting strategies only (default 0)")
     _add_seed(p)
     p.set_defaults(func=cmd_ensemble)
 
@@ -321,6 +323,12 @@ def _validate(args, parser):
             parser.error("wv-mean-logits requires --mean-weight")
         if args.weights and len(args.weights) != len(args.pred):
             parser.error("--weights must match the number of --pred files")
+        if args.strategy == "mean-logits":
+            if args.null_threshold is not None:
+                parser.error("mean-logits takes no --null-threshold: it "
+                             "writes n-best lists; pass it to evaluate")
+        elif args.null_threshold is None:
+            args.null_threshold = DEFAULT_NULL_THRESHOLD
 
 
 def main(argv=None) -> int:

@@ -7,9 +7,11 @@ hypothesis.  A span's score is start_logit + end_logit; ties are broken by
 
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
-chunk's candidates and ``aggregate_features`` merges a question's chunks
-into its n-best list; ``training.decode_logit_set`` is the one path that
-runs both, for ``predict`` and for the mean-logits ensemble.
+chunk's candidates with array ops: it scores every legal (start, end) pair
+at once and orders them with ``np.lexsort``.  ``aggregate_features`` merges
+a question's chunks into its n-best list; ``training.decode_logit_set`` is
+the one path that runs both, for ``predict`` and for the mean-logits
+ensemble.
 ``best_answer`` is the one no-answer rule, applied to a prediction record
 by ``evaluate`` and by the voting ensembles.
 """
@@ -144,31 +146,37 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     A pair is legal when both ends are context positions, start <= end,
     and the span covers fewer than ``max_answer_length`` tokens.  Both
     ``n_best`` and ``max_answer_length`` must be at least 1.
+
+    Every legal pair is scored at once (``sl[s] + el[e]``) and ordered by
+    ``np.lexsort`` on ``(-score, start, end)``, which is ``sort_key``'s
+    order for spans; one ``AnswerCandidate`` is built per pair, in that
+    order.
     """
     if n_best < 1 or max_answer_length < 1:
         raise ValueError(f"n_best and max_answer_length must be >= 1, got "
                          f"{n_best} and {max_answer_length}")
     sl, el = logits.start_logits, logits.end_logits
-    ctx = feature.context_token_indices()
-    candidates = []
-    for si, s in enumerate(ctx):
-        for e in ctx[si:]:
-            if e - s >= max_answer_length:
-                break
-            text = context_text[feature.token_word_span[s][0]:
-                                feature.token_word_span[e][1]]
-            candidates.append(AnswerCandidate(
-                qid=feature.qid, text=text, start_token=s, end_token=e,
-                score=float(sl[s] + el[e]), feature_index=feature.feature_index,
-            ))
-    null = AnswerCandidate(
-        qid=feature.qid, text="", start_token=None, end_token=None,
-        score=float(sl[NULL_POSITION] + el[NULL_POSITION]),
-        feature_index=feature.feature_index,
-    )
-    candidates.sort(key=AnswerCandidate.sort_key)
-    top = candidates[: n_best - 1] if len(candidates) >= n_best else candidates
-    out = top + [null]
+    ctx = np.flatnonzero(feature.context_mask)
+    # the band: context indices i <= j with ctx[j] - ctx[i] < max length
+    first = np.arange(len(ctx))
+    width = np.searchsorted(ctx, ctx + max_answer_length) - first
+    i = np.repeat(first, width)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - first, width)
+    s, e = ctx[i], ctx[j]
+    scores = sl[s] + el[e]
+    order = np.lexsort((e, s, -scores))
+    chars = np.array([feature.token_word_span[t] for t in ctx.tolist()],
+                     dtype=np.int64).reshape(-1, 2)
+    qid, fi = feature.qid, feature.feature_index
+    candidates = [
+        AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
+        for a, b, st, en, score in zip(
+            chars[i[order], 0].tolist(), chars[j[order], 1].tolist(),
+            s[order].tolist(), e[order].tolist(), scores[order].tolist())
+    ]
+    null = AnswerCandidate(qid, "", None, None,
+                           float(sl[NULL_POSITION] + el[NULL_POSITION]), fi)
+    out = candidates[: n_best - 1] + [null]
     out.sort(key=AnswerCandidate.sort_key)
     return out
 

@@ -289,11 +289,20 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
 
     This is the one decode-and-aggregate path; ``predict`` and the
     mean-logits ensemble (``ensemble.decode_logit_set``) both use it.
+    Logits whose length is not their feature's token count (a dump made
+    from features of another ``max_seq_length``) raise ValueError.
     """
     by_qid = {}
     for (qid, fi), logits in sorted(logit_sets.items()):
-        cands = decode_spans(logits, features_by_key[(qid, fi)],
-                             context_by_qid[qid], n_best=n_best,
+        feature = features_by_key[(qid, fi)]
+        lengths = (len(logits.start_logits), len(logits.end_logits))
+        if lengths != (len(feature.context_mask),) * 2:
+            raise ValueError(
+                f"logits for (qid={qid!r}, feature_index={fi}) have start/end "
+                f"lengths {lengths[0]}/{lengths[1]} but the feature has "
+                f"{len(feature.context_mask)} tokens")
+        cands = decode_spans(logits, feature, context_by_qid[qid],
+                             n_best=n_best,
                              max_answer_length=max_answer_length)
         by_qid.setdefault(qid, []).append(cands)
     return [prediction_record(qid, *aggregate_features(by_qid[qid], n_best),

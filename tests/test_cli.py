@@ -385,7 +385,63 @@ class TestArtifactErrors:
             assert "qid='q1'" in line and "feature_index=2" in line
 
 
+class TestLogitLengthMismatch:
+    """Dumps made from features of one max_seq_length, decoded against
+    features of the same corpus at another."""
+
+    @staticmethod
+    def _features(tmp_path, seq):
+        corpus = tmp_path / "long.json"
+        write_squad_json(corpus, make_synthetic_examples(
+            n=3, seed=5, context_words=40))
+        feats = tmp_path / f"feats{seq}.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", str(seq), "--doc-stride", "8"]) == 0
+        return corpus, feats
+
+    @pytest.mark.parametrize("other_seq", [48, 24],
+                             ids=["longer-features", "shorter-features"])
+    def test_mismatched_length_is_2(self, tmp_path, capsys, other_seq):
+        corpus, feats = self._features(tmp_path, 32)
+        rng = np.random.default_rng(0)
+        dumps = []
+        for k in range(2):
+            dump = tmp_path / f"dump{k}.bin"
+            save_logits_dump(dump, {
+                (f.qid, f.feature_index): SpanLogits(
+                    f.qid, f.feature_index, rng.normal(size=len(f.tokens)),
+                    rng.normal(size=len(f.tokens)))
+                for f in read_features(feats)})
+            dumps.append(str(dump))
+        _, other = self._features(tmp_path, other_seq)
+        first = min(read_features(other), key=lambda f: (f.qid,
+                                                         f.feature_index))
+        dumped = next(f for f in read_features(feats)
+                      if (f.qid, f.feature_index) == (first.qid, 0))
+        assert len(first.tokens) != len(dumped.tokens)
+        capsys.readouterr()
+        code = main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", *dumps, "--features", str(other),
+                     "--data", str(corpus),
+                     "--out", str(tmp_path / "ens.jsonl")])
+        assert code == 2
+        line = _error_line(capsys)
+        assert f"qid={first.qid!r}, feature_index=0" in line
+        n = len(dumped.tokens)
+        assert f"lengths {n}/{n}" in line
+        assert f"has {len(first.tokens)} tokens" in line
+
+
 class TestEnsembleThreshold:
+    def test_mean_logits_rejects_null_threshold(self, tmp_path, capsys):
+        # mean-logits writes n-best lists and takes no decision
+        code = main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", "a.bin", "b.bin", "--features", "f",
+                     "--data", "d", "--out", str(tmp_path / "o.jsonl"),
+                     "--null-threshold", "0"])
+        assert code == 1
+        assert "--null-threshold" in capsys.readouterr().err
+
     def test_weighted_voting_honours_null_threshold(self, tmp_path):
         # the span scores 1.0 below the null score: a no-answer vote at
         # threshold 0, a span vote once the threshold exceeds the gap
@@ -399,13 +455,17 @@ class TestEnsembleThreshold:
                   "feature_index": 0, "score": 4.0}]},
         ])
         voted = {}
-        for threshold in ("0", "2"):
+        for threshold in ("0", "2", None):
             out = tmp_path / f"ens-{threshold}.jsonl"
+            flag = [] if threshold is None else ["--null-threshold", threshold]
             assert main(["ensemble", "--strategy", "weighted-voting",
-                         "--pred", str(pred), "--out", str(out),
-                         "--null-threshold", threshold]) == 0
+                         "--pred", str(pred), "--out", str(out)] + flag) == 0
             voted[threshold] = read_predictions(out)[0]["nbest"][0]["text"]
-        assert voted == {"0": "", "2": "the span"}
+        # without the flag the voting strategies use threshold 0
+        assert voted == {"0": "", "2": "the span", None: ""}
+        manifest = json.loads((tmp_path / "ens-None.jsonl.manifest.json")
+                              .read_text())
+        assert manifest["config"]["null_threshold"] == 0.0
 
 
 def _train_squad_out(corpus, tmp_path, embeddings_args, seed="0"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,18 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab.autograd import MASK_FILL, Rng, Tensor
+from squadlab.data import PreprocessConfig, preprocess_dataset
 from squadlab.gradcheck import check_gradients
 from squadlab.scoring import predictions_from_file
 from squadlab.ensemble import NULL_KEY, PredictionSet
-from squadlab.heads import (DEFAULT_N_BEST, AlbertSquadOut, AnswerCandidate,
+from squadlab.heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
+                            AlbertSquadOut, AnswerCandidate,
                             BidafOut, SpanLogits, aggregate_features,
                             best_answer, decode_spans, prediction_record,
                             read_predictions, span_loss, to_span_logits,
                             write_predictions)
+from squadlab.synth import (make_synthetic_examples, question_tokens,
+                            word_tokenize)
 
 
 def random_logits(feature, rng, scale=5.0):
@@ -47,6 +52,35 @@ def brute_force_decode(logits, feature, context_text, n_best,
     if not any(c.is_null for c in top):
         top = top[:-1] + [null] if len(top) == n_best else top + [null]
     return top
+
+
+def reference_decode_spans(logits, feature, context_text,
+                           n_best=DEFAULT_N_BEST,
+                           max_answer_length=DEFAULT_MAX_ANSWER_LENGTH):
+    """The per-pair loop that ``decode_spans`` replaced: one candidate per
+    legal pair, sorted with ``sort_key``, top ``n_best - 1`` plus null."""
+    sl, el = logits.start_logits, logits.end_logits
+    ctx = feature.context_token_indices()
+    candidates = []
+    for si, s in enumerate(ctx):
+        for e in ctx[si:]:
+            if e - s >= max_answer_length:
+                break
+            text = context_text[feature.token_word_span[s][0]:
+                                feature.token_word_span[e][1]]
+            candidates.append(AnswerCandidate(
+                qid=feature.qid, text=text, start_token=s, end_token=e,
+                score=float(sl[s] + el[e]), feature_index=feature.feature_index,
+            ))
+    null = AnswerCandidate(
+        qid=feature.qid, text="", start_token=None, end_token=None,
+        score=float(sl[0] + el[0]), feature_index=feature.feature_index,
+    )
+    candidates.sort(key=AnswerCandidate.sort_key)
+    top = candidates[: n_best - 1] if len(candidates) >= n_best else candidates
+    out = top + [null]
+    out.sort(key=AnswerCandidate.sort_key)
+    return out
 
 
 class TestAlbertSquadOut:
@@ -258,6 +292,99 @@ class TestDecodeSpans:
                        {"max_answer_length": 0}):
             with pytest.raises(ValueError, match=">= 1"):
                 decode_spans(logits, f, feature_context_text(), **kwargs)
+
+
+def _seq384_features():
+    """The chunks of one long synthetic context at the paper's base shape
+    (max_seq_length 384, doc_stride 128)."""
+    ex = make_synthetic_examples(n=2, seed=4, context_words=700)[1]
+    feats = preprocess_dataset([ex], {ex.qid: word_tokenize(ex.context)},
+                               PreprocessConfig(384, 128), question_tokens)
+    assert len(feats) >= 2 and all(len(f.tokens) == 384 for f in feats[:-1])
+    return feats, ex.context
+
+
+def _with_gap(feature, lo, hi):
+    """``feature`` with context positions lo..hi-1 masked out."""
+    mask = list(feature.context_mask)
+    spans = list(feature.token_word_span)
+    for t in range(lo, hi):
+        mask[t], spans[t] = False, None
+    return dataclasses.replace(feature, context_mask=mask,
+                               token_word_span=spans)
+
+
+class TestDecodeMatchesReference:
+    """``decode_spans`` (array scoring) against the per-pair loop it
+    replaced: equal candidate lists, and equal reprs, so a -0.0 score or a
+    numpy scalar in place of a Python number would show."""
+
+    @staticmethod
+    def _assert_same(logits, feature, text, **kwargs):
+        got = decode_spans(logits, feature, text, **kwargs)
+        want = reference_decode_spans(logits, feature, text, **kwargs)
+        assert got == want
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+        return got
+
+    @pytest.mark.parametrize("rounded", [False, True],
+                             ids=["random", "rounded-ties"])
+    def test_seq384_features(self, rounded):
+        feats, text = _seq384_features()
+        rng = Rng(11)
+        for f in feats:
+            logits = random_logits(f, rng)
+            if rounded:
+                # 1-decimal logits: many tied scores, and -0.0 + -0.0
+                logits.start_logits = np.round(logits.start_logits / 5, 1)
+                logits.end_logits = np.round(logits.end_logits / 5, 1)
+            assert len(self._assert_same(logits, f, text)) == DEFAULT_N_BEST
+            # the final sort hides a wrong tie order unless the n-best cut
+            # falls inside a group of tied spans, so cut at several depths
+            for n_best in (200, 1000):
+                self._assert_same(logits, f, text, n_best=n_best)
+            every = self._assert_same(logits, f, text, n_best=10 ** 6)
+            if rounded:
+                zeros = {repr(c.score) for c in every if c.score == 0.0}
+                assert zeros == {"0.0", "-0.0"}
+
+    def test_n_best_limits(self):
+        feats, text = _seq384_features()
+        f = feats[0]
+        logits = random_logits(f, Rng(12))
+        assert len(self._assert_same(logits, f, text, n_best=1)) == 1
+        pairs = len(self._assert_same(logits, f, text, n_best=10 ** 6)) - 1
+        n_ctx = sum(f.context_mask)
+        assert pairs == sum(min(30, n_ctx - i) for i in range(n_ctx))
+
+    def test_max_answer_length_limits(self):
+        f = make_feature(n_context=9)
+        text = feature_context_text(9)
+        logits = random_logits(f, Rng(13))
+        one = self._assert_same(logits, f, text, n_best=100,
+                                max_answer_length=1)
+        assert all(c.start_token == c.end_token for c in one if not c.is_null)
+        assert len(self._assert_same(logits, f, text, n_best=100,
+                                     max_answer_length=50)) == 9 * 10 // 2 + 1
+
+    def test_context_with_a_gap(self):
+        feats, text = _seq384_features()
+        f = _with_gap(feats[0], 100, 110)
+        logits = random_logits(f, Rng(14))
+        for max_len in (5, 12, 30):
+            got = self._assert_same(logits, f, text, n_best=10 ** 6,
+                                    max_answer_length=max_len)
+            for c in got:
+                if not c.is_null:
+                    assert c.end_token - c.start_token < max_len
+                    assert not 100 <= c.start_token < 110
+                    assert not 100 <= c.end_token < 110
+
+    def test_one_token_context(self):
+        f = make_feature(n_context=1)
+        got = self._assert_same(random_logits(f, Rng(15)), f,
+                                feature_context_text(1))
+        assert sorted(c.is_null for c in got) == [False, True]
 
 
 class TestAggregate:

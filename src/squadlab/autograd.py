@@ -13,7 +13,15 @@ exactly, with a hand-written backpropagation-through-time backward.  A BiRNN
 is one such node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1 case.
 The tests check both against the per-step reference loop.  Layers build
 fused nodes the same way, through ``Tensor._op``: ``layers.CharCNN.forward``
-is one node per token.
+is one node per token, and ``stack`` makes the token rows one node more.
+
+Only the work a caller needs is done.  Inside ``with no_grad():`` an op
+records no parents, no backward closure and no gradient buffer; inference
+runs there.  An op output allocates its gradient on first accumulation,
+during ``backward``; a leaf made with ``requires_grad=True`` (a parameter)
+holds a zero buffer from the start, which the optimizer relies on.  Every
+value is still checked for finiteness, and a failed check in an op names
+that op.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +37,27 @@ import numpy as np
 MASK_FILL = -1e30
 
 
-def _check_finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite value produced in forward pass")
+_grad_enabled = True  # flipped by no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: ops still compute and check their
+    values, but keep no parents, backward closure or gradient buffer."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
+def _check_finite(arr: np.ndarray, op: str | None = None) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        where = f" by {op}" if op else ""
+        raise FloatingPointError(
+            f"non-finite value produced in forward pass{where}")
     return arr
 
 
@@ -41,6 +68,14 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     d = 1.0 + e
     out = np.divide(e, d, out=np.empty_like(e) if out is None else out)
     return np.divide(1.0, d, out=out, where=x >= 0)
+
+
+def _basic_index(idx) -> bool:
+    """Ints and slices only: each element is picked at most once, so a
+    gradient can be added with +=.  An index array may repeat an element
+    and needs ``np.add.at``."""
+    return all(type(i) in (int, slice)
+               for i in (idx if type(idx) is tuple else (idx,)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -106,9 +141,16 @@ class Tensor:
 
     @staticmethod
     def _op(data, parents, backward):
-        req = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=req)
-        if req:
+        try:
+            out = Tensor(data)
+        except FloatingPointError:
+            # the closure is defined in the op: "matmul.<locals>.bwd"
+            op = backward.__qualname__.split(".<locals>", 1)[0]
+            raise FloatingPointError(
+                f"non-finite value produced in forward pass by {op}") from None
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            # no gradient buffer until backward first reaches this node
+            out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out
@@ -207,7 +249,10 @@ class Tensor:
         def bwd(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, idx, g)
+            if _basic_index(idx):
+                self.grad[idx] += g
+            else:
+                np.add.at(self.grad, idx, g)
 
         return Tensor._op(np.array(out_data, copy=True), (self,), bwd)
 
@@ -390,8 +435,8 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse) -> Tensor:
         t_h *= h_k
         np.add(t_h, np.multiply(u, C[k], out=t_c), out=H[k + 1])
     # the gates squash an overflowed pre-activation to a finite value
-    _check_finite(A_ur)
-    _check_finite(A_c)
+    _check_finite(A_ur, "gru_scans")
+    _check_finite(A_c, "gru_scans")
     H_prev = H[:-1]
 
     def bwd(g):
@@ -461,7 +506,7 @@ def lstm_scans(xw, U, reverse) -> Tensor:
         np.tanh(C[k + 1], out=TC[k])
         np.multiply(s[..., 2 * h :], TC[k], out=H[k + 1])
     # the gates squash an overflowed pre-activation to a finite value
-    _check_finite(A)
+    _check_finite(A, "lstm_scans")
     H_prev = H[:-1]
 
     def bwd(g):
@@ -526,6 +571,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)])
+
+    return Tensor._op(out_data, tuple(tensors), bwd)
+
+
+def stack(tensors) -> Tensor:
+    """n tensors of one shape as the rows of one [n, ...] tensor, one graph
+    node: the values and gradients of a ``concat`` of ``reshape(1, -1)``
+    rows (for rank-1 inputs), without a node per row."""
+    tensors = [Tensor._coerce(t) for t in tensors]
+    out_data = np.stack([t.data for t in tensors])
+
+    def bwd(g):
+        for t, row in zip(tensors, g):
+            if t.requires_grad:
+                t._accum(row)
 
     return Tensor._op(out_data, tuple(tensors), bwd)
 

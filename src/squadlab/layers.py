@@ -13,7 +13,7 @@ import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
                        concat, gru_scans, init_uniform, lstm_scans,
-                       masked_fill, matmul, softmax)
+                       masked_fill, matmul, softmax, stack)
 
 
 class Highway(Module):
@@ -191,9 +191,9 @@ class EmbeddingCombiner(Module):
     """Token branch + char branch, concatenated, refined by 2 highway layers.
 
     Token branch: weighted-average attention over the provider embedding.
-    Char branch: per-token char-CNN pool, then weighted-average attention
-    over the pooled sequence.  A zero-width char config degenerates to the
-    token branch alone.
+    Char branch: per-token char-CNN pool, the pooled rows stacked as one
+    node, then weighted-average attention over the pooled sequence.  A
+    zero-width char config degenerates to the token branch alone.
     """
 
     def __init__(self, d_model: int, d_char: int, d_char_out: int, rng: Rng,
@@ -224,10 +224,8 @@ class EmbeddingCombiner(Module):
     def forward(self, token_embedding: Tensor, tokens) -> Tensor:
         branch = self.wavg_tok.forward(token_embedding)
         if self.char_cnn is not None:
-            pooled = concat([
-                self.char_cnn.forward(self._token_windows(t)).reshape(1, -1)
-                for t in tokens
-            ], axis=0)  # [seq, d_char_out]
+            pooled = stack([self.char_cnn.forward(self._token_windows(t))
+                            for t in tokens])  # [seq, d_char_out]
             char_branch = self.wavg_char.forward(pooled)
             branch = concat([branch, char_branch], axis=1)
         for hw in self.highway:

@@ -1,9 +1,11 @@
-"""Quick self-verification: golden fixtures plus gradient spot checks of the
-highway layer and the fused kernels (stacked BiGRU/BiLSTM scans, char-CNN)."""
+"""Quick self-verification: golden fixtures, gradient spot checks of the
+highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, char-CNN) and
+``stack``, and one tiny BiDAF forward that must give the same bytes with and
+without a recorded graph."""
 
 from __future__ import annotations
 
-from .autograd import Rng, Tensor
+from .autograd import Rng, Tensor, no_grad, stack
 from .data import (PreprocessConfig, RawExample, TokenizedContext,
                    align_answer_to_tokens, chunk_context, span_to_text,
                    toy_tokenize)
@@ -12,6 +14,7 @@ from .gradcheck import check_gradients
 from .layers import (CharCNN, GRUCell, Highway, LSTMCell, bigru_forward,
                      bilstm_forward)
 from .scoring import compute_em, compute_f1
+from .training import ModelConfig, QaModel
 
 OBAMA_CONTEXT = "Obama was born in August."
 OBAMA_VOCAB = ["O", "ba", "ma", "was", "born", "in", "Au", "gust."]
@@ -86,11 +89,15 @@ def run_selftest(verbose: bool = False) -> bool:
     lstm = LSTMCell(4, 2, rng.spawn(3)), LSTMCell(4, 2, rng.spawn(4))
     cnn = CharCNN(2, 3, rng.spawn(5))
     win = cnn.windows("aaaab", CharEmbeddingTable(2, seed=0))  # a tie
+    rows = {f"row{i}": Tensor(rng.normal(4), requires_grad=True)
+            for i in range(3)}
     for name, fn, modules, inputs in (
             ("highway", lambda: hw.forward(x), [hw], {"x": x}),
             ("bigru", lambda: bigru_forward(*gru, x), gru, {"x": x}),
             ("bilstm", lambda: bilstm_forward(*lstm, x), lstm, {"x": x}),
-            ("char-cnn", lambda: cnn.forward(win), [cnn], {})):
+            ("char-cnn", lambda: cnn.forward(win), [cnn], {}),
+            ("stack", lambda: stack(list(rows.values())) * x, [],
+             rows | {"x": x})):
         params = inputs | {f"{i}.{n}": p for i, m in enumerate(modules)
                            for n, p in m.parameters().items()}
         try:
@@ -98,5 +105,18 @@ def run_selftest(verbose: bool = False) -> bool:
             report(f"{name} gradients", True)
         except AssertionError:
             report(f"{name} gradients", False)
+
+    # inference without a graph computes the recorded forward's bytes
+    model = QaModel(ModelConfig("gru_attn_selfattn_gru_bidaf", d_model=4,
+                                hidden=2, d_char=2, d_char_out=3,
+                                use_char_embedding=True), seed=7)
+    emb = rng.normal((len(first.tokens), 4))
+    recorded = model.forward(first, emb)
+    with no_grad():
+        free = model.forward(first, emb)
+    report("bidaf forward without a graph",
+           all(r._backward is not None and f._backward is None
+               and r.data.tobytes() == f.data.tobytes()
+               for r, f in zip(recorded, free)))
 
     return ok

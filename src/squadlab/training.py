@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
-                       clip_global_norm, load_checkpoint, save_checkpoint,
-                       zero_grads)
+                       clip_global_norm, load_checkpoint, no_grad,
+                       save_checkpoint, zero_grads)
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     AlbertSquadOut, BidafOut, aggregate_features,
@@ -289,12 +289,20 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
 
     This is the one decode-and-aggregate path; ``predict`` and the
     mean-logits ensemble (``ensemble.decode_logit_set``) both use it.
-    Logits whose length is not their feature's token count (a dump made
-    from features of another ``max_seq_length``) raise ValueError.
+    Logits without a feature of their key or a context of their qid, and
+    logits whose length is not their feature's token count (a dump made
+    from features of another ``max_seq_length``), raise ValueError.
     """
     by_qid = {}
     for (qid, fi), logits in sorted(logit_sets.items()):
-        feature = features_by_key[(qid, fi)]
+        feature = features_by_key.get((qid, fi))
+        if feature is None:
+            raise ValueError(f"logits for (qid={qid!r}, feature_index={fi}) "
+                             f"have no feature of that key in the features")
+        if qid not in context_by_qid:
+            raise ValueError(f"logits for (qid={qid!r}, feature_index={fi}) "
+                             f"have no context: the data has no question "
+                             f"{qid!r}")
         lengths = (len(logits.start_logits), len(logits.end_logits))
         if lengths != (len(feature.context_mask),) * 2:
             raise ValueError(
@@ -314,12 +322,13 @@ def predict(model: QaModel, features, provider, context_by_qid: dict,
             n_best: int = DEFAULT_N_BEST,
             max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
             model_f1_weight: float | None = None):
-    """Inference over features; returns (prediction records, logit map)."""
+    """Inference over features; returns (prediction records, logit map).
+    The forwards record no autograd graph."""
     features_by_key = {}
     logit_sets = {}
     for feat in sorted(features, key=lambda f: (f.qid, f.feature_index)):
         key = (feat.qid, feat.feature_index)
-        with _naming_feature(feat, "predict"):
+        with _naming_feature(feat, "predict"), no_grad():
             start, end = model.forward(feat, provider(feat), train=False)
         features_by_key[key] = feat
         logit_sets[key] = to_span_logits(feat, start, end)

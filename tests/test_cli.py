@@ -432,6 +432,54 @@ class TestLogitLengthMismatch:
         assert f"has {len(first.tokens)} tokens" in line
 
 
+class TestLogitKeyMismatch:
+    """Dump keys the features or the data do not have: one error line that
+    names the key and the input that lacks it."""
+
+    @staticmethod
+    def _ensemble(tmp_path, capsys, keys, features, data):
+        rng = np.random.default_rng(1)
+        dumps = []
+        for k in range(2):
+            dump = tmp_path / f"dump{k}.bin"
+            save_logits_dump(dump, {key: SpanLogits(*key, rng.normal(size=n),
+                                                    rng.normal(size=n))
+                                    for key, n in keys.items()})
+            dumps.append(str(dump))
+        capsys.readouterr()
+        code = main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", *dumps, "--features", str(features),
+                     "--data", str(data), "--out", str(tmp_path / "e.jsonl")])
+        assert code == 2
+        return _error_line(capsys)
+
+    @staticmethod
+    def _preprocess(tmp_path, n):
+        corpus = tmp_path / f"corpus{n}.json"
+        write_squad_json(corpus, make_synthetic_examples(n=n, seed=5))
+        feats = tmp_path / f"feats{n}.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out",
+                     str(feats)]) == 0
+        return corpus, feats
+
+    def test_key_not_in_features_is_2(self, tmp_path, capsys):
+        corpus, feats = self._preprocess(tmp_path, 2)
+        line = self._ensemble(tmp_path, capsys, {("nope", 0): 8}, feats,
+                              corpus)
+        assert "qid='nope', feature_index=0" in line
+        assert "no feature of that key in the features" in line
+
+    def test_qid_not_in_data_is_2(self, tmp_path, capsys):
+        _, feats = self._preprocess(tmp_path, 3)
+        small, _ = self._preprocess(tmp_path, 1)
+        keys = {(f.qid, f.feature_index): len(f.tokens)
+                for f in read_features(feats)}
+        missing = min(q for q, _ in keys if q != "synth-0000")
+        line = self._ensemble(tmp_path, capsys, keys, feats, small)
+        assert f"qid={missing!r}, feature_index=0" in line
+        assert f"the data has no question {missing!r}" in line
+
+
 class TestEnsembleThreshold:
     def test_mean_logits_rejects_null_threshold(self, tmp_path, capsys):
         # mean-logits writes n-best lists and takes no decision

@@ -6,8 +6,8 @@ import pytest
 from squadlab.autograd import (AdamState, Module, Rng, Tensor, adam_step,
                                backward, concat, cross_entropy_from_logits,
                                elementwise, init_uniform, load_checkpoint,
-                               masked_fill, matmul, save_checkpoint, softmax,
-                               zero_grads)
+                               masked_fill, matmul, no_grad, save_checkpoint,
+                               softmax, stack, zero_grads)
 from squadlab.gradcheck import check_gradients, numerical_gradient
 
 
@@ -259,6 +259,152 @@ class TestBackward:
             return (c[1:3] * c[1:3]).sum()
 
         check_gradients(loss, {"a": a, "b": b}, rtol=1e-6)
+
+
+class TestGetitemBackward:
+    """Ints and slices take the += fast path, index arrays np.add.at; both
+    give the bits np.add.at gives."""
+
+    @pytest.mark.parametrize("idx", [
+        (slice(None), 0), slice(1, 5), np.array([4, 1, 4, 0, 4])],
+        ids=["[:, 0]", "[1:5]", "int-array-with-repeats"])
+    def test_bitwise_equal_to_add_at(self, idx):
+        rng = Rng(6)
+        x = Tensor(rng.normal((6, 3)), requires_grad=True)
+        out = x[idx]
+        w = rng.normal(out.shape)
+        v = rng.normal(x.shape)
+        ((out * Tensor(w)).sum() + (x * Tensor(v)).sum()).backward()
+        want = np.zeros((6, 3))
+        np.add.at(want, idx, w)
+        want += v
+        assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
+
+    def test_op_output_indexed_twice(self):
+        rng = Rng(7)
+        x = Tensor(rng.normal((4, 2)), requires_grad=True)
+        y = x * 2.0  # lazy gradient buffer, allocated by the first index
+        ((y[:, 0] * y[:, 0]).sum() + y[1:3].sum()).backward()
+        want = np.zeros((4, 2))
+        want[:, 0] += 2.0 * y.data[:, 0]
+        want[1:3] += 1.0
+        assert np.array_equal(y.grad, want)
+
+
+class TestNoGrad:
+    def test_records_nothing(self):
+        rng = Rng(1)
+        w = Tensor(rng.normal((3, 2)), requires_grad=True)
+        x = Tensor(rng.normal((4, 3)))
+        with no_grad():
+            outs = [matmul(x, w), (matmul(x, w) + 1.0).tanh(),
+                    softmax(matmul(x, w), axis=0), stack([w[0], w[1]]),
+                    concat([w, w]), w[:, 0], w.sum()]
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert out.grad is None and not out.requires_grad
+
+    def test_same_values_as_recorded(self):
+        rng = Rng(2)
+        w = Tensor(rng.normal((3, 3)), requires_grad=True)
+        x = Tensor(rng.normal((5, 3)))
+
+        def f():
+            return softmax(matmul(x, w).sigmoid() * w[0], axis=1).max(axis=1)
+
+        recorded = f()
+        with no_grad():
+            free = f()
+        assert recorded._backward is not None
+        assert np.array_equal(free.data.view(np.int64),
+                              recorded.data.view(np.int64))
+
+    def test_switch_restored_after_error(self):
+        w = Tensor([[1e200]], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            with no_grad():
+                matmul(Tensor([[1e200]]), w)
+        out = (w * 2.0).sum()
+        assert out._backward is not None
+        out.backward()
+        assert w.grad[0, 0] == 2.0
+
+    def test_nests(self):
+        w = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert (w * 2.0)._backward is None
+        assert (w * 2.0)._backward is not None
+
+
+class TestLazyGrad:
+    def test_op_output_grad_allocated_by_backward(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        h = w * 3.0
+        out = (h * h).sum()
+        assert h.grad is None and out.grad is None
+        out.backward()
+        assert np.array_equal(h.grad, [6.0, 12.0])
+        assert np.array_equal(w.grad, [18.0, 36.0])
+
+    def test_parameter_grad_allocated_from_the_start(self):
+        p = init_uniform(Rng(0), (2, 3), 3)
+        assert np.array_equal(p.grad, np.zeros((2, 3)))
+        assert Tensor([1.0], requires_grad=True).grad is not None
+
+
+class TestStack:
+    def test_gradients(self):
+        rng = Rng(3)
+        rows = [Tensor(rng.normal(4), requires_grad=True) for _ in range(3)]
+        w = Tensor(rng.normal((3, 4)))
+        check_gradients(lambda: (stack(rows) * stack(rows) * w).sum(),
+                        {f"r{i}": r for i, r in enumerate(rows)}, rtol=1e-6)
+
+    def test_bitwise_equal_to_concat_of_rows(self):
+        rng = Rng(4)
+        rows = [Tensor(rng.normal(5), requires_grad=True) for _ in range(4)]
+        w = Tensor(rng.normal((4, 5)))
+        results = []
+        for build in (lambda: stack(rows),
+                      lambda: concat([r.reshape(1, -1) for r in rows],
+                                     axis=0)):
+            for r in rows:
+                r.zero_grad()
+            out = build()
+            (out.tanh() * w).sum().backward()
+            results.append([out.data] + [r.grad.copy() for r in rows])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_graph_node(self):
+        rows = [Tensor([1.0, 2.0], requires_grad=True) for _ in range(3)]
+        out = stack(rows)
+        assert out.shape == (3, 2)
+        assert out._parents == tuple(rows)
+
+
+class TestNonFiniteNamesOp:
+    def test_matmul_overflow(self):
+        a = Tensor([[1e200, 1.0]])
+        b = Tensor([[1e200], [1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite value produced in "
+                                          "forward pass by matmul$"):
+            matmul(a, b)
+
+    def test_method_op(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="by Tensor.__mul__$"):
+            Tensor([1e200]) * Tensor([1e200])
+
+    def test_leaf_keeps_plain_message(self):
+        with pytest.raises(FloatingPointError,
+                           match="non-finite value produced in forward "
+                                 "pass$"):
+            Tensor([np.inf])
 
 
 class TestAdam:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab import ensemble, training
+from squadlab.autograd import no_grad
 from squadlab.embeddings import PseudoEmbedder
 from squadlab.ensemble import save_logits_dump
 from squadlab.heads import write_predictions
@@ -335,3 +336,56 @@ class TestPredict:
         assert records == ensemble.decode_logit_set(
             logit_sets, by_key, ctx, model_f1_weight=61.5, **limits)
         assert [r["qid"] for r in records] == ["qa", "qb"]
+
+
+class TestInferenceWithoutGraph:
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_no_grad_logits_equal_recorded(self, tag):
+        feat = make_feature(start=2, end=3)
+        emb = provider()(feat)
+        model = build_model(small_cfg(tag), seed=4)
+        recorded = model.forward(feat, emb)
+        with no_grad():
+            free = model.forward(feat, emb)
+        for r, f in zip(recorded, free):
+            assert r._backward is not None and f._backward is None
+            assert f._parents == () and f.grad is None
+            assert np.array_equal(r.data, f.data)
+            assert r.data.tobytes() == f.data.tobytes()
+
+    def test_predict_records_no_graph(self):
+        feat = make_feature(qid="q", start=1, end=2)
+        model = build_model(small_cfg("gru_highway_gru_bidaf"), seed=0)
+        outputs = []
+
+        def forward(*args, **kwargs):
+            outputs.extend(QaModel.forward(model, *args, **kwargs))
+            return outputs[-2:]
+
+        model.forward = forward
+        predict(model, [feat], provider(), {"q": feature_context_text(6)})
+        assert len(outputs) == 2
+        assert all(t._backward is None and t._parents == ()
+                   for t in outputs)
+
+    def test_overflow_names_feature_and_op(self):
+        feat = make_feature(qid="qx", feature_index=1, start=1, end=2)
+        model = build_model(small_cfg("squad_out"), seed=0)
+        model.head.W.data[...] = 1e200
+        huge = lambda f: np.full((len(f.tokens), 32), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+            predict(model, [feat], huge, {"qx": feature_context_text(6)})
+        msg = str(info.value)
+        assert "qid='qx', feature_index=1" in msg
+        assert "non-finite value produced in forward pass by matmul" in msg
+
+    def test_train_after_failed_predict_records_gradients(self):
+        feat = make_feature(qid="qx", start=1, end=2)
+        model = build_model(small_cfg("squad_out"), seed=0)
+        bad = lambda f: np.full((len(f.tokens), 32), np.inf)
+        with pytest.raises(RuntimeError, match="qx"):
+            predict(model, [feat], bad, {"qx": feature_context_text(6)})
+        hp = Hyperparams(learning_rate=1e-2, batch_size=1, epochs=1, seed=0)
+        train(model, [feat], provider(), hp, max_steps=1)
+        for name, p in model.parameters().items():
+            assert p.grad is not None and np.any(p.grad != 0), name

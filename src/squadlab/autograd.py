@@ -53,11 +53,14 @@ def no_grad():
         _grad_enabled = saved
 
 
+def _non_finite(op: str | None = None) -> FloatingPointError:
+    where = f" by {op}" if op else ""
+    return FloatingPointError(f"non-finite value produced in forward pass{where}")
+
+
 def _check_finite(arr: np.ndarray, op: str | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
-        where = f" by {op}" if op else ""
-        raise FloatingPointError(
-            f"non-finite value produced in forward pass{where}")
+        raise _non_finite(op)
     return arr
 
 
@@ -68,14 +71,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     d = 1.0 + e
     out = np.divide(e, d, out=np.empty_like(e) if out is None else out)
     return np.divide(1.0, d, out=out, where=x >= 0)
-
-
-def _basic_index(idx) -> bool:
-    """Ints and slices only: each element is picked at most once, so a
-    gradient can be added with +=.  An index array may repeat an element
-    and needs ``np.add.at``."""
-    return all(type(i) in (int, slice)
-               for i in (idx if type(idx) is tuple else (idx,)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -145,9 +140,8 @@ class Tensor:
             out = Tensor(data)
         except FloatingPointError:
             # the closure is defined in the op: "matmul.<locals>.bwd"
-            op = backward.__qualname__.split(".<locals>", 1)[0]
-            raise FloatingPointError(
-                f"non-finite value produced in forward pass by {op}") from None
+            raise _non_finite(
+                backward.__qualname__.split(".<locals>", 1)[0]) from None
         if _grad_enabled and any(p.requires_grad for p in parents):
             # no gradient buffer until backward first reaches this node
             out.requires_grad = True
@@ -249,10 +243,7 @@ class Tensor:
         def bwd(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            if _basic_index(idx):
-                self.grad[idx] += g
-            else:
-                np.add.at(self.grad, idx, g)
+            np.add.at(self.grad, idx, g)
 
         return Tensor._op(np.array(out_data, copy=True), (self,), bwd)
 

@@ -262,8 +262,8 @@ class TestBackward:
 
 
 class TestGetitemBackward:
-    """Ints and slices take the += fast path, index arrays np.add.at; both
-    give the bits np.add.at gives."""
+    """The index backward accumulates with np.add.at, so an element picked
+    twice gets both contributions."""
 
     @pytest.mark.parametrize("idx", [
         (slice(None), 0), slice(1, 5), np.array([4, 1, 4, 0, 4])],

@@ -7,13 +7,15 @@ each op output keeps handles to its inputs plus a backward closure, and
 ``backward`` replays them once in reverse topological order.
 
 The GRU and LSTM recurrences (``gru_scans``, ``lstm_scans``) run a stack
-of D directions as one graph node: one numpy loop over time advances every
-direction on a leading axis, repeating the per-step Tensor arithmetic
-exactly, with a hand-written backpropagation-through-time backward.  A BiRNN
-is one such node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1 case.
-The tests check both against the per-step reference loop.  Layers build
-fused nodes the same way, through ``Tensor._op``: ``layers.CharCNN.forward``
-is one node per token, and ``stack`` makes the token rows one node more.
+of D directions over B chunks as one graph node: one numpy loop over time
+advances every direction and chunk on leading axes ([D, B, h] states),
+repeating the per-step Tensor arithmetic (bit for bit for one chunk), with
+a hand-written backpropagation-through-time backward.  A BiRNN is one such
+node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1, B = 1 case.  The
+tests check them against the per-step reference loop, and a batch against
+one scan per chunk.  Layers build fused nodes the same way, through
+``Tensor._op``: ``layers.CharCNN.forward`` is one node per token, and
+``stack`` makes the token rows one node more.
 
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
 records no parents, no backward closure and no gradient buffer; inference
@@ -64,13 +66,23 @@ def _check_finite(arr: np.ndarray, op: str | None = None) -> np.ndarray:
     return arr
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             scratch=None) -> np.ndarray:
     """Logistic function that never exponentiates a positive number:
-    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    out = np.divide(e, d, out=np.empty_like(e) if out is None else out)
-    return np.divide(1.0, d, out=out, where=x >= 0)
+    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere.  ``scratch``,
+    from ``_sigmoid_scratch(x.shape)``, holds the temporaries, so a scan
+    allocates them once and not on every step."""
+    e, d, pos = scratch or _sigmoid_scratch(np.shape(x))
+    np.negative(np.abs(x, out=e), out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=d)
+    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=pos))  # numerator
+    return np.divide(e, d, out=np.empty_like(e) if out is None else out)
+
+
+def _sigmoid_scratch(shape) -> tuple:
+    """The (e^-|x|, 1 + e^-|x|, x >= 0) buffers of ``_sigmoid``."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -352,28 +364,52 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._op(out_data, (x,), bwd)
 
 
-def _step_rows(arrays, reverse) -> np.ndarray:
-    """D arrays [seq, k] in time order -> [seq, D, 1, k] in step order."""
-    return np.stack([a[::-1] if r else a for a, r in zip(arrays, reverse)],
-                    axis=1)[:, :, None]
+class _StepOrder:
+    """Where the packed rows of B chunks sit in a scan's step-order buffers
+    [T, D, B, k], T the longest chunk: row t of a chunk of L rows is step t,
+    or step L - 1 - t in a reverse direction.  Every chunk starts at step 0,
+    so its padded steps come last and never feed a live step."""
+
+    def __init__(self, lengths, reverse):
+        L = np.asarray(lengths)
+        self.shape = (int(L.max()), len(reverse), len(L))
+        self.chunk = np.repeat(np.arange(len(L)), L)
+        t = np.arange(self.chunk.size) - np.repeat(np.cumsum(L) - L, L)
+        self.step = [L[self.chunk] - 1 - t if r else t for r in reverse]
+
+    def scatter(self, arrays) -> np.ndarray:
+        """D packed [N, k] arrays -> [T, D, B, k]; padded steps hold 0."""
+        out = np.zeros(self.shape + arrays[0].shape[1:])
+        for d, (a, step) in enumerate(zip(arrays, self.step)):
+            out[step, d, self.chunk] = a
+        return out
+
+    def gather(self, steps: np.ndarray) -> list:
+        """The inverse: [T, D, B, k] -> D packed [N, k] arrays."""
+        return [steps[step, d, self.chunk] for d, step in enumerate(self.step)]
 
 
-def _time_rows(steps: np.ndarray, reverse) -> list:
-    """The inverse: D arrays [seq, k] in time order (views)."""
-    return [steps[::-1, d, 0] if r else steps[:, d, 0]
-            for d, r in enumerate(reverse)]
-
-
-def _directions(name, reverse, shapes, *args):
-    """Coerce per-direction scan arguments and check every shape."""
+def _directions(name, reverse, lengths, shapes, *args):
+    """Coerce per-direction scan arguments, check every shape and the chunk
+    lengths (default: one chunk of every row), and place the rows."""
     groups = [[Tensor._coerce(t) for t in ts] for ts in args]
     got = [[t.shape for t in ts] for ts in groups]
     if any(g != [s] * len(reverse) for g, s in zip(got, shapes)):
         raise ValueError(f"{name} shapes disagree: got {got} for "
                          f"{len(reverse)} directions, expected {shapes}")
-    if shapes[0][0] == 0:
+    rows = shapes[0][0]
+    lengths = [rows] if lengths is None else [int(n) for n in lengths]
+    if sum(lengths) != rows:
+        raise ValueError(f"{name}: chunk lengths {lengths} do not add up to "
+                         f"{rows} rows")
+    if min(lengths, default=0) < 1:
         raise ValueError("recurrence over an empty sequence")
-    return groups
+    return _StepOrder(lengths, reverse), groups
+
+
+def _rows(steps: np.ndarray) -> np.ndarray:
+    """[T, B, k] -> [T * B, k], every (step, chunk) a row."""
+    return steps.reshape(-1, steps.shape[-1])
 
 
 def _accum_each(tensors, grads):
@@ -382,47 +418,50 @@ def _accum_each(tensors, grads):
             t._accum(g)
 
 
-def gru_scans(x_ur, x_c, U_ur, U_c, reverse) -> Tensor:
-    """D GRU directions over one sequence as a single graph node.
+def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
+    """D GRU directions over B chunks as a single graph node.
 
-    Each argument holds one entry per direction: x_ur [seq, 2h] and x_c
-    [seq, h] (input projections, biases included), U_ur [h, 2h], U_c [h, h]
-    and reverse.  From h = 0 every step computes
-    [u | r] = sigmoid(x_ur[t] + h U_ur), cand = tanh(x_c[t] + (r * h) U_c)
-    and h = (1 - u) * h + u * cand; a reverse direction runs t from last to
-    first.  The directions share one loop on a leading axis: states are
-    [D, 1, h] and each recurrent product is one [D, 1, h] @ [D, h, k]
-    matmul.  Returns [seq, D * h], row t holding every direction's state
-    after step t.  The forward repeats the per-step Tensor arithmetic, so
-    its values are identical; the backward is backpropagation through time.
+    Each argument holds one entry per direction: x_ur [N, 2h] and x_c
+    [N, h] (input projections, biases included), U_ur [h, 2h], U_c [h, h]
+    and reverse.  The N rows are B chunks packed in order, ``lengths``
+    giving their row counts (default: one chunk).  From h = 0 every step
+    computes [u | r] = sigmoid(x_ur[t] + h U_ur),
+    cand = tanh(x_c[t] + (r * h) U_c) and h = (1 - u) * h + u * cand; a
+    reverse direction runs t from its chunk's last row to its first.  One
+    loop advances every direction and chunk: states are [D, B, h] and each
+    recurrent product is one [D, B, h] @ [D, h, k] matmul; a shorter
+    chunk's padded steps run on zero input after its live ones.  Returns
+    [N, D * h], row t holding every direction's state after step t.  The
+    forward repeats the per-step Tensor arithmetic, so one chunk's values
+    are identical to it; the backward is backpropagation through time.
     """
     seq, h = Tensor._coerce(x_c[0]).shape
-    x_ur, x_c, U_ur, U_c = _directions(
-        "gru_scan", reverse, [(seq, 2 * h), (seq, h), (h, 2 * h), (h, h)],
-        x_ur, x_c, U_ur, U_c)
-    D = len(reverse)
-    X_ur = _step_rows([t.data for t in x_ur], reverse)
-    X_c = _step_rows([t.data for t in x_c], reverse)
+    order, (x_ur, x_c, U_ur, U_c) = _directions(
+        "gru_scan", reverse, lengths,
+        [(seq, 2 * h), (seq, h), (h, 2 * h), (h, h)], x_ur, x_c, U_ur, U_c)
+    T, D, B = order.shape
+    X_ur = order.scatter([t.data for t in x_ur])
+    X_c = order.scatter([t.data for t in x_c])
     W_ur = np.stack([t.data for t in U_ur])
     W_c = np.stack([t.data for t in U_c])
     # step-order buffers; H[k] is the state step k starts from
-    A_ur = np.empty((seq, D, 1, 2 * h))
+    A_ur = np.empty((T, D, B, 2 * h))
     S = np.empty_like(A_ur)  # [u | r]
-    A_c, C, RH = (np.empty((seq, D, 1, h)) for _ in range(3))  # RH = r * h
-    H = np.zeros((seq + 1, D, 1, h))
-    t_ur = np.empty((D, 1, 2 * h))
-    t_c, t_h = np.empty((D, 1, h)), np.empty((D, 1, h))
-    for k in range(seq):
+    A_c, C, RH = (np.empty((T, D, B, h)) for _ in range(3))  # RH = r * h
+    H = np.zeros((T + 1, D, B, h))
+    t_ur = np.empty((D, B, 2 * h))
+    t_c, t_h = np.empty((D, B, h)), np.empty((D, B, h))
+    t_sig = _sigmoid_scratch(t_ur.shape)
+    for k in range(T):
         h_k = H[k]
         np.add(X_ur[k], np.matmul(h_k, W_ur, out=t_ur), out=A_ur[k])
-        s = _sigmoid(A_ur[k], out=S[k])
+        s = _sigmoid(A_ur[k], out=S[k], scratch=t_sig)
         u = s[..., :h]
         np.multiply(s[..., h:], h_k, out=RH[k])
         np.add(X_c[k], np.matmul(RH[k], W_c, out=t_c), out=A_c[k])
         np.tanh(A_c[k], out=C[k])
-        # h = (u * -1.0 + 1.0) * h + u * cand
-        np.multiply(u, -1.0, out=t_h)
-        t_h += 1.0
+        # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
+        np.subtract(1.0, u, out=t_h)
         t_h *= h_k
         np.add(t_h, np.multiply(u, C[k], out=t_c), out=H[k + 1])
     # the gates squash an overflowed pre-activation to a finite value
@@ -431,7 +470,8 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse) -> Tensor:
     H_prev = H[:-1]
 
     def bwd(g):
-        G = _step_rows(np.split(g, D, axis=1), reverse)
+        # a padded step's output gradient is 0, so its carry stays 0
+        G = order.scatter(np.split(g, D, axis=1))
         U_g, R = S[..., :h], S[..., h:]
         dh_du = (C - H_prev) * U_g * (1.0 - U_g)
         dh_dc = U_g * (1.0 - C * C)
@@ -439,23 +479,24 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse) -> Tensor:
         keep = 1.0 - U_g
         W_ur_T = W_ur.transpose(0, 2, 1)
         W_c_T = W_c.transpose(0, 2, 1)
-        d_ur = np.empty((seq, D, 1, 2 * h))
-        d_c = np.empty((seq, D, 1, h))
-        carry = np.zeros((D, 1, h))
-        for k in range(seq - 1, -1, -1):
+        d_ur = np.empty((T, D, B, 2 * h))
+        d_c = np.empty((T, D, B, h))
+        carry = np.zeros((D, B, h))
+        for k in range(T - 1, -1, -1):
             dh = G[k] + carry
             dc = np.multiply(dh, dh_dc[k], out=d_c[k])
             drh = dc @ W_c_T
             np.multiply(dh, dh_du[k], out=d_ur[k, ..., :h])
             np.multiply(drh, drh_dr[k], out=d_ur[k, ..., h:])
             carry = dh * keep[k] + drh * R[k] + d_ur[k] @ W_ur_T
-        _accum_each(U_ur, [H_prev[:, d, 0].T @ d_ur[:, d, 0]
+        _accum_each(U_ur, [_rows(H_prev[:, d]).T @ _rows(d_ur[:, d])
                            for d in range(D)])
-        _accum_each(U_c, [RH[:, d, 0].T @ d_c[:, d, 0] for d in range(D)])
-        _accum_each(x_ur, _time_rows(d_ur, reverse))
-        _accum_each(x_c, _time_rows(d_c, reverse))
+        _accum_each(U_c, [_rows(RH[:, d]).T @ _rows(d_c[:, d])
+                          for d in range(D)])
+        _accum_each(x_ur, order.gather(d_ur))
+        _accum_each(x_c, order.gather(d_c))
 
-    return Tensor._op(np.concatenate(_time_rows(H[1:], reverse), axis=1),
+    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1),
                       (*x_ur, *x_c, *U_ur, *U_c), bwd)
 
 
@@ -465,31 +506,32 @@ def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
     return gru_scans((x_ur,), (x_c,), (U_ur,), (U_c,), (reverse,))
 
 
-def lstm_scans(xw, U, reverse) -> Tensor:
-    """D LSTM directions over one sequence as a single graph node.
+def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
+    """D LSTM directions over B chunks as a single graph node.
 
-    Each argument holds one entry per direction: xw [seq, 4h] (the input
+    Each argument holds one entry per direction: xw [N, 4h] (the input
     projection, bias included, gate layout [input | forget | output |
     cand]), U [h, 4h] and reverse.  From h = c = 0 every step computes the
     gates from xw[t] + h U, c = f * c + i * cand and h = o * tanh(c).
-    Directions, result and exactness are as in ``gru_scans``.
+    Chunks, directions, result and exactness are as in ``gru_scans``.
     """
     seq = Tensor._coerce(xw[0]).shape[0]
     h = Tensor._coerce(U[0]).shape[0]
-    xw, U = _directions("lstm_scan", reverse, [(seq, 4 * h), (h, 4 * h)],
-                        xw, U)
-    D = len(reverse)
-    X = _step_rows([t.data for t in xw], reverse)
+    order, (xw, U) = _directions("lstm_scan", reverse, lengths,
+                                 [(seq, 4 * h), (h, 4 * h)], xw, U)
+    T, D, B = order.shape
+    X = order.scatter([t.data for t in xw])
     W = np.stack([t.data for t in U])
     # step-order buffers; H[k] and C[k] are what step k starts from
-    A = np.empty((seq, D, 1, 4 * h))
-    S = np.empty((seq, D, 1, 3 * h))  # [input | forget | output]
-    Gc, TC = np.empty((seq, D, 1, h)), np.empty((seq, D, 1, h))
-    C, H = np.zeros((seq + 1, D, 1, h)), np.zeros((seq + 1, D, 1, h))
-    t_a, t_c = np.empty((D, 1, 4 * h)), np.empty((D, 1, h))
-    for k in range(seq):
+    A = np.empty((T, D, B, 4 * h))
+    S = np.empty((T, D, B, 3 * h))  # [input | forget | output]
+    Gc, TC = np.empty((T, D, B, h)), np.empty((T, D, B, h))
+    C, H = np.zeros((T + 1, D, B, h)), np.zeros((T + 1, D, B, h))
+    t_a, t_c = np.empty((D, B, 4 * h)), np.empty((D, B, h))
+    t_sig = _sigmoid_scratch((D, B, 3 * h))
+    for k in range(T):
         np.add(X[k], np.matmul(H[k], W, out=t_a), out=A[k])
-        s = _sigmoid(A[k, ..., :3 * h], out=S[k])
+        s = _sigmoid(A[k, ..., :3 * h], out=S[k], scratch=t_sig)
         np.tanh(A[k, ..., 3 * h:], out=Gc[k])
         # c = f * c + i * cand; h = o * tanh(c)
         np.multiply(s[..., h : 2 * h], C[k], out=C[k + 1])
@@ -501,7 +543,8 @@ def lstm_scans(xw, U, reverse) -> Tensor:
     H_prev = H[:-1]
 
     def bwd(g):
-        G = _step_rows(np.split(g, D, axis=1), reverse)
+        # a padded step's output gradient is 0, so its carries stay 0
+        G = order.scatter(np.split(g, D, axis=1))
         I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
         dh_dc = O * (1.0 - TC * TC)
         # d(step output) / d(gate pre-activation), per unit of dc, dc, dh, dc
@@ -509,21 +552,21 @@ def lstm_scans(xw, U, reverse) -> Tensor:
                                 TC * O * (1.0 - O), I * (1.0 - Gc * Gc)],
                                axis=-1)
         W_T = W.transpose(0, 2, 1)
-        d_gates = np.empty((seq, D, 1, 4 * h))
-        dh_carry = np.zeros((D, 1, h))
-        dc_carry = np.zeros((D, 1, h))
-        for k in range(seq - 1, -1, -1):
+        d_gates = np.empty((T, D, B, 4 * h))
+        dh_carry = np.zeros((D, B, h))
+        dc_carry = np.zeros((D, B, h))
+        for k in range(T - 1, -1, -1):
             dh = G[k] + dh_carry
             dc = dc_carry + dh * dh_dc[k]
             np.multiply(local[k], np.concatenate((dc, dc, dh, dc), axis=-1),
                         out=d_gates[k])
             dc_carry = dc * F[k]
             dh_carry = d_gates[k] @ W_T
-        _accum_each(U, [H_prev[:, d, 0].T @ d_gates[:, d, 0]
+        _accum_each(U, [_rows(H_prev[:, d]).T @ _rows(d_gates[:, d])
                         for d in range(D)])
-        _accum_each(xw, _time_rows(d_gates, reverse))
+        _accum_each(xw, order.gather(d_gates))
 
-    return Tensor._op(np.concatenate(_time_rows(H[1:], reverse), axis=1),
+    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1),
                       (*xw, *U), bwd)
 
 

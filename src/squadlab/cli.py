@@ -341,8 +341,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         inputs, outputs = args.func(args)
-    except (DataError, FileNotFoundError, KeyError, ValueError,
-            RuntimeError) as e:
+    except (DataError, OSError, KeyError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started

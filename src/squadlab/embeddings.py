@@ -19,8 +19,8 @@ MAGIC = b"SQEM"
 VERSION = 1
 
 
-class EmbeddingError(KeyError):
-    pass
+class EmbeddingError(DataError):
+    """No embedding matrix, or one of the wrong length, for a feature."""
 
 
 @dataclass

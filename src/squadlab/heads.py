@@ -2,8 +2,10 @@
 
 Both heads mask every position outside the context chunk to ``MASK_FILL``
 except index 0, the sentinel, which stays live to score the no-answer
-hypothesis.  A span's score is start_logit + end_logit; ties are broken by
-(non-null first, smaller start, smaller end) so decoding is deterministic.
+hypothesis; given packed chunks (``lengths``, as in ``layers``), each chunk
+keeps its own sentinel.  A span's score is start_logit + end_logit; ties
+are broken by (non-null first, smaller start, smaller end) so decoding is
+deterministic.
 
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
@@ -26,7 +28,7 @@ import numpy as np
 from .autograd import (MASK_FILL, Module, Rng, Tensor,
                        cross_entropy_from_logits, init_uniform, masked_fill,
                        matmul)
-from .data import NULL_POSITION, Feature
+from .data import NULL_POSITION, DataError, Feature
 from .layers import GRUCell, gru_forward
 
 DEFAULT_N_BEST = 20
@@ -62,11 +64,12 @@ class AnswerCandidate:
                 self.end_token if not self.is_null else 0)
 
 
-def _head_mask(context_mask) -> np.ndarray:
-    """Positions to blank: outside the context and not the null sentinel."""
-    cm = np.asarray(context_mask, dtype=bool)
-    blocked = ~cm
-    blocked[NULL_POSITION] = False
+def _head_mask(context_mask, lengths=None) -> np.ndarray:
+    """Positions to blank: outside the context and not a chunk's null
+    sentinel."""
+    blocked = ~np.asarray(context_mask, dtype=bool)
+    firsts = [0] if lengths is None else np.cumsum(lengths) - lengths
+    blocked[np.add(firsts, NULL_POSITION)] = False
     return blocked
 
 
@@ -78,11 +81,11 @@ class AlbertSquadOut(Module):
         self.W = init_uniform(rng, (d, 2), d)
         self.b = init_uniform(rng, (2,), d)
 
-    def forward(self, x: Tensor, context_mask):
+    def forward(self, x: Tensor, context_mask, lengths=None):
         if x.shape[1] != self.d:
             raise ValueError(f"head width {self.d}, input width {x.shape[1]}")
         logits = matmul(x, self.W) + self.b  # [seq, 2]
-        blocked = _head_mask(context_mask)
+        blocked = _head_mask(context_mask, lengths)
         start = masked_fill(logits[:, 0], blocked, MASK_FILL)
         end = masked_fill(logits[:, 1], blocked, MASK_FILL)
         return start, end
@@ -100,16 +103,17 @@ class BidafOut(Module):
         self.w4 = init_uniform(rng, (end_hidden, 1), end_hidden)
         self.end_rnn = GRUCell(d_dec, end_hidden, rng.spawn(17))
 
-    def forward(self, att_out: Tensor, dec_out: Tensor, context_mask):
+    def forward(self, att_out: Tensor, dec_out: Tensor, context_mask,
+                lengths=None):
         if att_out.shape[1] != self.d_att or dec_out.shape[1] != self.d_dec:
             raise ValueError(
                 f"bidaf head widths ({self.d_att}, {self.d_dec}), inputs "
                 f"({att_out.shape[1]}, {dec_out.shape[1]})"
             )
-        m2 = gru_forward(self.end_rnn, dec_out)
+        m2 = gru_forward(self.end_rnn, dec_out, lengths=lengths)
         start = (matmul(att_out, self.w1) + matmul(dec_out, self.w2))[:, 0]
         end = (matmul(att_out, self.w3) + matmul(m2, self.w4))[:, 0]
-        blocked = _head_mask(context_mask)
+        blocked = _head_mask(context_mask, lengths)
         return (masked_fill(start, blocked, MASK_FILL),
                 masked_fill(end, blocked, MASK_FILL))
 
@@ -129,12 +133,16 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, gold_start: int,
     return (ce_start + ce_end) * 0.5
 
 
-def to_span_logits(feature: Feature, start: Tensor, end: Tensor) -> SpanLogits:
+def to_span_logits(feature: Feature, start, end) -> SpanLogits:
+    """A copy of one feature's start and end logits (Tensors or arrays)."""
+    def values(t):
+        return np.array(t.data if isinstance(t, Tensor) else t, copy=True)
+
     return SpanLogits(
         qid=feature.qid,
         feature_index=feature.feature_index,
-        start_logits=np.array(start.data, copy=True),
-        end_logits=np.array(end.data, copy=True),
+        start_logits=values(start),
+        end_logits=values(end),
     )
 
 
@@ -232,12 +240,48 @@ def write_predictions(path, records) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+_ENTRY_KEYS = frozenset(("text", "start_token", "end_token", "feature_index",
+                         "score"))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _record_problem(rec) -> str | None:
+    """What makes ``rec`` not a prediction record, or None."""
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got {type(rec).__name__}"
+    if not isinstance(rec.get("qid"), str):
+        return "qid must be a string"
+    if not isinstance(rec.get("nbest"), list):
+        return "nbest must be a list"
+    if not _is_number(rec.get("null_score")):
+        return "null_score must be a number"
+    for i, c in enumerate(rec["nbest"]):
+        if not (isinstance(c, dict) and _ENTRY_KEYS <= c.keys()
+                and _is_number(c["score"])):
+            return (f"nbest[{i}] must be an object with "
+                    f"{', '.join(sorted(_ENTRY_KEYS))} and a numeric score")
+    return None
+
+
 def read_predictions(path) -> list:
+    """Read a prediction file; a line that is not a prediction record
+    raises DataError naming the path and the line number."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                records.append(json.loads(line))
+        for ln, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path}: line {ln}: {e}") from None
+            problem = _record_problem(rec)
+            if problem:
+                raise DataError(f"{path}: line {ln}: {problem}")
+            records.append(rec)
     return records
 
 

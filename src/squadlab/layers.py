@@ -5,6 +5,12 @@ Every layer is an ``autograd.Module`` with a pure ``forward``: its
 ``parameters()`` walks the layer's attributes in assignment order and
 returns a flat name -> Tensor map, so checkpoints use hierarchical names
 (e.g. ``highway.0.W_proj``) and no layer lists its own parameters.
+
+A layer may see several chunks at once, their rows packed as [N, d] and
+``lengths`` giving each chunk's row count (None: one chunk).  Row-wise
+layers run once on the packed rows, the recurrences advance every chunk
+in one scan, and pooling and attention run on each chunk's own rows
+(``per_chunk``).
 """
 
 from __future__ import annotations
@@ -45,23 +51,26 @@ class LSTMCell(Module):
         self.b = init_uniform(rng, (4 * hidden,), hidden)
 
 
-def _lstm_directions(cells, x: Tensor, reverse) -> Tensor:
+def _lstm_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
     for cell in cells:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"lstm input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
     return lstm_scans([matmul(x, c.W) + c.b for c in cells],
-                      [c.U for c in cells], reverse)
+                      [c.U for c in cells], reverse, lengths)
 
 
-def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False) -> Tensor:
-    """Run one direction over [seq, d_in]; zero initial h and c."""
-    return _lstm_directions([cell], x, [reverse])
+def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False,
+                 lengths=None) -> Tensor:
+    """Run one direction over [seq, d_in], or over each chunk of packed
+    rows; zero initial h and c."""
+    return _lstm_directions([cell], x, [reverse], lengths)
 
 
-def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor) -> Tensor:
+def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor,
+                   lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _lstm_directions([fwd, bwd], x, [False, True])
+    return _lstm_directions([fwd, bwd], x, [False, True], lengths)
 
 
 class GRUCell(Module):
@@ -78,24 +87,28 @@ class GRUCell(Module):
         self.b_c = init_uniform(rng, (hidden,), hidden)
 
 
-def _gru_directions(cells, x: Tensor, reverse) -> Tensor:
+def _gru_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
     for cell in cells:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"gru input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
     return gru_scans([matmul(x, c.W_ur) + c.b_ur for c in cells],
                      [matmul(x, c.W_c) + c.b_c for c in cells],
-                     [c.U_ur for c in cells], [c.U_c for c in cells], reverse)
+                     [c.U_ur for c in cells], [c.U_c for c in cells], reverse,
+                     lengths)
 
 
-def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False) -> Tensor:
-    """Run one direction over [seq, d_in]; zero initial h."""
-    return _gru_directions([cell], x, [reverse])
+def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False,
+                lengths=None) -> Tensor:
+    """Run one direction over [seq, d_in], or over each chunk of packed
+    rows; zero initial h."""
+    return _gru_directions([cell], x, [reverse], lengths)
 
 
-def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor) -> Tensor:
+def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor,
+                  lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _gru_directions([fwd, bwd], x, [False, True])
+    return _gru_directions([fwd, bwd], x, [False, True], lengths)
 
 
 class BiCells(Module):
@@ -104,6 +117,16 @@ class BiCells(Module):
     def __init__(self, fwd, bwd):
         self.fwd = fwd
         self.bwd = bwd
+
+
+def per_chunk(fn, x: Tensor, lengths=None) -> Tensor:
+    """``fn`` over each chunk's rows of packed ``x``, the results packed
+    again in order; a single chunk is one plain call."""
+    if lengths is None or len(lengths) == 1:
+        return fn(x)
+    ends = np.cumsum(lengths)
+    return concat([fn(x[lo:hi]) for lo, hi in zip(ends - lengths, ends)],
+                  axis=0)
 
 
 def dot_product_attention(x: Tensor, attend_mask=None,
@@ -134,9 +157,13 @@ class WeightedAvgAttention(Module):
         self.d = d
         self.W = init_uniform(rng, (d, 1), d)
 
-    def forward(self, E: Tensor) -> Tensor:
+    def forward(self, E: Tensor, lengths=None) -> Tensor:
+        """[seq, d], or packed chunks each pooled over its own rows."""
         if E.shape[1] != self.d:
             raise ValueError(f"attention width {self.d}, input width {E.shape[1]}")
+        return per_chunk(self._pool, E, lengths)
+
+    def _pool(self, E: Tensor) -> Tensor:
         a = softmax(matmul(E, self.W), axis=0)  # [seq, 1]
         c = matmul(a.transpose(), E)  # [1, d]
         return E + c
@@ -193,7 +220,8 @@ class EmbeddingCombiner(Module):
     Token branch: weighted-average attention over the provider embedding.
     Char branch: per-token char-CNN pool, the pooled rows stacked as one
     node, then weighted-average attention over the pooled sequence.  A
-    zero-width char config degenerates to the token branch alone.
+    zero-width char config degenerates to the token branch alone.  Packed
+    chunks pass every chunk's tokens in order and their ``lengths``.
     """
 
     def __init__(self, d_model: int, d_char: int, d_char_out: int, rng: Rng,
@@ -221,12 +249,13 @@ class EmbeddingCombiner(Module):
             self._window_cache[token] = w
         return w
 
-    def forward(self, token_embedding: Tensor, tokens) -> Tensor:
-        branch = self.wavg_tok.forward(token_embedding)
+    def forward(self, token_embedding: Tensor, tokens,
+                lengths=None) -> Tensor:
+        branch = self.wavg_tok.forward(token_embedding, lengths)
         if self.char_cnn is not None:
             pooled = stack([self.char_cnn.forward(self._token_windows(t))
                             for t in tokens])  # [seq, d_char_out]
-            char_branch = self.wavg_char.forward(pooled)
+            char_branch = self.wavg_char.forward(pooled, lengths)
             branch = concat([branch, char_branch], axis=1)
         for hw in self.highway:
             branch = hw.forward(branch)

@@ -1,7 +1,8 @@
 """Quick self-verification: golden fixtures, gradient spot checks of the
-highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, char-CNN) and
-``stack``, and one tiny BiDAF forward that must give the same bytes with and
-without a recorded graph."""
+highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, also over two
+chunks of unequal length, and the char-CNN) and ``stack``, and one tiny
+BiDAF forward that must give the same bytes with and without a recorded
+graph."""
 
 from __future__ import annotations
 
@@ -91,10 +92,14 @@ def run_selftest(verbose: bool = False) -> bool:
     win = cnn.windows("aaaab", CharEmbeddingTable(2, seed=0))  # a tie
     rows = {f"row{i}": Tensor(rng.normal(4), requires_grad=True)
             for i in range(3)}
+    chunks = Tensor(rng.normal((5, 4)), requires_grad=True)  # rows 3 + 2
     for name, fn, modules, inputs in (
             ("highway", lambda: hw.forward(x), [hw], {"x": x}),
             ("bigru", lambda: bigru_forward(*gru, x), gru, {"x": x}),
             ("bilstm", lambda: bilstm_forward(*lstm, x), lstm, {"x": x}),
+            ("bigru over 2 chunks",
+             lambda: bigru_forward(*gru, chunks, [3, 2]), gru,
+             {"x": chunks}),
             ("char-cnn", lambda: cnn.forward(win), [cnn], {}),
             ("stack", lambda: stack(list(rows.values())) * x, [],
              rows | {"x": x})):

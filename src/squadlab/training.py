@@ -10,18 +10,23 @@ Tags:
 
 Training is mini-batch Adam with gradient clipping; everything is driven
 by a single seed so checkpoints and loss curves reproduce bit-exactly.
+``QaModel.forward`` runs one feature, or one question's chunks as one
+batch; ``train`` passes one feature at a time and ``predict`` one question
+at a time.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
                        clip_global_norm, load_checkpoint, no_grad,
                        save_checkpoint, zero_grads)
+from .data import Feature
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     AlbertSquadOut, BidafOut, aggregate_features,
@@ -29,7 +34,7 @@ from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     to_span_logits)
 from .layers import (BiCells, EmbeddingCombiner, GRUCell, Highway, LSTMCell,
                      bigru_forward, bilstm_forward, dot_product_attention,
-                     dropout)
+                     dropout, per_chunk)
 
 ARCHITECTURES = (
     "squad_out",
@@ -144,34 +149,50 @@ class QaModel(Module):
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
 
-    def forward(self, feature, embedding: np.ndarray, train: bool = False,
+    def forward(self, features, embeddings, train: bool = False,
                 drop_rng: Rng | None = None):
-        """Return (start_logits, end_logits) tensors for one feature."""
+        """Return (start_logits, end_logits) tensors for one feature and its
+        embedding matrix, or for a list of features (one question's chunks)
+        and their matrices run as one batch.  A batch's logits are its
+        chunks' rows packed in order; row-wise layers run once on them,
+        the scans advance every chunk together, and attention and pooling
+        stay within each chunk."""
+        if isinstance(features, Feature):
+            features, embeddings = [features], [embeddings]
+        lengths = [len(f.tokens) for f in features]
+        rows = [np.shape(e)[0] for e in embeddings]
+        if rows != lengths:
+            raise ValueError(f"embedding rows {rows} do not match the "
+                             f"features' token counts {lengths}")
+        context_mask = np.concatenate([f.context_mask for f in features])
         cfg = self.cfg
         rate = cfg.dropout_rate if train else 0.0
-        x = Tensor(embedding)
+        x = Tensor(np.concatenate(embeddings))
         if rate > 0:
             x = dropout(x, rate, drop_rng)
         tag = cfg.architecture
         if tag not in _BIDAF_TAGS:
             for hw in self.highway:
                 x = hw.forward(x)
-            return self.head.forward(x, feature.context_mask)
+            return self.head.forward(x, context_mask, lengths)
 
-        x = self.combiner.forward(x, feature.tokens)
+        tokens = [t for f in features for t in f.tokens]
+        x = self.combiner.forward(x, tokens, lengths)
         if rate > 0:
             x = dropout(x, rate, drop_rng)
         birnn = (bilstm_forward if tag == "bilstm_attn_bilstm_bidaf"
                  else bigru_forward)
-        enc = birnn(self.encoder.fwd, self.encoder.bwd, x)
+        enc = birnn(self.encoder.fwd, self.encoder.bwd, x, lengths)
         if self.mid_highway is not None:
             att = self.mid_highway.forward(enc)
         else:
-            att = dot_product_attention(enc)
+            att = per_chunk(dot_product_attention, enc, lengths)
             if tag == "gru_attn_selfattn_gru_bidaf":
-                att = dot_product_attention(att, causal=True)
-        dec = birnn(self.decoder.fwd, self.decoder.bwd, att)
-        return self.head.forward(att, dec, feature.context_mask)
+                att = per_chunk(
+                    lambda a: dot_product_attention(a, causal=True), att,
+                    lengths)
+        dec = birnn(self.decoder.fwd, self.decoder.bwd, att, lengths)
+        return self.head.forward(att, dec, context_mask, lengths)
 
 
 def build_model(cfg: ModelConfig, seed: int) -> QaModel:
@@ -318,20 +339,40 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
             for qid in sorted(by_qid)]
 
 
+def _chunk_logits(model: QaModel, chunks, provider) -> list:
+    """Each chunk's (start, end) logits from one packed forward of a
+    question's chunks.  After a non-finite value the chunks run one at a
+    time, so the error names the chunk it came from."""
+    embeddings = [provider(f) for f in chunks]
+    with no_grad():
+        try:
+            start, end = model.forward(chunks, embeddings)
+        except FloatingPointError:
+            logits = []
+            for feat, emb in zip(chunks, embeddings):
+                with _naming_feature(feat, "predict"):
+                    logits.append(model.forward(feat, emb))
+            return logits
+    cuts = np.cumsum([len(f.tokens) for f in chunks])[:-1]
+    return list(zip(np.split(start.data, cuts), np.split(end.data, cuts)))
+
+
 def predict(model: QaModel, features, provider, context_by_qid: dict,
             n_best: int = DEFAULT_N_BEST,
             max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
             model_f1_weight: float | None = None):
-    """Inference over features; returns (prediction records, logit map).
-    The forwards record no autograd graph."""
-    features_by_key = {}
+    """Inference over features, one forward per question (its chunks as
+    one batch) that records no autograd graph; returns (prediction
+    records, logit map)."""
+    features = sorted(features, key=lambda f: (f.qid, f.feature_index))
+    features_by_key = {(f.qid, f.feature_index): f for f in features}
     logit_sets = {}
-    for feat in sorted(features, key=lambda f: (f.qid, f.feature_index)):
-        key = (feat.qid, feat.feature_index)
-        with _naming_feature(feat, "predict"), no_grad():
-            start, end = model.forward(feat, provider(feat), train=False)
-        features_by_key[key] = feat
-        logit_sets[key] = to_span_logits(feat, start, end)
+    for _, chunks in groupby(features, key=lambda f: f.qid):
+        chunks = list(chunks)
+        for feat, (start, end) in zip(chunks,
+                                      _chunk_logits(model, chunks, provider)):
+            logit_sets[(feat.qid, feat.feature_index)] = to_span_logits(
+                feat, start, end)
     records = decode_logit_set(logit_sets, features_by_key, context_by_qid,
                                n_best=n_best,
                                max_answer_length=max_answer_length,

@@ -695,3 +695,63 @@ class TestEmbedderIdentity:
         # a fixture's seed is unknown, so another predict seed is allowed
         assert _predict(ckpt, feats, corpus, tmp_path,
                         ["--embeddings", str(emb8), "--seed", "9"]) == 0
+
+
+class TestInputErrors:
+    """An unreadable path or a malformed record ends in one `error:` line
+    and exit 2, not a traceback."""
+
+    def test_predict_features_directory_is_2(self, corpus, tmp_path, capsys):
+        _, ckpt = _train_squad_out(corpus, tmp_path,
+                                   ["--embeddings", "pseudo"])
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(ckpt), "--features",
+                     str(tmp_path), "--embeddings", "pseudo", "--data",
+                     str(corpus), "--out", str(tmp_path / "pred.jsonl")])
+        assert code == 2
+        assert str(tmp_path) in _error_line(capsys)
+
+    def test_evaluate_out_directory_is_2(self, tmp_path, capsys):
+        gold, pred = TestEvaluateCommand()._einstein(tmp_path)
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        code = main(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert str(out_dir) in _error_line(capsys)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("[1]", "expected a JSON object, got list"),
+        ('{"qid": "a"}', "nbest must be a list"),
+        ('{"qid": 7, "nbest": [], "null_score": 0}', "qid must be a string"),
+        ('{"qid": "a", "nbest": [], "null_score": "0"}',
+         "null_score must be a number"),
+        ('{"qid": "a", "nbest": [1], "null_score": 0}', "nbest[0]"),
+        ("{", "line 2: Expecting property name"),
+    ], ids=["a-list", "qid-only", "int-qid", "string-null-score",
+            "bad-entry", "bad-json"])
+    def test_malformed_prediction_record_is_2(self, tmp_path, capsys, line,
+                                              problem):
+        gold, pred = TestEvaluateCommand()._einstein(tmp_path)
+        first = pred.read_text().splitlines()[0]
+        pred.write_text(first + "\n" + line + "\n")
+        code = main(["evaluate", "--pred", str(pred), "--gold", str(gold)])
+        assert code == 2
+        err = _error_line(capsys)
+        assert err.startswith(f"error: {pred}: line 2: "), err
+        assert problem in err
+
+    def test_missing_embedding_line_has_no_quotes(self, corpus, tmp_path,
+                                                  capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        first = read_features(feats)[0]
+        other = tmp_path / "other.bin"
+        save_embedding_fixture(other, [
+            EmbeddingMatrix("another-split", 0, np.ones((2, 8)))])
+        capsys.readouterr()
+        assert _predict(ckpt, feats, corpus, tmp_path,
+                        ["--embeddings", str(other)]) == 2
+        assert _error_line(capsys) == (
+            f"error: no embedding for (qid={first.qid!r}, "
+            f"feature_index={first.feature_index})")

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from squadlab import heads
-from squadlab.autograd import (Rng, Tensor, concat, gru_scan, lstm_scan,
-                               lstm_scans, matmul)
+from squadlab.autograd import (Rng, Tensor, concat, gru_scan, gru_scans,
+                               lstm_scan, lstm_scans, matmul)
 from squadlab.heads import BidafOut
 from squadlab.layers import (GRUCell, LSTMCell, bigru_forward, bilstm_forward,
                              gru_forward, lstm_forward)
@@ -66,11 +66,17 @@ def _value_and_grads(forward, tensors, weights):
 
 
 def _assert_fused_matches_reference(fused, reference, tensors, out_shape,
-                                    seed):
+                                    seed, exact=True):
+    """Forward values equal (or, unless ``exact``, within GRAD_RTOL of the
+    largest value) and gradients within GRAD_RTOL of the largest one."""
     weights = Rng(seed).normal(out_shape)
     got, got_grads = _value_and_grads(fused, tensors, weights)
     want, want_grads = _value_and_grads(reference, tensors, weights)
-    assert np.array_equal(got, want)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        err = float(np.abs(got - want).max()) / float(np.abs(want).max())
+        assert err <= GRAD_RTOL, f"relative forward error {err:.2e}"
     scale = max(float(np.abs(g).max()) for g in want_grads.values())
     for name in tensors:
         err = float(np.abs(got_grads[name] - want_grads[name]).max()) / scale
@@ -147,13 +153,105 @@ def test_bidaf_out_matches_reference(monkeypatch):
         start, end = head.forward(att, dec, mask)
         return concat([start.reshape(-1, 1), end.reshape(-1, 1)], axis=1)
 
+    def reference_end_rnn(cell, x, lengths=None):
+        assert lengths is None  # one sequence
+        return reference_gru_forward(cell, x)
+
     def reference():
         with monkeypatch.context() as m:
-            m.setattr(heads, "gru_forward", reference_gru_forward)
+            m.setattr(heads, "gru_forward", reference_end_rnn)
             return forward()
 
     _assert_fused_matches_reference(forward, reference, tensors, (10, 2),
                                     seed=3)
+
+
+# chunk lengths for the batched scans: unequal, a one-row chunk, and the
+# longest chunk neither first nor last
+CHUNKS = [5, 1, 9, 3]
+
+
+def _chunked(lengths):
+    ends = np.cumsum(lengths)
+    return list(zip((ends - lengths).tolist(), ends.tolist()))
+
+
+def _batched_case(cell, D, lengths, seed):
+    """Per-direction scan inputs over the packed rows of ``lengths``, the
+    batched scan, and the same scan run once per chunk and concatenated."""
+    rng = Rng(seed)
+    h, N = 3, sum(lengths)
+    widths = {"gru": [2 * h, h], "lstm": [4 * h]}[cell]
+    reverse = [False, True][:D]
+    xs = [[Tensor(rng.normal((N, w)), requires_grad=True) for _ in reverse]
+          for w in widths]
+    Us = [[Tensor(0.5 * rng.normal((h, w)), requires_grad=True)
+           for _ in reverse] for w in widths]
+    scans = {"gru": gru_scans, "lstm": lstm_scans}[cell]
+
+    def batched():
+        return scans(*xs, *Us, reverse, lengths)
+
+    def per_chunk():
+        return concat([scans(*[[x[lo:hi] for x in group] for group in xs],
+                             *Us, reverse)
+                       for lo, hi in _chunked(lengths)], axis=0)
+
+    tensors = {f"{kind}{i}.{d}": t
+               for kind, groups in (("x", xs), ("U", Us))
+               for i, group in enumerate(groups) for d, t in enumerate(group)}
+    return batched, per_chunk, tensors, (N, D * h)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("D", [1, 2])
+def test_batched_scans_match_per_chunk_scans(cell, D):
+    """B chunks of unequal length in one scan: outputs and every gradient
+    within 1e-12 of one scan per chunk, in both directions."""
+    for lengths in (CHUNKS, CHUNKS[::-1], [4, 4]):
+        batched, per_chunk, tensors, shape = _batched_case(cell, D, lengths,
+                                                           seed=len(lengths))
+        _assert_fused_matches_reference(batched, per_chunk, tensors, shape,
+                                        seed=D, exact=False)
+
+
+@pytest.mark.parametrize("birnn, cell_type, reference", [
+    (bilstm_forward, LSTMCell, reference_lstm_forward),
+    (bigru_forward, GRUCell, reference_gru_forward)])
+def test_batched_birnn_matches_reference_per_chunk(birnn, cell_type,
+                                                   reference):
+    """The layers' packed BiRNN against the per-step reference loops run
+    on each chunk alone: the backward direction reverses each chunk
+    within its own length."""
+    fwd, bwd = cell_type(5, 3, Rng(0)), cell_type(5, 3, Rng(1))
+    x = Tensor(Rng(2).normal((sum(CHUNKS), 5)), requires_grad=True)
+
+    def per_chunk():
+        return concat([concat([reference(fwd, x[lo:hi]),
+                               reference(bwd, x[lo:hi], reverse=True)],
+                              axis=1)
+                       for lo, hi in _chunked(CHUNKS)], axis=0)
+
+    _assert_fused_matches_reference(
+        lambda: birnn(fwd, bwd, x, CHUNKS), per_chunk,
+        _pair_tensors(fwd, bwd, x), (sum(CHUNKS), 6), seed=4, exact=False)
+
+
+def test_one_chunk_batch_is_the_plain_scan():
+    """lengths=[N] is the default single sequence, bit for bit."""
+    batched, _, tensors, shape = _batched_case("gru", 2, [7], seed=0)
+    plain = gru_scans(*[[t for n, t in tensors.items() if n.startswith(k)]
+                        for k in ("x0", "x1", "U0", "U1")], [False, True])
+    assert batched().data.tobytes() == plain.data.tobytes()
+
+
+def test_chunk_lengths_checked():
+    x = [np.zeros((5, 8))]
+    U = [np.zeros((2, 8))]
+    with pytest.raises(ValueError, match="do not add up to 5"):
+        lstm_scans(x, U, [False], [2, 2])
+    with pytest.raises(ValueError, match="empty"):
+        lstm_scans(x, U, [False], [5, 0])
 
 
 def _graph_nodes(out):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from squadlab.autograd import (AdamState, Module, Rng, Tensor, adam_step,
-                               backward, concat, cross_entropy_from_logits,
-                               elementwise, init_uniform, load_checkpoint,
-                               masked_fill, matmul, no_grad, save_checkpoint,
-                               softmax, stack, zero_grads)
+from squadlab.autograd import (AdamState, Module, Rng, Tensor, _sigmoid,
+                               _sigmoid_scratch, adam_step, backward, concat,
+                               cross_entropy_from_logits, elementwise,
+                               init_uniform, load_checkpoint, masked_fill,
+                               matmul, no_grad, save_checkpoint, softmax,
+                               stack, zero_grads)
 from squadlab.gradcheck import check_gradients, numerical_gradient
 
 
@@ -29,6 +30,7 @@ class TestElementwise:
         npr = np.random.default_rng(0)
         special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0,
                             -709.0, 745.0, -745.0, 1e300, -1e300])
+        scratches = {}
         for n in range(1, 70):
             for scale in (0.1, 3.0, 40.0, 800.0):
                 x = np.concatenate([npr.normal(0.0, scale, n), special])
@@ -36,6 +38,15 @@ class TestElementwise:
                     got = elementwise("sigmoid", Tensor(x.reshape(shape)))
                     want = self._masked_sigmoid(x.reshape(shape))
                     assert np.array_equal(got.data.view(np.int64),
+                                          want.view(np.int64))
+                    # the scans' path: scratch buffers reused across calls
+                    # and a preallocated output
+                    scratch = scratches.setdefault(
+                        shape, _sigmoid_scratch(shape))
+                    out = np.full(shape, np.nan)
+                    assert _sigmoid(x.reshape(shape), out=out,
+                                    scratch=scratch) is out
+                    assert np.array_equal(out.view(np.int64),
                                           want.view(np.int64))
         assert elementwise("sigmoid", Tensor(0.0)).data.shape == ()
 

@@ -338,6 +338,140 @@ class TestPredict:
         assert [r["qid"] for r in records] == ["qa", "qb"]
 
 
+def question_chunks(qid="q", n_contexts=(9, 4, 13, 6)):
+    """One question's chunks, of unequal lengths."""
+    return [make_feature(qid=qid, feature_index=i, n_context=n, start=1,
+                         end=2) for i, n in enumerate(n_contexts)]
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max()) / float(np.abs(want).max())
+
+
+class TestPackedForward:
+    """A question's chunks as one batch in QaModel.forward, against one
+    forward per chunk: within 1e-12, values and gradients."""
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_logits_match_one_chunk_forwards(self, tag):
+        feats = question_chunks()
+        embs = [provider()(f) for f in feats]
+        model = build_model(small_cfg(tag), seed=5)
+        packed = model.forward(feats, embs)
+        one = [model.forward(f, e) for f, e in zip(feats, embs)]
+        for side, got in enumerate(packed):
+            want = np.concatenate([pair[side].data for pair in one])
+            assert got.shape == want.shape
+            assert float(np.abs(got.data - want).max()) <= 1e-12
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_gradients_match_one_chunk_forwards(self, tag):
+        feats = question_chunks(n_contexts=(7, 3, 10))
+        embs = [provider()(f) for f in feats]
+        model = build_model(small_cfg(tag), seed=6)
+        params = model.parameters()
+        n = sum(len(f.tokens) for f in feats)
+        weights = np.random.default_rng(0).normal(size=(2, n))
+
+        def grads(forward_all):
+            for p in params.values():
+                p.zero_grad()
+            loss = None
+            offset = 0
+            for start, end in forward_all():
+                rows = slice(offset, offset + start.shape[0])
+                offset += start.shape[0]
+                term = ((start * weights[0, rows]).sum()
+                        + (end * weights[1, rows]).sum())
+                loss = term if loss is None else loss + term
+            loss.backward()
+            return {k: p.grad.copy() for k, p in params.items()}
+
+        got = grads(lambda: [model.forward(feats, embs)])
+        want = grads(lambda: [model.forward(f, e)
+                              for f, e in zip(feats, embs)])
+        for name in params:
+            assert _rel_err(got[name], want[name]) <= 1e-12, name
+
+    def test_one_feature_is_a_batch_of_one(self):
+        feat = make_feature(start=2, end=3)
+        emb = provider()(feat)
+        model = build_model(small_cfg("gru_attn_selfattn_gru_bidaf"), seed=1)
+        for a, b in zip(model.forward(feat, emb),
+                        model.forward([feat], [emb])):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_embedding_rows_must_match_tokens(self):
+        feats = question_chunks(n_contexts=(5, 6))
+        embs = [provider()(f) for f in feats]
+        model = build_model(small_cfg("squad_out"), seed=0)
+        # same total rows, shifted between the chunks
+        shifted = [embs[0][:-1], np.concatenate([embs[1], embs[1][:1]])]
+        with pytest.raises(ValueError, match="token counts"):
+            model.forward(feats, shifted)
+
+
+class TestPredictPerQuestion:
+    def test_one_forward_per_question(self):
+        feats = question_chunks("qa") + question_chunks("qb", (3, 8))
+        model = build_model(small_cfg("gru_highway_gru_bidaf"), seed=0)
+        calls = []
+
+        def forward(features, embeddings, **kwargs):
+            calls.append([(f.qid, f.feature_index) for f in features])
+            return QaModel.forward(model, features, embeddings, **kwargs)
+
+        model.forward = forward
+        ctx = {q: feature_context_text(13) for q in ("qa", "qb")}
+        predict(model, feats[::-1], provider(), ctx)
+        assert calls == [[("qa", i) for i in range(4)],
+                         [("qb", 0), ("qb", 1)]]
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_logit_map_matches_one_chunk_forwards(self, tag):
+        feats = question_chunks()
+        prov = provider()
+        model = build_model(small_cfg(tag), seed=3)
+        _, logit_sets = predict(model, feats, prov,
+                                {"q": feature_context_text(13)})
+        for f in feats:
+            start, end = model.forward(f, prov(f))
+            got = logit_sets[("q", f.feature_index)]
+            assert got.start_logits.shape == start.shape
+            assert float(np.abs(got.start_logits - start.data).max()) <= 1e-12
+            assert float(np.abs(got.end_logits - end.data).max()) <= 1e-12
+
+    def test_nonfinite_embedding_names_its_chunk(self):
+        feats = question_chunks(n_contexts=(5, 7, 6))
+        prov = provider()
+
+        def poisoned(f):
+            emb = prov(f).copy()
+            if f.feature_index == 1:
+                emb[3, 2] = np.nan
+            return emb
+
+        model = build_model(small_cfg("gru_attn_selfattn_gru_bidaf"), seed=0)
+        with pytest.raises(RuntimeError) as info:
+            predict(model, feats, poisoned, {"q": feature_context_text(7)})
+        assert "qid='q', feature_index=1" in str(info.value)
+
+    def test_overflow_in_one_chunk_names_it_and_the_op(self):
+        feats = question_chunks(n_contexts=(5, 7, 6))
+        model = build_model(small_cfg("squad_out"), seed=0)
+        model.head.W.data[...] = 1e200
+
+        def huge_middle(f):
+            return np.full((len(f.tokens), 32),
+                           1e200 if f.feature_index == 1 else 1.0)
+
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+            predict(model, feats, huge_middle, {"q": feature_context_text(7)})
+        msg = str(info.value)
+        assert "qid='q', feature_index=1" in msg
+        assert "non-finite value produced in forward pass by matmul" in msg
+
+
 class TestInferenceWithoutGraph:
     @pytest.mark.parametrize("tag", ARCHITECTURES)
     def test_no_grad_logits_equal_recorded(self, tag):

@@ -829,6 +829,9 @@ def load_checkpoint(path):
                          f"{CHECKPOINT_VERSION}")
     if not isinstance(blob.get("params"), dict):
         raise ValueError(f"{path}: checkpoint has no parameter map")
+    for key in ("seed", "hyperparams"):
+        if key not in blob:
+            raise ValueError(f"{path}: checkpoint missing field {key!r}")
     params = {name: _decode_param(path, name, rec)
               for name, rec in blob["params"].items()}
     return params, blob["seed"], blob["hyperparams"]

@@ -32,13 +32,6 @@ from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
                        write_loss_curve)
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SQUADLAB_SEED")
-    return int(env) if env else 0
-
-
 def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
                     elapsed):
     manifest = {
@@ -84,7 +77,7 @@ def cmd_preprocess(args):
 
 def cmd_pseudo_embed(args):
     features = read_features(args.features)
-    embedder = PseudoEmbedder(args.d_model, _seed_from(args))
+    embedder = PseudoEmbedder(args.d_model, args.seed)
     matrices = [embedder.embed(f) for f in features]
     save_embedding_fixture(args.out, matrices)
     print(f"wrote {len(matrices)} embedding matrices to {args.out}",
@@ -104,7 +97,6 @@ def _embedding_inputs(args):
 
 
 def cmd_train(args):
-    seed = _seed_from(args)
     features = read_features(args.features)
     cfg = ModelConfig(architecture=args.arch, d_model=args.d_model,
                       hidden=args.hidden,
@@ -114,9 +106,9 @@ def cmd_train(args):
                      batch_size=args.batch_size, epochs=args.epochs,
                      max_seq_length=args.max_seq_length,
                      doc_stride=args.doc_stride,
-                     dropout_rate=args.dropout_rate, seed=seed)
-    model = build_model(cfg, seed)
-    provider = _provider(args, seed)
+                     dropout_rate=args.dropout_rate, seed=args.seed)
+    model = build_model(cfg, args.seed)
+    provider = _provider(args, args.seed)
     result = train(model, features, provider, hp)
     save_model(args.out, model,
                hyperparams={**vars(hp), "embeddings": provider.identity()})
@@ -130,14 +122,13 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    seed = _seed_from(args)
     features = read_features(args.features)
     examples = load_squad_json(args.data)
     context_by_qid = {ex.qid: ex.context for ex in examples}
     model = load_model(args.checkpoint)
     prov_args = argparse.Namespace(embeddings=args.embeddings,
                                    d_model=model.cfg.d_model)
-    provider = _provider(prov_args, seed)
+    provider = _provider(prov_args, args.seed)
     check_embedder(model.hyperparams.get("embeddings"), provider,
                    args.checkpoint)
     records, logit_sets = predict(
@@ -306,6 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
+    if args.seed is None:
+        env = os.environ.get("SQUADLAB_SEED")
+        try:
+            args.seed = int(env) if env else 0
+        except ValueError:
+            parser.error(f"SQUADLAB_SEED must be an integer, got {env!r}")
     if args.command == "predict":
         for flag, value in (("--n-best", args.n_best),
                             ("--max-answer-length", args.max_answer_length)):
@@ -347,7 +344,7 @@ def main(argv=None) -> int:
     elapsed = time.monotonic() - started
     for out in outputs:
         _write_manifest(out, args.command, vars(args), inputs, outputs,
-                        _seed_from(args), elapsed)
+                        args.seed, elapsed)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""SQuAD 2.0 ingestion, answer/token alignment, and long-context chunking.
+"""SQuAD 2.0 ingestion, answer/token alignment, long-context chunking, and
+the two artifact framings: JSON lines and binary fp64 records.
 
 Character spans are half-open [start, end) throughout.  Every token carries
 the span of the *word* it belongs to, so consecutive subword tokens of one
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+
+import numpy as np
 
 SENTINEL_TOKEN = "[CLS]"
 SEPARATOR_TOKEN = "[SEP]"
@@ -53,6 +57,51 @@ def expect_end(f, path) -> None:
             f"{path}: {extra} trailing bytes after the last record "
             f"(offset {offset})"
         )
+
+
+def write_records(path, magic: bytes, version: int, header, records) -> None:
+    """Binary artifact: ``magic``; u32 LE ``version``, ``header`` fields and
+    record count; then per (qid, feature_index, seq_len, payload) record the
+    u32 byte length of the UTF-8 qid, the qid, u32 feature_index, u32
+    seq_len and the payload as row-major fp64 LE."""
+    fields = (version, *header, len(records))
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(f"<{len(fields)}I", *fields))
+        for qid, feature_index, seq_len, payload in records:
+            qb = qid.encode("utf-8")
+            f.write(struct.pack(f"<I{len(qb)}sII", len(qb), qb,
+                                feature_index, seq_len))
+            f.write(np.asarray(payload, dtype="<f8").tobytes())
+
+
+def read_records(path, magic: bytes, version: int, n_header: int,
+                 shape) -> tuple:
+    """Read what ``write_records`` wrote: (header fields, records).
+
+    Each record is (qid, feature_index, payload); ``shape(header,
+    seq_len)`` gives the fp64 payload's shape.  A wrong magic or version, a
+    short read or bytes past the last record raise DataError.
+    """
+    with open(path, "rb") as f:
+        got = read_exact(f, len(magic), path)
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}")
+        got, *header, count = struct.unpack(
+            f"<{n_header + 2}I", read_exact(f, 4 * (n_header + 2), path))
+        if got != version:
+            raise DataError(f"{path}: unsupported version {got}")
+        records = []
+        for _ in range(count):
+            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
+            qid = read_exact(f, qlen, path).decode("utf-8")
+            feature_index, seq_len = struct.unpack("<II",
+                                                   read_exact(f, 8, path))
+            dims = shape(header, seq_len)
+            raw = read_exact(f, 8 * int(np.prod(dims)), path)
+            payload = np.frombuffer(raw, dtype="<f8").reshape(dims)
+            records.append((qid, feature_index, payload.astype(np.float64)))
+        expect_end(f, path)
+    return tuple(header), records
 
 
 @dataclass
@@ -259,10 +308,15 @@ def load_squad_json(path) -> list:
     if not isinstance(blob, dict) or not isinstance(blob.get("data"), list):
         raise DataError(f"{path}: $.data must be a list")
     for ai, article in enumerate(blob["data"]):
+        if not isinstance(article, dict):
+            raise DataError(f"{path}: $.data[{ai}] must be an object")
         paragraphs = article.get("paragraphs")
         if not isinstance(paragraphs, list):
             raise DataError(f"{path}: $.data[{ai}].paragraphs must be a list")
         for pi, para in enumerate(paragraphs):
+            if not isinstance(para, dict):
+                raise DataError(f"{path}: $.data[{ai}].paragraphs[{pi}] "
+                                f"must be an object")
             context = para.get("context")
             qas = para.get("qas")
             if not isinstance(context, str) or not isinstance(qas, list):
@@ -280,85 +334,76 @@ def load_squad_json(path) -> list:
                         (a["text"], int(a["answer_start"]))
                         for a in qa.get("answers", [])
                     ]
-                except (KeyError, TypeError) as e:
-                    raise DataError(f"{path}: {where}: {e}") from None
-                try:
                     examples.append(RawExample(
                         qid=qid, question=question, context=context,
                         answers=answers, is_impossible=is_impossible,
                     ))
-                except DataError as e:
-                    raise DataError(f"{path}: {where}: {e}") from None
+                except (KeyError, TypeError, ValueError) as e:
+                    raise DataError(f"{path}: {where}: {_why(e)}") from None
     return examples
+
+
+def _why(e) -> str:
+    """A parse failure's message; a KeyError is a missing field."""
+    return f"missing field {e}" if isinstance(e, KeyError) else str(e)
+
+
+# -- JSON-lines io --------------------------------------------------------
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON value per line, UTF-8, non-ASCII characters kept as is."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def read_jsonl(path, parse) -> list:
+    """``parse`` of each non-blank line's JSON value; a bad line raises
+    DataError naming the path and the line number."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for ln, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{path}: line {ln}: {_why(e)}") from None
+    return out
 
 
 def load_pretokenized(path) -> dict:
     """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out[rec["qid"]] = TokenizedContext(
-                    tokens=list(rec["tokens"]),
-                    token_word_span=[(int(s), int(e)) for s, e in rec["spans"]],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}: line {ln + 1}: {e}") from None
-    return out
-
-
-# -- feature file io ------------------------------------------------------
-
-_FEATURE_FIELDS = ("qid", "feature_index", "tokens", "context_mask",
-                   "token_word_span", "start_position", "end_position")
+    return dict(read_jsonl(path, lambda rec: (rec["qid"], TokenizedContext(
+        tokens=list(rec["tokens"]),
+        token_word_span=[(int(s), int(e)) for s, e in rec["spans"]],
+    ))))
 
 
 def write_features(path, features) -> None:
-    """JSON-lines, one feature per line, fixed field order, UTF-8."""
-    ordered = sorted(features, key=lambda f: (f.qid, f.feature_index))
-    with open(path, "w", encoding="utf-8") as f:
-        for feat in ordered:
-            rec = {
-                "qid": feat.qid,
-                "feature_index": feat.feature_index,
-                "tokens": feat.tokens,
-                "context_mask": feat.context_mask,
-                "token_word_span": [
-                    list(s) if s is not None else None
-                    for s in feat.token_word_span
-                ],
-                "start_position": feat.start_position,
-                "end_position": feat.end_position,
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    """JSON-lines, one feature per line, its fields in declaration order."""
+    write_jsonl(path, (vars(f) for f in sorted(
+        features, key=lambda f: (f.qid, f.feature_index))))
+
+
+def _feature(rec) -> Feature:
+    return Feature(
+        qid=rec["qid"],
+        feature_index=int(rec["feature_index"]),
+        tokens=list(rec["tokens"]),
+        context_mask=[bool(m) for m in rec["context_mask"]],
+        token_word_span=[
+            tuple(s) if s is not None else None
+            for s in rec["token_word_span"]
+        ],
+        start_position=int(rec["start_position"]),
+        end_position=int(rec["end_position"]),
+    )
 
 
 def read_features(path) -> list:
-    features = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                features.append(Feature(
-                    qid=rec["qid"],
-                    feature_index=int(rec["feature_index"]),
-                    tokens=list(rec["tokens"]),
-                    context_mask=[bool(m) for m in rec["context_mask"]],
-                    token_word_span=[
-                        tuple(s) if s is not None else None
-                        for s in rec["token_word_span"]
-                    ],
-                    start_position=int(rec["start_position"]),
-                    end_position=int(rec["end_position"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}: line {ln + 1}: {e}") from None
-    return features
+    return read_jsonl(path, _feature)
 
 
 def preprocess_dataset(examples, tokenized_by_qid, cfg: PreprocessConfig,

@@ -8,12 +8,11 @@ gradient flows into them.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, expect_end, read_exact
+from .data import DataError, read_records, write_records
 
 MAGIC = b"SQEM"
 VERSION = 1
@@ -119,24 +118,20 @@ class CharEmbeddingTable:
 
 
 def save_embedding_fixture(path, matrices) -> None:
-    """Binary: header {magic, version, d_model, count}, then per record
-    {qid len + bytes, feature_index, seq_len, row-major fp64 LE}."""
+    """Binary records (``data.write_records``) under header {d_model}, one
+    per matrix, payload [seq_len, d_model] row-major."""
     matrices = list(matrices)
     d_model = matrices[0].matrix.shape[1] if matrices else 0
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", VERSION, d_model, len(matrices)))
-        for m in matrices:
-            if m.matrix.shape[1] != d_model:
-                raise ValueError(
-                    f"({m.qid}, {m.feature_index}) has width "
-                    f"{m.matrix.shape[1]}, fixture width is {d_model}"
-                )
-            qb = m.qid.encode("utf-8")
-            f.write(struct.pack("<I", len(qb)))
-            f.write(qb)
-            f.write(struct.pack("<II", m.feature_index, m.matrix.shape[0]))
-            f.write(np.ascontiguousarray(m.matrix, dtype="<f8").tobytes())
+    for m in matrices:
+        if m.matrix.shape[1] != d_model:
+            raise ValueError(
+                f"({m.qid}, {m.feature_index}) has width "
+                f"{m.matrix.shape[1]}, fixture width is {d_model}"
+            )
+    write_records(path, MAGIC, VERSION, (d_model,), [
+        (m.qid, m.feature_index, m.matrix.shape[0], m.matrix)
+        for m in matrices
+    ])
 
 
 class EmbeddingStore:
@@ -188,23 +183,9 @@ def check_embedder(trained, provider, checkpoint) -> None:
 
 
 def load_embedding_fixture(path) -> EmbeddingStore:
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, path)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, d_model, count = struct.unpack("<III", read_exact(f, 12, path))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        records = {}
-        for _ in range(count):
-            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
-            qid = read_exact(f, qlen, path).decode("utf-8")
-            feature_index, seq_len = struct.unpack("<II", read_exact(f, 8, path))
-            raw = read_exact(f, seq_len * d_model * 8, path)
-            matrix = np.frombuffer(raw, dtype="<f8").reshape(seq_len, d_model)
-            records[(qid, feature_index)] = EmbeddingMatrix(
-                qid=qid, feature_index=feature_index,
-                matrix=matrix.astype(np.float64),
-            )
-        expect_end(f, path)
-    return EmbeddingStore(d_model, records)
+    (d_model,), records = read_records(path, MAGIC, VERSION, 1,
+                                       lambda h, seq_len: (seq_len, h[0]))
+    return EmbeddingStore(d_model, {
+        (qid, fi): EmbeddingMatrix(qid=qid, feature_index=fi, matrix=matrix)
+        for qid, fi, matrix in records
+    })

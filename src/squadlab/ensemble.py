@@ -9,12 +9,11 @@ dev-set F1 values, used as given.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, expect_end, read_exact
+from .data import DataError, read_records, write_records
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
                     best_answer, prediction_record)
@@ -181,43 +180,24 @@ def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
 
 
 def save_logits_dump(path, logit_sets: dict) -> None:
-    """Binary: header {magic, version, count}; per record {qid, feature
-    index, seq_len, start fp64 LE, end fp64 LE}."""
-    items = sorted(logit_sets.items())
-    with open(path, "wb") as f:
-        f.write(DUMP_MAGIC)
-        f.write(struct.pack("<II", DUMP_VERSION, len(items)))
-        for (qid, fi), rec in items:
-            qb = qid.encode("utf-8")
-            f.write(struct.pack("<I", len(qb)))
-            f.write(qb)
-            f.write(struct.pack("<II", fi, len(rec.start_logits)))
-            f.write(np.ascontiguousarray(rec.start_logits, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(rec.end_logits, dtype="<f8").tobytes())
+    """Binary records (``data.write_records``), no header fields, one per
+    feature in (qid, feature_index) order, payload [start; end] logits."""
+    write_records(path, DUMP_MAGIC, DUMP_VERSION, (), [
+        (qid, fi, len(rec.start_logits),
+         np.stack([rec.start_logits, rec.end_logits]))
+        for (qid, fi), rec in sorted(logit_sets.items())
+    ])
 
 
 def load_logits_dump(path) -> dict:
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, path)
-        if magic != DUMP_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, count = struct.unpack("<II", read_exact(f, 8, path))
-        if version != DUMP_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        out = {}
-        for _ in range(count):
-            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
-            qid = read_exact(f, qlen, path).decode("utf-8")
-            fi, seq_len = struct.unpack("<II", read_exact(f, 8, path))
-            start = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
-            end = np.frombuffer(read_exact(f, seq_len * 8, path), dtype="<f8")
-            if not (np.isfinite(start).all() and np.isfinite(end).all()):
-                raise DataError(f"{path}: non-finite logit for (qid={qid!r}, "
-                                f"feature_index={fi})")
-            out[(qid, fi)] = SpanLogits(
-                qid=qid, feature_index=fi,
-                start_logits=start.astype(np.float64),
-                end_logits=end.astype(np.float64),
-            )
-        expect_end(f, path)
+    _, records = read_records(path, DUMP_MAGIC, DUMP_VERSION, 0,
+                              lambda h, seq_len: (2, seq_len))
+    out = {}
+    for qid, fi, logits in records:
+        if not np.isfinite(logits).all():
+            raise DataError(f"{path}: non-finite logit for (qid={qid!r}, "
+                            f"feature_index={fi})")
+        out[(qid, fi)] = SpanLogits(qid=qid, feature_index=fi,
+                                    start_logits=logits[0],
+                                    end_logits=logits[1])
     return out

@@ -20,7 +20,6 @@ by ``evaluate`` and by the voting ensembles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,8 @@ import numpy as np
 from .autograd import (MASK_FILL, Module, Rng, Tensor,
                        cross_entropy_from_logits, init_uniform, masked_fill,
                        matmul)
-from .data import NULL_POSITION, DataError, Feature
+from .data import (NULL_POSITION, DataError, Feature, read_jsonl,
+                   write_jsonl)
 from .layers import GRUCell, gru_forward
 
 DEFAULT_N_BEST = 20
@@ -235,9 +235,7 @@ def write_predictions(path, records) -> None:
     nbest entries carry feature_index so ensemble voting can key on the
     chunk a span came from.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(path, records)
 
 
 _ENTRY_KEYS = frozenset(("text", "start_token", "end_token", "feature_index",
@@ -248,41 +246,29 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _record_problem(rec) -> str | None:
-    """What makes ``rec`` not a prediction record, or None."""
+def _prediction(rec) -> dict:
+    """``rec`` if it is a prediction record, else DataError saying why."""
     if not isinstance(rec, dict):
-        return f"expected a JSON object, got {type(rec).__name__}"
+        raise DataError(f"expected a JSON object, got {type(rec).__name__}")
     if not isinstance(rec.get("qid"), str):
-        return "qid must be a string"
+        raise DataError("qid must be a string")
     if not isinstance(rec.get("nbest"), list):
-        return "nbest must be a list"
+        raise DataError("nbest must be a list")
     if not _is_number(rec.get("null_score")):
-        return "null_score must be a number"
+        raise DataError("null_score must be a number")
     for i, c in enumerate(rec["nbest"]):
         if not (isinstance(c, dict) and _ENTRY_KEYS <= c.keys()
                 and _is_number(c["score"])):
-            return (f"nbest[{i}] must be an object with "
-                    f"{', '.join(sorted(_ENTRY_KEYS))} and a numeric score")
-    return None
+            raise DataError(f"nbest[{i}] must be an object with "
+                            f"{', '.join(sorted(_ENTRY_KEYS))} and a numeric "
+                            f"score")
+    return rec
 
 
 def read_predictions(path) -> list:
     """Read a prediction file; a line that is not a prediction record
     raises DataError naming the path and the line number."""
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: line {ln}: {e}") from None
-            problem = _record_problem(rec)
-            if problem:
-                raise DataError(f"{path}: line {ln}: {problem}")
-            records.append(rec)
-    return records
+    return read_jsonl(path, _prediction)
 
 
 def prediction_record(qid: str, nbest, null_score: float,

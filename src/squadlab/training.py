@@ -18,7 +18,7 @@ at a time.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -201,15 +201,7 @@ def build_model(cfg: ModelConfig, seed: int) -> QaModel:
 
 def save_model(path, model: QaModel, hyperparams: dict | None = None) -> None:
     hp = dict(hyperparams or {})
-    hp["model_config"] = {
-        "architecture": model.cfg.architecture,
-        "d_model": model.cfg.d_model,
-        "hidden": model.cfg.hidden,
-        "d_char": model.cfg.d_char,
-        "d_char_out": model.cfg.d_char_out,
-        "use_char_embedding": model.cfg.use_char_embedding,
-        "dropout_rate": model.cfg.dropout_rate,
-    }
+    hp["model_config"] = asdict(model.cfg)
     save_checkpoint(path, model.parameters(), model.seed, hp)
 
 

@@ -4,11 +4,8 @@ import pytest
 from squadlab.autograd import Rng
 from squadlab.data import (Feature, PreprocessConfig, RawExample,
                            TokenizedContext, chunk_context, toy_tokenize)
-
-OBAMA_CONTEXT = "Obama was born in August."
-OBAMA_VOCAB = ["O", "ba", "ma", "was", "born", "in", "Au", "gust."]
-OBAMA_SPANS = [(0, 5), (0, 5), (0, 5), (6, 9), (10, 14), (15, 17),
-               (18, 24), (18, 24)]
+from squadlab.selftest import (OBAMA_CONTEXT, OBAMA_SPANS,  # noqa: F401
+                               OBAMA_VOCAB)
 
 
 @pytest.fixture

@@ -68,6 +68,27 @@ class TestExitCodes:
         assert code == 1
         assert "--null-threshold" in capsys.readouterr().err
 
+    def test_non_integer_env_seed_is_1(self, corpus, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setenv("SQUADLAB_SEED", "abc")
+        out = tmp_path / "f.jsonl"
+        assert main(["preprocess", "--data", str(corpus),
+                     "--out", str(out)]) == 1
+        assert "SQUADLAB_SEED must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # an explicit --seed needs no fallback
+        assert main(["preprocess", "--data", str(corpus), "--out", str(out),
+                     "--seed", "4"]) == 0
+
+    def test_env_seed_reaches_manifest(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("SQUADLAB_SEED", "5")
+        out = tmp_path / "f.jsonl"
+        assert main(["preprocess", "--data", str(corpus),
+                     "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["seed"] == 5
+
     def test_bad_json_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"data": "not-a-list"}')
@@ -629,6 +650,14 @@ class TestCheckpointErrors:
         line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
         assert str(ckpt) in line and "hyperparams.embeddings" in line
 
+    @pytest.mark.parametrize("field", ["seed", "hyperparams"])
+    def test_missing_field_is_2(self, corpus, tmp_path, capsys, field):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        self._corrupt(ckpt, lambda b: b.pop(field))
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert line == f"error: {ckpt}: checkpoint missing field {field!r}"
+
     def test_hyperparams_not_an_object(self, corpus, tmp_path, capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
@@ -740,6 +769,34 @@ class TestInputErrors:
         err = _error_line(capsys)
         assert err.startswith(f"error: {pred}: line 2: "), err
         assert problem in err
+
+    @pytest.mark.parametrize("data, where", [
+        ([7], "$.data[0] must be an object"),
+        ([{"paragraphs": [7]}], "$.data[0].paragraphs[0] must be an object"),
+    ], ids=["article", "paragraph"])
+    def test_non_object_squad_entry_is_2(self, tmp_path, capsys, data,
+                                         where):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"data": data}))
+        code = main(["preprocess", "--data", str(path),
+                     "--out", str(tmp_path / "f.jsonl")])
+        assert code == 2
+        assert _error_line(capsys) == f"error: {path}: {where}"
+
+    def test_missing_feature_field_is_2(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        lines = feats.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[1])
+        del rec["tokens"]
+        lines[1] = json.dumps(rec)
+        feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(tmp_path / "e.bin")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {feats}: line 2: missing field 'tokens'")
 
     def test_missing_embedding_line_has_no_quotes(self, corpus, tmp_path,
                                                   capsys):

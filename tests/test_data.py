@@ -7,8 +7,9 @@ from conftest import OBAMA_CONTEXT, OBAMA_SPANS, OBAMA_VOCAB
 from squadlab.autograd import Rng
 from squadlab.data import (DataError, PreprocessConfig, RawExample,
                            TokenizedContext, align_answer_to_tokens,
-                           chunk_context, load_squad_json, read_features,
-                           span_to_text, toy_tokenize, write_features)
+                           chunk_context, load_pretokenized, load_squad_json,
+                           read_features, read_jsonl, span_to_text,
+                           toy_tokenize, write_features, write_jsonl)
 from squadlab.selftest import JAY_TOKENS, jay_context
 
 WORDS = ["apple", "boat", "cat", "door", "elephant", "fish", "grape",
@@ -259,8 +260,39 @@ class TestSquadJson:
         payload = {"data": [{"paragraphs": [{
             "context": "x", "qas": [{"question": "?"}]}]}]}
         with pytest.raises(DataError,
-                           match=r"\$\.data\[0\]\.paragraphs\[0\]\.qas\[0\]"):
+                           match=r"\$\.data\[0\]\.paragraphs\[0\]\.qas\[0\]: "
+                                 r"missing field 'id'$"):
             load_squad_json(self._write(tmp_path, payload))
+
+
+class TestJsonLines:
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [{"a": "\u00e9"}, [1, 2]])
+        assert path.read_text(encoding="utf-8") == '{"a": "\u00e9"}\n[1, 2]\n'
+        path.write_text("\n" + path.read_text(encoding="utf-8") + "  \n",
+                        encoding="utf-8")
+        assert read_jsonl(path, lambda v: v) == [{"a": "\u00e9"}, [1, 2]]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("{", "line 3: Expecting property name"),
+        ('{"b": 1}', "line 3: missing field 'a'"),
+        ("[]", "line 3: list indices must be integers"),
+        ('{"a": "x"}', "line 3: invalid literal for int()"),
+    ], ids=["bad-json", "missing", "wrong-type", "bad-value"])
+    def test_failure_names_path_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as e:
+            read_jsonl(path, lambda rec: int(rec["a"]))
+        assert str(e.value).startswith(f"{path}: {problem}"), str(e.value)
+
+    def test_pretokenized_missing_field(self, tmp_path):
+        path = tmp_path / "tok.jsonl"
+        path.write_text('{"qid": "q", "tokens": ["a"]}\n', encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=r"line 1: missing field 'spans'$"):
+            load_pretokenized(path)
 
 
 class TestFeatureFile:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,25 @@ class TestFixtureFile:
         path.write_bytes(b"XXXX" + b"\x00" * 12)
         with pytest.raises(ValueError, match="magic"):
             load_embedding_fixture(path)
+
+    def test_documented_byte_layout(self, tmp_path):
+        """Magic, u32 version/d_model/count, then per record u32 qid byte
+        length, UTF-8 qid, u32 feature_index, u32 seq_len, fp64 LE rows."""
+        a = np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5
+        b = np.array([[1e-300, -0.0]])
+        qa = "q-\u00e9\u4e2d"
+        expected = b"SQEM" + struct.pack("<III", 1, 2, 2)
+        for qid, fi, m in ((qa, 4, a), ("b", 0, b)):
+            qb = qid.encode("utf-8")
+            expected += struct.pack("<I", len(qb)) + qb
+            expected += struct.pack("<II", fi, m.shape[0])
+            expected += struct.pack(f"<{m.size}d", *m.ravel())
+        path = tmp_path / "emb.bin"
+        save_embedding_fixture(path, [EmbeddingMatrix(qa, 4, a),
+                                      EmbeddingMatrix("b", 0, b)])
+        assert path.read_bytes() == expected
+        store = load_embedding_fixture(path)
+        assert store.d_model == 2
+        assert np.array_equal(store.get(qa, 4).matrix, a)
+        got = store.get("b", 0).matrix
+        assert got.tobytes() == b.tobytes()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,36 @@ class TestMeanLogits:
         path.write_bytes(b"ZZZZ" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
             load_logits_dump(path)
+
+    def test_documented_byte_layout(self, tmp_path):
+        """Magic, u32 version/count, then per record in (qid,
+        feature_index) order: u32 qid byte length, UTF-8 qid, u32
+        feature_index, u32 seq_len, start then end logits as fp64 LE."""
+        qa = "\u00fcber-\u4e2d"
+        logits = {
+            (qa, 1): SpanLogits(qa, 1, np.array([0.5, -1.25, 3.0]),
+                                np.array([2.0, -0.0, -7.5])),
+            ("a", 0): SpanLogits("a", 0, np.array([1e300]),
+                                 np.array([-1e-300])),
+        }
+        expected = b"SQLD" + struct.pack("<II", 1, 2)
+        for key in sorted(logits):
+            rec, qb = logits[key], key[0].encode("utf-8")
+            n = len(rec.start_logits)
+            expected += struct.pack("<I", len(qb)) + qb
+            expected += struct.pack("<II", key[1], n)
+            expected += struct.pack(f"<{n}d", *rec.start_logits)
+            expected += struct.pack(f"<{n}d", *rec.end_logits)
+        path = tmp_path / "dump.bin"
+        save_logits_dump(path, logits)
+        assert path.read_bytes() == expected
+        loaded = load_logits_dump(path)
+        assert set(loaded) == set(logits)
+        for key, rec in logits.items():
+            assert loaded[key].start_logits.tobytes() == \
+                rec.start_logits.tobytes()
+            assert loaded[key].end_logits.tobytes() == \
+                rec.end_logits.tobytes()
 
 
 class TestWeightedVoting:

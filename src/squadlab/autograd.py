@@ -818,7 +818,7 @@ def load_checkpoint(path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             blob = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValueError(f"{path}: truncated or malformed checkpoint "
                              f"JSON: {e}") from None
     if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_MAGIC:

@@ -85,10 +85,11 @@ def cmd_pseudo_embed(args):
     return [args.features], [args.out]
 
 
-def _provider(args, seed):
-    if args.embeddings == "pseudo":
-        return PseudoEmbedder(args.d_model, seed)
-    return load_embedding_fixture(args.embeddings)
+def _provider(spec, d_model, seed):
+    """The embedder ``--embeddings`` names: 'pseudo' or a fixture path."""
+    if spec == "pseudo":
+        return PseudoEmbedder(d_model, seed)
+    return load_embedding_fixture(spec)
 
 
 def _embedding_inputs(args):
@@ -108,7 +109,7 @@ def cmd_train(args):
                      doc_stride=args.doc_stride,
                      dropout_rate=args.dropout_rate, seed=args.seed)
     model = build_model(cfg, args.seed)
-    provider = _provider(args, args.seed)
+    provider = _provider(args.embeddings, args.d_model, args.seed)
     result = train(model, features, provider, hp)
     save_model(args.out, model,
                hyperparams={**vars(hp), "embeddings": provider.identity()})
@@ -126,9 +127,7 @@ def cmd_predict(args):
     examples = load_squad_json(args.data)
     context_by_qid = {ex.qid: ex.context for ex in examples}
     model = load_model(args.checkpoint)
-    prov_args = argparse.Namespace(embeddings=args.embeddings,
-                                   d_model=model.cfg.d_model)
-    provider = _provider(prov_args, args.seed)
+    provider = _provider(args.embeddings, model.cfg.d_model, args.seed)
     check_embedder(model.hyperparams.get("embeddings"), provider,
                    args.checkpoint)
     records, logit_sets = predict(

@@ -28,37 +28,6 @@ class DataError(ValueError):
     """Malformed input data (bad schema, impossible span, bad config)."""
 
 
-class ShortReadError(DataError):
-    """A binary file ends inside a field its layout promises."""
-
-
-def read_exact(f, size: int, path) -> bytes:
-    """Read exactly ``size`` bytes from a binary file or raise ShortReadError."""
-    offset = f.tell()
-    buf = f.read(size)
-    if len(buf) != size:
-        raise ShortReadError(
-            f"{path}: truncated: needed {size} bytes at offset {offset}, "
-            f"file has {len(buf)}"
-        )
-    return buf
-
-
-class TrailingBytesError(DataError):
-    """A binary file goes on past the last record its header promises."""
-
-
-def expect_end(f, path) -> None:
-    """Raise TrailingBytesError unless ``f`` is at the end of the file."""
-    offset = f.tell()
-    extra = f.seek(0, os.SEEK_END) - offset
-    if extra:
-        raise TrailingBytesError(
-            f"{path}: {extra} trailing bytes after the last record "
-            f"(offset {offset})"
-        )
-
-
 def write_records(path, magic: bytes, version: int, header, records) -> None:
     """Binary artifact: ``magic``; u32 LE ``version``, ``header`` fields and
     record count; then per (qid, feature_index, seq_len, payload) record the
@@ -80,27 +49,42 @@ def read_records(path, magic: bytes, version: int, n_header: int,
 
     Each record is (qid, feature_index, payload); ``shape(header,
     seq_len)`` gives the fp64 payload's shape.  A wrong magic or version, a
-    short read or bytes past the last record raise DataError.
+    short read, a qid that is not UTF-8 or bytes past the last record
+    raise DataError.
     """
     with open(path, "rb") as f:
-        got = read_exact(f, len(magic), path)
+        def read(size):
+            buf = f.read(size)
+            if len(buf) != size:
+                raise DataError(
+                    f"{path}: truncated: needed {size} bytes at offset "
+                    f"{f.tell() - len(buf)}, file has {len(buf)}")
+            return buf
+
+        got = read(len(magic))
         if got != magic:
             raise DataError(f"{path}: bad magic {got!r}")
-        got, *header, count = struct.unpack(
-            f"<{n_header + 2}I", read_exact(f, 4 * (n_header + 2), path))
+        got, *header, count = struct.unpack(f"<{n_header + 2}I",
+                                            read(4 * (n_header + 2)))
         if got != version:
             raise DataError(f"{path}: unsupported version {got}")
         records = []
-        for _ in range(count):
-            (qlen,) = struct.unpack("<I", read_exact(f, 4, path))
-            qid = read_exact(f, qlen, path).decode("utf-8")
-            feature_index, seq_len = struct.unpack("<II",
-                                                   read_exact(f, 8, path))
+        for i in range(count):
+            (qlen,) = struct.unpack("<I", read(4))
+            try:
+                qid = read(qlen).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: record {i}: qid: {e}") from None
+            feature_index, seq_len = struct.unpack("<II", read(8))
             dims = shape(header, seq_len)
-            raw = read_exact(f, 8 * int(np.prod(dims)), path)
+            raw = read(8 * int(np.prod(dims)))
             payload = np.frombuffer(raw, dtype="<f8").reshape(dims)
             records.append((qid, feature_index, payload.astype(np.float64)))
-        expect_end(f, path)
+        offset = f.tell()
+        extra = f.seek(0, os.SEEK_END) - offset
+        if extra:
+            raise DataError(f"{path}: {extra} trailing bytes after the last "
+                            f"record (offset {offset})")
     return tuple(header), records
 
 
@@ -302,7 +286,7 @@ def load_squad_json(path) -> list:
     try:
         with open(path, "r", encoding="utf-8") as f:
             blob = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: malformed JSON: {e}") from None
     examples = []
     if not isinstance(blob, dict) or not isinstance(blob.get("data"), list):
@@ -359,15 +343,15 @@ def write_jsonl(path, records) -> None:
 
 
 def read_jsonl(path, parse) -> list:
-    """``parse`` of each non-blank line's JSON value; a bad line raises
-    DataError naming the path and the line number."""
+    """``parse`` of each non-blank line's JSON value; a bad line, invalid
+    UTF-8 included, raises DataError naming the path and the line number."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:
+        for ln, raw in enumerate(f, 1):
             try:
-                out.append(parse(json.loads(line)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append(parse(json.loads(line)))
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"{path}: line {ln}: {_why(e)}") from None
     return out

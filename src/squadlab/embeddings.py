@@ -164,10 +164,17 @@ class EmbeddingStore:
 
 
 def check_embedder(trained, provider, checkpoint) -> None:
-    """Raise DataError if ``provider`` cannot be the embedder whose identity
-    ``trained`` a checkpoint recorded (None: the checkpoint recorded none)."""
-    if not trained:
+    """Raise DataError if ``trained``, the embedder identity a checkpoint
+    recorded (None: it recorded none), is malformed or ``provider`` cannot
+    be that embedder."""
+    if trained is None:
         return
+    if not (isinstance(trained, dict) and "seed" in trained
+            and trained.get("kind") in ("pseudo", "fixture")
+            and type(trained.get("d_model")) is int):
+        raise DataError(f"{checkpoint}: bad model config: "
+                        f"hyperparams.embeddings must be an object with kind "
+                        f"pseudo|fixture, an integer d_model and a seed")
     now = provider.identity()
     if trained["d_model"] != now["d_model"]:
         raise DataError(

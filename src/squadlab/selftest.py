@@ -116,9 +116,9 @@ def run_selftest(verbose: bool = False) -> bool:
                                 hidden=2, d_char=2, d_char_out=3,
                                 use_char_embedding=True), seed=7)
     emb = rng.normal((len(first.tokens), 4))
-    recorded = model.forward(first, emb)
+    recorded = model.forward([first], [emb])
     with no_grad():
-        free = model.forward(first, emb)
+        free = model.forward([first], [emb])
     report("bidaf forward without a graph",
            all(r._backward is not None and f._backward is None
                and r.data.tobytes() == f.data.tobytes()

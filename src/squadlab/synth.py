@@ -45,28 +45,20 @@ def make_synthetic_examples(n: int = 50, seed: int = 0,
         words = [_FILLER[int(rng.uniform(0, len(_FILLER)))]
                  for _ in range(context_words)]
         impossible = impossible_every > 0 and i % impossible_every == 0
-        if impossible:
-            context = " ".join(words)
-            examples.append(RawExample(
-                qid=f"synth-{i:04d}",
-                question=f"what number is case {i}",
-                context=context,
-                answers=[],
-                is_impossible=True,
-            ))
-        else:
+        answers = []
+        if not impossible:
             number = _NUMBERS[int(rng.uniform(0, len(_NUMBERS)))]
             slot = 1 + int(rng.uniform(0, context_words - 2))
             words[slot] = number
-            context = " ".join(words)
-            char_start = len(" ".join(words[:slot])) + (1 if slot else 0)
-            examples.append(RawExample(
-                qid=f"synth-{i:04d}",
-                question=f"what number is case {i}",
-                context=context,
-                answers=[(number, char_start)],
-                is_impossible=False,
-            ))
+            # slot >= 1, so a space precedes the number
+            answers = [(number, len(" ".join(words[:slot])) + 1)]
+        examples.append(RawExample(
+            qid=f"synth-{i:04d}",
+            question=f"what number is case {i}",
+            context=" ".join(words),
+            answers=answers,
+            is_impossible=impossible,
+        ))
     return examples
 
 

@@ -10,14 +10,16 @@ Tags:
 
 Training is mini-batch Adam with gradient clipping; everything is driven
 by a single seed so checkpoints and loss curves reproduce bit-exactly.
-``QaModel.forward`` runs one feature, or one question's chunks as one
-batch; ``train`` passes one feature at a time and ``predict`` one question
-at a time.
+``QaModel.forward`` takes a list of features and their embedding matrices
+and runs them as one packed batch.  ``_forward_chunks`` is the one caller:
+``train`` passes it one feature at a time and ``predict`` one question's
+chunks, and it turns a non-finite value into an error naming the chunk
+(``qid``, ``feature_index``) it came from, or the question when no chunk
+fails alone.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
@@ -26,7 +28,6 @@ import numpy as np
 from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
                        clip_global_norm, load_checkpoint, no_grad,
                        save_checkpoint, zero_grads)
-from .data import Feature
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     AlbertSquadOut, BidafOut, aggregate_features,
@@ -151,14 +152,11 @@ class QaModel(Module):
 
     def forward(self, features, embeddings, train: bool = False,
                 drop_rng: Rng | None = None):
-        """Return (start_logits, end_logits) tensors for one feature and its
-        embedding matrix, or for a list of features (one question's chunks)
-        and their matrices run as one batch.  A batch's logits are its
-        chunks' rows packed in order; row-wise layers run once on them,
-        the scans advance every chunk together, and attention and pooling
-        stay within each chunk."""
-        if isinstance(features, Feature):
-            features, embeddings = [features], [embeddings]
+        """Return (start_logits, end_logits) tensors for a list of features
+        (one question's chunks) and their embedding matrices, run as one
+        batch.  The logits are the chunks' rows packed in order; row-wise
+        layers run once on them, the scans advance every chunk together,
+        and attention and pooling stay within each chunk."""
         lengths = [len(f.tokens) for f in features]
         rows = [np.shape(e)[0] for e in embeddings]
         if rows != lengths:
@@ -211,14 +209,6 @@ def load_model(path) -> QaModel:
         if not isinstance(hp, dict) or not isinstance(
                 hp.get("model_config"), dict):
             raise TypeError("hyperparams.model_config must be an object")
-        emb = hp.get("embeddings")
-        if emb is not None and not (
-                isinstance(emb, dict) and "seed" in emb
-                and emb.get("kind") in ("pseudo", "fixture")
-                and type(emb.get("d_model")) is int):
-            raise TypeError("hyperparams.embeddings must be an object with "
-                            "kind pseudo|fixture, an integer d_model and a "
-                            "seed")
         model = build_model(ModelConfig(**hp["model_config"]), seed)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad model config: {e}") from None
@@ -244,16 +234,37 @@ class TrainResult:
         return self.loss_curve[-1][1] if self.loss_curve else None
 
 
-@contextmanager
-def _naming_feature(feat, what: str):
-    """Re-raise a non-finite forward value as an error naming the feature."""
+def _forward_chunks(model: QaModel, chunks, provider, what: str,
+                    train: bool = False, drop_rng: Rng | None = None,
+                    then=None):
+    """Packed (start, end) logits of one forward over ``chunks`` (features
+    of one question) and their ``provider`` embeddings, or ``then`` of
+    them (``train``'s span loss).
+
+    A non-finite value, in the forward or in ``then``, becomes a
+    RuntimeError that starts with ``what`` and names the chunk it came
+    from: a lone chunk at once; of several, the first whose forward fails
+    when rerun alone, else the question.
+    """
+    embeddings = [provider(f) for f in chunks]
     try:
-        yield
+        logits = model.forward(chunks, embeddings, train=train,
+                               drop_rng=drop_rng)
+        return logits if then is None else then(*logits)
     except FloatingPointError as e:
-        raise RuntimeError(
-            f"{what} (qid={feat.qid!r}, feature_index={feat.feature_index}): "
-            f"{e}"
-        ) from None
+        error = e
+    named = chunks
+    if len(chunks) > 1:
+        for feat, emb in zip(chunks, embeddings):
+            try:
+                model.forward([feat], [emb], train=train, drop_rng=drop_rng)
+            except FloatingPointError as e:
+                error, named = e, [feat]
+                break
+    where = f"qid={named[0].qid!r}"
+    if len(named) == 1:
+        where += f", feature_index={named[0].feature_index}"
+    raise RuntimeError(f"{what} ({where}): {error}") from None
 
 
 def train(model: QaModel, features, provider, hp: Hyperparams,
@@ -271,21 +282,22 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
         order = order_rng.permutation(len(features))
         for lo in range(0, len(features), hp.batch_size):
             batch = [features[i] for i in order[lo : lo + hp.batch_size]]
+            step += 1
             zero_grads(params)
             total = None
             for feat in batch:
-                emb = provider(feat)
-                with _naming_feature(feat, f"non-finite loss at step {step}"):
-                    start, end = model.forward(feat, emb, train=True,
-                                               drop_rng=drop_rng)
-                    loss = span_loss(start, end, feat.start_position,
-                                     feat.end_position, feat.context_mask)
+                loss = _forward_chunks(
+                    model, [feat], provider,
+                    f"non-finite loss at step {step}", train=True,
+                    drop_rng=drop_rng,
+                    then=lambda start, end: span_loss(
+                        start, end, feat.start_position, feat.end_position,
+                        feat.context_mask))
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch))
             total.backward()
             clip_global_norm(params, GRAD_CLIP_NORM)
             adam_step(params, state, hp.learning_rate)
-            step += 1
             result.loss_curve.append((step, float(total.data)))
             if max_steps is not None and step >= max_steps:
                 return result
@@ -331,24 +343,6 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
             for qid in sorted(by_qid)]
 
 
-def _chunk_logits(model: QaModel, chunks, provider) -> list:
-    """Each chunk's (start, end) logits from one packed forward of a
-    question's chunks.  After a non-finite value the chunks run one at a
-    time, so the error names the chunk it came from."""
-    embeddings = [provider(f) for f in chunks]
-    with no_grad():
-        try:
-            start, end = model.forward(chunks, embeddings)
-        except FloatingPointError:
-            logits = []
-            for feat, emb in zip(chunks, embeddings):
-                with _naming_feature(feat, "predict"):
-                    logits.append(model.forward(feat, emb))
-            return logits
-    cuts = np.cumsum([len(f.tokens) for f in chunks])[:-1]
-    return list(zip(np.split(start.data, cuts), np.split(end.data, cuts)))
-
-
 def predict(model: QaModel, features, provider, context_by_qid: dict,
             n_best: int = DEFAULT_N_BEST,
             max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
@@ -361,10 +355,13 @@ def predict(model: QaModel, features, provider, context_by_qid: dict,
     logit_sets = {}
     for _, chunks in groupby(features, key=lambda f: f.qid):
         chunks = list(chunks)
-        for feat, (start, end) in zip(chunks,
-                                      _chunk_logits(model, chunks, provider)):
+        with no_grad():
+            start, end = _forward_chunks(model, chunks, provider, "predict")
+        cuts = np.cumsum([len(f.tokens) for f in chunks])[:-1]
+        for feat, s, e in zip(chunks, np.split(start.data, cuts),
+                              np.split(end.data, cuts)):
             logit_sets[(feat.qid, feat.feature_index)] = to_span_logits(
-                feat, start, end)
+                feat, s, e)
     records = decode_logit_set(logit_sets, features_by_key, context_by_qid,
                                n_best=n_best,
                                max_answer_length=max_answer_length,

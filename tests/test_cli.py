@@ -537,6 +537,61 @@ class TestEnsembleThreshold:
         assert manifest["config"]["null_threshold"] == 0.0
 
 
+class TestInvalidUtf8:
+    """Invalid UTF-8 in an artifact ends in one error line that names the
+    file, and the line or record where the reader has one."""
+
+    def test_prediction_line(self, corpus, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        good = {"qid": "synth-0000", "nbest": [], "null_score": 0.0}
+        # the CRLF line and the blank line before the bad one still count
+        pred.write_bytes(json.dumps(good).encode() + b"\r\n\n\xff\xfe\n")
+        assert main(["evaluate", "--pred", str(pred),
+                     "--gold", str(corpus)]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {pred}: line 3: 'utf-8' codec can't decode byte 0xff")
+
+    def test_dump_qid(self, corpus, tmp_path, capsys):
+        feats = TestArtifactErrors._features(corpus, tmp_path, capsys)
+        dump = tmp_path / "dump.bin"
+        save_logits_dump(dump, {
+            ("synth-0000", 0): SpanLogits("synth-0000", 0, np.ones(3),
+                                          np.zeros(3))})
+        blob = bytearray(dump.read_bytes())
+        blob[blob.index(b"synth-0000")] = 0xFF
+        dump.write_bytes(bytes(blob))
+        assert main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", str(dump), "--features", str(feats),
+                     "--data", str(corpus),
+                     "--out", str(tmp_path / "ens.jsonl")]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {dump}: record 0: qid: 'utf-8' codec can't decode "
+            f"byte 0xff")
+
+    def test_squad_context(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_bytes(b'{"data": [{"paragraphs": [{"context": "a\xffb", '
+                         b'"qas": []}]}]}')
+        assert main(["preprocess", "--data", str(data),
+                     "--out", str(tmp_path / "f.jsonl")]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {data}: malformed JSON: 'utf-8' codec can't decode "
+            f"byte 0xff")
+
+    def test_checkpoint(self, corpus, tmp_path, capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        blob = ckpt.read_bytes()
+        assert b'"squad_out"' in blob
+        ckpt.write_bytes(blob.replace(b'"squad_out"', b'"squad_out\xff"'))
+        capsys.readouterr()
+        assert _predict(ckpt, feats, corpus, tmp_path,
+                        ["--embeddings", "pseudo"]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {ckpt}: truncated or malformed checkpoint JSON: "
+            f"'utf-8' codec can't decode byte 0xff")
+
+
 def _train_squad_out(corpus, tmp_path, embeddings_args, seed="0"):
     """Preprocess the corpus and train one squad_out checkpoint."""
     feats = tmp_path / "feats.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from squadlab.data import (DataError, PreprocessConfig, RawExample,
                            read_features, read_jsonl, span_to_text,
                            toy_tokenize, write_features, write_jsonl)
 from squadlab.selftest import JAY_TOKENS, jay_context
+from squadlab.synth import make_synthetic_examples, write_squad_json
 
 WORDS = ["apple", "boat", "cat", "door", "elephant", "fish", "grape",
          "house", "ink", "jump"]
@@ -274,6 +276,11 @@ class TestJsonLines:
                         encoding="utf-8")
         assert read_jsonl(path, lambda v: v) == [{"a": "\u00e9"}, [1, 2]]
 
+    def test_crlf_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\r\n[2]\r\n')
+        assert read_jsonl(path, lambda v: v) == [{"a": 1}, [2]]
+
     @pytest.mark.parametrize("line, problem", [
         ("{", "line 3: Expecting property name"),
         ('{"b": 1}', "line 3: missing field 'a'"),
@@ -328,3 +335,13 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="does not match context"):
             RawExample(qid="q", question="?", context="hello",
                        answers=[("bye", 0)], is_impossible=False)
+
+
+class TestSynth:
+    def test_default_corpus_bytes_are_pinned(self, tmp_path):
+        # the benchmark corpora and many tests are built from this output
+        path = tmp_path / "synth.json"
+        write_squad_json(path, make_synthetic_examples(50, seed=0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4dd6a2e35bdb128ea17d141c148f8c9f"
+            "4008237b17ddf0d3cae8d811f249b51c")

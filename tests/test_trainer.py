@@ -113,7 +113,7 @@ class TestBuild:
         prov = provider()
         for tag in ARCHITECTURES:
             model = build_model(small_cfg(tag), seed=1)
-            start, end = model.forward(feat, prov(feat))
+            start, end = model.forward([feat], [prov(feat)])
             assert start.data.shape == (len(feat.tokens),)
             assert end.data.shape == (len(feat.tokens),)
             assert np.isfinite(start.data).all()
@@ -206,8 +206,34 @@ class TestTrain:
         model, feats, prov = self._setup(n=1)
         bad = lambda f: np.full_like(prov(f), np.inf)
         hp = Hyperparams(learning_rate=1e-2, batch_size=1, epochs=1, seed=0)
-        with pytest.raises(RuntimeError, match="q0"):
+        with pytest.raises(RuntimeError) as info:
             train(model, feats, bad, hp)
+        # steps count from 1, as in the loss curve
+        assert str(info.value) == (
+            "non-finite loss at step 1 (qid='q0', feature_index=0): "
+            "non-finite value produced in forward pass")
+
+    def test_nonfinite_loss_from_finite_logits_names_feature(self):
+        feat = make_feature(qid="q0")  # unanswerable: target is the null
+        model = build_model(small_cfg("squad_out", d_model=4), seed=0)
+        model.head.W.data[...] = 0.0
+        model.head.W.data[0, :] = 1.0
+        model.head.b.data[...] = 0.0
+
+        def huge(f):
+            # logits +-1.5e308 are finite; their log-softmax overflows
+            x = np.zeros((len(f.tokens), 4))
+            x[:, 0] = 1.5e308
+            x[0, 0] = -1.5e308
+            return x
+
+        hp = Hyperparams(batch_size=1, epochs=1, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+            train(model, [feat], huge, hp)
+        assert str(info.value).startswith(
+            "non-finite loss at step 1 (qid='q0', feature_index=0): "
+            "non-finite value produced in forward pass by "
+            "cross_entropy_from_logits")
 
     def test_loss_curve_file(self, tmp_path):
         model, feats, prov = self._setup()
@@ -358,7 +384,7 @@ class TestPackedForward:
         embs = [provider()(f) for f in feats]
         model = build_model(small_cfg(tag), seed=5)
         packed = model.forward(feats, embs)
-        one = [model.forward(f, e) for f, e in zip(feats, embs)]
+        one = [model.forward([f], [e]) for f, e in zip(feats, embs)]
         for side, got in enumerate(packed):
             want = np.concatenate([pair[side].data for pair in one])
             assert got.shape == want.shape
@@ -388,18 +414,10 @@ class TestPackedForward:
             return {k: p.grad.copy() for k, p in params.items()}
 
         got = grads(lambda: [model.forward(feats, embs)])
-        want = grads(lambda: [model.forward(f, e)
+        want = grads(lambda: [model.forward([f], [e])
                               for f, e in zip(feats, embs)])
         for name in params:
             assert _rel_err(got[name], want[name]) <= 1e-12, name
-
-    def test_one_feature_is_a_batch_of_one(self):
-        feat = make_feature(start=2, end=3)
-        emb = provider()(feat)
-        model = build_model(small_cfg("gru_attn_selfattn_gru_bidaf"), seed=1)
-        for a, b in zip(model.forward(feat, emb),
-                        model.forward([feat], [emb])):
-            assert a.data.tobytes() == b.data.tobytes()
 
     def test_embedding_rows_must_match_tokens(self):
         feats = question_chunks(n_contexts=(5, 6))
@@ -435,7 +453,7 @@ class TestPredictPerQuestion:
         _, logit_sets = predict(model, feats, prov,
                                 {"q": feature_context_text(13)})
         for f in feats:
-            start, end = model.forward(f, prov(f))
+            start, end = model.forward([f], [prov(f)])
             got = logit_sets[("q", f.feature_index)]
             assert got.start_logits.shape == start.shape
             assert float(np.abs(got.start_logits - start.data).max()) <= 1e-12
@@ -455,6 +473,38 @@ class TestPredictPerQuestion:
         with pytest.raises(RuntimeError) as info:
             predict(model, feats, poisoned, {"q": feature_context_text(7)})
         assert "qid='q', feature_index=1" in str(info.value)
+
+    def test_failing_lone_chunk_runs_one_forward(self):
+        feat = make_feature(qid="q", start=1, end=2)
+        model = build_model(small_cfg("squad_out"), seed=0)
+        calls = []
+
+        def forward(features, embeddings, **kwargs):
+            calls.append(features)
+            return QaModel.forward(model, features, embeddings, **kwargs)
+
+        model.forward = forward
+        bad = lambda f: np.full((len(f.tokens), 32), np.nan)
+        with pytest.raises(RuntimeError, match="qid='q', feature_index=0"):
+            predict(model, [feat], bad, {"q": feature_context_text(6)})
+        assert len(calls) == 1
+
+    def test_failure_no_chunk_repeats_alone_names_the_question(self):
+        feats = question_chunks(n_contexts=(5, 7, 6))
+        model = build_model(small_cfg("squad_out"), seed=0)
+        calls = []
+
+        def forward(features, embeddings, **kwargs):
+            calls.append(features)
+            if len(calls) == 1:  # the packed forward fails, no chunk alone
+                raise FloatingPointError("packed only")
+            return QaModel.forward(model, features, embeddings, **kwargs)
+
+        model.forward = forward
+        with pytest.raises(RuntimeError) as info:
+            predict(model, feats, provider(), {"q": feature_context_text(7)})
+        assert str(info.value) == "predict (qid='q'): packed only"
+        assert len(calls) == 4
 
     def test_overflow_in_one_chunk_names_it_and_the_op(self):
         feats = question_chunks(n_contexts=(5, 7, 6))
@@ -478,9 +528,9 @@ class TestInferenceWithoutGraph:
         feat = make_feature(start=2, end=3)
         emb = provider()(feat)
         model = build_model(small_cfg(tag), seed=4)
-        recorded = model.forward(feat, emb)
+        recorded = model.forward([feat], [emb])
         with no_grad():
-            free = model.forward(feat, emb)
+            free = model.forward([feat], [emb])
         for r, f in zip(recorded, free):
             assert r._backward is not None and f._backward is None
             assert f._parents == () and f.grad is None

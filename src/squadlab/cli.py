@@ -16,8 +16,8 @@ import time
 
 from . import __version__
 from .data import (DataError, PreprocessConfig, load_pretokenized,
-                   load_squad_json, preprocess_dataset, read_features,
-                   toy_tokenize, write_features)
+                   load_squad_json, load_vocab, preprocess_dataset,
+                   read_features, toy_tokenize, write_features)
 from .embeddings import (PseudoEmbedder, check_embedder,
                          load_embedding_fixture, save_embedding_fixture)
 from .ensemble import (PredictionSet, decode_logit_set, load_logits_dump,
@@ -53,9 +53,12 @@ def _tokenizers(args, examples):
     """Context tokenizer map + question tokenizer for preprocess."""
     if args.pretokenized:
         ctx_map = load_pretokenized(args.pretokenized)
+        for ex in examples:
+            if ex.qid not in ctx_map:
+                raise DataError(f"{args.pretokenized}: no tokens for "
+                                f"question {ex.qid!r}")
     elif args.vocab:
-        with open(args.vocab, "r", encoding="utf-8") as f:
-            vocab = [line.rstrip("\n") for line in f if line.strip()]
+        vocab = load_vocab(args.vocab)
         ctx_map = {ex.qid: toy_tokenize(ex.context, vocab) for ex in examples}
     else:
         # default: whole-word tokens
@@ -100,14 +103,11 @@ def _embedding_inputs(args):
 def cmd_train(args):
     features = read_features(args.features)
     cfg = ModelConfig(architecture=args.arch, d_model=args.d_model,
-                      hidden=args.hidden,
-                      use_char_embedding=args.use_char_embedding,
-                      dropout_rate=args.dropout_rate)
+                      hidden=args.hidden, dropout_rate=args.dropout_rate)
     hp = Hyperparams(learning_rate=args.learning_rate,
                      batch_size=args.batch_size, epochs=args.epochs,
                      max_seq_length=args.max_seq_length,
-                     doc_stride=args.doc_stride,
-                     dropout_rate=args.dropout_rate, seed=args.seed)
+                     doc_stride=args.doc_stride, seed=args.seed)
     model = build_model(cfg, args.seed)
     provider = _provider(args.embeddings, args.d_model, args.seed)
     result = train(model, features, provider, hp)
@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-curve")
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--use-char-embedding", action="store_true")
+    # accepted so older command lines parse: every BiDAF tag uses chars
+    p.add_argument("--use-char-embedding", action="store_true",
+                   default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--epochs", type=int, default=3)

@@ -4,8 +4,9 @@ the two artifact framings: JSON lines and binary fp64 records.
 Character spans are half-open [start, end) throughout.  Every token carries
 the span of the *word* it belongs to, so consecutive subword tokens of one
 word share an identical span.  A feature packs
-``[sentinel] question [sep] context-chunk [sep]`` and the sentinel at index
-0 doubles as the no-answer position.
+``[sentinel] question [sep] context-chunk [sep]``; only its context tokens
+carry a span, so a null span is what marks a token as outside the context.
+The sentinel at index 0 doubles as the no-answer position.
 """
 
 from __future__ import annotations
@@ -121,10 +122,14 @@ class Feature:
     qid: str
     feature_index: int
     tokens: list
-    context_mask: list  # bool per token
-    token_word_span: list  # (start, end) where context_mask, else None
+    token_word_span: list  # (start, end) per context token, else None
     start_position: int
     end_position: int
+
+    @property
+    def context_mask(self) -> list:
+        """True per context token: exactly the tokens with a word span."""
+        return [s is not None for s in self.token_word_span]
 
     def context_token_indices(self):
         return [i for i, m in enumerate(self.context_mask) if m]
@@ -255,7 +260,6 @@ def chunk_context(example: RawExample, ctx: TokenizedContext,
         tokens = ([SENTINEL_TOKEN] + list(question_tokens) + [SEPARATOR_TOKEN]
                   + chunk_tokens + [SEPARATOR_TOKEN])
         ctx_offset = 2 + len(question_tokens)
-        mask = [False] * ctx_offset + [True] * len(chunk_tokens) + [False]
         spans = [None] * ctx_offset + chunk_spans + [None]
         start_pos = end_pos = NULL_POSITION
         if gold is not None and not gold_assigned:
@@ -268,7 +272,6 @@ def chunk_context(example: RawExample, ctx: TokenizedContext,
             qid=example.qid,
             feature_index=fi,
             tokens=tokens,
-            context_mask=mask,
             token_word_span=spans,
             start_position=start_pos,
             end_position=end_pos,
@@ -282,13 +285,15 @@ def chunk_context(example: RawExample, ctx: TokenizedContext,
 
 
 def load_squad_json(path) -> list:
-    """Official SQuAD 2.0 schema: data -> paragraphs -> qas."""
+    """Official SQuAD 2.0 schema: data -> paragraphs -> qas.  A question id
+    may appear once."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             blob = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: malformed JSON: {e}") from None
     examples = []
+    first_at = {}  # qid -> JSON path of its question
     if not isinstance(blob, dict) or not isinstance(blob.get("data"), list):
         raise DataError(f"{path}: $.data must be a list")
     for ai, article in enumerate(blob["data"]):
@@ -312,6 +317,10 @@ def load_squad_json(path) -> list:
                 where = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}]"
                 try:
                     qid = qa["id"]
+                    if qid in first_at:
+                        raise ValueError(f"question id {qid!r} repeats "
+                                         f"{first_at[qid]}")
+                    first_at[qid] = where
                     question = qa["question"]
                     is_impossible = bool(qa.get("is_impossible", False))
                     answers = [] if is_impossible else [
@@ -371,23 +380,70 @@ def write_features(path, features) -> None:
         features, key=lambda f: (f.qid, f.feature_index))))
 
 
+def _span(s):
+    """A feature record's word span: null, or [start, end] with
+    0 <= start <= end."""
+    if s is None:
+        return None
+    if (type(s) is list and len(s) == 2
+            and type(s[0]) is type(s[1]) is int and 0 <= s[0] <= s[1]):
+        return tuple(s)
+    raise ValueError(f"token_word_span entry {s!r} is neither null nor "
+                     f"[start, end] with 0 <= start <= end")
+
+
 def _feature(rec) -> Feature:
-    return Feature(
+    f = Feature(
         qid=rec["qid"],
         feature_index=int(rec["feature_index"]),
         tokens=list(rec["tokens"]),
-        context_mask=[bool(m) for m in rec["context_mask"]],
-        token_word_span=[
-            tuple(s) if s is not None else None
-            for s in rec["token_word_span"]
-        ],
+        token_word_span=[_span(s) for s in rec["token_word_span"]],
         start_position=int(rec["start_position"]),
         end_position=int(rec["end_position"]),
     )
+    if len(f.tokens) != len(f.token_word_span):
+        raise ValueError(f"{len(f.tokens)} tokens but "
+                         f"{len(f.token_word_span)} token_word_span entries")
+    s, e, mask = f.start_position, f.end_position, f.context_mask
+    if (s, e) != (NULL_POSITION, NULL_POSITION) and not (
+            0 <= s <= e < len(mask) and mask[s] and mask[e]):
+        raise ValueError(f"start/end positions ({s}, {e}) are neither the "
+                         f"null position nor context positions with "
+                         f"start <= end")
+    return f
 
 
 def read_features(path) -> list:
-    return read_jsonl(path, _feature)
+    """What ``write_features`` wrote; a key it does not write (a
+    ``context_mask`` from an older file) is ignored.  A malformed record,
+    or a (qid, feature_index) that repeats an earlier line's, raises
+    DataError naming the path and the line."""
+    seen = set()
+
+    def parse(rec):
+        f = _feature(rec)
+        key = (f.qid, f.feature_index)
+        if key in seen:
+            raise ValueError(f"(qid={f.qid!r}, feature_index="
+                             f"{f.feature_index}) repeats an earlier line")
+        seen.add(key)
+        return f
+
+    return read_jsonl(path, parse)
+
+
+def load_vocab(path) -> list:
+    """The toy tokenizer's vocabulary: one subword per non-blank line,
+    UTF-8; invalid UTF-8 raises DataError naming the path and the line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}: line {line}: {e}") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [w for w in lines if w.strip()]
 
 
 def preprocess_dataset(examples, tokenized_by_qid, cfg: PreprocessConfig,

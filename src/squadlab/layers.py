@@ -219,27 +219,21 @@ class EmbeddingCombiner(Module):
 
     Token branch: weighted-average attention over the provider embedding.
     Char branch: per-token char-CNN pool, the pooled rows stacked as one
-    node, then weighted-average attention over the pooled sequence.  A
-    zero-width char config degenerates to the token branch alone.  Packed
+    node, then weighted-average attention over the pooled sequence.  Packed
     chunks pass every chunk's tokens in order and their ``lengths``.
     """
 
     def __init__(self, d_model: int, d_char: int, d_char_out: int, rng: Rng,
-                 char_table=None):
+                 char_table):
         self.d_model = d_model
         self.d_char_out = d_char_out
         self.char_table = char_table
         self.wavg_tok = WeightedAvgAttention(d_model, rng.spawn(1))
-        if d_char_out > 0:
-            self.char_cnn = CharCNN(d_char, d_char_out, rng.spawn(2))
-            self.wavg_char = WeightedAvgAttention(d_char_out, rng.spawn(3))
-        else:
-            self.char_cnn = None
-            self.wavg_char = None
-        d_comb = d_model + d_char_out
-        self.d_comb = d_comb
-        self.highway = [Highway(d_comb, rng.spawn(4)),
-                        Highway(d_comb, rng.spawn(5))]
+        self.char_cnn = CharCNN(d_char, d_char_out, rng.spawn(2))
+        self.wavg_char = WeightedAvgAttention(d_char_out, rng.spawn(3))
+        self.d_comb = d_model + d_char_out
+        self.highway = [Highway(self.d_comb, rng.spawn(4)),
+                        Highway(self.d_comb, rng.spawn(5))]
         self._window_cache = {}
 
     def _token_windows(self, token: str) -> np.ndarray:
@@ -251,12 +245,11 @@ class EmbeddingCombiner(Module):
 
     def forward(self, token_embedding: Tensor, tokens,
                 lengths=None) -> Tensor:
-        branch = self.wavg_tok.forward(token_embedding, lengths)
-        if self.char_cnn is not None:
-            pooled = stack([self.char_cnn.forward(self._token_windows(t))
-                            for t in tokens])  # [seq, d_char_out]
-            char_branch = self.wavg_char.forward(pooled, lengths)
-            branch = concat([branch, char_branch], axis=1)
+        tok_branch = self.wavg_tok.forward(token_embedding, lengths)
+        pooled = stack([self.char_cnn.forward(self._token_windows(t))
+                        for t in tokens])  # [seq, d_char_out]
+        char_branch = self.wavg_char.forward(pooled, lengths)
+        branch = concat([tok_branch, char_branch], axis=1)
         for hw in self.highway:
             branch = hw.forward(branch)
         return branch

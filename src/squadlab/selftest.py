@@ -113,8 +113,7 @@ def run_selftest(verbose: bool = False) -> bool:
 
     # inference without a graph computes the recorded forward's bytes
     model = QaModel(ModelConfig("gru_attn_selfattn_gru_bidaf", d_model=4,
-                                hidden=2, d_char=2, d_char_out=3,
-                                use_char_embedding=True), seed=7)
+                                hidden=2, d_char=2, d_char_out=3), seed=7)
     emb = rng.normal((len(first.tokens), 4))
     recorded = model.forward([first], [emb])
     with no_grad():

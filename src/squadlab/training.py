@@ -8,14 +8,18 @@ Tags:
   gru_attn_selfattn_gru_bidaf   char combiner -> BiGRU -> attention -> causal
                                 self-attention -> BiGRU -> BiDAF head
 
+Every BiDAF tag builds the char combiner.  The dropout rate lives in
+``ModelConfig``, which a checkpoint records as ``model_config``.
+
 Training is mini-batch Adam with gradient clipping; everything is driven
 by a single seed so checkpoints and loss curves reproduce bit-exactly.
 ``QaModel.forward`` takes a list of features and their embedding matrices
-and runs them as one packed batch.  ``_forward_chunks`` is the one caller:
-``train`` passes it one feature at a time and ``predict`` one question's
-chunks, and it turns a non-finite value into an error naming the chunk
-(``qid``, ``feature_index``) it came from, or the question when no chunk
-fails alone.
+and runs them as one packed batch, with dropout when given a dropout rng.
+``_forward_chunks`` is the one caller: ``train`` passes it one feature at
+a time and its rng, ``predict`` one question's chunks, and it turns a
+non-finite value into an error naming the chunk (``qid``,
+``feature_index``) it came from, or the question when no chunk fails
+alone.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ class ModelConfig:
     hidden: int = 32
     d_char: int = 16
     d_char_out: int = 16
-    use_char_embedding: bool = False
     dropout_rate: float = 0.2
 
     def __post_init__(self):
@@ -63,10 +66,6 @@ class ModelConfig:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
                 f"choose one of {ARCHITECTURES}"
-            )
-        if self.architecture in _BIDAF_TAGS and not self.use_char_embedding:
-            raise ValueError(
-                f"{self.architecture} requires use_char_embedding=True"
             )
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got "
@@ -80,7 +79,6 @@ class Hyperparams:
     epochs: int = 3
     max_seq_length: int = 64
     doc_stride: int = 16
-    dropout_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -88,24 +86,21 @@ class Hyperparams:
                      "max_seq_length", "doc_stride"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
-# hyperparameter presets used for the full-scale runs; desk-scale defaults
-# above are what tests exercise
+# hyperparameter presets used for the full-scale runs (all at ModelConfig's
+# default dropout rate, 0.2); desk-scale defaults above are what tests
+# exercise
 PRESETS = {
     "base": Hyperparams(learning_rate=3e-5, batch_size=7, epochs=3,
-                        max_seq_length=384, doc_stride=128, dropout_rate=0.2),
+                        max_seq_length=384, doc_stride=128),
     "base-extra-layers": Hyperparams(learning_rate=3e-5, batch_size=5,
                                      epochs=3, max_seq_length=384,
-                                     doc_stride=128, dropout_rate=0.2),
+                                     doc_stride=128),
     "xlarge": Hyperparams(learning_rate=1e-5, batch_size=1, epochs=2,
-                          max_seq_length=280, doc_stride=128,
-                          dropout_rate=0.2),
+                          max_seq_length=280, doc_stride=128),
     "xxlarge": Hyperparams(learning_rate=8e-6, batch_size=1, epochs=1,
-                           max_seq_length=280, doc_stride=128,
-                           dropout_rate=0.2),
+                           max_seq_length=280, doc_stride=128),
 }
 
 GRAD_CLIP_NORM = 5.0
@@ -131,11 +126,9 @@ class QaModel(Module):
         if tag not in _BIDAF_TAGS:
             self.head = AlbertSquadOut(cfg.d_model, rng.spawn(3))
             return
-        d_char_out = cfg.d_char_out if cfg.use_char_embedding else 0
         self.combiner = EmbeddingCombiner(
-            cfg.d_model, cfg.d_char, d_char_out, rng.spawn(4),
-            char_table=CharEmbeddingTable(cfg.d_char, seed=0),
-        )
+            cfg.d_model, cfg.d_char, cfg.d_char_out, rng.spawn(4),
+            CharEmbeddingTable(cfg.d_char, seed=0))
         d_comb = self.combiner.d_comb
         h = cfg.hidden
         cell = LSTMCell if tag == "bilstm_attn_bilstm_bidaf" else GRUCell
@@ -150,13 +143,13 @@ class QaModel(Module):
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
 
-    def forward(self, features, embeddings, train: bool = False,
-                drop_rng: Rng | None = None):
+    def forward(self, features, embeddings, drop_rng: Rng | None = None):
         """Return (start_logits, end_logits) tensors for a list of features
         (one question's chunks) and their embedding matrices, run as one
         batch.  The logits are the chunks' rows packed in order; row-wise
         layers run once on them, the scans advance every chunk together,
-        and attention and pooling stay within each chunk."""
+        and attention and pooling stay within each chunk.  Dropout at
+        ``cfg.dropout_rate`` runs when a ``drop_rng`` is given."""
         lengths = [len(f.tokens) for f in features]
         rows = [np.shape(e)[0] for e in embeddings]
         if rows != lengths:
@@ -164,7 +157,7 @@ class QaModel(Module):
                              f"features' token counts {lengths}")
         context_mask = np.concatenate([f.context_mask for f in features])
         cfg = self.cfg
-        rate = cfg.dropout_rate if train else 0.0
+        rate = cfg.dropout_rate if drop_rng is not None else 0.0
         x = Tensor(np.concatenate(embeddings))
         if rate > 0:
             x = dropout(x, rate, drop_rng)
@@ -235,8 +228,7 @@ class TrainResult:
 
 
 def _forward_chunks(model: QaModel, chunks, provider, what: str,
-                    train: bool = False, drop_rng: Rng | None = None,
-                    then=None):
+                    drop_rng: Rng | None = None, then=None):
     """Packed (start, end) logits of one forward over ``chunks`` (features
     of one question) and their ``provider`` embeddings, or ``then`` of
     them (``train``'s span loss).
@@ -248,8 +240,7 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
     """
     embeddings = [provider(f) for f in chunks]
     try:
-        logits = model.forward(chunks, embeddings, train=train,
-                               drop_rng=drop_rng)
+        logits = model.forward(chunks, embeddings, drop_rng=drop_rng)
         return logits if then is None else then(*logits)
     except FloatingPointError as e:
         error = e
@@ -257,7 +248,7 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
     if len(chunks) > 1:
         for feat, emb in zip(chunks, embeddings):
             try:
-                model.forward([feat], [emb], train=train, drop_rng=drop_rng)
+                model.forward([feat], [emb], drop_rng=drop_rng)
             except FloatingPointError as e:
                 error, named = e, [feat]
                 break
@@ -288,8 +279,7 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             for feat in batch:
                 loss = _forward_chunks(
                     model, [feat], provider,
-                    f"non-finite loss at step {step}", train=True,
-                    drop_rng=drop_rng,
+                    f"non-finite loss at step {step}", drop_rng,
                     then=lambda start, end: span_loss(
                         start, end, feat.start_position, feat.end_position,
                         feat.context_mask))
@@ -329,11 +319,11 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
                              f"have no context: the data has no question "
                              f"{qid!r}")
         lengths = (len(logits.start_logits), len(logits.end_logits))
-        if lengths != (len(feature.context_mask),) * 2:
+        if lengths != (len(feature.tokens),) * 2:
             raise ValueError(
                 f"logits for (qid={qid!r}, feature_index={fi}) have start/end "
                 f"lengths {lengths[0]}/{lengths[1]} but the feature has "
-                f"{len(feature.context_mask)} tokens")
+                f"{len(feature.tokens)} tokens")
         cands = decode_spans(logits, feature, context_by_qid[qid],
                              n_best=n_best,
                              max_answer_length=max_answer_length)

@@ -24,12 +24,11 @@ def make_feature(qid="q0", n_question=3, n_context=6, feature_index=0,
     tokens = (["[CLS]"] + [f"q{i}" for i in range(n_question)] + ["[SEP]"]
               + [f"w{i}" for i in range(n_context)] + ["[SEP]"])
     offset = n_question + 2
-    mask = [False] * offset + [True] * n_context + [False]
     spans = [None] * offset + [(3 * i, 3 * i + 2) for i in range(n_context)] \
         + [None]
     return Feature(
         qid=qid, feature_index=feature_index, tokens=tokens,
-        context_mask=mask, token_word_span=spans,
+        token_word_span=spans,
         start_position=offset + start if start is not None else 0,
         end_position=offset + end if end is not None else 0,
     )

@@ -321,18 +321,16 @@ def test_criterion_08_overfit_every_architecture():
         context_by_qid = {ex.qid: ex.context for ex in examples}
 
         for tag in ARCHITECTURES:
-            chars = tag.endswith("bidaf")
             model = build_model(
-                ModelConfig(architecture=tag, d_model=64,
-                            use_char_embedding=chars, dropout_rate=0.0),
+                ModelConfig(architecture=tag, d_model=64, dropout_rate=0.0),
                 seed=1)
-            lr = 0.01 if chars else 0.02
+            lr = 0.01 if tag.endswith("bidaf") else 0.02
             started = time.monotonic()
             best_em = 0.0
             epochs = 0
             while epochs < 300 and time.monotonic() - started < 300:
                 hp = Hyperparams(learning_rate=lr, batch_size=8, epochs=10,
-                                 seed=epochs, dropout_rate=0.0)
+                                 seed=epochs)
                 train(model, features, provider, hp)
                 epochs += 10
                 records, _ = predict(model, features, provider,

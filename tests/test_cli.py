@@ -219,6 +219,24 @@ class TestPipeline:
         for produced in (feats, emb, ckpt, pred):
             assert (tmp_path / (produced.name + ".manifest.json")).exists()
 
+    def test_char_flag_has_no_effect(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        ckpts = []
+        for flag in ([], ["--use-char-embedding"]):
+            ckpts.append(tmp_path / f"model{len(ckpts)}.json")
+            assert main(["train", "--features", str(feats), "--embeddings",
+                         "pseudo", "--arch", "gru_highway_gru_bidaf",
+                         "--out", str(ckpts[-1]), "--d-model", "8",
+                         "--hidden", "4", "--epochs", "1"] + flag) == 0
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
+        assert "combiner.char_cnn.K" in json.loads(
+            ckpts[0].read_text())["params"]
+        capsys.readouterr()
+        assert main(["train", "--help"]) == 0
+        assert "char" not in capsys.readouterr().out
+
     def test_predict_rerun_identical(self, corpus, tmp_path):
         feats = tmp_path / "feats.jsonl"
         emb = tmp_path / "emb.bin"
@@ -675,11 +693,14 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("edit, why", [
         (lambda hp: hp["model_config"].update(n_layers=2), "n_layers"),
+        (lambda hp: hp["model_config"].update(use_char_embedding=True),
+         "'use_char_embedding'"),
         (lambda hp: hp.pop("model_config"), "model_config"),
         (lambda hp: hp.update(model_config=[1, 2]), "model_config"),
         (lambda hp: hp["model_config"].update(architecture="nope"),
          "unknown architecture"),
-    ], ids=["unknown-key", "missing", "not-an-object", "bad-architecture"])
+    ], ids=["unknown-key", "use_char_embedding", "missing", "not-an-object",
+            "bad-architecture"])
     def test_bad_model_config(self, corpus, tmp_path, capsys, edit, why):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
@@ -852,6 +873,52 @@ class TestInputErrors:
                      "--out", str(tmp_path / "e.bin")]) == 2
         assert _error_line(capsys) == (
             f"error: {feats}: line 2: missing field 'tokens'")
+
+    def test_impossible_gold_position_in_train_is_2(self, corpus, tmp_path,
+                                                    capsys):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        lines = feats.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        rec["start_position"] = rec["end_position"] = 999
+        lines[2] = json.dumps(rec)
+        feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     "pseudo", "--arch", "squad_out", "--d-model", "8",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert _error_line(capsys).startswith(f"error: {feats}: line 3: "
+                                              f"start/end positions (999, ")
+
+    def test_repeated_question_id_is_2(self, tmp_path, capsys):
+        examples = make_synthetic_examples(n=2, seed=3)
+        examples[1].qid = examples[0].qid
+        data = tmp_path / "data.json"
+        write_squad_json(data, examples)
+        assert main(["preprocess", "--data", str(data),
+                     "--out", str(tmp_path / "f.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {data}: $.data[0].paragraphs[1].qas[0]: question id "
+            f"'synth-0000' repeats $.data[0].paragraphs[0].qas[0]")
+
+    def test_pretokenized_without_a_question_is_2(self, corpus, tmp_path,
+                                                  capsys):
+        tok = tmp_path / "tok.jsonl"
+        tok.write_text(json.dumps({"qid": "synth-0000", "tokens": ["a"],
+                                   "spans": [[0, 1]]}) + "\n")
+        assert main(["preprocess", "--data", str(corpus), "--pretokenized",
+                     str(tok), "--out", str(tmp_path / "f.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {tok}: no tokens for question 'synth-0001'")
+
+    def test_vocab_with_invalid_utf8_is_2(self, corpus, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"ab\ncd\xff\n")
+        assert main(["preprocess", "--data", str(corpus), "--vocab",
+                     str(vocab), "--out", str(tmp_path / "f.jsonl")]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {vocab}: line 2: 'utf-8' codec can't decode byte 0xff")
 
     def test_missing_embedding_line_has_no_quotes(self, corpus, tmp_path,
                                                   capsys):

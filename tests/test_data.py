@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import OBAMA_CONTEXT, OBAMA_SPANS, OBAMA_VOCAB
+from conftest import OBAMA_CONTEXT, OBAMA_SPANS, OBAMA_VOCAB, make_feature
 from squadlab.autograd import Rng
 from squadlab.data import (DataError, PreprocessConfig, RawExample,
                            TokenizedContext, align_answer_to_tokens,
                            chunk_context, load_pretokenized, load_squad_json,
-                           read_features, read_jsonl, span_to_text,
-                           toy_tokenize, write_features, write_jsonl)
+                           load_vocab, read_features, read_jsonl,
+                           span_to_text, toy_tokenize, write_features,
+                           write_jsonl)
 from squadlab.selftest import JAY_TOKENS, jay_context
 from squadlab.synth import make_synthetic_examples, write_squad_json
 
@@ -266,6 +267,32 @@ class TestSquadJson:
                                  r"missing field 'id'$"):
             load_squad_json(self._write(tmp_path, payload))
 
+    def test_repeated_question_id_names_second_occurrence(self, tmp_path):
+        payload = self._dataset()
+        qas = payload["data"][0]["paragraphs"][0]["qas"]
+        qas[1]["id"] = qas[0]["id"]
+        path = self._write(tmp_path, payload)
+        with pytest.raises(DataError) as e:
+            load_squad_json(path)
+        assert str(e.value) == (
+            f"{path}: $.data[0].paragraphs[0].qas[1]: question id 'q1' "
+            f"repeats $.data[0].paragraphs[0].qas[0]")
+
+
+class TestVocab:
+    def test_lines_as_the_text_reader_splits_them(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"ab\r\ncd\n\n  \nx y\ref")
+        assert load_vocab(path) == ["ab", "cd", "x y", "ef"]
+
+    def test_invalid_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"ab\ncd\xff\n")
+        with pytest.raises(DataError) as e:
+            load_vocab(path)
+        assert str(e.value).startswith(
+            f"{path}: line 2: 'utf-8' codec can't decode byte 0xff"), e.value
+
 
 class TestJsonLines:
     def test_round_trip_skips_blank_lines(self, tmp_path):
@@ -327,6 +354,23 @@ class TestFeatureFile:
             assert (a.start_position, a.end_position) == \
                 (b.start_position, b.end_position)
 
+    def test_no_context_mask_key(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        write_features(path, [make_feature()])
+        assert list(json.loads(path.read_text(encoding="utf-8"))) == [
+            "qid", "feature_index", "tokens", "token_word_span",
+            "start_position", "end_position"]
+
+    def test_line_with_a_context_mask_reads_equal(self, tmp_path):
+        feature = make_feature(start=1, end=2)
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        write_features(new, [feature])
+        rec = json.loads(new.read_text(encoding="utf-8"))
+        rec = {**rec, "context_mask": feature.context_mask}
+        write_jsonl(old, [rec])
+        assert read_features(old) == read_features(new) == [feature]
+        assert read_features(old)[0].context_mask == feature.context_mask
+
     def test_invalid_config(self):
         with pytest.raises(DataError, match="doc_stride"):
             PreprocessConfig(max_seq_length=10, doc_stride=10)
@@ -335,6 +379,73 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="does not match context"):
             RawExample(qid="q", question="?", context="hello",
                        answers=[("bye", 0)], is_impossible=False)
+
+
+
+def _set(key, value):
+    return lambda rec: rec.__setitem__(key, value)
+
+
+def _set_span(i, span):
+    return lambda rec: rec["token_word_span"].__setitem__(i, span)
+
+
+class TestFeatureRecordChecks:
+    """A record ``write_features`` could not have written is a DataError
+    naming the path and the line.  The good record is ``make_feature(start=1,
+    end=2)``: 12 tokens, context positions 5..10, gold (6, 7)."""
+
+    def _read(self, tmp_path, edit):
+        good = json.loads(json.dumps(vars(make_feature(start=1, end=2))))
+        bad = json.loads(json.dumps({**good, "qid": "q1"}))
+        edit(bad)
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, [good, bad])
+        with pytest.raises(DataError) as e:
+            read_features(path)
+        return path, str(e.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec["tokens"].append("extra"),
+        lambda rec: rec["token_word_span"].pop(),
+    ], ids=["extra-token", "missing-span"])
+    def test_token_and_span_counts_differ(self, tmp_path, edit):
+        path, err = self._read(tmp_path, edit)
+        assert err.startswith(f"{path}: line 2: "), err
+        assert "token_word_span entries" in err
+
+    @pytest.mark.parametrize("span", [[3], [3, 4, 5], [4, 3], [-1, 2],
+                                      [1.5, 2], ["1", 2], [True, 2], 7],
+                             ids=["one", "three", "reversed", "negative",
+                                  "float", "string", "bool", "scalar"])
+    def test_malformed_span(self, tmp_path, span):
+        path, err = self._read(tmp_path, _set_span(6, span))
+        assert err == (f"{path}: line 2: token_word_span entry {span!r} is "
+                       f"neither null nor [start, end] with "
+                       f"0 <= start <= end")
+
+    @pytest.mark.parametrize("start, end", [
+        (999, 999), (0, 6), (6, 0), (7, 6), (1, 1), (11, 11), (-1, 6),
+    ], ids=["past-the-end", "null-start", "null-end", "reversed",
+            "question-token", "separator", "negative"])
+    def test_positions_neither_null_nor_context(self, tmp_path, start, end):
+        path, err = self._read(tmp_path, lambda rec: rec.update(
+            start_position=start, end_position=end))
+        assert err == (f"{path}: line 2: start/end positions ({start}, "
+                       f"{end}) are neither the null position nor context "
+                       f"positions with start <= end")
+
+    def test_repeated_key(self, tmp_path):
+        path, err = self._read(tmp_path, _set("qid", "q0"))
+        assert err == (f"{path}: line 2: (qid='q0', feature_index=0) "
+                       f"repeats an earlier line")
+
+    def test_null_and_context_positions_pass(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        feats = [make_feature(qid="a"), make_feature(qid="b", start=0, end=5),
+                 make_feature(qid="b", feature_index=1, start=3, end=3)]
+        write_features(path, feats)
+        assert read_features(path) == feats
 
 
 class TestSynth:

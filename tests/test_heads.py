@@ -306,12 +306,10 @@ def _seq384_features():
 
 def _with_gap(feature, lo, hi):
     """``feature`` with context positions lo..hi-1 masked out."""
-    mask = list(feature.context_mask)
     spans = list(feature.token_word_span)
     for t in range(lo, hi):
-        mask[t], spans[t] = False, None
-    return dataclasses.replace(feature, context_mask=mask,
-                               token_word_span=spans)
+        spans[t] = None
+    return dataclasses.replace(feature, token_word_span=spans)
 
 
 class TestDecodeMatchesReference:

@@ -273,16 +273,6 @@ class TestCombiner:
     def _tokens(self, n):
         return [f"tok{i}" for i in range(n)]
 
-    def test_char_disabled_is_token_branch_through_highways(self):
-        rng = Rng(0)
-        comb = EmbeddingCombiner(6, 4, 0, rng)
-        E = Tensor(Rng(1).normal((4, 6)))
-        expected = comb.wavg_tok.forward(E)
-        for hw in comb.highway:
-            expected = hw.forward(expected)
-        out = comb.forward(E, self._tokens(4))
-        assert np.array_equal(out.data, expected.data)
-
     def test_single_token_char_branch(self):
         table = CharEmbeddingTable(4, seed=0)
         comb = EmbeddingCombiner(6, 4, 3, Rng(0), char_table=table)

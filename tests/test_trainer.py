@@ -3,7 +3,7 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab import ensemble, training
-from squadlab.autograd import no_grad
+from squadlab.autograd import Rng, no_grad
 from squadlab.embeddings import PseudoEmbedder
 from squadlab.ensemble import save_logits_dump
 from squadlab.heads import write_predictions
@@ -19,10 +19,8 @@ def provider(d_model=32, seed=0):
 
 
 def small_cfg(tag, d_model=32):
-    chars = tag.endswith("bidaf")
     return ModelConfig(architecture=tag, d_model=d_model, hidden=8,
-                       d_char=4, d_char_out=4, use_char_embedding=chars,
-                       dropout_rate=0.0)
+                       d_char=4, d_char_out=4, dropout_rate=0.0)
 
 
 # the ordered parameter names of each architecture, as the checkpoint
@@ -90,9 +88,25 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown architecture"):
             ModelConfig(architecture="transformer")
 
-    def test_bidaf_requires_chars(self):
-        with pytest.raises(ValueError, match="use_char_embedding"):
-            ModelConfig(architecture="gru_highway_gru_bidaf")
+    def test_bidaf_builds_the_char_branch_by_default(self):
+        model = build_model(ModelConfig("gru_highway_gru_bidaf", d_model=8,
+                                        hidden=4), seed=0)
+        assert model.parameters()["combiner.char_cnn.K"].data.shape == (
+            3 * 16, 16)
+
+    @pytest.mark.parametrize("tag", ["squad_out", "gru_highway_gru_bidaf"])
+    def test_dropout_runs_only_with_an_rng(self, tag):
+        feat = make_feature(start=2, end=3)
+        emb = provider()(feat)
+
+        def logits(rate, drop_rng=None):
+            model = build_model(ModelConfig(tag, d_model=32, hidden=8,
+                                            dropout_rate=rate), seed=1)
+            start, end = model.forward([feat], [emb], drop_rng=drop_rng)
+            return start.data.tobytes() + end.data.tobytes()
+
+        assert logits(0.5) == logits(0.0)
+        assert logits(0.5, Rng(3)) != logits(0.0)
 
     def test_squad_out_param_count(self):
         d = 32
@@ -164,8 +178,7 @@ class TestTrain:
             train(model, [], prov, hp)
 
     def test_loss_curve_bit_identical(self):
-        hp = Hyperparams(learning_rate=1e-2, batch_size=2, epochs=3, seed=5,
-                         dropout_rate=0.1)
+        hp = Hyperparams(learning_rate=1e-2, batch_size=2, epochs=3, seed=5)
         curves = []
         for _ in range(2):
             model, feats, prov = self._setup()

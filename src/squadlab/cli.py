@@ -275,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="combine member model predictions")
     p.add_argument("--strategy", required=True,
-                   choices=["mean-logits", "weighted-voting",
-                            "wv-mean-logits"])
+                   choices=list(_ENSEMBLE_INPUTS))
     p.add_argument("--pred", nargs="*", default=[])
     p.add_argument("--weights", nargs="*", type=float)
     p.add_argument("--dumps", nargs="*", default=[])
@@ -297,6 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# per ensemble strategy: the flags it needs and the flags it may take; any
+# other ensemble flag is a usage error, since the strategy would ignore it
+_ENSEMBLE_INPUTS = {
+    "mean-logits": (("--dumps", "--features", "--data"), ()),
+    "weighted-voting": (("--pred",), ("--weights", "--null-threshold")),
+    "wv-mean-logits": (("--pred", "--dumps", "--features", "--data",
+                        "--mean-weight"), ("--weights", "--null-threshold")),
+}
+_ENSEMBLE_FLAGS = ("--pred", "--weights", "--dumps", "--features", "--data",
+                   "--mean-weight", "--null-threshold")
+
+
 def _validate(args, parser):
     if args.seed is None:
         env = os.environ.get("SQUADLAB_SEED")
@@ -310,22 +321,19 @@ def _validate(args, parser):
             if value < 1:
                 parser.error(f"{flag} must be at least 1")
     if args.command == "ensemble":
-        needs_dumps = args.strategy in ("mean-logits", "wv-mean-logits")
-        if needs_dumps and (not args.dumps or not args.features
-                            or not args.data):
-            parser.error(f"{args.strategy} requires --dumps, --features "
-                         f"and --data")
-        if args.strategy != "mean-logits" and not args.pred:
-            parser.error(f"{args.strategy} requires --pred files")
-        if args.strategy == "wv-mean-logits" and args.mean_weight is None:
-            parser.error("wv-mean-logits requires --mean-weight")
+        needs, may = _ENSEMBLE_INPUTS[args.strategy]
+        given = [flag for flag in _ENSEMBLE_FLAGS if getattr(
+            args, flag[2:].replace("-", "_")) not in (None, [])]
+        missing = [flag for flag in needs if flag not in given]
+        if missing:
+            parser.error(f"{args.strategy} requires {', '.join(missing)}")
+        unread = [flag for flag in given if flag not in needs + may]
+        if unread:
+            parser.error(f"{args.strategy} takes no {', '.join(unread)}: it "
+                         f"reads only {', '.join(needs + may)}")
         if args.weights and len(args.weights) != len(args.pred):
             parser.error("--weights must match the number of --pred files")
-        if args.strategy == "mean-logits":
-            if args.null_threshold is not None:
-                parser.error("mean-logits takes no --null-threshold: it "
-                             "writes n-best lists; pass it to evaluate")
-        elif args.null_threshold is None:
+        if "--null-threshold" in may and args.null_threshold is None:
             args.null_threshold = DEFAULT_NULL_THRESHOLD
 
 

@@ -12,6 +12,7 @@ The sentinel at index 0 doubles as the no-answer position.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -49,18 +50,22 @@ def read_records(path, magic: bytes, version: int, n_header: int,
     """Read what ``write_records`` wrote: (header fields, records).
 
     Each record is (qid, feature_index, payload); ``shape(header,
-    seq_len)`` gives the fp64 payload's shape.  A wrong magic or version, a
-    short read, a qid that is not UTF-8 or bytes past the last record
-    raise DataError.
+    seq_len)`` gives the fp64 payload's shape.  Every size a header claims
+    is checked against the bytes left in the file before it is read.  A
+    wrong magic or version, a size past the end of the file, a qid that is
+    not UTF-8 or bytes past the last record raise DataError.
     """
     with open(path, "rb") as f:
-        def read(size):
-            buf = f.read(size)
-            if len(buf) != size:
+        end = f.seek(0, os.SEEK_END)
+        f.seek(0)
+
+        def read(size, where=""):
+            at = f.tell()
+            if size > end - at:
                 raise DataError(
-                    f"{path}: truncated: needed {size} bytes at offset "
-                    f"{f.tell() - len(buf)}, file has {len(buf)}")
-            return buf
+                    f"{path}: {where}truncated: needed {size} bytes at "
+                    f"offset {at}, file has {end - at}")
+            return f.read(size)
 
         got = read(len(magic))
         if got != magic:
@@ -71,21 +76,21 @@ def read_records(path, magic: bytes, version: int, n_header: int,
             raise DataError(f"{path}: unsupported version {got}")
         records = []
         for i in range(count):
-            (qlen,) = struct.unpack("<I", read(4))
+            where = f"record {i}: "
+            (qlen,) = struct.unpack("<I", read(4, where))
             try:
-                qid = read(qlen).decode("utf-8")
+                qid = read(qlen, where).decode("utf-8")
             except UnicodeDecodeError as e:
-                raise DataError(f"{path}: record {i}: qid: {e}") from None
-            feature_index, seq_len = struct.unpack("<II", read(8))
+                raise DataError(f"{path}: {where}qid: {e}") from None
+            feature_index, seq_len = struct.unpack("<II", read(8, where))
             dims = shape(header, seq_len)
-            raw = read(8 * int(np.prod(dims)))
+            raw = read(8 * math.prod(dims), where)
             payload = np.frombuffer(raw, dtype="<f8").reshape(dims)
             records.append((qid, feature_index, payload.astype(np.float64)))
-        offset = f.tell()
-        extra = f.seek(0, os.SEEK_END) - offset
+        extra = end - f.tell()
         if extra:
             raise DataError(f"{path}: {extra} trailing bytes after the last "
-                            f"record (offset {offset})")
+                            f"record (offset {f.tell()})")
     return tuple(header), records
 
 
@@ -367,11 +372,24 @@ def read_jsonl(path, parse) -> list:
 
 
 def load_pretokenized(path) -> dict:
-    """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext."""
-    return dict(read_jsonl(path, lambda rec: (rec["qid"], TokenizedContext(
-        tokens=list(rec["tokens"]),
-        token_word_span=[(int(s), int(e)) for s, e in rec["spans"]],
-    ))))
+    """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext.  Every
+    token needs a span, [start, end] with 0 <= start <= end, as in a
+    feature record, and a qid may appear once; a bad record raises
+    DataError naming the line."""
+    contexts = {}
+
+    def parse(rec):
+        qid, tokens = rec["qid"], list(rec["tokens"])
+        spans = [_span(s, "spans", null_ok=False) for s in rec["spans"]]
+        if len(tokens) != len(spans):
+            raise ValueError(f"{len(tokens)} tokens but {len(spans)} spans "
+                             f"entries")
+        if qid in contexts:
+            raise ValueError(f"qid {qid!r} repeats an earlier line")
+        contexts[qid] = TokenizedContext(tokens, spans)
+
+    read_jsonl(path, parse)
+    return contexts
 
 
 def write_features(path, features) -> None:
@@ -380,16 +398,18 @@ def write_features(path, features) -> None:
         features, key=lambda f: (f.qid, f.feature_index))))
 
 
-def _span(s):
-    """A feature record's word span: null, or [start, end] with
-    0 <= start <= end."""
-    if s is None:
+def _span(s, field="token_word_span", null_ok=True):
+    """A word span of a record's ``field``: [start, end] with
+    0 <= start <= end, or null where ``null_ok`` (a feature's token outside
+    the context)."""
+    if s is None and null_ok:
         return None
     if (type(s) is list and len(s) == 2
             and type(s[0]) is type(s[1]) is int and 0 <= s[0] <= s[1]):
         return tuple(s)
-    raise ValueError(f"token_word_span entry {s!r} is neither null nor "
-                     f"[start, end] with 0 <= start <= end")
+    either = "neither null nor" if null_ok else "not"
+    raise ValueError(f"{field} entry {s!r} is {either} [start, end] with "
+                     f"0 <= start <= end")
 
 
 def _feature(rec) -> Feature:

@@ -48,8 +48,7 @@ def check_gradients(fn, params: dict, rtol: float = 1e-6,
     for name in params:
         err = float(np.abs(analytic[name] - numeric[name]).max()) / scale
         errors[name] = err
-        assert err < rtol, (
-            f"gradient mismatch for {name}: relative error {err:.3e} "
-            f">= {rtol:.0e}"
-        )
+        if not err < rtol:  # an explicit raise: ``python -O`` keeps it
+            raise AssertionError(f"gradient mismatch for {name}: relative "
+                                 f"error {err:.3e} >= {rtol:.0e}")
     return errors

@@ -9,8 +9,9 @@ returns a flat name -> Tensor map, so checkpoints use hierarchical names
 A layer may see several chunks at once, their rows packed as [N, d] and
 ``lengths`` giving each chunk's row count (None: one chunk).  Row-wise
 layers run once on the packed rows, the recurrences advance every chunk
-in one scan, and pooling and attention run on each chunk's own rows
-(``per_chunk``).
+in one scan, pooling runs on each chunk's own rows (``per_chunk``), and
+one attention call is one graph node over every chunk, attending within
+each chunk and keeping only its softmax probabilities for the backward.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
                        concat, gru_scans, init_uniform, lstm_scans,
-                       masked_fill, matmul, softmax, stack)
+                       matmul, softmax, stack)
 
 
 class Highway(Module):
@@ -121,7 +122,7 @@ class BiCells(Module):
 
 def per_chunk(fn, x: Tensor, lengths=None) -> Tensor:
     """``fn`` over each chunk's rows of packed ``x``, the results packed
-    again in order; a single chunk is one plain call."""
+    again in order; a single chunk is one plain call.  Pooling uses it."""
     if lengths is None or len(lengths) == 1:
         return fn(x)
     ends = np.cumsum(lengths)
@@ -129,25 +130,79 @@ def per_chunk(fn, x: Tensor, lengths=None) -> Tensor:
                   axis=0)
 
 
-def dot_product_attention(x: Tensor, attend_mask=None,
-                          causal: bool = False) -> Tensor:
-    """Scaled dot-product self-attention; queries=keys=values=x.
+def dot_product_attention(x: Tensor, attend_mask=None, causal: bool = False,
+                          lengths=None) -> Tensor:
+    """Scaled dot-product self-attention, queries = keys = values = x, over
+    each chunk of packed rows (``lengths``; None: one chunk), as one graph
+    node.
 
-    ``attend_mask`` marks positions that may be attended to (True = live).
-    With ``causal``, position i only sees positions <= i.
+    ``attend_mask`` marks the rows that may be attended to (True = live).
+    With ``causal``, row i of a chunk only sees the chunk's rows <= i.  Per
+    chunk the forward computes the values of the composed chain (scores
+    ``x x^T / sqrt(d)``, blocked scores set to ``MASK_FILL``, a row softmax,
+    ``p @ x``) with the same numpy ops in the same order; the node keeps
+    only each chunk's probabilities ``p`` (and its keep mask, if masked) for
+    a hand-written backward.
     """
     seq, d = x.shape
     if seq == 0:
         raise ValueError("attention over an empty sequence")
-    scores = matmul(x, x.transpose()) * (1.0 / np.sqrt(d))
-    blocked = np.zeros((seq, seq), dtype=bool)
+    lengths = [seq] if lengths is None else [int(n) for n in lengths]
+    if min(lengths) < 1 or sum(lengths) != seq:
+        raise ValueError(f"attention chunk lengths {lengths} must each be at "
+                         f"least 1 and sum to the {seq} rows")
+    live = None
     if attend_mask is not None:
-        blocked |= ~np.asarray(attend_mask, dtype=bool)[None, :]
-    if causal:
-        blocked |= np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    if blocked.any():
-        scores = masked_fill(scores, blocked, MASK_FILL)
-    return matmul(softmax(scores, axis=1), x)
+        live = np.asarray(attend_mask, dtype=bool)
+        if live.shape != (seq,):
+            raise ValueError(f"attend_mask shape {live.shape}, expected "
+                             f"({seq},)")
+    scale = 1.0 / np.sqrt(d)
+    ends = np.cumsum(lengths)
+    bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
+    probs, keeps, outs = [], [], []
+    for lo, hi in bounds:
+        xc = x.data[lo:hi]
+        s = xc @ xc.T.copy()
+        s *= scale
+        _check_finite(s, "dot_product_attention")
+        blocked = np.zeros(s.shape, dtype=bool)
+        if live is not None:
+            blocked |= ~live[None, lo:hi]
+        if causal:
+            blocked |= np.triu(np.ones(s.shape, dtype=bool), k=1)
+        keep = None
+        if blocked.any():
+            keep = ~blocked
+            s = np.where(keep, s, MASK_FILL)
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        probs.append(s)
+        keeps.append(keep)
+        outs.append(s @ xc)
+
+    def bwd(g):
+        # dx = ds x + ds^T x + p^T g, ds = scale * keep * p * (dp - rowsum(dp
+        # * p)), summed in the composed chain's order and operand layouts,
+        # so the gradient is bit-identical to it
+        dx = np.empty_like(x.data)
+        for (lo, hi), p, keep in zip(bounds, probs, keeps):
+            xc, gc = x.data[lo:hi], g[lo:hi]
+            ds = gc @ xc.T
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            if keep is not None:
+                ds *= keep
+            ds *= scale
+            d = dx[lo:hi]
+            d[...] = p.T @ gc
+            d += ds @ xc.T.copy().T
+            d += (xc.T @ ds).T
+        x._accum(dx)
+
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    return Tensor._op(out, (x,), bwd)
 
 
 class WeightedAvgAttention(Module):

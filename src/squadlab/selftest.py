@@ -1,8 +1,8 @@
 """Quick self-verification: golden fixtures, gradient spot checks of the
 highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, also over two
-chunks of unequal length, and the char-CNN) and ``stack``, and one tiny
-BiDAF forward that must give the same bytes with and without a recorded
-graph."""
+chunks of unequal length, the char-CNN and causal attention over two chunks)
+and ``stack``, and one tiny BiDAF forward that must give the same bytes with
+and without a recorded graph."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .data import (PreprocessConfig, RawExample, TokenizedContext,
 from .embeddings import CharEmbeddingTable
 from .gradcheck import check_gradients
 from .layers import (CharCNN, GRUCell, Highway, LSTMCell, bigru_forward,
-                     bilstm_forward)
+                     bilstm_forward, dot_product_attention)
 from .scoring import compute_em, compute_f1
 from .training import ModelConfig, QaModel
 
@@ -99,6 +99,10 @@ def run_selftest(verbose: bool = False) -> bool:
             ("bilstm", lambda: bilstm_forward(*lstm, x), lstm, {"x": x}),
             ("bigru over 2 chunks",
              lambda: bigru_forward(*gru, chunks, [3, 2]), gru,
+             {"x": chunks}),
+            ("attention",
+             lambda: dot_product_attention(chunks, causal=True,
+                                           lengths=[3, 2]), [],
              {"x": chunks}),
             ("char-cnn", lambda: cnn.forward(win), [cnn], {}),
             ("stack", lambda: stack(list(rows.values())) * x, [],

@@ -39,7 +39,7 @@ from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     to_span_logits)
 from .layers import (BiCells, EmbeddingCombiner, GRUCell, Highway, LSTMCell,
                      bigru_forward, bilstm_forward, dot_product_attention,
-                     dropout, per_chunk)
+                     dropout)
 
 ARCHITECTURES = (
     "squad_out",
@@ -177,11 +177,9 @@ class QaModel(Module):
         if self.mid_highway is not None:
             att = self.mid_highway.forward(enc)
         else:
-            att = per_chunk(dot_product_attention, enc, lengths)
+            att = dot_product_attention(enc, lengths=lengths)
             if tag == "gru_attn_selfattn_gru_bidaf":
-                att = per_chunk(
-                    lambda a: dot_product_attention(a, causal=True), att,
-                    lengths)
+                att = dot_product_attention(att, causal=True, lengths=lengths)
         dec = birnn(self.decoder.fwd, self.decoder.bwd, att, lengths)
         return self.head.forward(att, dec, context_mask, lengths)
 

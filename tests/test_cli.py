@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,26 @@ class TestArtifactErrors:
             assert code == 2, size
             assert "truncated" in _error_line(capsys), size
 
+    @pytest.mark.parametrize("d_model, seq_len", [
+        (2**31, 2**31), (0xFFFFFFFF, 0xFFFFFFFF), (64, 2**16)],
+        ids=["overflows-int64", "wraps-negative", "past-the-end"])
+    def test_record_sizes_past_the_end_are_2(self, corpus, tmp_path, capsys,
+                                             d_model, seq_len):
+        # a header that claims more payload than the file holds is refused
+        # before any read of that size
+        feats = self._features(corpus, tmp_path, capsys)
+        emb = tmp_path / "huge.bin"
+        emb.write_bytes(b"SQEM" + struct.pack("<III", 1, d_model, 1)
+                        + struct.pack("<I2sII", 2, b"q0", 0, seq_len)
+                        + bytes(16))
+        code = main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out",
+                     "--out", str(tmp_path / "m.json"), "--d-model", "3"])
+        assert code == 2
+        assert _error_line(capsys) == (
+            f"error: {emb}: record 0: truncated: needed "
+            f"{8 * d_model * seq_len} bytes at offset 30, file has 16")
+
     def test_nonfinite_embedding_in_predict_is_2(self, corpus, tmp_path,
                                                  capsys):
         feats = self._features(corpus, tmp_path, capsys)
@@ -528,6 +549,46 @@ class TestEnsembleThreshold:
                      "--null-threshold", "0"])
         assert code == 1
         assert "--null-threshold" in capsys.readouterr().err
+
+    NEEDS = {
+        "mean-logits": ["--dumps", "a.bin", "--features", "f", "--data", "d"],
+        "weighted-voting": ["--pred", "p.jsonl"],
+        "wv-mean-logits": ["--pred", "p.jsonl", "--dumps", "a.bin",
+                           "--features", "f", "--data", "d",
+                           "--mean-weight", "60"],
+    }
+    UNREAD = [
+        ("weighted-voting", ["--dumps", "a.bin"]),
+        ("weighted-voting", ["--features", "f"]),
+        ("weighted-voting", ["--data", "d"]),
+        ("weighted-voting", ["--mean-weight", "0"]),
+        ("mean-logits", ["--pred", "p.jsonl"]),
+        ("mean-logits", ["--weights", "1"]),
+        ("mean-logits", ["--mean-weight", "60"]),
+    ]
+
+    @pytest.mark.parametrize("strategy, extra", UNREAD,
+                             ids=[f"{s}{e[0]}" for s, e in UNREAD])
+    def test_flag_the_strategy_does_not_read_is_1(self, tmp_path, capsys,
+                                                  strategy, extra):
+        # refused before any input is opened (none of them exists)
+        code = main(["ensemble", "--strategy", strategy,
+                     "--out", str(tmp_path / "o.jsonl")]
+                    + self.NEEDS[strategy] + extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{strategy} takes no {extra[0]}: it reads only" in err
+
+    @pytest.mark.parametrize("strategy", list(NEEDS))
+    def test_each_needed_flag_is_required(self, tmp_path, capsys, strategy):
+        needs = self.NEEDS[strategy]
+        for i in range(0, len(needs), 2):
+            code = main(["ensemble", "--strategy", strategy,
+                         "--out", str(tmp_path / "o.jsonl")]
+                        + needs[:i] + needs[i + 2:])
+            assert code == 1, needs[i]
+            assert f"{strategy} requires {needs[i]}" in \
+                capsys.readouterr().err
 
     def test_weighted_voting_honours_null_threshold(self, tmp_path):
         # the span scores 1.0 below the null score: a no-answer vote at
@@ -911,6 +972,19 @@ class TestInputErrors:
                      str(tok), "--out", str(tmp_path / "f.jsonl")]) == 2
         assert _error_line(capsys) == (
             f"error: {tok}: no tokens for question 'synth-0001'")
+
+    def test_pretokenized_spans_one_short_is_2(self, corpus, tmp_path,
+                                               capsys):
+        # refused by preprocess itself, naming the pretokenized file
+        tok = tmp_path / "tok.jsonl"
+        tok.write_text(json.dumps({"qid": "synth-0000", "tokens": ["a", "b"],
+                                   "spans": [[0, 1]]}) + "\n")
+        out = tmp_path / "f.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--pretokenized",
+                     str(tok), "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            f"error: {tok}: line 1: 2 tokens but 1 spans entries")
+        assert not out.exists()
 
     def test_vocab_with_invalid_utf8_is_2(self, corpus, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"

@@ -328,6 +328,28 @@ class TestJsonLines:
                            match=r"line 1: missing field 'spans'$"):
             load_pretokenized(path)
 
+    @pytest.mark.parametrize("spans, problem", [
+        ([[0, 1]], "2 tokens but 1 spans entries"),
+        ([[0, 1], None], "spans entry None is not [start, end] with "
+                         "0 <= start <= end"),
+        ([[0, 1], [3, 2]], "spans entry [3, 2] is not [start, end] with "
+                           "0 <= start <= end"),
+        ([[0, 1], [2.0, 3]], "spans entry [2.0, 3] is not [start, end] "
+                             "with 0 <= start <= end"),
+        ([[0, 1], [2, 3]], "qid 'p' repeats an earlier line"),
+    ], ids=["one-short", "null", "reversed", "float", "repeated-qid"])
+    def test_pretokenized_records_follow_the_feature_rules(
+            self, tmp_path, spans, problem):
+        path = tmp_path / "tok.jsonl"
+        good = {"qid": "p", "tokens": ["a"], "spans": [[0, 1]]}
+        qid = "p" if problem.startswith("qid") else "q"
+        bad = {"qid": qid, "tokens": ["a", "b"], "spans": spans}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as e:
+            load_pretokenized(path)
+        assert str(e.value) == f"{path}: line 2: {problem}"
+
 
 class TestFeatureFile:
     def test_round_trip_and_determinism(self, tmp_path):

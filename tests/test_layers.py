@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from squadlab.autograd import Rng, Tensor, matmul
+from squadlab.autograd import (MASK_FILL, Rng, Tensor, concat, masked_fill,
+                               matmul, softmax)
 from squadlab.embeddings import CharEmbeddingTable
 from squadlab.gradcheck import check_gradients
 from squadlab.layers import (CharCNN, EmbeddingCombiner, GRUCell, Highway,
@@ -123,6 +124,75 @@ class TestGru:
                 lambda: (gru_forward(cell, x, reverse)
                          * gru_forward(cell, x, reverse)).sum(),
                 {"x": x, **cell.parameters()}, rtol=1e-5)
+
+
+def reference_dot_product_attention(x, attend_mask=None, causal=False,
+                                    lengths=None):
+    """The composed chain the fused node replaces: per chunk (a getitem of
+    its rows) matmul, transpose, scale, masked_fill, softmax and matmul,
+    the chunks' outputs concatenated."""
+    def one(xc, live):
+        seq, d = xc.shape
+        scores = matmul(xc, xc.transpose()) * (1.0 / np.sqrt(d))
+        blocked = np.zeros((seq, seq), dtype=bool)
+        if live is not None:
+            blocked |= ~live[None, :]
+        if causal:
+            blocked |= np.triu(np.ones((seq, seq), dtype=bool), k=1)
+        if blocked.any():
+            scores = masked_fill(scores, blocked, MASK_FILL)
+        return matmul(softmax(scores, axis=1), xc)
+
+    live = None if attend_mask is None else np.asarray(attend_mask, bool)
+    if lengths is None or len(lengths) == 1:
+        return one(x, live)
+    ends = np.cumsum(lengths)
+    return concat([one(x[lo:hi], None if live is None else live[lo:hi])
+                   for lo, hi in zip(ends - lengths, ends)], axis=0)
+
+
+class TestFusedAttentionMatchesReference:
+    CASES = {
+        "one-chunk": dict(),
+        "causal": dict(causal=True),
+        "attend-mask": dict(attend_mask=[True, False, True, True, False,
+                                         True, True, True, False]),
+        "three-chunks": dict(lengths=[4, 1, 4], causal=True,
+                             attend_mask=[True, True, False, True, True,
+                                          True, False, True, True]),
+        # every score of the first chunk is MASK_FILL: uniform weights, and
+        # no gradient through its scores
+        "masked-chunk": dict(lengths=[2, 7],
+                             attend_mask=[False, False] + [True] * 7),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_values_equal_and_gradients_agree(self, case):
+        kwargs = self.CASES[case]
+        rng = Rng(11)
+        data = rng.normal((9, 5)) * 2.0
+        g = rng.normal((9, 5))
+        fused_x = Tensor(data.copy(), requires_grad=True)
+        ref_x = Tensor(data.copy(), requires_grad=True)
+        fused = dot_product_attention(fused_x, **kwargs)
+        ref = reference_dot_product_attention(ref_x, **kwargs)
+        assert np.array_equal(fused.data, ref.data)
+        (fused * Tensor(g)).sum().backward()
+        (ref * Tensor(g)).sum().backward()
+        scale = np.abs(ref_x.grad).max()
+        assert np.abs(fused_x.grad - ref_x.grad).max() <= 1e-12 * scale
+
+    def test_one_call_is_one_node(self):
+        x = Tensor(Rng(12).normal((7, 3)), requires_grad=True)
+        out = dot_product_attention(x, causal=True, lengths=[3, 4])
+        assert out._parents == (x,)
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [5, 0, 2], [8]],
+                             ids=["short", "empty-chunk", "long"])
+    def test_lengths_must_cover_the_rows(self, lengths):
+        x = Tensor(Rng(14).normal((7, 3)))
+        with pytest.raises(ValueError, match="chunk lengths"):
+            dot_product_attention(x, lengths=lengths)
 
 
 class TestDotProductAttention:

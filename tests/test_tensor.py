@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squadlab
 from squadlab.autograd import (AdamState, Module, Rng, Tensor, _sigmoid,
                                _sigmoid_scratch, adam_step, backward, concat,
                                cross_entropy_from_logits, elementwise,
@@ -270,6 +275,37 @@ class TestBackward:
             return (c[1:3] * c[1:3]).sum()
 
         check_gradients(loss, {"a": a, "b": b}, rtol=1e-6)
+
+
+_WRONG_BACKWARD = """
+from squadlab.autograd import Tensor
+from squadlab.gradcheck import check_gradients
+x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+# the value of x, but a backward that passes 3x the gradient
+tripled = lambda: Tensor._op(x.data.copy(), (x,),
+                             lambda g: x._accum(3.0 * g)).sum()
+try:
+    check_gradients(tripled, {"x": x})
+except AssertionError as e:
+    print("rejected:", e)
+else:
+    print("accepted")
+"""
+
+
+class TestGradcheck:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_wrong_backward_is_rejected(self, flags):
+        # python -O strips assert statements; the check must still fail
+        src = str(Path(squadlab.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, *flags, "-c", _WRONG_BACKWARD],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(
+            "rejected: gradient mismatch for x: relative error 6.667e-01"), \
+            done.stdout
 
 
 class TestGetitemBackward:

@@ -326,12 +326,12 @@ def elementwise(op_kind: str, a: Tensor, b: Tensor | None = None) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
-    if b.data.ndim != 2 or a.data.ndim not in (2, 3):
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(
-            f"matmul expects a rank 2 or 3, b rank 2; got {a.data.shape} "
-            f"and {b.data.shape}"
+            f"matmul expects rank-2 operands; got {a.data.shape} and "
+            f"{b.data.shape}"
         )
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
         )
@@ -341,10 +341,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accum(g @ b.data.T)
         if b.requires_grad:
-            if a.data.ndim == 2:
-                b._accum(a.data.T @ g)
-            else:
-                b._accum(np.einsum("bmn,bmp->np", a.data, g))
+            b._accum(a.data.T @ g)
 
     return Tensor._op(out_data, (a, b), bwd)
 
@@ -364,17 +361,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._op(out_data, (x,), bwd)
 
 
-class _StepOrder:
-    """Where the packed rows of B chunks sit in a scan's step-order buffers
-    [T, D, B, k], T the longest chunk: row t of a chunk of L rows is step t,
-    or step L - 1 - t in a reverse direction.  Every chunk starts at step 0,
-    so its padded steps come last and never feed a live step."""
+def chunk_bounds(lengths, rows: int, what: str) -> list:
+    """The (first, end) rows of each chunk of ``rows`` packed rows, in
+    order: ``lengths`` gives each chunk's row count (None: one chunk of
+    every row).  Lengths that do not add up to ``rows``, or that include a
+    chunk of no rows, raise ValueError starting with ``what``."""
+    lengths = [rows] if lengths is None else [int(n) for n in lengths]
+    if sum(lengths) != rows:
+        raise ValueError(f"{what}: chunk lengths {lengths} do not add up to "
+                         f"{rows} rows")
+    if min(lengths, default=0) < 1:
+        raise ValueError(f"{what}: chunk lengths {lengths} include an empty "
+                         f"chunk")
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
 
-    def __init__(self, lengths, reverse):
-        L = np.asarray(lengths)
+
+class _StepOrder:
+    """Where the packed rows of B chunks (``chunk_bounds``) sit in a scan's
+    step-order buffers [T, D, B, k], T the longest chunk: row t of a chunk
+    of L rows is step t, or step L - 1 - t in a reverse direction.  Every
+    chunk starts at step 0, so its padded steps come last and never feed a
+    live step."""
+
+    def __init__(self, bounds, reverse):
+        first, end = np.array(bounds).T
+        L = end - first
         self.shape = (int(L.max()), len(reverse), len(L))
         self.chunk = np.repeat(np.arange(len(L)), L)
-        t = np.arange(self.chunk.size) - np.repeat(np.cumsum(L) - L, L)
+        t = np.arange(self.chunk.size) - np.repeat(first, L)
         self.step = [L[self.chunk] - 1 - t if r else t for r in reverse]
 
     def scatter(self, arrays) -> np.ndarray:
@@ -391,20 +406,14 @@ class _StepOrder:
 
 def _directions(name, reverse, lengths, shapes, *args):
     """Coerce per-direction scan arguments, check every shape and the chunk
-    lengths (default: one chunk of every row), and place the rows."""
+    lengths (``chunk_bounds``), and place the rows."""
     groups = [[Tensor._coerce(t) for t in ts] for ts in args]
     got = [[t.shape for t in ts] for ts in groups]
     if any(g != [s] * len(reverse) for g, s in zip(got, shapes)):
         raise ValueError(f"{name} shapes disagree: got {got} for "
                          f"{len(reverse)} directions, expected {shapes}")
-    rows = shapes[0][0]
-    lengths = [rows] if lengths is None else [int(n) for n in lengths]
-    if sum(lengths) != rows:
-        raise ValueError(f"{name}: chunk lengths {lengths} do not add up to "
-                         f"{rows} rows")
-    if min(lengths, default=0) < 1:
-        raise ValueError("recurrence over an empty sequence")
-    return _StepOrder(lengths, reverse), groups
+    bounds = chunk_bounds(lengths, shapes[0][0], name)
+    return _StepOrder(bounds, reverse), groups
 
 
 def _rows(steps: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,9 +21,9 @@ from .data import (DataError, PreprocessConfig, load_pretokenized,
                    read_features, toy_tokenize, write_features)
 from .embeddings import (PseudoEmbedder, check_embedder,
                          load_embedding_fixture, save_embedding_fixture)
-from .ensemble import (PredictionSet, decode_logit_set, load_logits_dump,
-                       mean_logits, save_logits_dump, weighted_voting,
-                       weighted_voting_with_mean_logits)
+from .ensemble import (PredictionSet, check_weight, decode_logit_set,
+                       load_logits_dump, mean_logits, save_logits_dump,
+                       weighted_voting, weighted_voting_with_mean_logits)
 from .heads import (DEFAULT_NULL_THRESHOLD, read_predictions,
                     write_predictions)
 from .scoring import evaluate, predictions_from_file, write_report
@@ -108,8 +109,12 @@ def cmd_train(args):
                      batch_size=args.batch_size, epochs=args.epochs,
                      max_seq_length=args.max_seq_length,
                      doc_stride=args.doc_stride, seed=args.seed)
-    model = build_model(cfg, args.seed)
     provider = _provider(args.embeddings, args.d_model, args.seed)
+    width = provider.identity()["d_model"]
+    if width != args.d_model:
+        raise DataError(f"{args.embeddings} holds d_model={width} "
+                        f"embeddings, --d-model is {args.d_model}")
+    model = build_model(cfg, args.seed)
     result = train(model, features, provider, hp)
     save_model(args.out, model,
                hyperparams={**vars(hp), "embeddings": provider.identity()})
@@ -335,6 +340,18 @@ def _validate(args, parser):
             parser.error("--weights must match the number of --pred files")
         if "--null-threshold" in may and args.null_threshold is None:
             args.null_threshold = DEFAULT_NULL_THRESHOLD
+    weights = [("--model-f1-weight", getattr(args, "model_f1_weight", None)),
+               ("--mean-weight", getattr(args, "mean_weight", None))]
+    weights += [("--weights", w) for w in getattr(args, "weights", None) or []]
+    for flag, weight in weights:
+        if weight is not None:
+            try:
+                check_weight(flag, weight)
+            except ValueError as e:
+                parser.error(str(e))
+    threshold = getattr(args, "null_threshold", None)
+    if threshold is not None and not math.isfinite(threshold):
+        parser.error(f"--null-threshold must be finite, got {threshold}")
 
 
 def main(argv=None) -> int:

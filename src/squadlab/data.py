@@ -350,22 +350,36 @@ def _why(e) -> str:
 
 
 def write_jsonl(path, records) -> None:
-    """One JSON value per line, UTF-8, non-ASCII characters kept as is."""
+    """One JSON value per line, UTF-8, non-ASCII characters kept as is.
+    A NaN or an infinity, which JSON cannot hold, raises ValueError."""
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            f.write(json.dumps(rec, ensure_ascii=False, allow_nan=False)
+                    + "\n")
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+_FINITE_JSON = json.JSONDecoder(parse_float=_finite_number,
+                                parse_constant=_finite_number)
 
 
 def read_jsonl(path, parse) -> list:
     """``parse`` of each non-blank line's JSON value; a bad line, invalid
-    UTF-8 included, raises DataError naming the path and the line number."""
+    UTF-8 or a NaN or infinite number included, raises DataError naming
+    the path and the line number."""
     out = []
     with open(path, "rb") as f:
         for ln, raw in enumerate(f, 1):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    out.append(parse(json.loads(line)))
+                    out.append(parse(_FINITE_JSON.decode(line)))
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"{path}: line {ln}: {_why(e)}") from None
     return out

@@ -9,6 +9,7 @@ dev-set F1 values, used as given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,15 @@ DUMP_VERSION = 1
 NULL_KEY = ("null",)
 
 
+def check_weight(what: str, weight) -> None:
+    """A voting weight is a finite number above 0: a NaN or an infinity
+    would make the tallies NaN or infinite and the winner arbitrary."""
+    if (isinstance(weight, bool) or not isinstance(weight, (int, float))
+            or not math.isfinite(weight) or weight <= 0):
+        raise ValueError(f"{what} must be finite and positive, got "
+                         f"{weight!r}")
+
+
 @dataclass
 class PredictionSet:
     model_id: str
@@ -32,11 +42,7 @@ class PredictionSet:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError(
-                f"model {self.model_id}: weight must be positive, "
-                f"got {self.weight}"
-            )
+        check_weight(f"model {self.model_id}: weight", self.weight)
 
     @classmethod
     def from_records(cls, model_id, records, weight=None):
@@ -164,8 +170,7 @@ def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
                                      max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
                                      null_threshold: float = DEFAULT_NULL_THRESHOLD) -> list:
     """Weighted voting over the member models plus the mean-logits model."""
-    if mean_weight <= 0:
-        raise ValueError(f"mean_weight must be positive, got {mean_weight}")
+    check_weight("mean_weight", mean_weight)
     combined = mean_logits(dumps)
     mean_records = decode_logit_set(
         combined, features_by_key, context_by_qid, n_best=n_best,

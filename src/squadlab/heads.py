@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Module, Rng, Tensor,
+from .autograd import (MASK_FILL, Module, Rng, Tensor, chunk_bounds,
                        cross_entropy_from_logits, init_uniform, masked_fill,
                        matmul)
 from .data import (NULL_POSITION, DataError, Feature, read_jsonl,
@@ -68,8 +68,8 @@ def _head_mask(context_mask, lengths=None) -> np.ndarray:
     """Positions to blank: outside the context and not a chunk's null
     sentinel."""
     blocked = ~np.asarray(context_mask, dtype=bool)
-    firsts = [0] if lengths is None else np.cumsum(lengths) - lengths
-    blocked[np.add(firsts, NULL_POSITION)] = False
+    for first, _ in chunk_bounds(lengths, len(blocked), "span head"):
+        blocked[first + NULL_POSITION] = False
     return blocked
 
 

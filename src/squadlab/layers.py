@@ -7,11 +7,13 @@ returns a flat name -> Tensor map, so checkpoints use hierarchical names
 (e.g. ``highway.0.W_proj``) and no layer lists its own parameters.
 
 A layer may see several chunks at once, their rows packed as [N, d] and
-``lengths`` giving each chunk's row count (None: one chunk).  Row-wise
-layers run once on the packed rows, the recurrences advance every chunk
-in one scan, pooling runs on each chunk's own rows (``per_chunk``), and
-one attention call is one graph node over every chunk, attending within
-each chunk and keeping only its softmax probabilities for the backward.
+``lengths`` giving each chunk's row count (None: one chunk);
+``autograd.chunk_bounds`` is the one rule that checks the lengths and
+turns them into each chunk's rows.  Row-wise layers run once on the
+packed rows, the recurrences advance every chunk in one scan, pooling
+runs on each chunk's own rows, and one attention call is one graph node
+over every chunk, attending within each chunk and keeping only its
+softmax probabilities for the backward.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
-                       concat, gru_scans, init_uniform, lstm_scans,
-                       matmul, softmax, stack)
+                       chunk_bounds, concat, gru_scans, init_uniform,
+                       lstm_scans, matmul, softmax, stack)
 
 
 class Highway(Module):
@@ -120,60 +122,31 @@ class BiCells(Module):
         self.bwd = bwd
 
 
-def per_chunk(fn, x: Tensor, lengths=None) -> Tensor:
-    """``fn`` over each chunk's rows of packed ``x``, the results packed
-    again in order; a single chunk is one plain call.  Pooling uses it."""
-    if lengths is None or len(lengths) == 1:
-        return fn(x)
-    ends = np.cumsum(lengths)
-    return concat([fn(x[lo:hi]) for lo, hi in zip(ends - lengths, ends)],
-                  axis=0)
-
-
-def dot_product_attention(x: Tensor, attend_mask=None, causal: bool = False,
+def dot_product_attention(x: Tensor, causal: bool = False,
                           lengths=None) -> Tensor:
     """Scaled dot-product self-attention, queries = keys = values = x, over
-    each chunk of packed rows (``lengths``; None: one chunk), as one graph
-    node.
+    each chunk of packed rows (``lengths``, as in ``chunk_bounds``), as one
+    graph node.
 
-    ``attend_mask`` marks the rows that may be attended to (True = live).
     With ``causal``, row i of a chunk only sees the chunk's rows <= i.  Per
     chunk the forward computes the values of the composed chain (scores
     ``x x^T / sqrt(d)``, blocked scores set to ``MASK_FILL``, a row softmax,
     ``p @ x``) with the same numpy ops in the same order; the node keeps
-    only each chunk's probabilities ``p`` (and its keep mask, if masked) for
-    a hand-written backward.
+    only each chunk's probabilities ``p`` (and its causal keep mask) for a
+    hand-written backward.
     """
     seq, d = x.shape
-    if seq == 0:
-        raise ValueError("attention over an empty sequence")
-    lengths = [seq] if lengths is None else [int(n) for n in lengths]
-    if min(lengths) < 1 or sum(lengths) != seq:
-        raise ValueError(f"attention chunk lengths {lengths} must each be at "
-                         f"least 1 and sum to the {seq} rows")
-    live = None
-    if attend_mask is not None:
-        live = np.asarray(attend_mask, dtype=bool)
-        if live.shape != (seq,):
-            raise ValueError(f"attend_mask shape {live.shape}, expected "
-                             f"({seq},)")
+    bounds = chunk_bounds(lengths, seq, "attention")
     scale = 1.0 / np.sqrt(d)
-    ends = np.cumsum(lengths)
-    bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
     probs, keeps, outs = [], [], []
     for lo, hi in bounds:
         xc = x.data[lo:hi]
         s = xc @ xc.T.copy()
         s *= scale
         _check_finite(s, "dot_product_attention")
-        blocked = np.zeros(s.shape, dtype=bool)
-        if live is not None:
-            blocked |= ~live[None, lo:hi]
-        if causal:
-            blocked |= np.triu(np.ones(s.shape, dtype=bool), k=1)
         keep = None
-        if blocked.any():
-            keep = ~blocked
+        if causal and hi - lo > 1:
+            keep = np.tril(np.ones(s.shape, dtype=bool))
             s = np.where(keep, s, MASK_FILL)
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
@@ -216,7 +189,10 @@ class WeightedAvgAttention(Module):
         """[seq, d], or packed chunks each pooled over its own rows."""
         if E.shape[1] != self.d:
             raise ValueError(f"attention width {self.d}, input width {E.shape[1]}")
-        return per_chunk(self._pool, E, lengths)
+        bounds = chunk_bounds(lengths, E.shape[0], "pooling")
+        if len(bounds) == 1:
+            return self._pool(E)
+        return concat([self._pool(E[lo:hi]) for lo, hi in bounds], axis=0)
 
     def _pool(self, E: Tensor) -> Tensor:
         a = softmax(matmul(E, self.W), axis=0)  # [seq, 1]

@@ -1,8 +1,9 @@
 """Quick self-verification: golden fixtures, gradient spot checks of the
 highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, also over two
-chunks of unequal length, the char-CNN and causal attention over two chunks)
-and ``stack``, and one tiny BiDAF forward that must give the same bytes with
-and without a recorded graph."""
+chunks of unequal length, the char-CNN and causal attention over two
+chunks), weighted-average pooling over two chunks and ``stack``, and one
+tiny BiDAF forward that must give the same bytes with and without a
+recorded graph."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ from .data import (PreprocessConfig, RawExample, TokenizedContext,
                    toy_tokenize)
 from .embeddings import CharEmbeddingTable
 from .gradcheck import check_gradients
-from .layers import (CharCNN, GRUCell, Highway, LSTMCell, bigru_forward,
-                     bilstm_forward, dot_product_attention)
+from .layers import (CharCNN, GRUCell, Highway, LSTMCell,
+                     WeightedAvgAttention, bigru_forward, bilstm_forward,
+                     dot_product_attention)
 from .scoring import compute_em, compute_f1
 from .training import ModelConfig, QaModel
 
@@ -93,6 +95,7 @@ def run_selftest(verbose: bool = False) -> bool:
     rows = {f"row{i}": Tensor(rng.normal(4), requires_grad=True)
             for i in range(3)}
     chunks = Tensor(rng.normal((5, 4)), requires_grad=True)  # rows 3 + 2
+    wavg = WeightedAvgAttention(4, rng.spawn(6))
     for name, fn, modules, inputs in (
             ("highway", lambda: hw.forward(x), [hw], {"x": x}),
             ("bigru", lambda: bigru_forward(*gru, x), gru, {"x": x}),
@@ -104,6 +107,8 @@ def run_selftest(verbose: bool = False) -> bool:
              lambda: dot_product_attention(chunks, causal=True,
                                            lengths=[3, 2]), [],
              {"x": chunks}),
+            ("pooling over 2 chunks", lambda: wavg.forward(chunks, [3, 2]),
+             [wavg], {"x": chunks}),
             ("char-cnn", lambda: cnn.forward(win), [cnn], {}),
             ("stack", lambda: stack(list(rows.values())) * x, [],
              rows | {"x": x})):

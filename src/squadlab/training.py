@@ -24,14 +24,15 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 import numpy as np
 
 from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
-                       clip_global_norm, load_checkpoint, no_grad,
-                       save_checkpoint, zero_grads)
+                       chunk_bounds, clip_global_norm, load_checkpoint,
+                       no_grad, save_checkpoint, zero_grads)
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     AlbertSquadOut, BidafOut, aggregate_features,
@@ -67,6 +68,10 @@ class ModelConfig:
                 f"unknown architecture {self.architecture!r}; "
                 f"choose one of {ARCHITECTURES}"
             )
+        for name in ("d_model", "hidden", "d_char", "d_char_out"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got "
                              f"{self.dropout_rate}")
@@ -84,8 +89,10 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("learning_rate", "batch_size", "epochs",
                      "max_seq_length", "doc_stride"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{value}")
 
 
 # hyperparameter presets used for the full-scale runs (all at ModelConfig's
@@ -345,11 +352,11 @@ def predict(model: QaModel, features, provider, context_by_qid: dict,
         chunks = list(chunks)
         with no_grad():
             start, end = _forward_chunks(model, chunks, provider, "predict")
-        cuts = np.cumsum([len(f.tokens) for f in chunks])[:-1]
-        for feat, s, e in zip(chunks, np.split(start.data, cuts),
-                              np.split(end.data, cuts)):
+        bounds = chunk_bounds([len(f.tokens) for f in chunks],
+                              len(start.data), "predict")
+        for feat, (lo, hi) in zip(chunks, bounds):
             logit_sets[(feat.qid, feat.feature_index)] = to_span_logits(
-                feat, s, e)
+                feat, start.data[lo:hi], end.data[lo:hi])
     records = decode_logit_set(logit_sets, features_by_key, context_by_qid,
                                n_best=n_best,
                                max_answer_length=max_answer_length,

@@ -59,6 +59,44 @@ class TestExitCodes:
                 assert main(base + [flag, value]) == 1, (flag, value)
                 assert f"{flag} must be at least 1" in capsys.readouterr().err
 
+    PREDICT = ["predict", "--checkpoint", "c", "--features", "f",
+               "--embeddings", "e", "--data", "d", "--out", "p.jsonl"]
+    VOTE = ["ensemble", "--strategy", "weighted-voting", "--out", "o.jsonl",
+            "--pred", "a.jsonl", "b.jsonl"]
+    WV = ["ensemble", "--strategy", "wv-mean-logits", "--out", "o.jsonl",
+          "--pred", "a.jsonl", "--dumps", "a.bin", "--features", "f",
+          "--data", "d"]
+    NON_FINITE = [
+        (PREDICT + ["--model-f1-weight", "nan"],
+         "--model-f1-weight must be finite and positive, got nan"),
+        (PREDICT + ["--model-f1-weight", "inf"],
+         "--model-f1-weight must be finite and positive, got inf"),
+        (PREDICT + ["--model-f1-weight", "0"],
+         "--model-f1-weight must be finite and positive, got 0.0"),
+        (VOTE + ["--weights", "nan", "1"],
+         "--weights must be finite and positive, got nan"),
+        (VOTE + ["--weights", "1", "-2"],
+         "--weights must be finite and positive, got -2.0"),
+        (VOTE + ["--null-threshold=-inf"],
+         "--null-threshold must be finite, got -inf"),
+        (WV + ["--mean-weight", "nan"],
+         "--mean-weight must be finite and positive, got nan"),
+        (["evaluate", "--pred", "p", "--gold", "g", "--null-threshold",
+          "nan"], "--null-threshold must be finite, got nan"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", NON_FINITE,
+                             ids=[m.split()[0] + "=" + m.split()[-1]
+                                  for _, m in NON_FINITE])
+    def test_non_finite_or_non_positive_weight_is_1(self, tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    message):
+        # refused before any input is opened (none of them exists)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_predict_has_no_null_threshold(self, tmp_path, capsys):
         # the no-answer threshold belongs to evaluate and the voting
         # ensembles; predict writes the whole n-best list
@@ -861,6 +899,60 @@ class TestEmbedderIdentity:
         # a fixture's seed is unknown, so another predict seed is allowed
         assert _predict(ckpt, feats, corpus, tmp_path,
                         ["--embeddings", str(emb8), "--seed", "9"]) == 0
+
+
+class TestTrainSettings:
+    """A setting train cannot honour ends in one `error:` line and exit 2,
+    before any checkpoint is written."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--learning-rate", "nan"],
+         "learning_rate must be finite and positive, got nan"),
+        (["--learning-rate", "inf"],
+         "learning_rate must be finite and positive, got inf"),
+        (["--hidden", "0"], "hidden must be positive, got 0"),
+        (["--d-model", "-8"], "d_model must be positive, got -8"),
+    ], ids=["nan-rate", "inf-rate", "zero-hidden", "negative-d-model"])
+    def test_bad_setting_is_2(self, corpus, tmp_path, capsys, flags,
+                              message):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     "pseudo", "--arch", "gru_highway_gru_bidaf",
+                     "--out", str(ckpt), "--d-model", "8", "--epochs", "1"]
+                    + flags) == 2
+        assert _error_line(capsys) == f"error: {message}"
+        assert not ckpt.exists()
+
+    def test_fixture_narrower_than_d_model_is_2(self, corpus, tmp_path,
+                                                capsys):
+        feats, emb = tmp_path / "feats.jsonl", tmp_path / "emb8.bin"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(emb), "--d-model", "8"]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "gru_highway_gru_bidaf",
+                     "--out", str(ckpt), "--d-model", "16"]) == 2
+        assert _error_line(capsys) == (
+            f"error: {emb} holds d_model=8 embeddings, --d-model is 16")
+        assert not ckpt.exists()
+
+    def test_non_finite_weight_in_a_prediction_file_is_2(self, tmp_path,
+                                                         capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"qid": "q", "null_score": 4.0, "nbest": [], '
+                        '"model_f1_weight": NaN}\n', encoding="utf-8")
+        assert main(["ensemble", "--strategy", "weighted-voting",
+                     "--pred", str(pred),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {pred}: line 1: non-finite number NaN")
 
 
 class TestInputErrors:

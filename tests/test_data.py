@@ -321,6 +321,21 @@ class TestJsonLines:
             read_jsonl(path, lambda rec: int(rec["a"]))
         assert str(e.value).startswith(f"{path}: {problem}"), str(e.value)
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity",
+                                        "1e999"])
+    def test_non_finite_number_names_path_and_line(self, tmp_path, number):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1.5}\n{"a": ' + number + "}\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as e:
+            read_jsonl(path, lambda v: v)
+        assert str(e.value) == f"{path}: line 2: non-finite number {number}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_is_not_written(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_jsonl(tmp_path / "r.jsonl", [{"a": value}])
+
     def test_pretokenized_missing_field(self, tmp_path):
         path = tmp_path / "tok.jsonl"
         path.write_text('{"qid": "q", "tokens": ["a"]}\n', encoding="utf-8")

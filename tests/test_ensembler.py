@@ -134,6 +134,14 @@ class TestMeanLogits:
 
 
 class TestWeightedVoting:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0,
+                                        -1.0, True, "60"])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError) as e:
+            pset("a", [span_rec("q", 2, 3, 4.0)], weight)
+        assert str(e.value) == (f"model a: weight must be finite and "
+                                f"positive, got {weight!r}")
+
     def test_two_model_hand_sum(self):
         # weights 0.7 + 0.6 on span (2,3) beat 0.9 on span (5,6)
         a = pset("a", [span_rec("q", 2, 3, 4.0)], 0.7)

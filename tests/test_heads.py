@@ -165,6 +165,26 @@ class TestBidafOut:
         check_gradients(loss, head.parameters(), rtol=1e-5)
 
 
+HEAD_CALLS = {
+    "squad-out": lambda x, mask, lengths: AlbertSquadOut(3, Rng(0)).forward(
+        x, mask, lengths),
+    "bidaf": lambda x, mask, lengths: BidafOut(3, 3, 2, Rng(0)).forward(
+        x, x, mask, lengths),
+}
+
+
+@pytest.mark.parametrize("head", HEAD_CALLS)
+@pytest.mark.parametrize("lengths, why", [
+    ([4, 4], "do not add up to 10 rows"),
+    ([10, 0], "include an empty chunk")], ids=["short", "empty-chunk"])
+def test_span_heads_reject_lengths_that_miss_rows(head, lengths, why):
+    x = Tensor(Rng(1).normal((10, 3)))
+    mask = [False] + [True] * 9
+    with pytest.raises(ValueError) as info:
+        HEAD_CALLS[head](x, mask, lengths)
+    assert str(info.value).endswith(f": chunk lengths {lengths} {why}")
+
+
 class TestSpanLoss:
     def test_uniform_over_live_positions(self):
         f = make_feature(n_context=4, start=1, end=1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from squadlab.autograd import (MASK_FILL, Rng, Tensor, concat, masked_fill,
-                               matmul, softmax)
+from squadlab.autograd import (MASK_FILL, Rng, Tensor, chunk_bounds, concat,
+                               masked_fill, matmul, softmax)
 from squadlab.embeddings import CharEmbeddingTable
 from squadlab.gradcheck import check_gradients
 from squadlab.layers import (CharCNN, EmbeddingCombiner, GRUCell, Highway,
@@ -126,44 +126,33 @@ class TestGru:
                 {"x": x, **cell.parameters()}, rtol=1e-5)
 
 
-def reference_dot_product_attention(x, attend_mask=None, causal=False,
-                                    lengths=None):
+def reference_dot_product_attention(x, causal=False, lengths=None):
     """The composed chain the fused node replaces: per chunk (a getitem of
     its rows) matmul, transpose, scale, masked_fill, softmax and matmul,
     the chunks' outputs concatenated."""
-    def one(xc, live):
+    def one(xc):
         seq, d = xc.shape
         scores = matmul(xc, xc.transpose()) * (1.0 / np.sqrt(d))
         blocked = np.zeros((seq, seq), dtype=bool)
-        if live is not None:
-            blocked |= ~live[None, :]
         if causal:
             blocked |= np.triu(np.ones((seq, seq), dtype=bool), k=1)
         if blocked.any():
             scores = masked_fill(scores, blocked, MASK_FILL)
         return matmul(softmax(scores, axis=1), xc)
 
-    live = None if attend_mask is None else np.asarray(attend_mask, bool)
     if lengths is None or len(lengths) == 1:
-        return one(x, live)
+        return one(x)
     ends = np.cumsum(lengths)
-    return concat([one(x[lo:hi], None if live is None else live[lo:hi])
-                   for lo, hi in zip(ends - lengths, ends)], axis=0)
+    return concat([one(x[lo:hi]) for lo, hi in zip(ends - lengths, ends)],
+                  axis=0)
 
 
 class TestFusedAttentionMatchesReference:
     CASES = {
         "one-chunk": dict(),
         "causal": dict(causal=True),
-        "attend-mask": dict(attend_mask=[True, False, True, True, False,
-                                         True, True, True, False]),
-        "three-chunks": dict(lengths=[4, 1, 4], causal=True,
-                             attend_mask=[True, True, False, True, True,
-                                          True, False, True, True]),
-        # every score of the first chunk is MASK_FILL: uniform weights, and
-        # no gradient through its scores
-        "masked-chunk": dict(lengths=[2, 7],
-                             attend_mask=[False, False] + [True] * 7),
+        # the one-row chunk has nothing to block
+        "three-chunks": dict(lengths=[4, 1, 4], causal=True),
     }
 
     @pytest.mark.parametrize("case", CASES, ids=list(CASES))
@@ -187,12 +176,16 @@ class TestFusedAttentionMatchesReference:
         out = dot_product_attention(x, causal=True, lengths=[3, 4])
         assert out._parents == (x,)
 
-    @pytest.mark.parametrize("lengths", [[3, 3], [5, 0, 2], [8]],
-                             ids=["short", "empty-chunk", "long"])
+    @pytest.mark.parametrize("lengths", [[3, 3], [5, 0, 2], [8], [8, -1],
+                                         []],
+                             ids=["short", "empty-chunk", "long",
+                                  "negative-chunk", "no-chunks"])
     def test_lengths_must_cover_the_rows(self, lengths):
         x = Tensor(Rng(14).normal((7, 3)))
         with pytest.raises(ValueError, match="chunk lengths"):
             dot_product_attention(x, lengths=lengths)
+        with pytest.raises(ValueError, match="^attention: chunk lengths"):
+            chunk_bounds(lengths, 7, "attention")
 
 
 class TestDotProductAttention:
@@ -224,17 +217,6 @@ class TestDotProductAttention:
         out2 = dot_product_attention(Tensor(perturbed), causal=True).data
         assert np.array_equal(out1[:4], out2[:4])
 
-    def test_padding_mask_excludes_positions(self):
-        rng = Rng(5)
-        x = Tensor(rng.normal((4, 3)))
-        mask = np.array([True, True, False, True])
-        out = dot_product_attention(x, attend_mask=mask).data
-        # changing the masked row must not affect other rows' outputs
-        x2 = x.data.copy()
-        x2[2] += 10.0
-        out2 = dot_product_attention(Tensor(x2), attend_mask=mask).data
-        assert np.array_equal(out[[0, 1, 3]], out2[[0, 1, 3]])
-
     def test_empty_sequence(self):
         with pytest.raises(ValueError, match="empty"):
             dot_product_attention(Tensor(np.zeros((0, 3))))
@@ -247,6 +229,16 @@ class TestDotProductAttention:
 
 
 class TestWeightedAvgAttention:
+    @pytest.mark.parametrize("lengths, why", [
+        ([4, 4], "do not add up to 10 rows"),
+        ([10, 0], "include an empty chunk")], ids=["short", "empty-chunk"])
+    def test_lengths_must_cover_the_rows(self, lengths, why):
+        att = WeightedAvgAttention(3, Rng(0))
+        E = Tensor(Rng(1).normal((10, 3)))
+        with pytest.raises(ValueError) as info:
+            att.forward(E, lengths)
+        assert str(info.value) == f"pooling: chunk lengths {lengths} {why}"
+
     def test_identical_rows_double(self):
         att = WeightedAvgAttention(4, Rng(0))
         row = Rng(1).normal(4)

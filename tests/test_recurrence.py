@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from squadlab import heads
-from squadlab.autograd import (Rng, Tensor, concat, gru_scan, gru_scans,
-                               lstm_scan, lstm_scans, matmul)
+from squadlab.autograd import (Rng, Tensor, chunk_bounds, concat, gru_scan,
+                               gru_scans, lstm_scan, lstm_scans, matmul)
 from squadlab.heads import BidafOut
 from squadlab.layers import (GRUCell, LSTMCell, bigru_forward, bilstm_forward,
                              gru_forward, lstm_forward)
@@ -252,6 +252,16 @@ def test_chunk_lengths_checked():
         lstm_scans(x, U, [False], [2, 2])
     with pytest.raises(ValueError, match="empty"):
         lstm_scans(x, U, [False], [5, 0])
+    # the one rule behind every packed-chunk layer
+    assert chunk_bounds(None, 5, "scan") == [(0, 5)]
+    assert chunk_bounds([2, 1, 2], 5, "scan") == [(0, 2), (2, 3), (3, 5)]
+    for lengths, rows, message in (
+            ([2, 2], 5, "[2, 2] do not add up to 5 rows"),
+            ([5, 0], 5, "[5, 0] include an empty chunk"),
+            (None, 0, "[0] include an empty chunk")):
+        with pytest.raises(ValueError) as info:
+            chunk_bounds(lengths, rows, "scan")
+        assert str(info.value) == f"scan: chunk lengths {message}"
 
 
 def _graph_nodes(out):

@@ -126,12 +126,14 @@ class TestMatmul:
         check_gradients(lambda: matmul(a, b).sum(), {"a": a, "b": b},
                         rtol=1e-6)
 
-    def test_batched_gradient(self):
-        rng = Rng(3)
-        a = Tensor(rng.normal((2, 4, 3)), requires_grad=True)
-        b = Tensor(rng.normal((3, 2)), requires_grad=True)
-        check_gradients(lambda: matmul(a, b).sum(), {"a": a, "b": b},
-                        rtol=1e-6)
+    @pytest.mark.parametrize("a, b", [((2, 4, 3), (3, 2)),
+                                      ((4, 3), (2, 3, 2))],
+                             ids=["rank-3-a", "rank-3-b"])
+    def test_rank_3_operand_rejected_naming_shapes(self, a, b):
+        with pytest.raises(ValueError) as info:
+            matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
+        assert str(info.value) == (
+            f"matmul expects rank-2 operands; got {a} and {b}")
 
 
 class TestSoftmax:

@@ -146,6 +146,21 @@ class TestBuild:
         assert all(np.array_equal(pa[n].data, pb[n].data) for n in pa)
         assert any(not np.array_equal(pa[n].data, pc[n].data) for n in pa)
 
+    @pytest.mark.parametrize("field", ["d_model", "hidden", "d_char",
+                                       "d_char_out"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_widths_must_be_positive(self, field, value):
+        with pytest.raises(ValueError) as e:
+            ModelConfig("gru_highway_gru_bidaf", **{field: value})
+        assert str(e.value) == f"{field} must be positive, got {value}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError) as e:
+            Hyperparams(learning_rate=value)
+        assert str(e.value) == (f"learning_rate must be finite and "
+                                f"positive, got {value}")
+
     def test_presets_match_reported_runs(self):
         assert PRESETS["base"].learning_rate == 3e-5
         assert PRESETS["base"].batch_size == 7

@@ -20,8 +20,10 @@ one scan per chunk.  Layers build fused nodes the same way, through
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
 records no parents, no backward closure and no gradient buffer; inference
 runs there.  An op output allocates its gradient on first accumulation,
-during ``backward``; a leaf made with ``requires_grad=True`` (a parameter)
-holds a zero buffer from the start, which the optimizer relies on.  Every
+during ``backward``, and releases it once its own backward has run; a leaf
+made with ``requires_grad=True`` (a parameter) holds a zero buffer from
+the start and keeps it, which the optimizer relies on.  Read gradients
+from leaves: after ``backward`` only they and the root hold one.  Every
 value is still checked for finiteness, and a failed check in an op names
 that op.
 """
@@ -142,9 +144,14 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
+        # every consumer of a node runs before the node itself, so an
+        # interior buffer is complete when its backward runs, and is
+        # released after it; only the root and the leaves keep theirs
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     @staticmethod
     def _op(data, parents, backward):

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -44,6 +45,9 @@ def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
         "seed": seed,
         "toolkit_version": __version__,
         "wall_time_s": round(elapsed, 3),
+        # the process's peak so far (Linux reports ru_maxrss in KiB)
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
     path = str(out_path) + ".manifest.json"
     with open(path, "w", encoding="utf-8") as f:

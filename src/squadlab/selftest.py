@@ -3,16 +3,19 @@ highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, also over two
 chunks of unequal length, the char-CNN and causal attention over two
 chunks), weighted-average pooling over two chunks and ``stack``, and one
 tiny BiDAF forward that must give the same bytes with and without a
-recorded graph."""
+recorded graph, and a tiny BiDAF minibatch that must give the same gradient
+bytes with one backward per feature as with one backward of the summed
+losses."""
 
 from __future__ import annotations
 
-from .autograd import Rng, Tensor, no_grad, stack
+from .autograd import Rng, Tensor, no_grad, stack, zero_grads
 from .data import (PreprocessConfig, RawExample, TokenizedContext,
                    align_answer_to_tokens, chunk_context, span_to_text,
                    toy_tokenize)
 from .embeddings import CharEmbeddingTable
 from .gradcheck import check_gradients
+from .heads import span_loss
 from .layers import (CharCNN, GRUCell, Highway, LSTMCell,
                      WeightedAvgAttention, bigru_forward, bilstm_forward,
                      dot_product_attention)
@@ -131,5 +134,27 @@ def run_selftest(verbose: bool = False) -> bool:
            all(r._backward is not None and f._backward is None
                and r.data.tobytes() == f.data.tobytes()
                for r, f in zip(recorded, free)))
+
+    # a minibatch backpropagated one feature at a time, as train does,
+    # gives the gradient bytes of one backward of the summed losses
+    params = model.parameters()
+    batch = [(f, rng.normal((len(f.tokens), 4))) for f in feats[:2]]
+
+    def gradient_bytes(per_feature):
+        zero_grads(params)
+        total = None
+        for f, e in batch:
+            loss = span_loss(*model.forward([f], [e]), f.start_position,
+                             f.end_position, f.context_mask)
+            if per_feature:
+                (loss * 0.5).backward()
+            else:
+                total = loss if total is None else total + loss
+        if not per_feature:
+            (total * 0.5).backward()
+        return b"".join(p.grad.tobytes() for p in params.values())
+
+    report("bidaf minibatch, one backward per feature",
+           gradient_bytes(True) == gradient_bytes(False))
 
     return ok

@@ -16,7 +16,9 @@ by a single seed so checkpoints and loss curves reproduce bit-exactly.
 ``QaModel.forward`` takes a list of features and their embedding matrices
 and runs them as one packed batch, with dropout when given a dropout rng.
 ``_forward_chunks`` is the one caller: ``train`` passes it one feature at
-a time and its rng, ``predict`` one question's chunks, and it turns a
+a time and its rng, and backprops that feature's share of the mean loss
+before the next forward, so a step holds one feature's graph;
+``predict`` passes one question's chunks.  It turns a
 non-finite value into an error naming the chunk (``qid``,
 ``feature_index``) it came from, or the question when no chunk fails
 alone.
@@ -280,7 +282,8 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             batch = [features[i] for i in order[lo : lo + hp.batch_size]]
             step += 1
             zero_grads(params)
-            total = None
+            scale = 1.0 / len(batch)
+            total = 0.0
             for feat in batch:
                 loss = _forward_chunks(
                     model, [feat], provider,
@@ -288,12 +291,15 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
                     then=lambda start, end: span_loss(
                         start, end, feat.start_position, feat.end_position,
                         feat.context_mask))
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch))
-            total.backward()
+                # backprop this feature's share of the mean loss and drop
+                # its graph before the next forward; the parameters get the
+                # addends, in order, of one backward of the summed losses
+                (loss * scale).backward()
+                total += float(loss.data)
+                del loss
             clip_global_norm(params, GRAD_CLIP_NORM)
             adam_step(params, state, hp.learning_rate)
-            result.loss_curve.append((step, float(total.data)))
+            result.loss_curve.append((step, total * scale))
             if max_steps is not None and step >= max_steps:
                 return result
     return result

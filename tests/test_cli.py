@@ -1,4 +1,5 @@
 import json
+import resource
 import struct
 from pathlib import Path
 
@@ -176,6 +177,12 @@ class TestPreprocess:
         assert str(corpus) in manifest["inputs"]
         assert str(out) in manifest["outputs"]
         assert "toolkit_version" in manifest and "wall_time_s" in manifest
+        # the process peak so far, in MB, rounded like wall_time_s
+        peak = manifest["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+        assert peak == round(peak, 3)
+        assert peak <= round(resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024, 3)
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
         out = tmp_path / "feats.jsonl"

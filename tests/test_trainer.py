@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab import ensemble, training
-from squadlab.autograd import Rng, no_grad
+from squadlab.autograd import (AdamState, Rng, adam_step, clip_global_norm,
+                               no_grad, zero_grads)
 from squadlab.embeddings import PseudoEmbedder
 from squadlab.ensemble import save_logits_dump
-from squadlab.heads import write_predictions
+from squadlab.heads import span_loss, write_predictions
 from squadlab.scoring import predictions_from_file
 from squadlab.training import (ARCHITECTURES, Hyperparams, ModelConfig,
                                PRESETS, QaModel, build_model, load_model,
@@ -263,6 +266,39 @@ class TestTrain:
             "non-finite value produced in forward pass by "
             "cross_entropy_from_logits")
 
+    @pytest.mark.parametrize("tag", ["squad_out", *ARCHITECTURES[2:]])
+    def test_equals_one_backward_of_the_summed_batch(self, tag):
+        feats = [make_feature(qid=f"q{i}", n_context=5 + i, start=i % 3,
+                              end=i % 3 + 1) for i in range(6)]
+        hp = Hyperparams(learning_rate=1e-2, batch_size=3, epochs=1, seed=4)
+        models, curves = [], []
+        for run in (train, reference_train):
+            model = build_model(small_cfg(tag), seed=8)
+            model.cfg.dropout_rate = 0.1
+            curves.append(run(model, feats, provider(), hp,
+                              max_steps=2).loss_curve)
+            models.append(model.parameters())
+        assert len(curves[0]) == 2 and curves[0] == curves[1]
+        for name, p in models[0].items():
+            assert p.data.tobytes() == models[1][name].data.tobytes(), name
+
+    def test_a_step_holds_one_features_graph(self):
+        def peak(n):
+            feats = [make_feature(qid=f"q{i}", n_context=58, start=i,
+                                  end=i + 1) for i in range(n)]  # seq 64
+            model = build_model(small_cfg("gru_attn_selfattn_gru_bidaf"),
+                                seed=1)
+            hp = Hyperparams(batch_size=n, epochs=1, seed=0)
+            prov = provider()
+            tracemalloc.start()
+            try:
+                train(model, feats, prov, hp, max_steps=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.25 * peak(1)
+
     def test_loss_curve_file(self, tmp_path):
         model, feats, prov = self._setup()
         hp = Hyperparams(learning_rate=1e-2, batch_size=2, epochs=2, seed=0)
@@ -274,6 +310,34 @@ class TestTrain:
         assert len(lines) == len(result.loss_curve) + 1
         step, loss = lines[1].split(",")
         assert int(step) == 1 and float(loss) == result.loss_curve[0][1]
+
+
+def reference_train(model, features, provider, hp, max_steps):
+    """The oracle of train's steps in its first epoch: the batch's losses
+    summed into one graph, and one backward of their mean."""
+    params = model.parameters()
+    state = AdamState()
+    order_rng = Rng(hp.seed).spawn(101)
+    drop_rng = Rng(hp.seed).spawn(102)
+    result = training.TrainResult()
+    order = order_rng.permutation(len(features))
+    for step in range(1, max_steps + 1):
+        lo = (step - 1) * hp.batch_size
+        batch = [features[i] for i in order[lo: lo + hp.batch_size]]
+        zero_grads(params)
+        total = None
+        for feat in batch:
+            start, end = model.forward([feat], [provider(feat)],
+                                       drop_rng=drop_rng)
+            loss = span_loss(start, end, feat.start_position,
+                             feat.end_position, feat.context_mask)
+            total = loss if total is None else total + loss
+        total = total * (1.0 / len(batch))
+        total.backward()
+        clip_global_norm(params, training.GRAD_CLIP_NORM)
+        adam_step(params, state, hp.learning_rate)
+        result.loss_curve.append((step, float(total.data)))
+    return result
 
 
 class TestCheckpoint:

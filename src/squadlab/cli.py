@@ -9,6 +9,7 @@ All randomness flows from --seed (fallback: the SQUADLAB_SEED env var).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,6 +86,8 @@ def cmd_preprocess(args):
 
 def cmd_pseudo_embed(args):
     features = read_features(args.features)
+    if not features:
+        raise DataError(f"{args.features} holds no features to embed")
     embedder = PseudoEmbedder(args.d_model, args.seed)
     matrices = [embedder.embed(f) for f in features]
     save_embedding_fixture(args.out, matrices)
@@ -134,6 +137,12 @@ def cmd_train(args):
 def cmd_predict(args):
     features = read_features(args.features)
     examples = load_squad_json(args.data)
+    covered = {f.qid for f in features}
+    uncovered = [ex.qid for ex in examples if ex.qid not in covered]
+    if uncovered:
+        raise DataError(f"{args.features} has no features for "
+                        f"{len(uncovered)} of {len(examples)} --data "
+                        f"questions; first: {uncovered[:5]}")
     context_by_qid = {ex.qid: ex.context for ex in examples}
     model = load_model(args.checkpoint)
     provider = _provider(args.embeddings, model.cfg.d_model, args.seed)
@@ -213,7 +222,11 @@ def _add_seed(p):
                    help="rng seed (default: SQUADLAB_SEED env var or 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so in-process callers of ``main`` pay for it once.  Parsing
+    leaves it unchanged; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="squadlab",
         description="desk-scale extractive question answering pipeline",

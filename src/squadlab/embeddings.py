@@ -121,7 +121,10 @@ def save_embedding_fixture(path, matrices) -> None:
     """Binary records (``data.write_records``) under header {d_model}, one
     per matrix, payload [seq_len, d_model] row-major."""
     matrices = list(matrices)
-    d_model = matrices[0].matrix.shape[1] if matrices else 0
+    if not matrices:
+        raise ValueError(f"{path}: an embedding fixture needs at least one "
+                         f"matrix")
+    d_model = matrices[0].matrix.shape[1]
     for m in matrices:
         if m.matrix.shape[1] != d_model:
             raise ValueError(

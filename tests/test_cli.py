@@ -1,3 +1,4 @@
+import argparse
 import json
 import resource
 import struct
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squadlab.cli import main
+from squadlab.cli import build_parser, main
 from squadlab.data import read_features
 from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
                                  save_embedding_fixture)
@@ -1107,3 +1108,203 @@ class TestInputErrors:
         assert _error_line(capsys) == (
             f"error: no embedding for (qid={first.qid!r}, "
             f"feature_index={first.feature_index})")
+
+    def test_pseudo_embed_without_features_is_2(self, tmp_path, capsys):
+        feats = tmp_path / "f.jsonl"
+        feats.write_text("")
+        out = tmp_path / "emb.bin"
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            f"error: {feats} holds no features to embed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kept, first", [
+        (0, ["synth-0000", "synth-0001", "synth-0002", "synth-0003",
+             "synth-0004"]),
+        (3, ["synth-0003", "synth-0004", "synth-0005", "synth-0006",
+             "synth-0007"]),
+    ], ids=["empty", "three-of-ten"])
+    def test_predict_features_missing_questions_is_2(self, corpus, tmp_path,
+                                                     capsys, kept, first):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        covered = {f"synth-{i:04d}" for i in range(kept)}
+        some = tmp_path / "some.jsonl"
+        some.write_text("".join(
+            line + "\n" for line in feats.read_text().splitlines()
+            if json.loads(line)["qid"] in covered))
+        capsys.readouterr()
+        assert _predict(ckpt, some, corpus, tmp_path,
+                        ["--embeddings", "pseudo"]) == 2
+        assert _error_line(capsys) == (
+            f"error: {some} has no features for {10 - kept} of 10 --data "
+            f"questions; first: {first}")
+        assert not (tmp_path / "pred.jsonl").exists()
+
+
+def _count_parsers(monkeypatch):
+    """The prog of every ArgumentParser constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def _outcome(capsys, code, out):
+    """Exit code, `error:` lines and artifact bytes of one call."""
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if "error:" in line]
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+class TestSharedParser:
+    """``main`` parses every call with the one parser ``build_parser``
+    builds per process, so no call may leave state in it."""
+
+    @pytest.fixture
+    def members(self, corpus, tmp_path):
+        """Features plus two squad_out members' predictions and dumps."""
+        feats = tmp_path / "feats.jsonl"
+        emb = tmp_path / "emb.bin"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        assert main(["pseudo-embed", "--features", str(feats), "--out",
+                     str(emb), "--d-model", "8", "--seed", "1"]) == 0
+        preds, dumps = [], []
+        for seed in ("1", "2"):
+            ckpt, pred, dump = (tmp_path / f"m{seed}.{ext}"
+                                for ext in ("json", "jsonl", "bin"))
+            assert main(["train", "--features", str(feats), "--embeddings",
+                         str(emb), "--arch", "squad_out", "--out", str(ckpt),
+                         "--d-model", "8", "--epochs", "1",
+                         "--seed", seed]) == 0
+            assert main(["predict", "--checkpoint", str(ckpt), "--features",
+                         str(feats), "--embeddings", str(emb), "--data",
+                         str(corpus), "--out", str(pred), "--logits-out",
+                         str(dump), "--model-f1-weight", "6" + seed]) == 0
+            preds.append(str(pred))
+            dumps.append(str(dump))
+        context = ["--features", str(feats), "--data", str(corpus)]
+        return feats, preds, dumps, context
+
+    def test_calls_leave_no_state(self, members, tmp_path, capsys,
+                                  monkeypatch):
+        feats, preds, dumps, context = members
+
+        def calls(out):
+            """(name, argv, SQUADLAB_SEED, artifact) per call, in order."""
+            vote = ["ensemble", "--strategy", "weighted-voting",
+                    "--out", str(out / "vote.jsonl")]
+            return [
+                ("usage", ["ensemble", "--strategy", "weighted-voting",
+                           "--out", str(out / "bad.jsonl")], None,
+                 out / "bad.jsonl"),
+                ("vote", vote + ["--pred"] + preds, None, out / "vote.jsonl"),
+                ("mean", ["ensemble", "--strategy", "mean-logits", "--out",
+                          str(out / "mean.jsonl"), "--dumps"] + dumps
+                 + context, None, out / "mean.jsonl"),
+                ("wv", ["ensemble", "--strategy", "wv-mean-logits", "--out",
+                        str(out / "wv.jsonl"), "--pred"] + preds
+                 + ["--dumps"] + dumps + context + ["--mean-weight", "70"],
+                 None, out / "wv.jsonl"),
+                ("seed3", ["pseudo-embed", "--features", str(feats),
+                           "--out", str(out / "e3.bin"), "--d-model", "8"],
+                 "3", out / "e3.bin"),
+                ("seed4", ["pseudo-embed", "--features", str(feats),
+                           "--out", str(out / "e4.bin"), "--d-model", "8"],
+                 "4", out / "e4.bin"),
+                ("again", vote + ["--pred"] + preds, None,
+                 out / "vote.jsonl"),
+            ]
+
+        def run_call(argv, env_seed):
+            if env_seed is None:
+                monkeypatch.delenv("SQUADLAB_SEED", raising=False)
+            else:
+                monkeypatch.setenv("SQUADLAB_SEED", env_seed)
+            return main(argv)
+
+        # each call alone: a fresh parser, as in a new process
+        alone = {}
+        for name, argv, env_seed, artifact in calls(tmp_path / "alone"):
+            artifact.parent.mkdir(exist_ok=True)
+            build_parser.cache_clear()
+            capsys.readouterr()
+            alone[name] = _outcome(capsys, run_call(argv, env_seed),
+                                   artifact)
+
+        build_parser.cache_clear()
+        built = _count_parsers(monkeypatch)
+        together = {}
+        for name, argv, env_seed, artifact in calls(tmp_path / "together"):
+            artifact.parent.mkdir(exist_ok=True)
+            capsys.readouterr()
+            together[name] = _outcome(capsys, run_call(argv, env_seed),
+                                      artifact)
+
+        assert together == alone
+        assert alone["usage"] == (
+            1, ["squadlab: error: weighted-voting requires --pred"], None)
+        assert [alone[n][0] for n in alone] == [1, 0, 0, 0, 0, 0, 0]
+        assert alone["seed3"][2] != alone["seed4"][2]
+        assert alone["again"] == alone["vote"]
+        # the top-level parser and its 7 subparsers, built once
+        assert built.count("squadlab") == 1 and len(built) == 8
+
+        # mean-logits ran after a call with --pred and did not see it
+        manifest = tmp_path / "together" / "mean.jsonl.manifest.json"
+        assert json.loads(manifest.read_text())["config"]["pred"] == []
+        ensemble = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)
+                        ).choices["ensemble"]
+        assert ensemble.get_default("pred") == []
+        assert ensemble.get_default("dumps") == []
+
+
+COMMANDS = ("preprocess", "pseudo-embed", "train", "predict", "evaluate",
+            "ensemble", "selftest")
+
+
+class TestHelpOutput:
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]]
+                             + [[cmd, "--help"] for cmd in COMMANDS],
+                             ids=lambda argv: " ".join(argv))
+    def test_same_text_on_every_call(self, argv, capsys):
+        build_parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            texts.append(out)
+        assert texts[0] and texts[0] == texts[1]
+
+    @pytest.mark.parametrize("argv", [["--bogus"],
+                                      ["selftest", "--bogus"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_unknown_flag_is_1_on_every_call(self, argv, capsys):
+        build_parser.cache_clear()
+        errs = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errs.append(capsys.readouterr().err)
+        assert "error:" in errs[0] and errs[0] == errs[1]
+
+    def test_layout_follows_columns_at_call_time(self, capsys, monkeypatch):
+        def evaluate_help(columns, fresh):
+            monkeypatch.setenv("COLUMNS", columns)
+            if fresh:
+                build_parser.cache_clear()
+            assert main(["evaluate", "--help"]) == 0
+            return capsys.readouterr().out
+
+        wide = evaluate_help("120", fresh=True)
+        # a parser built under COLUMNS=120 lays out for 50 when asked then
+        narrow = evaluate_help("50", fresh=False)
+        assert narrow == evaluate_help("50", fresh=True) != wide

@@ -102,6 +102,13 @@ class TestFixtureFile:
         with pytest.raises(ValueError, match="width"):
             save_embedding_fixture(tmp_path / "x.bin", mats)
 
+    def test_no_matrices_refused_on_save(self, tmp_path):
+        # a fixture of zero matrices would record d_model=0
+        path = tmp_path / "x.bin"
+        with pytest.raises(ValueError, match="at least one matrix"):
+            save_embedding_fixture(path, [])
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 12)

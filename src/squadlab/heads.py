@@ -10,7 +10,9 @@ deterministic.
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
 chunk's candidates with array ops: it scores every legal (start, end) pair
-at once and orders them with ``np.lexsort``.  ``aggregate_features`` merges
+at once and orders them with ``np.lexsort``, with the cyclic garbage
+collector paused: its candidates hold no reference cycles, so reference
+counting alone frees them.  ``aggregate_features`` merges
 a question's chunks into its n-best list; ``training.decode_logit_set`` is
 the one path that runs both, for ``predict`` and for the mean-logits
 ensemble.
@@ -20,6 +22,7 @@ by ``evaluate`` and by the voting ensembles.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +162,32 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     ``np.lexsort`` on ``(-score, start, end)``, which is ``sort_key``'s
     order for spans; one ``AnswerCandidate`` is built per pair, in that
     order.
+
+    The cyclic garbage collector is paused for the call and restored as it
+    was.  A seq-384 chunk builds about 10k candidates; while they live,
+    every 700 allocations start a collection that rescans them, and none
+    can find garbage: a candidate holds a str, ints, a float and None, and
+    nothing around it refers back.  Reference counting frees the discarded
+    ones before the collector resumes, so no collections are owed then.
+    Once decode builds only the ``n_best - 1`` survivors, the pause saves
+    nothing and goes.
     """
     if n_best < 1 or max_answer_length < 1:
         raise ValueError(f"n_best and max_answer_length must be >= 1, got "
                          f"{n_best} and {max_answer_length}")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _ranked_candidates(logits, feature, context_text, n_best,
+                                  max_answer_length)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _ranked_candidates(logits, feature, context_text, n_best,
+                       max_answer_length) -> list:
+    """``decode_spans``' work; its candidate list dies on return."""
     sl, el = logits.start_logits, logits.end_logits
     ctx = np.flatnonzero(feature.context_mask)
     # the band: context indices i <= j with ctx[j] - ctx[i] < max length

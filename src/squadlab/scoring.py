@@ -91,9 +91,11 @@ def evaluate(predictions: dict, examples) -> EvalReport:
         if ex.qid in seen:
             raise ValueError(f"duplicate qid {ex.qid!r} in gold dataset")
         seen.add(ex.qid)
-    missing = sorted(ex.qid for ex in examples if ex.qid not in predictions)
+    missing = [ex.qid for ex in examples if ex.qid not in predictions]
     if missing:
-        raise ValueError(f"predictions missing qids: {missing}")
+        raise ValueError(f"predictions have no answer for {len(missing)} "
+                         f"of {len(examples)} gold questions; first: "
+                         f"{missing[:5]}")
 
     per_question = {}
     answerable = unanswerable = 0

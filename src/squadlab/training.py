@@ -234,6 +234,7 @@ class TrainResult:
         return self.loss_curve[-1][1] if self.loss_curve else None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _forward_chunks(model: QaModel, chunks, provider, what: str,
                     drop_rng: Rng | None = None, then=None):
     """Packed (start, end) logits of one forward over ``chunks`` (features
@@ -244,6 +245,10 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
     RuntimeError that starts with ``what`` and names the chunk it came
     from: a lone chunk at once; of several, the first whose forward fails
     when rerun alone, else the question.
+
+    numpy's floating-point warnings are off in here: ``Tensor`` checks
+    every value the forward makes, so an overflow is reported once, as
+    that error, and not also as stray ``RuntimeWarning`` lines.
     """
     embeddings = [provider(f) for f in chunks]
     try:

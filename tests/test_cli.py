@@ -15,6 +15,7 @@ from squadlab.ensemble import save_logits_dump
 from squadlab.heads import (SpanLogits, read_predictions,
                             write_predictions)
 from squadlab.synth import make_synthetic_examples, write_squad_json
+from squadlab.training import ModelConfig, build_model, load_model, save_model
 
 
 def run(argv, capsys=None):
@@ -232,6 +233,21 @@ class TestEvaluateCommand:
               "--out", str(out)])
         report = json.loads(out.read_text())
         assert report["em"] == 50.0
+
+    def test_missing_predictions_give_count_and_first_five(self, corpus,
+                                                           tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [
+            {"qid": f"synth-{i:04d}", "null_score": 0.0, "nbest": []}
+            for i in (0, 2, 9)])
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(corpus),
+                     "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            "error: predictions have no answer for 7 of 10 gold questions; "
+            "first: ['synth-0001', 'synth-0003', 'synth-0004', "
+            "'synth-0005', 'synth-0006']")
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -1141,6 +1157,58 @@ class TestInputErrors:
             f"error: {some} has no features for {10 - kept} of 10 --data "
             f"questions; first: {first}")
         assert not (tmp_path / "pred.jsonl").exists()
+
+
+def _constant_rows_fixture(path, feats, row):
+    """An embedding fixture giving every token of every feature ``row``."""
+    save_embedding_fixture(path, [
+        EmbeddingMatrix(f.qid, f.feature_index,
+                        np.tile(row, (len(f.tokens), 1)))
+        for f in read_features(feats)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestForwardOverflow:
+    """An overflow in a forward is one `error:` line and exit 2: no numpy
+    RuntimeWarning is printed first or, with warnings as errors, raised
+    out of ``main`` instead."""
+
+    def test_predict_is_one_error_line(self, corpus, tmp_path, capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        model = load_model(ckpt)
+        model.head.W.data[...] *= 1e300
+        save_model(ckpt, model, hyperparams=model.hyperparams)
+        emb = tmp_path / "big.bin"
+        _constant_rows_fixture(emb, feats, np.full(8, 1e10))
+        capsys.readouterr()
+        assert _predict(ckpt, feats, corpus, tmp_path,
+                        ["--embeddings", str(emb)]) == 2
+        line = _error_line(capsys)
+        assert line.startswith("error: predict (qid=")
+        assert line.endswith("non-finite value produced in forward pass by "
+                             "matmul")
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_train_is_one_error_line(self, corpus, tmp_path, capsys):
+        feats, _ = _train_squad_out(corpus, tmp_path,
+                                    ["--embeddings", "pseudo"])
+        # the signs of the first head column that train's seed draws: every
+        # product of the start logit's dot product is positive, and their
+        # sum overflows
+        w = build_model(ModelConfig("squad_out", d_model=64), seed=0).head.W
+        emb = tmp_path / "big.bin"
+        _constant_rows_fixture(emb, feats, 1e308 * np.sign(w.data[:, 0]))
+        capsys.readouterr()
+        out = tmp_path / "big.json"
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out", "--d-model", "64",
+                     "--out", str(out), "--seed", "0"]) == 2
+        line = _error_line(capsys)
+        assert line.startswith("error: non-finite loss at step 1 (qid=")
+        assert line.endswith("non-finite value produced in forward pass by "
+                             "matmul")
+        assert not out.exists()
 
 
 def _count_parsers(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -332,6 +333,11 @@ def _with_gap(feature, lo, hi):
     return dataclasses.replace(feature, token_word_span=spans)
 
 
+def _legal_pairs(feature, max_answer_length=DEFAULT_MAX_ANSWER_LENGTH):
+    n_ctx = sum(feature.context_mask)
+    return sum(min(max_answer_length, n_ctx - i) for i in range(n_ctx))
+
+
 class TestDecodeMatchesReference:
     """``decode_spans`` (array scoring) against the per-pair loop it
     replaced: equal candidate lists, and equal reprs, so a -0.0 score or a
@@ -372,8 +378,7 @@ class TestDecodeMatchesReference:
         logits = random_logits(f, Rng(12))
         assert len(self._assert_same(logits, f, text, n_best=1)) == 1
         pairs = len(self._assert_same(logits, f, text, n_best=10 ** 6)) - 1
-        n_ctx = sum(f.context_mask)
-        assert pairs == sum(min(30, n_ctx - i) for i in range(n_ctx))
+        assert pairs == _legal_pairs(f)
 
     def test_max_answer_length_limits(self):
         f = make_feature(n_context=9)
@@ -403,6 +408,76 @@ class TestDecodeMatchesReference:
         got = self._assert_same(random_logits(f, Rng(15)), f,
                                 feature_context_text(1))
         assert sorted(c.is_null for c in got) == [False, True]
+
+
+class TestCollectorPause:
+    """``decode_spans`` runs with the cyclic garbage collector off and
+    leaves it on or off as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        """Sets the collector on or off; puts it back afterwards."""
+        was = gc.isenabled()
+        yield lambda on: gc.enable() if on else gc.disable()
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+    def test_leaves_the_collector_as_found(self, collector, on):
+        f = make_feature(n_context=6)
+        collector(on)
+        decode_spans(random_logits(f, Rng(21)), f, feature_context_text())
+        assert gc.isenabled() is on
+
+    @pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+    def test_leaves_the_collector_as_found_when_it_raises(self, collector,
+                                                          on):
+        f = make_feature(n_context=6)
+        logits = random_logits(f, Rng(22))
+        short = dataclasses.replace(logits,
+                                    start_logits=logits.start_logits[:4],
+                                    end_logits=logits.end_logits[:4])
+        collector(on)
+        with pytest.raises(IndexError):
+            decode_spans(short, f, feature_context_text())
+        assert gc.isenabled() is on
+
+    def test_no_collection_during_a_seq384_decode(self, collector,
+                                                  monkeypatch):
+        feats, text = _seq384_features()
+        f = feats[0]
+        logits = random_logits(f, Rng(23))
+        built, collections = [], []
+        init = AnswerCandidate.__init__
+
+        def counting_init(self, *args):
+            built.append(args[2])
+            init(self, *args)
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(AnswerCandidate, "__init__", counting_init)
+        collector(True)
+        gc.callbacks.append(record)
+        try:
+            got = decode_spans(logits, f, text)
+            assert collections == []
+            # the control: without the pause the same decode collects
+            with monkeypatch.context() as m:
+                m.setattr(gc, "disable", lambda: None)
+                assert decode_spans(logits, f, text) == got
+            assert collections
+        finally:
+            gc.callbacks.remove(record)
+        # one candidate per legal pair, then the null, on each of two calls
+        pairs = _legal_pairs(f)
+        assert pairs > 10_000
+        assert len(built) == 2 * (pairs + 1)
+        assert sum(start is None for start in built) == 2
 
 
 class TestAggregate:

@@ -259,7 +259,7 @@ class TestTrain:
             return x
 
         hp = Hyperparams(batch_size=1, epochs=1, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+        with pytest.raises(RuntimeError) as info:
             train(model, [feat], huge, hp)
         assert str(info.value).startswith(
             "non-finite loss at step 1 (qid='q0', feature_index=0): "
@@ -607,7 +607,7 @@ class TestPredictPerQuestion:
             return np.full((len(f.tokens), 32),
                            1e200 if f.feature_index == 1 else 1.0)
 
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+        with pytest.raises(RuntimeError) as info:
             predict(model, feats, huge_middle, {"q": feature_context_text(7)})
         msg = str(info.value)
         assert "qid='q', feature_index=1" in msg
@@ -649,7 +649,7 @@ class TestInferenceWithoutGraph:
         model = build_model(small_cfg("squad_out"), seed=0)
         model.head.W.data[...] = 1e200
         huge = lambda f: np.full((len(f.tokens), 32), 1e200)
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+        with pytest.raises(RuntimeError) as info:
             predict(model, [feat], huge, {"qx": feature_context_text(6)})
         msg = str(info.value)
         assert "qid='qx', feature_index=1" in msg

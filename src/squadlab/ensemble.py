@@ -90,7 +90,8 @@ def _check_same_qids(sets):
 
 
 def mean_logits(dumps) -> dict:
-    """Elementwise sum of members' logits per (qid, feature_index) key."""
+    """Elementwise sum of members' logits per (qid, feature_index) key; a
+    sum that overflows raises ValueError naming the key."""
     dumps = list(dumps)
     if len(dumps) < 2:
         raise ValueError(f"mean_logits needs at least 2 dumps, got {len(dumps)}")
@@ -112,8 +113,11 @@ def mean_logits(dumps) -> dict:
                 raise ValueError(
                     f"logits dumps disagree on sequence length at key {key!r}"
                 )
-            start += rec.start_logits
-            end += rec.end_logits
+            with np.errstate(over="ignore"):
+                start += rec.start_logits
+                end += rec.end_logits
+        if not (np.isfinite(start).all() and np.isfinite(end).all()):
+            raise ValueError(f"summed logits overflow at key {key!r}")
         combined[key] = SpanLogits(qid=qid, feature_index=fi,
                                    start_logits=start, end_logits=end)
     return combined

@@ -10,7 +10,9 @@ deterministic.
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
 chunk's candidates with array ops: it scores every legal (start, end) pair
-at once and orders them with ``np.lexsort``, with the cyclic garbage
+at once, finds the best ``n_best - 1`` with ``top_k`` (a partition to the
+cut, then a stable sort of the pairs at or above it) and builds one
+candidate per pair from the band as it lies, with the cyclic garbage
 collector paused: its candidates hold no reference cycles, so reference
 counting alone frees them.  ``aggregate_features`` merges
 a question's chunks into its n-best list; ``training.decode_logit_set`` is
@@ -47,7 +49,7 @@ class SpanLogits:
     end_logits: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerCandidate:
     qid: str
     text: str  # empty string = no-answer
@@ -156,12 +158,13 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
 
     A pair is legal when both ends are context positions, start <= end,
     and the span covers fewer than ``max_answer_length`` tokens.  Both
-    ``n_best`` and ``max_answer_length`` must be at least 1.
+    ``n_best`` and ``max_answer_length`` must be at least 1.  A span or
+    null score that overflows raises ValueError naming the feature.
 
-    Every legal pair is scored at once (``sl[s] + el[e]``) and ordered by
-    ``np.lexsort`` on ``(-score, start, end)``, which is ``sort_key``'s
-    order for spans; one ``AnswerCandidate`` is built per pair, in that
-    order.
+    Every legal pair is scored at once (``sl[s] + el[e]``).  The band lists
+    the pairs in (start, end) order, so ``top_k`` of the scores, a stable
+    ranking, gives ``sort_key``'s order for spans.  One ``AnswerCandidate``
+    is built per pair, in band order, and the top ones are picked by index.
 
     The cyclic garbage collector is paused for the call and restored as it
     was.  A seq-384 chunk builds about 10k candidates; while they live,
@@ -185,6 +188,22 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
             gc.enable()
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest ``scores``, highest first, equal scores
+    in index order: ``np.lexsort((np.arange(n), -scores))[:k]``.
+
+    A partition finds the k-th highest score; only the scores at or above
+    it, ties at the cut included, are sorted.
+    """
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    neg = -scores
+    kept = np.arange(len(neg))
+    if k < len(neg):
+        kept = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return kept[np.argsort(neg[kept], kind="stable")[:k]]
+
+
 def _ranked_candidates(logits, feature, context_text, n_best,
                        max_answer_length) -> list:
     """``decode_spans``' work; its candidate list dies on return."""
@@ -196,20 +215,24 @@ def _ranked_candidates(logits, feature, context_text, n_best,
     i = np.repeat(first, width)
     j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - first, width)
     s, e = ctx[i], ctx[j]
-    scores = sl[s] + el[e]
-    order = np.lexsort((e, s, -scores))
+    qid, fi = feature.qid, feature.feature_index
+    with np.errstate(over="ignore"):
+        scores = sl[s] + el[e]
+        null_score = sl[NULL_POSITION] + el[NULL_POSITION]
+    if not (np.isfinite(scores).all() and np.isfinite(null_score)):
+        raise ValueError(f"decode (qid={qid!r}, feature_index={fi}): a span "
+                         f"or null score overflows")
+    top = top_k(scores, n_best - 1).tolist()
     chars = np.array([feature.token_word_span[t] for t in ctx.tolist()],
                      dtype=np.int64).reshape(-1, 2)
-    qid, fi = feature.qid, feature.feature_index
     candidates = [
         AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
         for a, b, st, en, score in zip(
-            chars[i[order], 0].tolist(), chars[j[order], 1].tolist(),
-            s[order].tolist(), e[order].tolist(), scores[order].tolist())
+            chars[i, 0].tolist(), chars[j, 1].tolist(), s.tolist(),
+            e.tolist(), scores.tolist())
     ]
-    null = AnswerCandidate(qid, "", None, None,
-                           float(sl[NULL_POSITION] + el[NULL_POSITION]), fi)
-    out = candidates[: n_best - 1] + [null]
+    out = [candidates[t] for t in top]
+    out.append(AnswerCandidate(qid, "", None, None, float(null_score), fi))
     out.sort(key=AnswerCandidate.sort_key)
     return out
 

@@ -272,7 +272,11 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
 
 def train(model: QaModel, features, provider, hp: Hyperparams,
           max_steps: int | None = None) -> TrainResult:
-    """Mini-batch Adam over seeded shuffles of the feature list."""
+    """Mini-batch Adam over seeded shuffles of the feature list.
+
+    A step whose gradients' global norm is not finite raises RuntimeError
+    naming the step, before the optimiser uses them.
+    """
     if not features:
         raise ValueError("no features to train on")
     params = model.parameters()
@@ -289,20 +293,29 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             zero_grads(params)
             scale = 1.0 / len(batch)
             total = 0.0
-            for feat in batch:
-                loss = _forward_chunks(
-                    model, [feat], provider,
-                    f"non-finite loss at step {step}", drop_rng,
-                    then=lambda start, end: span_loss(
-                        start, end, feat.start_position, feat.end_position,
-                        feat.context_mask))
-                # backprop this feature's share of the mean loss and drop
-                # its graph before the next forward; the parameters get the
-                # addends, in order, of one backward of the summed losses
-                (loss * scale).backward()
-                total += float(loss.data)
-                del loss
-            clip_global_norm(params, GRAD_CLIP_NORM)
+            # an overflow in backward or in the clip's sum of squares makes
+            # the norm non-finite, and that is reported once, as the error
+            # below, not also as numpy RuntimeWarnings
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                for feat in batch:
+                    loss = _forward_chunks(
+                        model, [feat], provider,
+                        f"non-finite loss at step {step}", drop_rng,
+                        then=lambda start, end: span_loss(
+                            start, end, feat.start_position,
+                            feat.end_position, feat.context_mask))
+                    # backprop this feature's share of the mean loss and
+                    # drop its graph before the next forward; the parameters
+                    # get the addends, in order, of one backward of the
+                    # summed losses
+                    (loss * scale).backward()
+                    total += float(loss.data)
+                    del loss
+                norm = clip_global_norm(params, GRAD_CLIP_NORM)
+            if not math.isfinite(norm):
+                raise RuntimeError(f"non-finite gradient at step {step}: "
+                                   f"global norm {norm}")
             adam_step(params, state, hp.learning_rate)
             result.loss_curve.append((step, total * scale))
             if max_steps is not None and step >= max_steps:

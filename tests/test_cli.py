@@ -1211,6 +1211,54 @@ class TestForwardOverflow:
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverflowAfterForward:
+    """Finite inputs whose gradients or summed scores overflow: one
+    `error:` line and exit 2, with no numpy RuntimeWarning first or, with
+    warnings as errors, raised out of ``main`` instead."""
+
+    def test_train_gradient_overflow_is_one_error_line(self, corpus,
+                                                       tmp_path, capsys):
+        feats, _ = _train_squad_out(corpus, tmp_path,
+                                    ["--embeddings", "pseudo"])
+        emb = tmp_path / "big.bin"
+        # logits near 1e200 keep the loss finite; the squares of the head
+        # weights' gradients, near 1e400, are not
+        _constant_rows_fixture(emb, feats, np.full(8, 1e200))
+        capsys.readouterr()
+        out = tmp_path / "big.json"
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out", "--d-model", "8",
+                     "--out", str(out), "--seed", "0"]) == 2
+        assert _error_line(capsys) == (
+            "error: non-finite gradient at step 1: global norm inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, where", [
+        (6e307, "error: decode (qid='synth-0000', feature_index=0): a span "
+                "or null score overflows"),
+        (1e308, "error: summed logits overflow at key ('synth-0000', 0)"),
+    ], ids=["span-score", "logit-sum"])
+    def test_mean_logits_overflow_is_one_error_line(self, corpus, tmp_path,
+                                                    capsys, value, where):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        dump = tmp_path / "dump.bin"
+        save_logits_dump(dump, {
+            (f.qid, f.feature_index): SpanLogits(
+                f.qid, f.feature_index, np.full(len(f.tokens), value),
+                np.full(len(f.tokens), value))
+            for f in read_features(feats)})
+        out = tmp_path / "ens.jsonl"
+        capsys.readouterr()
+        assert main(["ensemble", "--strategy", "mean-logits", "--dumps",
+                     str(dump), str(dump), "--features", str(feats),
+                     "--data", str(corpus), "--out", str(out)]) == 2
+        assert _error_line(capsys) == where
+        assert not out.exists()
+
+
 def _count_parsers(monkeypatch):
     """The prog of every ArgumentParser constructed from now on."""
     built = []

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab.autograd import MASK_FILL, Rng, Tensor
-from squadlab.data import PreprocessConfig, preprocess_dataset
+from squadlab.data import NULL_POSITION, PreprocessConfig, preprocess_dataset
 from squadlab.gradcheck import check_gradients
 from squadlab.scoring import predictions_from_file
 from squadlab.ensemble import NULL_KEY, PredictionSet
@@ -16,7 +16,7 @@ from squadlab.heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                             BidafOut, SpanLogits, aggregate_features,
                             best_answer, decode_spans, prediction_record,
                             read_predictions, span_loss, to_span_logits,
-                            write_predictions)
+                            top_k, write_predictions)
 from squadlab.synth import (make_synthetic_examples, question_tokens,
                             word_tokenize)
 
@@ -408,6 +408,69 @@ class TestDecodeMatchesReference:
         got = self._assert_same(random_logits(f, Rng(15)), f,
                                 feature_context_text(1))
         assert sorted(c.is_null for c in got) == [False, True]
+
+
+class TestTopKRanking:
+    """``top_k`` against the full lexsort it replaced, and ``decode_spans``
+    against both oracles on tie-heavy logits, where a wrong tie order at
+    the n-best cut would show."""
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 20, 44, 45, 100])
+    def test_top_k_matches_lexsort(self, k):
+        s, e = np.triu_indices(9)  # a band, listed in (start, end) order
+        rng = np.random.default_rng(k)
+        cases = {"integer": rng.integers(-2, 3, len(s)).astype(float),
+                 "all-equal": np.full(len(s), 0.5),
+                 "signed-zeros": np.where(rng.random(len(s)) < 0.5, 0.0,
+                                          -0.0),
+                 "random": rng.normal(size=len(s))}
+        for name, scores in cases.items():
+            want = np.lexsort((e, s, -scores))[:k]
+            got = top_k(scores, k)
+            assert got.tolist() == want.tolist(), name
+        # the integer scores put the cut inside a group of ties
+        order = np.lexsort((e, s, -cases["integer"]))
+        if 0 < k < len(s):
+            assert cases["integer"][order[k - 1]] == \
+                cases["integer"][order[k]]
+
+    @pytest.mark.parametrize("kind", ["integer", "all-equal"])
+    @pytest.mark.parametrize("seq384", [False, True], ids=["short", "seq384"])
+    def test_decode_equals_both_oracles(self, kind, seq384):
+        if seq384:
+            feats, text = _seq384_features()
+            f = feats[0]
+        else:
+            f, text = make_feature(n_context=9), feature_context_text(9)
+        logits = random_logits(f, Rng(31))
+        if kind == "integer":
+            logits.start_logits = np.round(logits.start_logits)
+            logits.end_logits = np.round(logits.end_logits)
+        else:
+            logits.start_logits = np.full(len(f.tokens), 0.5)
+            logits.end_logits = np.full(len(f.tokens), 0.5)
+        for max_len in (1, 3, 30):
+            more = _legal_pairs(f, max_len) + 2
+            for n_best in (1, 2, 20, more):
+                got = decode_spans(logits, f, text, n_best=n_best,
+                                   max_answer_length=max_len)
+                assert len(got) == min(n_best, more - 1)
+                for want in (reference_decode_spans(logits, f, text, n_best,
+                                                    max_len),
+                             brute_force_decode(logits, f, text, n_best,
+                                                max_len)):
+                    assert got == want, (max_len, n_best)
+                    assert [repr(c) for c in got] == [repr(c) for c in want]
+
+    def test_overflowing_scores_name_the_feature(self):
+        f, text = make_feature(n_context=6), feature_context_text()
+        for big in (NULL_POSITION, f.context_token_indices()[3]):
+            logits = random_logits(f, Rng(32))
+            logits.start_logits[big] = logits.end_logits[big] = 1e308
+            with pytest.raises(ValueError, match=(
+                    rf"decode \(qid={f.qid!r}, feature_index=0\): a span "
+                    rf"or null score overflows")):
+                decode_spans(logits, f, text)
 
 
 class TestCollectorPause:

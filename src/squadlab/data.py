@@ -427,18 +427,32 @@ def _span(s, field="token_word_span", null_ok=True):
 
 
 def _feature(rec) -> Feature:
+    """A feature record's fields, typed as ``Feature`` declares them; the
+    binary codecs store feature_index as a u32."""
+    qid, fi, tokens = rec["qid"], rec["feature_index"], rec["tokens"]
+    if not isinstance(qid, str):
+        raise ValueError(f"qid {qid!r} is not a string")
+    if not (type(fi) is int and 0 <= fi < 2 ** 32):
+        raise ValueError(f"feature_index {fi!r} is not an int in [0, 2^32)")
+    if not isinstance(tokens, list):
+        raise ValueError("tokens is not a list")
+    for k, t in enumerate(tokens):
+        if not (isinstance(t, str) and t):
+            raise ValueError(f"tokens[{k}] {t!r} is not a non-empty string")
     f = Feature(
-        qid=rec["qid"],
-        feature_index=int(rec["feature_index"]),
-        tokens=list(rec["tokens"]),
+        qid=qid,
+        feature_index=fi,
+        tokens=tokens,
         token_word_span=[_span(s) for s in rec["token_word_span"]],
-        start_position=int(rec["start_position"]),
-        end_position=int(rec["end_position"]),
+        start_position=rec["start_position"],
+        end_position=rec["end_position"],
     )
+    s, e, mask = f.start_position, f.end_position, f.context_mask
+    if not type(s) is type(e) is int:
+        raise ValueError(f"start/end positions ({s!r}, {e!r}) are not ints")
     if len(f.tokens) != len(f.token_word_span):
         raise ValueError(f"{len(f.tokens)} tokens but "
                          f"{len(f.token_word_span)} token_word_span entries")
-    s, e, mask = f.start_position, f.end_position, f.context_mask
     if (s, e) != (NULL_POSITION, NULL_POSITION) and not (
             0 <= s <= e < len(mask) and mask[s] and mask[e]):
         raise ValueError(f"start/end positions ({s}, {e}) are neither the "

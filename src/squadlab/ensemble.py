@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, read_records, write_records
-from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
-                    DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
+from .heads import (DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
                     best_answer, prediction_record)
 from .training import decode_logit_set
 
@@ -170,16 +169,12 @@ def weighted_voting(sets,
 def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
                                      features_by_key: dict,
                                      context_by_qid: dict,
-                                     n_best: int = DEFAULT_N_BEST,
-                                     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
                                      null_threshold: float = DEFAULT_NULL_THRESHOLD) -> list:
-    """Weighted voting over the member models plus the mean-logits model."""
+    """Weighted voting over the member models plus the mean-logits model,
+    decoded with the default ``n_best`` and ``max_answer_length``."""
     check_weight("mean_weight", mean_weight)
-    combined = mean_logits(dumps)
-    mean_records = decode_logit_set(
-        combined, features_by_key, context_by_qid, n_best=n_best,
-        max_answer_length=max_answer_length,
-    )
+    mean_records = decode_logit_set(mean_logits(dumps), features_by_key,
+                                    context_by_qid)
     mean_set = PredictionSet.from_records("mean-logits", mean_records,
                                           weight=mean_weight)
     return weighted_voting(list(sets) + [mean_set], null_threshold)

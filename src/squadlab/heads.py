@@ -10,21 +10,20 @@ deterministic.
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
 chunk's candidates with array ops: it scores every legal (start, end) pair
-at once, finds the best ``n_best - 1`` with ``top_k`` (a partition to the
-cut, then a stable sort of the pairs at or above it) and builds one
-candidate per pair from the band as it lies, with the cyclic garbage
-collector paused: its candidates hold no reference cycles, so reference
-counting alone frees them.  ``aggregate_features`` merges
-a question's chunks into its n-best list; ``training.decode_logit_set`` is
-the one path that runs both, for ``predict`` and for the mean-logits
-ensemble.
+at once and marks the best ``n_best - 1`` with ``top_k`` (a partition to the
+cut, then a stable sort of the pairs at or above it).  It builds one
+candidate per pair from the band as it lies and keeps only the marked ones
+alive, so reference counting frees each of the others before the next is
+built.  ``aggregate_features`` merges a question's chunks into its n-best
+list; ``training.decode_logit_set`` is the one path that runs both, for
+``predict`` and for the mean-logits ensemble.
 ``best_answer`` is the one no-answer rule, applied to a prediction record
 by ``evaluate`` and by the voting ensembles.
 """
 
 from __future__ import annotations
 
-import gc
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,43 +150,6 @@ def to_span_logits(feature: Feature, start, end) -> SpanLogits:
     )
 
 
-def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
-                 n_best: int = DEFAULT_N_BEST,
-                 max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH) -> list:
-    """Top-n candidates over legal (start, end) pairs plus the null candidate.
-
-    A pair is legal when both ends are context positions, start <= end,
-    and the span covers fewer than ``max_answer_length`` tokens.  Both
-    ``n_best`` and ``max_answer_length`` must be at least 1.  A span or
-    null score that overflows raises ValueError naming the feature.
-
-    Every legal pair is scored at once (``sl[s] + el[e]``).  The band lists
-    the pairs in (start, end) order, so ``top_k`` of the scores, a stable
-    ranking, gives ``sort_key``'s order for spans.  One ``AnswerCandidate``
-    is built per pair, in band order, and the top ones are picked by index.
-
-    The cyclic garbage collector is paused for the call and restored as it
-    was.  A seq-384 chunk builds about 10k candidates; while they live,
-    every 700 allocations start a collection that rescans them, and none
-    can find garbage: a candidate holds a str, ints, a float and None, and
-    nothing around it refers back.  Reference counting frees the discarded
-    ones before the collector resumes, so no collections are owed then.
-    Once decode builds only the ``n_best - 1`` survivors, the pause saves
-    nothing and goes.
-    """
-    if n_best < 1 or max_answer_length < 1:
-        raise ValueError(f"n_best and max_answer_length must be >= 1, got "
-                         f"{n_best} and {max_answer_length}")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _ranked_candidates(logits, feature, context_text, n_best,
-                                  max_answer_length)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` highest ``scores``, highest first, equal scores
     in index order: ``np.lexsort((np.arange(n), -scores))[:k]``.
@@ -204,9 +166,27 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return kept[np.argsort(neg[kept], kind="stable")[:k]]
 
 
-def _ranked_candidates(logits, feature, context_text, n_best,
-                       max_answer_length) -> list:
-    """``decode_spans``' work; its candidate list dies on return."""
+def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
+                 n_best: int = DEFAULT_N_BEST,
+                 max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH) -> list:
+    """Top-n candidates over legal (start, end) pairs plus the null candidate.
+
+    A pair is legal when both ends are context positions, start <= end,
+    and the span covers fewer than ``max_answer_length`` tokens.  Both
+    ``n_best`` and ``max_answer_length`` must be at least 1.  A span or
+    null score that overflows raises ValueError naming the feature.
+
+    Every legal pair is scored at once (``sl[s] + el[e]``).  The band lists
+    the pairs in (start, end) order, so ``top_k`` of the scores, a stable
+    ranking, marks the best ``n_best - 1`` by ``sort_key``.  One
+    ``AnswerCandidate`` is built per pair, in band order, and
+    ``itertools.compress`` keeps the marked ones; reference counting frees
+    each of the others before the next is built, so at most ``n_best``
+    candidates are alive at once.
+    """
+    if n_best < 1 or max_answer_length < 1:
+        raise ValueError(f"n_best and max_answer_length must be >= 1, got "
+                         f"{n_best} and {max_answer_length}")
     sl, el = logits.start_logits, logits.end_logits
     ctx = np.flatnonzero(feature.context_mask)
     # the band: context indices i <= j with ctx[j] - ctx[i] < max length
@@ -222,16 +202,15 @@ def _ranked_candidates(logits, feature, context_text, n_best,
     if not (np.isfinite(scores).all() and np.isfinite(null_score)):
         raise ValueError(f"decode (qid={qid!r}, feature_index={fi}): a span "
                          f"or null score overflows")
-    top = top_k(scores, n_best - 1).tolist()
+    kept = np.zeros(len(scores), dtype=bool)
+    kept[top_k(scores, n_best - 1)] = True
     chars = np.array([feature.token_word_span[t] for t in ctx.tolist()],
                      dtype=np.int64).reshape(-1, 2)
-    candidates = [
-        AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
-        for a, b, st, en, score in zip(
-            chars[i, 0].tolist(), chars[j, 1].tolist(), s.tolist(),
-            e.tolist(), scores.tolist())
-    ]
-    out = [candidates[t] for t in top]
+    built = (AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
+             for a, b, st, en, score in zip(
+                 chars[i, 0].tolist(), chars[j, 1].tolist(), s.tolist(),
+                 e.tolist(), scores.tolist()))
+    out = list(itertools.compress(built, kept.tolist()))
     out.append(AnswerCandidate(qid, "", None, None, float(null_score), fi))
     out.sort(key=AnswerCandidate.sort_key)
     return out
@@ -294,6 +273,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_index(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def _prediction(rec) -> dict:
     """``rec`` if it is a prediction record, else DataError saying why."""
     if not isinstance(rec, dict):
@@ -304,12 +287,23 @@ def _prediction(rec) -> dict:
         raise DataError("nbest must be a list")
     if not _is_number(rec.get("null_score")):
         raise DataError("null_score must be a number")
+    if "model_f1_weight" in rec and not _is_number(rec["model_f1_weight"]):
+        raise DataError("model_f1_weight must be a number")
     for i, c in enumerate(rec["nbest"]):
-        if not (isinstance(c, dict) and _ENTRY_KEYS <= c.keys()
-                and _is_number(c["score"])):
+        if not (isinstance(c, dict) and _ENTRY_KEYS <= c.keys()):
             raise DataError(f"nbest[{i}] must be an object with "
-                            f"{', '.join(sorted(_ENTRY_KEYS))} and a numeric "
-                            f"score")
+                            f"{', '.join(sorted(_ENTRY_KEYS))}")
+        s, e = c["start_token"], c["end_token"]
+        if not _is_number(c["score"]):
+            raise DataError(f"nbest[{i}].score must be a number")
+        if not isinstance(c["text"], str):
+            raise DataError(f"nbest[{i}].text must be a string")
+        if not (s is e is None or (_is_index(s) and _is_index(e) and s <= e)):
+            raise DataError(f"nbest[{i}]: start_token and end_token must both "
+                            f"be null, or ints with 0 <= start_token <= "
+                            f"end_token")
+        if not _is_index(c["feature_index"]):
+            raise DataError(f"nbest[{i}].feature_index must be an int >= 0")
     return rec
 
 

@@ -68,3 +68,37 @@ def test_a_failed_run_is_no_win_and_no_sample():
     row = _rows(parent, [30] * 8 + [None, None])["q_per_s"]
     assert row["wins"] == 8 and not row["holds"]
     assert _rows([None] * 2, [30] * 2)["q_per_s"]["parent"] is None
+
+
+def _verdict(parent, change, bound, name="q_per_s"):
+    return bench_pairs.verdict(_rows(parent, change)[name], bound)
+
+
+@pytest.mark.parametrize("parent, change, bound, want", [
+    # medians 24.5 -> 18.5: 24% worse, beyond a 10% bound
+    (list(range(20, 30)), list(range(14, 24)), 0.1, "worse"),
+    # the same drop inside a 25% bound; the parent's IQR/median is 0.18
+    (list(range(20, 30)), list(range(14, 24)), 0.25, "ok"),
+    # a 5% drop inside a 10% bound, but the parent spreads by 0.18 > 0.1
+    (list(range(20, 30)), [v - 1.2 for v in range(20, 30)], 0.1,
+     "unresolved"),
+    # the same spread, and every change run beats every parent run
+    (list(range(20, 30)), list(range(30, 40)), 0.1, "ok"),
+    # a tight parent and a small drop
+    ([100] * 10, [97] * 10, 0.05, "ok"),
+], ids=["worse", "drop-inside-bound", "spread-parent", "clear-win",
+        "small-drop"])
+def test_verdict_against_the_bound(parent, change, bound, want):
+    assert _verdict(parent, change, bound) == want
+
+
+def test_verdict_reads_lower_is_better_metrics_the_other_way():
+    # run_s is 1 / q_per_s: the change is slower, so run_s rises
+    parent, change = [10.0] * 10, [5.0] * 10
+    assert _verdict(parent, change, 0.25, "run_s") == "worse"
+    assert _verdict(change, parent, 0.25, "run_s") == "ok"
+
+
+def test_verdict_without_runs():
+    assert _verdict([20] * 3, [None] * 3, 0.25) == "worse"
+    assert _verdict([None] * 3, [20] * 3, 0.25) == "unresolved"

@@ -1023,6 +1023,108 @@ class TestInputErrors:
         assert err.startswith(f"error: {pred}: line 2: "), err
         assert problem in err
 
+    _BAD_SPAN = ("nbest[0]: start_token and end_token must both be null, "
+                 "or ints with 0 <= start_token <= end_token")
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("text", [1], "nbest[0].text must be a string"),
+        ("start_token", [1], _BAD_SPAN),
+        ("start_token", "1", _BAD_SPAN),
+        ("start_token", 1.5, _BAD_SPAN),
+        ("start_token", True, _BAD_SPAN),
+        ("start_token", None, _BAD_SPAN),
+        ("start_token", 7, _BAD_SPAN),
+        ("end_token", -1, _BAD_SPAN),
+        ("feature_index", -1, "nbest[0].feature_index must be an int >= 0"),
+        ("feature_index", True, "nbest[0].feature_index must be an int >= 0"),
+        ("feature_index", "0", "nbest[0].feature_index must be an int >= 0"),
+        ("model_f1_weight", [1], "model_f1_weight must be a number"),
+        ("model_f1_weight", "0.5", "model_f1_weight must be a number"),
+    ], ids=["list-text", "list-start", "string-start", "float-start",
+            "bool-start", "null-start-int-end", "start-after-end",
+            "negative-end", "negative-feature-index", "bool-feature-index",
+            "string-feature-index", "list-weight", "string-weight"])
+    @pytest.mark.parametrize("command", ["evaluate", "weighted-voting"])
+    def test_mistyped_prediction_field_is_2(self, tmp_path, capsys, field,
+                                            value, problem, command):
+        gold, pred = TestEvaluateCommand()._einstein(tmp_path)
+        lines = pred.read_text().splitlines()
+        rec = json.loads(lines[1])  # nbest[0] spans tokens 5..6
+        if field == "model_f1_weight":
+            rec[field] = value
+        else:
+            rec["nbest"][0][field] = value
+        lines[1] = json.dumps(rec)
+        pred.write_text("\n".join(lines) + "\n")
+        if command == "evaluate":
+            argv = ["evaluate", "--pred", str(pred), "--gold", str(gold)]
+        else:
+            argv = ["ensemble", "--strategy", "weighted-voting", "--pred",
+                    str(pred), "--out", str(tmp_path / "o.jsonl")]
+        assert main(argv) == 2
+        assert _error_line(capsys) == f"error: {pred}: line 2: {problem}"
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("qid", 7, "qid 7 is not a string"),
+        ("feature_index", -1,
+         "feature_index -1 is not an int in [0, 2^32)"),
+        ("feature_index", 2 ** 32,
+         "feature_index 4294967296 is not an int in [0, 2^32)"),
+        ("feature_index", 1.5,
+         "feature_index 1.5 is not an int in [0, 2^32)"),
+        ("feature_index", True,
+         "feature_index True is not an int in [0, 2^32)"),
+        ("feature_index", "3",
+         "feature_index '3' is not an int in [0, 2^32)"),
+        ("start_position", 1.5, "start/end positions (1.5, 0) are not ints"),
+        ("end_position", True, "start/end positions (0, True) are not ints"),
+        ("tokens", "abc", "tokens is not a list"),
+    ], ids=["int-qid", "negative-feature-index", "feature-index-past-u32",
+            "float-feature-index", "bool-feature-index",
+            "string-feature-index", "float-position", "bool-position",
+            "string-tokens"])
+    def test_mistyped_feature_field_is_2(self, corpus, tmp_path, capsys,
+                                         field, value, problem):
+        def edit(rec):
+            rec[field] = value
+
+        feats = self._edited_features(corpus, tmp_path, capsys, edit)
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(tmp_path / "e.bin")]) == 2
+        assert _error_line(capsys) == f"error: {feats}: line 1: {problem}"
+
+    @pytest.mark.parametrize("token, shown", [(7, "7"), ("", "''"),
+                                              (None, "None")],
+                             ids=["int", "empty", "null"])
+    def test_bad_token_in_bidaf_train_is_2(self, corpus, tmp_path, capsys,
+                                           token, shown):
+        def edit(rec):
+            rec["tokens"][1] = token
+
+        feats = self._edited_features(corpus, tmp_path, capsys, edit)
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     "pseudo", "--arch", "gru_highway_gru_bidaf",
+                     "--d-model", "8", "--out", str(tmp_path / "m.json")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {feats}: line 1: tokens[1] {shown} is not a non-empty "
+            f"string")
+
+    @staticmethod
+    def _edited_features(corpus, tmp_path, capsys, edit):
+        """A features file whose first record, a no-answer chunk, is
+        changed in place by ``edit``."""
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        lines = feats.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        assert rec["start_position"] == rec["end_position"] == 0
+        edit(rec)
+        lines[0] = json.dumps(rec)
+        feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        return feats
+
     @pytest.mark.parametrize("data, where", [
         ([7], "$.data[0] must be an object"),
         ([{"paragraphs": [7]}], "$.data[0].paragraphs[0] must be an object"),

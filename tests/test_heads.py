@@ -474,8 +474,10 @@ class TestTopKRanking:
 
 
 class TestCollectorPause:
-    """``decode_spans`` runs with the cyclic garbage collector off and
-    leaves it on or off as it found it."""
+    """``decode_spans`` keeps at most ``n_best`` candidates alive, so the
+    cyclic garbage collector has nothing to start on while it builds one
+    candidate per legal pair; it leaves the collector on or off as it found
+    it."""
 
     @pytest.fixture
     def collector(self):
@@ -512,12 +514,16 @@ class TestCollectorPause:
         feats, text = _seq384_features()
         f = feats[0]
         logits = random_logits(f, Rng(23))
-        built, collections = [], []
+        built, collections, alive = [], [], []
         init = AnswerCandidate.__init__
 
         def counting_init(self, *args):
             built.append(args[2])
             init(self, *args)
+
+        def keeping_init(self, *args):
+            alive.append(self)
+            counting_init(self, *args)
 
         def record(phase, info):
             if phase == "start":
@@ -525,13 +531,16 @@ class TestCollectorPause:
 
         monkeypatch.setattr(AnswerCandidate, "__init__", counting_init)
         collector(True)
+        gc.collect()  # start each decode from an empty youngest generation
         gc.callbacks.append(record)
         try:
             got = decode_spans(logits, f, text)
             assert collections == []
-            # the control: without the pause the same decode collects
+            # the control: the same decode with every candidate kept alive
+            # until it returns, as one list of them would, does collect
             with monkeypatch.context() as m:
-                m.setattr(gc, "disable", lambda: None)
+                m.setattr(AnswerCandidate, "__init__", keeping_init)
+                gc.collect()
                 assert decode_spans(logits, f, text) == got
             assert collections
         finally:
@@ -539,8 +548,32 @@ class TestCollectorPause:
         # one candidate per legal pair, then the null, on each of two calls
         pairs = _legal_pairs(f)
         assert pairs > 10_000
+        assert len(alive) == pairs + 1
         assert len(built) == 2 * (pairs + 1)
         assert sum(start is None for start in built) == 2
+
+    @pytest.mark.parametrize("n_best", [1, 2, DEFAULT_N_BEST])
+    def test_only_the_survivors_live(self, monkeypatch, n_best):
+        feats, text = _seq384_features()
+        f = feats[0]
+        logits = random_logits(f, Rng(24))
+        live, peak = set(), [0]
+        init = AnswerCandidate.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            live.add(id(self))
+            peak[0] = max(peak[0], len(live))
+
+        monkeypatch.setattr(AnswerCandidate, "__init__", counting_init)
+        monkeypatch.setattr(AnswerCandidate, "__del__",
+                            lambda self: live.discard(id(self)),
+                            raising=False)
+        got = decode_spans(logits, f, text, n_best=n_best)
+        assert len(got) == n_best and _legal_pairs(f) > 10_000
+        assert peak[0] <= n_best
+        del got
+        assert not live
 
 
 class TestAggregate:

@@ -1,4 +1,5 @@
-"""Alternating parent/change runs of the benchmark, and whether a gain holds.
+"""Alternating parent/change runs of the benchmark: whether a gain holds,
+and whether any metric got worse.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload paper-infer \\
         --pairs 10 --seconds 40 --seed0 411
@@ -15,7 +16,16 @@ prints each pair's values, each side's median and quartiles, and how many
 pairs the change won.  A gain holds when the change wins at least nine
 tenths of the pairs run (ties count for neither) and the medians differ,
 in the better direction, by more than the parent's interquartile range.
-Standard library only; run it from anywhere.
+Each metric also gets a verdict against its ``bound`` in ``BENCHMARK.json``:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- ``unresolved``: the parent's IQR over its median exceeds ``bound``, and
+  not every change run beats every parent run;
+- ``ok``: otherwise.
+
+A metric with no run left on the change's side is ``worse``; with none on
+the parent's, ``unresolved``.  Standard library only; run it from anywhere.
 """
 
 import argparse
@@ -58,9 +68,10 @@ def summarize(pairs, metrics):
     (parent values, change values), either None for a failed run.
 
     Each dict holds the metric's name, each side's quartiles over its runs
-    that did not fail, the change's wins, the pair count and ``holds``:
-    whether the change won at least ``WIN_SHARE`` of the pairs and its
-    median is better than the parent's by more than the parent's IQR.
+    that did not fail, the change's wins, the pair count, ``separated``
+    (every change run beats every parent run) and ``holds``: whether the
+    change won at least ``WIN_SHARE`` of the pairs and its median is better
+    than the parent's by more than the parent's IQR.
     """
     out = []
     for name, better in metrics:
@@ -69,9 +80,12 @@ def summarize(pairs, metrics):
                    and sign * (c[name] - p[name]) > 0)
         row = {"name": name, "better": better, "wins": wins,
                "pairs": len(pairs), "holds": False}
-        for i, side in enumerate(SIDES):
-            values = [pair[i][name] for pair in pairs if pair[i] is not None]
-            row[side] = quartiles(values) if values else None
+        values = [[pair[i][name] for pair in pairs if pair[i] is not None]
+                  for i in range(len(SIDES))]
+        for side, runs in zip(SIDES, values):
+            row[side] = quartiles(runs) if runs else None
+        row["separated"] = bool(all(values) and min(
+            sign * v for v in values[1]) > max(sign * v for v in values[0]))
         if row["parent"] and row["change"]:
             q1, median, q3 = row["parent"]
             gap = sign * (row["change"][1] - median)
@@ -79,6 +93,22 @@ def summarize(pairs, metrics):
                             and gap > q3 - q1)
         out.append(row)
     return out
+
+
+def verdict(row, bound) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one row of ``summarize``,
+    against the metric's relative ``bound`` (see the module docstring)."""
+    if row["change"] is None:
+        return "worse"
+    if row["parent"] is None:
+        return "unresolved"
+    q1, median, q3 = row["parent"]
+    sign = 1 if row["better"] == "higher" else -1
+    if sign * (row["change"][1] - median) < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not row["separated"]:
+        return "unresolved"
+    return "ok"
 
 
 def _fmt(q):
@@ -96,6 +126,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for p in range(args.pairs):
@@ -116,12 +147,13 @@ def main(argv=None) -> int:
           f"{args.seed0 + args.pairs - 1}; failed runs: parent "
           f"{failed['parent']}, change {failed['change']}")
     print(f"  {'metric':20s} {'better':6s} {'parent median [q1, q3]':>28s} "
-          f"{'change median [q1, q3]':>28s} {'wins':>6s}  gain holds")
+          f"{'change median [q1, q3]':>28s} {'wins':>6s}  gain holds  verdict")
     for row in summarize(pairs, metrics):
         print(f"  {row['name']:20s} {row['better']:6s} "
               f"{_fmt(row['parent']):>28s} {_fmt(row['change']):>28s} "
               f"{row['wins']:>3d}/{row['pairs']:<2d}  "
-              f"{'yes' if row['holds'] else 'no'}")
+              f"{'yes' if row['holds'] else 'no':10s}  "
+              f"{verdict(row, bounds[row['name']])}")
     return 0
 
 

@@ -698,9 +698,10 @@ class Rng:
         return child
 
 
-def init_uniform(rng: Rng, shape, fan_in: int, requires_grad=True) -> Tensor:
+def init_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
+    """A parameter drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
 class Module:
@@ -728,11 +729,13 @@ def _named_tensors(prefix: str, value):
 # -- adam -----------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -756,13 +759,13 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
             )
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        mhat = m / (1.0 - state.beta1**t)
-        vhat = v / (1.0 - state.beta2**t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def zero_grads(params: dict) -> None:

@@ -26,12 +26,13 @@ from .embeddings import (PseudoEmbedder, check_embedder,
 from .ensemble import (PredictionSet, check_weight, decode_logit_set,
                        load_logits_dump, mean_logits, save_logits_dump,
                        weighted_voting, weighted_voting_with_mean_logits)
-from .heads import (DEFAULT_NULL_THRESHOLD, read_predictions,
+from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
+                    DEFAULT_NULL_THRESHOLD, read_predictions,
                     write_predictions)
 from .scoring import evaluate, predictions_from_file, write_report
 from .synth import question_tokens, word_tokenize
-from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
-                       load_model, predict, save_model, train,
+from .training import (ARCHITECTURES, PRESETS, Hyperparams, ModelConfig,
+                       build_model, load_model, predict, save_model, train,
                        write_loss_curve)
 
 
@@ -56,7 +57,8 @@ def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
 
 
 def _tokenizers(args, examples):
-    """Context tokenizer map + question tokenizer for preprocess."""
+    """qid -> tokenized context, as ``--pretokenized`` or ``--vocab`` say
+    (default: whole words)."""
     if args.pretokenized:
         ctx_map = load_pretokenized(args.pretokenized)
         for ex in examples:
@@ -69,15 +71,15 @@ def _tokenizers(args, examples):
     else:
         # default: whole-word tokens
         ctx_map = {ex.qid: word_tokenize(ex.context) for ex in examples}
-    return ctx_map, question_tokens
+    return ctx_map
 
 
 def cmd_preprocess(args):
     examples = load_squad_json(args.data)
-    ctx_map, q_tok = _tokenizers(args, examples)
     cfg = PreprocessConfig(max_seq_length=args.max_seq_length,
                            doc_stride=args.doc_stride)
-    features = preprocess_dataset(examples, ctx_map, cfg, q_tok)
+    features = preprocess_dataset(examples, _tokenizers(args, examples), cfg,
+                                  question_tokens)
     write_features(args.out, features)
     print(f"wrote {len(features)} features for {len(examples)} examples "
           f"to {args.out}", file=sys.stderr)
@@ -233,12 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each default is read from the library (dataclass fields are class
+    # attributes holding their defaults); the chunk shape is the paper's
+    base = PRESETS["base"]
 
     p = sub.add_parser("preprocess", help="SQuAD JSON -> feature file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-seq-length", type=int, default=384)
-    p.add_argument("--doc-stride", type=int, default=128)
+    p.add_argument("--max-seq-length", type=int,
+                   default=base.max_seq_length)
+    p.add_argument("--doc-stride", type=int, default=base.doc_stride)
     p.add_argument("--pretokenized", help="JSON-lines {qid, tokens, spans}")
     p.add_argument("--vocab", help="subword vocab file for the toy tokenizer")
     _add_seed(p)
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic embeddings for a feature file")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--d-model", type=int, default=64)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
     _add_seed(p)
     p.set_defaults(func=cmd_pseudo_embed)
 
@@ -259,17 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, choices=ARCHITECTURES)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-curve")
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
     # accepted so older command lines parse: every BiDAF tag uses chars
     p.add_argument("--use-char-embedding", action="store_true",
                    default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--max-seq-length", type=int, default=384)
-    p.add_argument("--doc-stride", type=int, default=128)
-    p.add_argument("--dropout-rate", type=float, default=0.2)
+    p.add_argument("--learning-rate", type=float,
+                   default=Hyperparams.learning_rate)
+    p.add_argument("--batch-size", type=int, default=Hyperparams.batch_size)
+    p.add_argument("--epochs", type=int, default=Hyperparams.epochs)
+    p.add_argument("--max-seq-length", type=int,
+                   default=base.max_seq_length)
+    p.add_argument("--doc-stride", type=int, default=base.doc_stride)
+    p.add_argument("--dropout-rate", type=float,
+                   default=ModelConfig.dropout_rate)
     _add_seed(p)
     p.set_defaults(func=cmd_train)
 
@@ -281,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SQuAD JSON supplying context text")
     p.add_argument("--out", required=True)
     p.add_argument("--logits-out")
-    p.add_argument("--n-best", type=int, default=20)
-    p.add_argument("--max-answer-length", type=int, default=30)
+    p.add_argument("--n-best", type=int, default=DEFAULT_N_BEST)
+    p.add_argument("--max-answer-length", type=int,
+                   default=DEFAULT_MAX_ANSWER_LENGTH)
     p.add_argument("--model-f1-weight", type=float)
     _add_seed(p)
     p.set_defaults(func=cmd_predict)
@@ -291,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out")
-    p.add_argument("--null-threshold", type=float, default=0.0)
+    p.add_argument("--null-threshold", type=float,
+                   default=DEFAULT_NULL_THRESHOLD)
     _add_seed(p)
     p.set_defaults(func=cmd_evaluate)
 

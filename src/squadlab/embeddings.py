@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import Rng
 from .data import DataError, read_records, write_records
 
 MAGIC = b"SQEM"
@@ -38,9 +39,7 @@ def _hash_u64(*parts) -> int:
 
 
 def _hashed_vector(d: int, *parts) -> np.ndarray:
-    gen = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(_hash_u64(*parts))))
-    return gen.uniform(-1.0, 1.0, d)
+    return Rng(_hash_u64(*parts)).uniform(-1.0, 1.0, d)
 
 
 class PseudoEmbedder:

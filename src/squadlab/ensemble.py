@@ -160,7 +160,7 @@ def weighted_voting(sets,
         final = AnswerCandidate(
             qid=qid, text=winner["text"], start_token=winner["start_token"],
             end_token=winner["end_token"], score=total,
-            feature_index=winner.get("feature_index") or 0,
+            feature_index=winner["feature_index"],
         )
         records.append(prediction_record(qid, [final], min(null_scores)))
     return records

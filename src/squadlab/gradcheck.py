@@ -6,25 +6,27 @@ import numpy as np
 
 from .autograd import Tensor
 
+# the central-difference step
+H = 1e-5
 
-def numerical_gradient(fn, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
+
+def numerical_gradient(fn, tensor: Tensor) -> np.ndarray:
     """Central differences of a scalar-valued fn w.r.t. one tensor's data."""
     grad = np.zeros_like(tensor.data)
     flat = tensor.data.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         plus = float(fn().data)
-        flat[i] = orig - h
+        flat[i] = orig - H
         minus = float(fn().data)
         flat[i] = orig
-        gflat[i] = (plus - minus) / (2 * h)
+        gflat[i] = (plus - minus) / (2 * H)
     return grad
 
 
-def check_gradients(fn, params: dict, rtol: float = 1e-6,
-                    h: float = 1e-5) -> dict:
+def check_gradients(fn, params: dict, rtol: float = 1e-6) -> dict:
     """Compare autograd gradients of scalar fn() against central differences.
 
     Returns name -> relative error; raises AssertionError past rtol.
@@ -35,7 +37,7 @@ def check_gradients(fn, params: dict, rtol: float = 1e-6,
     loss.backward()
     analytic = {name: np.array(p.grad, copy=True)
                 for name, p in params.items()}
-    numeric = {name: numerical_gradient(fn, p, h=h)
+    numeric = {name: numerical_gradient(fn, p)
                for name, p in params.items()}
     # normalize by the gradient scale of the whole check so parameters
     # whose true gradient vanishes are not judged on fd noise alone

@@ -200,15 +200,18 @@ class WeightedAvgAttention(Module):
         return E + c
 
 
-class CharCNN(Module):
-    """Width-k convolution over a token's character vectors, relu, max-pool."""
+CHAR_KERNEL_WIDTH = 3
 
-    def __init__(self, d_char: int, d_out: int, rng: Rng, kernel_width: int = 3):
+
+class CharCNN(Module):
+    """Width-``CHAR_KERNEL_WIDTH`` convolution over a token's character
+    vectors, relu, max-pool."""
+
+    def __init__(self, d_char: int, d_out: int, rng: Rng):
         self.d_char = d_char
         self.d_out = d_out
-        self.kernel_width = kernel_width
-        self.K = init_uniform(rng, (kernel_width * d_char, d_out),
-                              kernel_width * d_char)
+        k = CHAR_KERNEL_WIDTH
+        self.K = init_uniform(rng, (k * d_char, d_out), k * d_char)
         self.b = init_uniform(rng, (d_out,), d_char)
 
     def windows(self, token: str, table) -> np.ndarray:
@@ -216,10 +219,10 @@ class CharCNN(Module):
         if len(token) == 0:
             raise ValueError("token with zero characters")
         chars = [table.vector(c) for c in token]
-        while len(chars) < self.kernel_width:
+        k = CHAR_KERNEL_WIDTH
+        while len(chars) < k:
             chars.append(np.zeros(self.d_char))
         mat = np.asarray(chars)
-        k = self.kernel_width
         return np.asarray([
             mat[i : i + k].ravel() for i in range(len(chars) - k + 1)
         ])

@@ -35,16 +35,19 @@ def question_tokens(text: str) -> list:
     return text.split()
 
 
+# every IMPOSSIBLE_EVERY-th example, the first included, is unanswerable
+IMPOSSIBLE_EVERY = 5
+
+
 def make_synthetic_examples(n: int = 50, seed: int = 0,
-                            impossible_every: int = 5,
                             context_words: int = 8) -> list:
-    """n examples; every ``impossible_every``-th one is unanswerable."""
+    """n examples; every ``IMPOSSIBLE_EVERY``-th one is unanswerable."""
     rng = Rng(seed)
     examples = []
     for i in range(n):
         words = [_FILLER[int(rng.uniform(0, len(_FILLER)))]
                  for _ in range(context_words)]
-        impossible = impossible_every > 0 and i % impossible_every == 0
+        impossible = i % IMPOSSIBLE_EVERY == 0
         answers = []
         if not impossible:
             number = _NUMBERS[int(rng.uniform(0, len(_NUMBERS)))]

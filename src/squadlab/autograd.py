@@ -674,10 +674,14 @@ def backward(loss: Tensor) -> None:
 
 
 class Rng:
-    """Seeded PCG64 stream; identical seed gives identical values everywhere."""
+    """Seeded PCG64 stream; identical seed gives identical values everywhere.
+
+    A stream is named by its root seed and the keys of the ``spawn`` calls
+    that led to it (its path), and is seeded from both."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._path = ()
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low, high, shape=None):
@@ -690,11 +694,14 @@ class Rng:
         return self._gen.permutation(n)
 
     def spawn(self, key: int) -> "Rng":
-        """Derive an independent child stream; pure function of (seed, key)."""
-        mixed = np.random.SeedSequence([self.seed, int(key)])
+        """Derive an independent child stream, a pure function of the root
+        seed and the child's whole path: ``spawn(4).spawn(5)`` and
+        ``spawn(5)`` differ."""
         child = Rng.__new__(Rng)
         child.seed = self.seed
-        child._gen = np.random.Generator(np.random.PCG64(mixed))
+        child._path = (*self._path, int(key))
+        child._gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([self.seed, *child._path])))
         return child
 
 

@@ -386,14 +386,14 @@ def read_jsonl(path, parse) -> list:
 
 
 def load_pretokenized(path) -> dict:
-    """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext.  Every
-    token needs a span, [start, end] with 0 <= start <= end, as in a
-    feature record, and a qid may appear once; a bad record raises
-    DataError naming the line."""
+    """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext.  As in
+    a feature record, every token is a non-empty string with a span,
+    [start, end] with 0 <= start <= end, and a qid may appear once; a bad
+    record raises DataError naming the line."""
     contexts = {}
 
     def parse(rec):
-        qid, tokens = rec["qid"], list(rec["tokens"])
+        qid, tokens = rec["qid"], _tokens(rec["tokens"])
         spans = [_span(s, "spans", null_ok=False) for s in rec["spans"]]
         if len(tokens) != len(spans):
             raise ValueError(f"{len(tokens)} tokens but {len(spans)} spans "
@@ -426,6 +426,16 @@ def _span(s, field="token_word_span", null_ok=True):
                      f"0 <= start <= end")
 
 
+def _tokens(tokens) -> list:
+    """A record's tokens: a list of non-empty strings."""
+    if not isinstance(tokens, list):
+        raise ValueError("tokens is not a list")
+    for k, t in enumerate(tokens):
+        if not (isinstance(t, str) and t):
+            raise ValueError(f"tokens[{k}] {t!r} is not a non-empty string")
+    return tokens
+
+
 def _feature(rec) -> Feature:
     """A feature record's fields, typed as ``Feature`` declares them; the
     binary codecs store feature_index as a u32."""
@@ -434,15 +444,10 @@ def _feature(rec) -> Feature:
         raise ValueError(f"qid {qid!r} is not a string")
     if not (type(fi) is int and 0 <= fi < 2 ** 32):
         raise ValueError(f"feature_index {fi!r} is not an int in [0, 2^32)")
-    if not isinstance(tokens, list):
-        raise ValueError("tokens is not a list")
-    for k, t in enumerate(tokens):
-        if not (isinstance(t, str) and t):
-            raise ValueError(f"tokens[{k}] {t!r} is not a non-empty string")
     f = Feature(
         qid=qid,
         feature_index=fi,
-        tokens=tokens,
+        tokens=_tokens(tokens),
         token_word_span=[_span(s) for s in rec["token_word_span"]],
         start_position=rec["start_position"],
         end_position=rec["end_position"],

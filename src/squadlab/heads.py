@@ -172,7 +172,8 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     """Top-n candidates over legal (start, end) pairs plus the null candidate.
 
     A pair is legal when both ends are context positions, start <= end,
-    and the span covers fewer than ``max_answer_length`` tokens.  Both
+    and the span covers at most ``max_answer_length`` tokens
+    (``end - start < max_answer_length``, as in BERT's decoder).  Both
     ``n_best`` and ``max_answer_length`` must be at least 1.  A span or
     null score that overflows raises ValueError naming the feature.
 

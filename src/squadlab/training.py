@@ -333,9 +333,11 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
 
     This is the one decode-and-aggregate path; ``predict`` and the
     mean-logits ensemble (``ensemble.decode_logit_set``) both use it.
-    Logits without a feature of their key or a context of their qid, and
+    Logits without a feature of their key or a context of their qid,
     logits whose length is not their feature's token count (a dump made
-    from features of another ``max_seq_length``), raise ValueError.
+    from features of another ``max_seq_length``), and a feature whose word
+    spans end past its context (a context shorter than the one the
+    features were made from) raise ValueError.
     """
     by_qid = {}
     for (qid, fi), logits in sorted(logit_sets.items()):
@@ -353,7 +355,15 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
                 f"logits for (qid={qid!r}, feature_index={fi}) have start/end "
                 f"lengths {lengths[0]}/{lengths[1]} but the feature has "
                 f"{len(feature.tokens)} tokens")
-        cands = decode_spans(logits, feature, context_by_qid[qid],
+        context = context_by_qid[qid]
+        reach = max((span[1] for span in feature.token_word_span
+                     if span is not None), default=0)
+        if reach > len(context):
+            raise ValueError(
+                f"feature (qid={qid!r}, feature_index={fi}) spans context "
+                f"characters up to {reach}, but the data's context for "
+                f"{qid!r} has {len(context)}")
+        cands = decode_spans(logits, feature, context,
                              n_best=n_best,
                              max_answer_length=max_answer_length)
         by_qid.setdefault(qid, []).append(cands)

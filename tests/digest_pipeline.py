@@ -3,7 +3,9 @@ sha256 of every artifact it writes, manifests excluded (they hold wall
 times and peak RSS).
 
 The pipeline is the paper's: preprocess and pseudo-embed a training and an
-evaluation corpus, train all five architectures (with ``--loss-curve``),
+evaluation corpus (the evaluation corpus is also preprocessed from
+``--pretokenized`` word tokens and with a ``--vocab`` of subwords, features
+that nothing downstream reads), train all five architectures (with ``--loss-curve``),
 predict with each checkpoint (with ``--logits-out``), combine the members
 with the three ensemble strategies, and evaluate every prediction file.
 ``tests/test_artifact_digests.py`` runs this script in a subprocess with one
@@ -35,7 +37,9 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import numpy as np  # noqa: E402
 
 from squadlab import cli  # noqa: E402
-from squadlab.synth import make_synthetic_examples, write_squad_json  # noqa: E402
+from squadlab.data import write_jsonl  # noqa: E402
+from squadlab.synth import (make_synthetic_examples, word_tokenize,  # noqa: E402
+                            write_squad_json)
 from squadlab.training import ARCHITECTURES  # noqa: E402
 
 DIGESTS = HERE / "artifact_digests.json"
@@ -44,6 +48,10 @@ SEED = "7"
 # chunks per question, so aggregation across chunks is covered
 SHAPE = ["--max-seq-length", "32", "--doc-stride", "8"]
 CORPORA = {"train": (3, 12, 14), "eval": (3, 30, 15)}  # n, words, seed
+# subwords for the toy tokenizer: some filler words split in two, some
+# kept whole, the rest fall back to characters
+VOCAB = ("al", "pha", "bra", "vo", "char", "lie", "del", "ta", "echo", "fox",
+         "trot", "golf", "ho", "tel", "1", "23", "42", "107")
 MODEL_F1_WEIGHTS = (60.0, 62.0, 64.0, 66.0, 68.0)
 STRATEGIES = ("weighted-voting", "mean-logits", "wv-mean-logits")
 
@@ -59,6 +67,12 @@ def _commands(d: Path) -> list:
                      "--out", o(f"{split}.features.jsonl")] + SHAPE + seed)
         cmds.append(["pseudo-embed", "--features", o(f"{split}.features.jsonl"),
                      "--out", o(f"{split}.emb.bin")] + seed)
+    for tokenizer, source in (("pretokenized", "eval.tok.jsonl"),
+                              ("vocab", "vocab.txt")):
+        cmds.append(["preprocess", "--data", o("eval.json"),
+                     f"--{tokenizer}", o(source),
+                     "--out", o(f"eval.{tokenizer}.features.jsonl")]
+                    + SHAPE + seed)
     for arch in ARCHITECTURES:
         cmds.append(["train", "--features", o("train.features.jsonl"),
                      "--embeddings", o("train.emb.bin"), "--arch", arch,
@@ -102,6 +116,14 @@ def run_pipeline() -> dict:
         for split, (n, words, corpus_seed) in CORPORA.items():
             write_squad_json(d / f"{split}.json", make_synthetic_examples(
                 n, seed=corpus_seed, context_words=words))
+        n, words, corpus_seed = CORPORA["eval"]
+        write_jsonl(d / "eval.tok.jsonl", [
+            {"qid": ex.qid, "tokens": ctx.tokens, "spans": ctx.token_word_span}
+            for ex in make_synthetic_examples(n, seed=corpus_seed,
+                                              context_words=words)
+            for ctx in [word_tokenize(ex.context)]])
+        (d / "vocab.txt").write_text("\n".join(VOCAB) + "\n",
+                                     encoding="utf-8")
         for argv in _commands(d):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \

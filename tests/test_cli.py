@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from squadlab.cli import build_parser, main
-from squadlab.data import read_features
+from squadlab.data import RawExample, read_features
 from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
                                  save_embedding_fixture)
 from squadlab.ensemble import save_logits_dump
@@ -1259,6 +1259,47 @@ class TestInputErrors:
             f"error: {some} has no features for {10 - kept} of 10 --data "
             f"questions; first: {first}")
         assert not (tmp_path / "pred.jsonl").exists()
+
+
+class TestShortContext:
+    """A --data file whose contexts end before the word spans of the
+    features made from it: one error line, not empty answer texts."""
+
+    @staticmethod
+    def _short_data(tmp_path):
+        short = tmp_path / "short.json"
+        write_squad_json(short, [
+            RawExample(ex.qid, ex.question, ex.context[:10], [], True)
+            for ex in make_synthetic_examples(n=10, seed=3)])
+        return short
+
+    @staticmethod
+    def _expected(feats):
+        first = min(read_features(feats),
+                    key=lambda f: (f.qid, f.feature_index))
+        reach = max(e for _, e in filter(None, first.token_word_span))
+        return (f"error: feature (qid={first.qid!r}, feature_index=0) spans "
+                f"context characters up to {reach}, but the data's context "
+                f"for {first.qid!r} has 10")
+
+    def test_predict_is_2(self, corpus, tmp_path, capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        capsys.readouterr()
+        assert _predict(ckpt, feats, self._short_data(tmp_path), tmp_path,
+                        ["--embeddings", "pseudo"]) == 2
+        assert _error_line(capsys) == self._expected(feats)
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_mean_logits_is_2(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
+                     "--max-seq-length", "32", "--doc-stride", "4"]) == 0
+        keys = {(f.qid, f.feature_index): len(f.tokens)
+                for f in read_features(feats)}
+        line = TestLogitKeyMismatch._ensemble(
+            tmp_path, capsys, keys, feats, self._short_data(tmp_path))
+        assert line == self._expected(feats)
 
 
 def _constant_rows_fixture(path, feats, row):

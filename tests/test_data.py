@@ -343,22 +343,29 @@ class TestJsonLines:
                            match=r"line 1: missing field 'spans'$"):
             load_pretokenized(path)
 
-    @pytest.mark.parametrize("spans, problem", [
-        ([[0, 1]], "2 tokens but 1 spans entries"),
-        ([[0, 1], None], "spans entry None is not [start, end] with "
-                         "0 <= start <= end"),
-        ([[0, 1], [3, 2]], "spans entry [3, 2] is not [start, end] with "
-                           "0 <= start <= end"),
-        ([[0, 1], [2.0, 3]], "spans entry [2.0, 3] is not [start, end] "
-                             "with 0 <= start <= end"),
-        ([[0, 1], [2, 3]], "qid 'p' repeats an earlier line"),
-    ], ids=["one-short", "null", "reversed", "float", "repeated-qid"])
+    @pytest.mark.parametrize("tokens, spans, problem", [
+        (["a", "b"], [[0, 1]], "2 tokens but 1 spans entries"),
+        (["a", "b"], [[0, 1], None], "spans entry None is not [start, end] "
+                                     "with 0 <= start <= end"),
+        (["a", "b"], [[0, 1], [3, 2]], "spans entry [3, 2] is not [start, "
+                                       "end] with 0 <= start <= end"),
+        (["a", "b"], [[0, 1], [2.0, 3]], "spans entry [2.0, 3] is not "
+                                         "[start, end] with 0 <= start <= "
+                                         "end"),
+        (["a", "b"], [[0, 1], [2, 3]], "qid 'p' repeats an earlier line"),
+        (["a", ""], [[0, 1], [2, 3]], "tokens[1] '' is not a non-empty "
+                                      "string"),
+        (["a", 3], [[0, 1], [2, 3]], "tokens[1] 3 is not a non-empty "
+                                     "string"),
+        ("ab", [[0, 1], [2, 3]], "tokens is not a list"),
+    ], ids=["one-short", "null", "reversed", "float", "repeated-qid",
+            "empty-token", "int-token", "tokens-not-a-list"])
     def test_pretokenized_records_follow_the_feature_rules(
-            self, tmp_path, spans, problem):
+            self, tmp_path, tokens, spans, problem):
         path = tmp_path / "tok.jsonl"
         good = {"qid": "p", "tokens": ["a"], "spans": [[0, 1]]}
         qid = "p" if problem.startswith("qid") else "q"
-        bad = {"qid": qid, "tokens": ["a", "b"], "spans": spans}
+        bad = {"qid": qid, "tokens": tokens, "spans": spans}
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
                         encoding="utf-8")
         with pytest.raises(DataError) as e:

@@ -515,6 +515,15 @@ class TestDeterminism:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_spawn_keys_a_child_by_its_whole_path(self):
+        nested = Rng(42).spawn(4).spawn(5).normal(10)
+        assert np.array_equal(nested, Rng(42).spawn(4).spawn(5).normal(10))
+        assert not np.array_equal(nested, Rng(42).spawn(5).normal(10))
+        # a one-level child keeps the stream of (seed, key)
+        flat = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([42, 5]))).standard_normal(10)
+        assert np.array_equal(Rng(42).spawn(5).normal(10), flat)
+
     def test_init_uniform_bounds(self):
         t = init_uniform(Rng(0), (100,), fan_in=16)
         assert (np.abs(t.data) <= 0.25).all()

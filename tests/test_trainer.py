@@ -149,6 +149,16 @@ class TestBuild:
         assert all(np.array_equal(pa[n].data, pb[n].data) for n in pa)
         assert any(not np.array_equal(pa[n].data, pc[n].data) for n in pa)
 
+    @pytest.mark.parametrize("tag", ARCHITECTURES)
+    def test_no_two_parameters_share_a_stream(self, tag):
+        # two layers seeded from one rng stream start with equal values
+        leads = {}
+        for name, p in build_model(ModelConfig(tag), seed=0).parameters() \
+                .items():
+            lead = p.data.ravel()[:8].tobytes()
+            assert lead not in leads, f"{name} repeats {leads[lead]}"
+            leads[lead] = name
+
     @pytest.mark.parametrize("field", ["d_model", "hidden", "d_char",
                                        "d_char_out"])
     @pytest.mark.parametrize("value", [0, -2])

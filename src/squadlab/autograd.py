@@ -674,10 +674,7 @@ def backward(loss: Tensor) -> None:
 
 
 class Rng:
-    """Seeded PCG64 stream; identical seed gives identical values everywhere.
-
-    A stream is named by its root seed and the keys of the ``spawn`` calls
-    that led to it (its path), and is seeded from both."""
+    """Seeded PCG64 stream; identical seed gives identical values everywhere."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -695,8 +692,8 @@ class Rng:
 
     def spawn(self, key: int) -> "Rng":
         """Derive an independent child stream, a pure function of the root
-        seed and the child's whole path: ``spawn(4).spawn(5)`` and
-        ``spawn(5)`` differ."""
+        seed and the child's whole path of spawn keys: ``spawn(4).spawn(5)``
+        and ``spawn(5)`` differ."""
         child = Rng.__new__(Rng)
         child.seed = self.seed
         child._path = (*self._path, int(key))

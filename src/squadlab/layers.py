@@ -239,11 +239,10 @@ class CharCNN(Module):
         top = act == out
 
         def bwd(g):
+            # K and b are parameters (init_uniform)
             d_pre = g * top / top.sum(axis=0) * (pre > 0)
-            if K.requires_grad:
-                K._accum(w.T @ d_pre)
-            if b.requires_grad:
-                b._accum(d_pre.sum(axis=0))
+            K._accum(w.T @ d_pre)
+            b._accum(d_pre.sum(axis=0))
 
         return Tensor._op(out, (K, b), bwd)
 

@@ -26,17 +26,19 @@ the start and keeps it, which the optimizer relies on.  Read gradients
 from leaves: after ``backward`` only they and the root hold one.  Every
 value is still checked for finiteness, and a failed check in an op names
 that op.
+
+``save_checkpoint``/``load_checkpoint`` keep named parameters in
+``data``'s binary container, the one framing of every fp64 artifact.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data import DataError, read_records, write_records
 
 MASK_FILL = -1e30
 
@@ -226,9 +228,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def sigmoid(self):
         out_data = _sigmoid(self.data)
 
@@ -295,10 +294,6 @@ class Tensor:
             self._accum(np.broadcast_to(gg, self.data.shape))
 
         return Tensor._op(out_data, (self,), bwd)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def max(self, axis):
         out_data = self.data.max(axis=axis)
@@ -793,68 +788,27 @@ def clip_global_norm(params: dict, max_norm: float) -> float:
 
 # -- checkpoint io --------------------------------------------------------
 
-CHECKPOINT_MAGIC = "squadlab-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_MAGIC = b"SQCK"
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, params: dict, seed: int, hyperparams: dict) -> None:
-    """JSON checkpoint, version 2: {format, version, seed, hyperparams,
-    params}, where params maps each name to {shape, fp64le}, the base64 of
-    the parameter's row-major little-endian float64 bytes.  Every bit
-    round-trips (-0.0, subnormals, inf, NaN payloads); version 1 files
-    (decimal "values" lists) are rejected by ``load_checkpoint``."""
-    blob = {
-        "format": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "seed": int(seed),
-        "hyperparams": hyperparams,
-        "params": {
-            name: {"shape": list(p.data.shape),
-                   "fp64le": base64.b64encode(np.ascontiguousarray(
-                       p.data, dtype="<f8").tobytes()).decode("ascii")}
-            for name, p in params.items()
-        },
-    }
-    text = json.dumps(blob)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
-def _decode_param(path, name, rec) -> np.ndarray:
-    try:
-        shape = rec["shape"]
-        if not isinstance(shape, list) or not all(
-                type(d) is int and d >= 0 for d in shape):
-            raise ValueError(f"bad shape {shape!r}")
-        raw = base64.b64decode(rec["fp64le"], validate=True)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: parameter {name!r}: malformed record "
-                         f"({type(e).__name__}: {e})") from None
-    need = 8 * math.prod(shape)
-    if len(raw) != need:
-        raise ValueError(f"{path}: parameter {name!r} holds {len(raw)} bytes, "
-                         f"shape {shape} needs {need}")
-    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    """Binary records (``data.write_records``) under header {seed,
+    hyperparams}, one per parameter in ``params`` order, keyed by its name
+    (index 0).  Every bit round-trips (-0.0, subnormals, inf, NaN
+    payloads)."""
+    write_records(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                  {"seed": int(seed), "hyperparams": hyperparams},
+                  [(name, 0, p.data) for name, p in params.items()])
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            blob = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ValueError(f"{path}: truncated or malformed checkpoint "
-                             f"JSON: {e}") from None
-    if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a squadlab checkpoint")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version "
-                         f"{blob.get('version')}; this build reads version "
-                         f"{CHECKPOINT_VERSION}")
-    if not isinstance(blob.get("params"), dict):
-        raise ValueError(f"{path}: checkpoint has no parameter map")
+    """(name -> array, seed, hyperparams) of what ``save_checkpoint``
+    wrote; a header without seed or hyperparams raises DataError."""
+    header, records = read_records(path, CHECKPOINT_MAGIC,
+                                   CHECKPOINT_VERSION)
     for key in ("seed", "hyperparams"):
-        if key not in blob:
-            raise ValueError(f"{path}: checkpoint missing field {key!r}")
-    params = {name: _decode_param(path, name, rec)
-              for name, rec in blob["params"].items()}
-    return params, blob["seed"], blob["hyperparams"]
+        if key not in header:
+            raise DataError(f"{path}: checkpoint missing field {key!r}")
+    params = {name: array for name, _, array in records}
+    return params, header["seed"], header["hyperparams"]

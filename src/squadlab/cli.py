@@ -31,8 +31,8 @@ from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     write_predictions)
 from .scoring import evaluate, predictions_from_file, write_report
 from .synth import question_tokens, word_tokenize
-from .training import (ARCHITECTURES, PRESETS, Hyperparams, ModelConfig,
-                       build_model, load_model, predict, save_model, train,
+from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
+                       load_model, predict, save_model, train,
                        write_loss_curve)
 
 
@@ -58,13 +58,21 @@ def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
 
 def _tokenizers(args, examples):
     """qid -> tokenized context, as ``--pretokenized`` or ``--vocab`` say
-    (default: whole words)."""
+    (default: whole words).  Pretokenized tokens must cover every question,
+    and their spans must end within its context."""
     if args.pretokenized:
         ctx_map = load_pretokenized(args.pretokenized)
         for ex in examples:
             if ex.qid not in ctx_map:
                 raise DataError(f"{args.pretokenized}: no tokens for "
                                 f"question {ex.qid!r}")
+            reach = max((end for _, end in ctx_map[ex.qid].token_word_span),
+                        default=0)
+            if reach > len(ex.context):
+                raise DataError(
+                    f"{args.pretokenized}: question {ex.qid!r}: a span ends "
+                    f"at character {reach}, past its context's "
+                    f"{len(ex.context)}")
     elif args.vocab:
         vocab = load_vocab(args.vocab)
         ctx_map = {ex.qid: toy_tokenize(ex.context, vocab) for ex in examples}
@@ -236,15 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     # each default is read from the library (dataclass fields are class
-    # attributes holding their defaults); the chunk shape is the paper's
-    base = PRESETS["base"]
+    # attributes holding their defaults)
 
     p = sub.add_parser("preprocess", help="SQuAD JSON -> feature file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-seq-length", type=int,
-                   default=base.max_seq_length)
-    p.add_argument("--doc-stride", type=int, default=base.doc_stride)
+                   default=Hyperparams.max_seq_length)
+    p.add_argument("--doc-stride", type=int, default=Hyperparams.doc_stride)
     p.add_argument("--pretokenized", help="JSON-lines {qid, tokens, spans}")
     p.add_argument("--vocab", help="subword vocab file for the toy tokenizer")
     _add_seed(p)
@@ -275,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=Hyperparams.batch_size)
     p.add_argument("--epochs", type=int, default=Hyperparams.epochs)
     p.add_argument("--max-seq-length", type=int,
-                   default=base.max_seq_length)
-    p.add_argument("--doc-stride", type=int, default=base.doc_stride)
+                   default=Hyperparams.max_seq_length)
+    p.add_argument("--doc-stride", type=int, default=Hyperparams.doc_stride)
     p.add_argument("--dropout-rate", type=float,
                    default=ModelConfig.dropout_rate)
     _add_seed(p)

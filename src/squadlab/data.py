@@ -1,5 +1,6 @@
 """SQuAD 2.0 ingestion, answer/token alignment, long-context chunking, and
-the two artifact framings: JSON lines and binary fp64 records.
+the two artifact framings: JSON lines, and keyed fp64 arrays under a JSON
+header (checkpoints, embedding fixtures and logit dumps).
 
 Character spans are half-open [start, end) throughout.  Every token carries
 the span of the *word* it belongs to, so consecutive subword tokens of one
@@ -30,30 +31,34 @@ class DataError(ValueError):
     """Malformed input data (bad schema, impossible span, bad config)."""
 
 
-def write_records(path, magic: bytes, version: int, header, records) -> None:
-    """Binary artifact: ``magic``; u32 LE ``version``, ``header`` fields and
-    record count; then per (qid, feature_index, seq_len, payload) record the
-    u32 byte length of the UTF-8 qid, the qid, u32 feature_index, u32
-    seq_len and the payload as row-major fp64 LE."""
-    fields = (version, *header, len(records))
+def write_records(path, magic: bytes, version: int, header: dict,
+                  records) -> None:
+    """Binary artifact: ``magic``; u32 LE ``version``; the u32 byte length
+    of ``header`` as a UTF-8 JSON object, and that object; u32 record
+    count; then per (key, index, array) record the u32 byte length of the
+    UTF-8 key, the key, u32 index, u32 rank, the rank u32 dims and the
+    array's values as row-major fp64 LE."""
+    head = json.dumps(header, allow_nan=False).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(magic + struct.pack(f"<{len(fields)}I", *fields))
-        for qid, feature_index, seq_len, payload in records:
-            qb = qid.encode("utf-8")
-            f.write(struct.pack(f"<I{len(qb)}sII", len(qb), qb,
-                                feature_index, seq_len))
-            f.write(np.asarray(payload, dtype="<f8").tobytes())
+        f.write(magic + struct.pack("<II", version, len(head)) + head
+                + struct.pack("<I", len(records)))
+        for key, index, array in records:
+            kb = key.encode("utf-8")
+            a = np.asarray(array, dtype="<f8")
+            f.write(struct.pack(f"<I{len(kb)}sII{a.ndim}I", len(kb), kb,
+                                index, a.ndim, *a.shape))
+            f.write(a.tobytes())
 
 
-def read_records(path, magic: bytes, version: int, n_header: int,
-                 shape) -> tuple:
-    """Read what ``write_records`` wrote: (header fields, records).
+def read_records(path, magic: bytes, version: int) -> tuple:
+    """Read what ``write_records`` wrote: (header, records), each record
+    (key, index, array).
 
-    Each record is (qid, feature_index, payload); ``shape(header,
-    seq_len)`` gives the fp64 payload's shape.  Every size a header claims
-    is checked against the bytes left in the file before it is read.  A
-    wrong magic or version, a size past the end of the file, a qid that is
-    not UTF-8 or bytes past the last record raise DataError.
+    Every size the file claims is checked against the bytes left in it
+    before it is read.  A wrong magic or version, a size past the end of
+    the file, a header that is not a UTF-8 JSON object, a key that is not
+    UTF-8, a (key, index) that repeats an earlier record's or bytes past
+    the last record raise DataError.
     """
     with open(path, "rb") as f:
         end = f.seek(0, os.SEEK_END)
@@ -67,31 +72,45 @@ def read_records(path, magic: bytes, version: int, n_header: int,
                     f"offset {at}, file has {end - at}")
             return f.read(size)
 
+        def u32s(n, where=""):
+            return struct.unpack(f"<{n}I", read(4 * n, where))
+
         got = read(len(magic))
         if got != magic:
-            raise DataError(f"{path}: bad magic {got!r}")
-        got, *header, count = struct.unpack(f"<{n_header + 2}I",
-                                            read(4 * (n_header + 2)))
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        got, size = u32s(2)
         if got != version:
-            raise DataError(f"{path}: unsupported version {got}")
-        records = []
-        for i in range(count):
+            raise DataError(f"{path}: unsupported version {got}; this build "
+                            f"reads version {version}")
+        raw = read(size, "header: ")
+        try:
+            header = _FINITE_JSON.decode(raw.decode("utf-8"))
+        except ValueError as e:
+            raise DataError(f"{path}: header: {e}") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
+        records, seen = [], set()
+        for i in range(u32s(1)[0]):
             where = f"record {i}: "
-            (qlen,) = struct.unpack("<I", read(4, where))
+            (size,) = u32s(1, where)
             try:
-                qid = read(qlen, where).decode("utf-8")
+                key = read(size, where).decode("utf-8")
             except UnicodeDecodeError as e:
-                raise DataError(f"{path}: {where}qid: {e}") from None
-            feature_index, seq_len = struct.unpack("<II", read(8, where))
-            dims = shape(header, seq_len)
+                raise DataError(f"{path}: {where}key: {e}") from None
+            index, rank = u32s(2, where)
+            if (key, index) in seen:
+                raise DataError(f"{path}: {where}(key={key!r}, index="
+                                f"{index}) repeats an earlier record")
+            seen.add((key, index))
+            dims = u32s(rank, where)
             raw = read(8 * math.prod(dims), where)
-            payload = np.frombuffer(raw, dtype="<f8").reshape(dims)
-            records.append((qid, feature_index, payload.astype(np.float64)))
+            records.append((key, index, np.frombuffer(raw, dtype="<f8")
+                            .reshape(dims).astype(np.float64)))
         extra = end - f.tell()
         if extra:
             raise DataError(f"{path}: {extra} trailing bytes after the last "
                             f"record (offset {f.tell()})")
-    return tuple(header), records
+    return header, records
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .autograd import Rng
 from .data import DataError, read_records, write_records
 
 MAGIC = b"SQEM"
-VERSION = 1
+VERSION = 2
 
 
 class EmbeddingError(DataError):
@@ -118,7 +118,7 @@ class CharEmbeddingTable:
 
 def save_embedding_fixture(path, matrices) -> None:
     """Binary records (``data.write_records``) under header {d_model}, one
-    per matrix, payload [seq_len, d_model] row-major."""
+    per matrix, keyed by (qid, feature_index), array [seq_len, d_model]."""
     matrices = list(matrices)
     if not matrices:
         raise ValueError(f"{path}: an embedding fixture needs at least one "
@@ -130,10 +130,8 @@ def save_embedding_fixture(path, matrices) -> None:
                 f"({m.qid}, {m.feature_index}) has width "
                 f"{m.matrix.shape[1]}, fixture width is {d_model}"
             )
-    write_records(path, MAGIC, VERSION, (d_model,), [
-        (m.qid, m.feature_index, m.matrix.shape[0], m.matrix)
-        for m in matrices
-    ])
+    write_records(path, MAGIC, VERSION, {"d_model": d_model},
+                  [(m.qid, m.feature_index, m.matrix) for m in matrices])
 
 
 class EmbeddingStore:
@@ -192,9 +190,18 @@ def check_embedder(trained, provider, checkpoint) -> None:
 
 
 def load_embedding_fixture(path) -> EmbeddingStore:
-    (d_model,), records = read_records(path, MAGIC, VERSION, 1,
-                                       lambda h, seq_len: (seq_len, h[0]))
-    return EmbeddingStore(d_model, {
-        (qid, fi): EmbeddingMatrix(qid=qid, feature_index=fi, matrix=matrix)
-        for qid, fi, matrix in records
-    })
+    """What ``save_embedding_fixture`` wrote; a header without an integer
+    d_model, or a matrix not [seq_len, d_model], raises DataError."""
+    header, records = read_records(path, MAGIC, VERSION)
+    d_model = header.get("d_model")
+    if type(d_model) is not int:
+        raise DataError(f"{path}: header d_model {d_model!r} is not an int")
+    store = {}
+    for qid, fi, matrix in records:
+        if matrix.ndim != 2 or matrix.shape[1] != d_model:
+            raise DataError(
+                f"{path}: matrix for (qid={qid!r}, feature_index={fi}) has "
+                f"shape {list(matrix.shape)}, not [seq_len, {d_model}]")
+        store[(qid, fi)] = EmbeddingMatrix(qid=qid, feature_index=fi,
+                                           matrix=matrix)
+    return EmbeddingStore(d_model, store)

@@ -20,7 +20,7 @@ from .heads import (DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
 from .training import decode_logit_set
 
 DUMP_MAGIC = b"SQLD"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
 
 NULL_KEY = ("null",)
 
@@ -184,23 +184,26 @@ def weighted_voting_with_mean_logits(sets, dumps, mean_weight: float,
 
 
 def save_logits_dump(path, logit_sets: dict) -> None:
-    """Binary records (``data.write_records``), no header fields, one per
-    feature in (qid, feature_index) order, payload [start; end] logits."""
-    write_records(path, DUMP_MAGIC, DUMP_VERSION, (), [
-        (qid, fi, len(rec.start_logits),
-         np.stack([rec.start_logits, rec.end_logits]))
+    """Binary records (``data.write_records``) under an empty header, one
+    per feature in (qid, feature_index) order, array [start; end] logits."""
+    write_records(path, DUMP_MAGIC, DUMP_VERSION, {}, [
+        (qid, fi, np.stack([rec.start_logits, rec.end_logits]))
         for (qid, fi), rec in sorted(logit_sets.items())
     ])
 
 
 def load_logits_dump(path) -> dict:
-    _, records = read_records(path, DUMP_MAGIC, DUMP_VERSION, 0,
-                              lambda h, seq_len: (2, seq_len))
+    """What ``save_logits_dump`` wrote; logits not [2, seq_len], or not
+    finite, raise DataError."""
+    _, records = read_records(path, DUMP_MAGIC, DUMP_VERSION)
     out = {}
     for qid, fi, logits in records:
+        where = f"{path}: logits for (qid={qid!r}, feature_index={fi})"
+        if logits.ndim != 2 or logits.shape[0] != 2:
+            raise DataError(f"{where} have shape {list(logits.shape)}, not "
+                            f"[2, seq_len]")
         if not np.isfinite(logits).all():
-            raise DataError(f"{path}: non-finite logit for (qid={qid!r}, "
-                            f"feature_index={fi})")
+            raise DataError(f"{where} hold a non-finite value")
         out[(qid, fi)] = SpanLogits(qid=qid, feature_index=fi,
                                     start_logits=logits[0],
                                     end_logits=logits[1])

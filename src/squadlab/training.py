@@ -84,8 +84,8 @@ class Hyperparams:
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 3
-    max_seq_length: int = 64
-    doc_stride: int = 16
+    max_seq_length: int = 384
+    doc_stride: int = 128
     seed: int = 0
 
     def __post_init__(self):
@@ -98,8 +98,7 @@ class Hyperparams:
 
 
 # hyperparameter presets used for the full-scale runs (all at ModelConfig's
-# default dropout rate, 0.2); desk-scale defaults above are what tests
-# exercise
+# default dropout rate, 0.2); Hyperparams' sequence defaults are "base"'s
 PRESETS = {
     "base": Hyperparams(learning_rate=3e-5, batch_size=7, epochs=3,
                         max_seq_length=384, doc_stride=128),
@@ -216,12 +215,15 @@ def load_model(path) -> QaModel:
     own = model.parameters()
     if set(own) != set(params):
         missing = sorted(set(own) ^ set(params))
-        raise ValueError(f"checkpoint parameter names do not match the "
+        raise ValueError(f"{path}: parameter names do not match the "
                          f"architecture; first differences: {missing[:5]}")
     for name, arr in params.items():
         if own[name].data.shape != arr.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape "
+            raise ValueError(f"{path}: parameter {name!r} has shape "
                              f"{arr.shape}, model expects {own[name].data.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite "
+                             f"value")
         own[name].data[...] = arr
     return model
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from squadlab.autograd import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                               load_checkpoint)
 from squadlab.cli import build_parser, main
-from squadlab.data import RawExample, read_features
+from squadlab.data import RawExample, read_features, read_records, write_records
 from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
                                  save_embedding_fixture)
 from squadlab.ensemble import save_logits_dump
@@ -294,8 +296,7 @@ class TestPipeline:
                          "--out", str(ckpts[-1]), "--d-model", "8",
                          "--hidden", "4", "--epochs", "1"] + flag) == 0
         assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
-        assert "combiner.char_cnn.K" in json.loads(
-            ckpts[0].read_text())["params"]
+        assert "combiner.char_cnn.K" in load_checkpoint(ckpts[0])[0]
         capsys.readouterr()
         assert main(["train", "--help"]) == 0
         assert "char" not in capsys.readouterr().out
@@ -427,16 +428,85 @@ class TestArtifactErrors:
         # before any read of that size
         feats = self._features(corpus, tmp_path, capsys)
         emb = tmp_path / "huge.bin"
-        emb.write_bytes(b"SQEM" + struct.pack("<III", 1, d_model, 1)
-                        + struct.pack("<I2sII", 2, b"q0", 0, seq_len)
-                        + bytes(16))
+        head = b'{"d_model": 3}'
+        start = (b"SQEM" + struct.pack("<II", 2, len(head)) + head
+                 + struct.pack("<I", 1)
+                 + struct.pack("<I2sIIII", 2, b"q0", 0, 2, seq_len, d_model))
+        emb.write_bytes(start + bytes(16))
         code = main(["train", "--features", str(feats), "--embeddings",
                      str(emb), "--arch", "squad_out",
                      "--out", str(tmp_path / "m.json"), "--d-model", "3"])
         assert code == 2
         assert _error_line(capsys) == (
             f"error: {emb}: record 0: truncated: needed "
-            f"{8 * d_model * seq_len} bytes at offset 30, file has 16")
+            f"{8 * d_model * seq_len} bytes at offset {len(start)}, file "
+            f"has 16")
+
+    @pytest.mark.parametrize("at, where, needed", [
+        (8, "header: ", 2**32 - 1), (36, "record 0: ", 4 * (2**32 - 1))],
+        ids=["header-length", "rank"])
+    def test_header_and_rank_past_the_end_are_2(self, corpus, tmp_path,
+                                                capsys, at, where, needed):
+        # a u32 of 2^32 - 1 at ``at`` (the header's byte length, the
+        # record's rank) claims more than the file holds
+        feats = self._features(corpus, tmp_path, capsys)
+        dump = tmp_path / "dump.bin"
+        save_logits_dump(dump, {
+            ("synth-0000", 0): SpanLogits("synth-0000", 0, np.ones(3),
+                                          np.zeros(3))})
+        blob = bytearray(dump.read_bytes())
+        blob[at:at + 4] = struct.pack("<I", 2**32 - 1)
+        dump.write_bytes(bytes(blob))
+        assert main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", str(dump), "--features", str(feats),
+                     "--data", str(corpus),
+                     "--out", str(tmp_path / "ens.jsonl")]) == 2
+        assert _error_line(capsys).startswith(
+            f"error: {dump}: {where}truncated: needed {needed} bytes at "
+            f"offset {at + 4}")
+
+    def test_version_1_fixture_and_dump_are_2(self, corpus, tmp_path, capsys):
+        # the layouts before the JSON header: u32 fields, seq_len records
+        feats = self._features(corpus, tmp_path, capsys)
+        emb, dump = tmp_path / "v1.emb", tmp_path / "v1.dump"
+        emb.write_bytes(b"SQEM" + struct.pack("<III", 1, 1, 1)
+                        + struct.pack("<I2sIId", 2, b"q0", 0, 1, 0.5))
+        dump.write_bytes(b"SQLD" + struct.pack("<II", 1, 1)
+                         + struct.pack("<I2sIIdd", 2, b"q0", 0, 1, 0.5, 0.5))
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out",
+                     "--out", str(tmp_path / "m.ckpt"), "--d-model", "1"]) == 2
+        assert _error_line(capsys) == (
+            f"error: {emb}: unsupported version 1; this build reads "
+            f"version 2")
+        assert main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", str(dump), "--features", str(feats),
+                     "--data", str(corpus),
+                     "--out", str(tmp_path / "ens.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {dump}: unsupported version 1; this build reads "
+            f"version 2")
+
+    def test_arrays_of_the_wrong_rank_are_2(self, corpus, tmp_path, capsys):
+        # a fixture matrix must be [seq_len, d_model], a dump [2, seq_len]
+        feats = self._features(corpus, tmp_path, capsys)
+        emb, dump = tmp_path / "emb.bin", tmp_path / "dump.bin"
+        write_records(emb, b"SQEM", 2, {"d_model": 3},
+                      [("q0", 0, np.ones((2, 3))), ("q1", 0, np.ones(3))])
+        assert main(["train", "--features", str(feats), "--embeddings",
+                     str(emb), "--arch", "squad_out",
+                     "--out", str(tmp_path / "m.ckpt"), "--d-model", "3"]) == 2
+        assert _error_line(capsys) == (
+            f"error: {emb}: matrix for (qid='q1', feature_index=0) has shape "
+            f"[3], not [seq_len, 3]")
+        write_records(dump, b"SQLD", 2, {}, [("q0", 1, np.ones((3, 2)))])
+        assert main(["ensemble", "--strategy", "mean-logits",
+                     "--dumps", str(dump), "--features", str(feats),
+                     "--data", str(corpus),
+                     "--out", str(tmp_path / "ens.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            f"error: {dump}: logits for (qid='q0', feature_index=1) have "
+            f"shape [3, 2], not [2, seq_len]")
 
     def test_nonfinite_embedding_in_predict_is_2(self, corpus, tmp_path,
                                                  capsys):
@@ -706,7 +776,7 @@ class TestInvalidUtf8:
                      "--data", str(corpus),
                      "--out", str(tmp_path / "ens.jsonl")]) == 2
         assert _error_line(capsys).startswith(
-            f"error: {dump}: record 0: qid: 'utf-8' codec can't decode "
+            f"error: {dump}: record 0: key: 'utf-8' codec can't decode "
             f"byte 0xff")
 
     def test_squad_context(self, tmp_path, capsys):
@@ -723,20 +793,22 @@ class TestInvalidUtf8:
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
         blob = ckpt.read_bytes()
-        assert b'"squad_out"' in blob
-        ckpt.write_bytes(blob.replace(b'"squad_out"', b'"squad_out\xff"'))
-        capsys.readouterr()
-        assert _predict(ckpt, feats, corpus, tmp_path,
-                        ["--embeddings", "pseudo"]) == 2
-        assert _error_line(capsys).startswith(
-            f"error: {ckpt}: truncated or malformed checkpoint JSON: "
-            f"'utf-8' codec can't decode byte 0xff")
+        for old, new, where in ((b'"squad_out"', b'"squad_ou\xff"', "header"),
+                                (b"head.W", b"head\xffW", "record 0: key")):
+            assert blob.count(old) == 1
+            ckpt.write_bytes(blob.replace(old, new))
+            capsys.readouterr()
+            assert _predict(ckpt, feats, corpus, tmp_path,
+                            ["--embeddings", "pseudo"]) == 2
+            assert _error_line(capsys).startswith(
+                f"error: {ckpt}: {where}: 'utf-8' codec can't decode byte "
+                f"0xff")
 
 
 def _train_squad_out(corpus, tmp_path, embeddings_args, seed="0"):
     """Preprocess the corpus and train one squad_out checkpoint."""
     feats = tmp_path / "feats.jsonl"
-    ckpt = tmp_path / "model.json"
+    ckpt = tmp_path / "model.ckpt"
     assert main(["preprocess", "--data", str(corpus), "--out", str(feats),
                  "--max-seq-length", "32", "--doc-stride", "4"]) == 0
     assert main(["train", "--features", str(feats), "--arch", "squad_out",
@@ -751,12 +823,18 @@ def _predict(ckpt, feats, corpus, tmp_path, embeddings_args):
                  "--out", str(tmp_path / "pred.jsonl")] + embeddings_args)
 
 
+def _rewrite(ckpt, edit):
+    """Write back a checkpoint after ``edit(header, records)``; the header
+    holds seed and hyperparams, a record is (name, 0, array)."""
+    header, records = read_records(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    edit(header, records)
+    write_records(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, records)
+
+
 class TestCheckpointErrors:
     @staticmethod
     def _corrupt(ckpt, edit):
-        blob = json.loads(ckpt.read_text())
-        edit(blob)
-        ckpt.write_text(json.dumps(blob))
+        _rewrite(ckpt, lambda header, records: edit(header))
 
     def _expect_2(self, corpus, tmp_path, capsys, feats, ckpt):
         capsys.readouterr()
@@ -766,53 +844,85 @@ class TestCheckpointErrors:
         return _error_line(capsys)
 
     def test_version_1_rejected(self, corpus, tmp_path, capsys):
+        # the JSON checkpoints of versions 1 and 2, and a container that
+        # claims another version
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
-
-        def to_v1(blob):
-            blob["version"] = 1
-            for rec in blob["params"].values():
-                rec["values"] = [0.0] * int(np.prod(rec.pop("shape")))
-                del rec["fp64le"]
-        self._corrupt(ckpt, to_v1)
+        params, seed, hp = load_checkpoint(ckpt)
+        good = ckpt.read_bytes()
+        for version in (1, 2):
+            ckpt.write_text(json.dumps({
+                "format": "squadlab-checkpoint", "version": version,
+                "seed": seed, "hyperparams": hp,
+                "params": {name: {"shape": list(a.shape),
+                                  "values": a.ravel().tolist()}
+                           for name, a in params.items()}}))
+            line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+            assert line == (f"error: {ckpt}: bad magic b'{{\"fo', expected "
+                            f"b'SQCK'")
+        ckpt.write_bytes(good[:4] + struct.pack("<I", 2) + good[8:])
         line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
-        assert "unsupported checkpoint version 1" in line
+        assert line == (f"error: {ckpt}: unsupported version 2; this build "
+                        f"reads version 3")
 
     def test_truncated_file(self, corpus, tmp_path, capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
         blob = ckpt.read_bytes()
-        for size in (0, 1, len(blob) // 2, len(blob) - 1):
+        # inside the magic, the header, the record count and the last record
+        head = struct.unpack("<I", blob[8:12])[0]
+        for size in (0, 1, 7, 12 + head // 2, 14 + head, len(blob) // 2,
+                     len(blob) - 1):
             ckpt.write_bytes(blob[:size])
             line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
-            assert "truncated or malformed" in line, size
+            assert "truncated: needed" in line, size
 
     def test_malformed_params(self, corpus, tmp_path, capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
-        good = ckpt.read_text()
-        for bad in ("!!!!", "AAA", "AAAA AAAA", 12):
-            ckpt.write_text(good)
-            self._corrupt(ckpt, lambda b: b["params"]["head.W"].update(
-                fp64le=bad))
-            line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
-            assert "'head.W'" in line and "malformed" in line, bad
-        ckpt.write_text(good)
-        self._corrupt(ckpt, lambda b: b.update(params=[]))
+        good = ckpt.read_bytes()
+        first = next(iter(load_checkpoint(ckpt)[0]))
+        _rewrite(ckpt, lambda header, records: records.append(records[0]))
         line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
-        assert "no parameter map" in line
+        assert line.endswith(f"(key={first!r}, index=0) repeats an earlier "
+                             f"record")
+        ckpt.write_bytes(good)
+        _rewrite(ckpt, lambda header, records: records.clear())
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert line.startswith(f"error: {ckpt}: parameter names do not "
+                               f"match the architecture")
 
-    def test_byte_count_must_match_shape(self, corpus, tmp_path, capsys):
+    def test_parameter_shape_must_match_model(self, corpus, tmp_path,
+                                              capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
-        good = ckpt.read_text()
-        for shape in ([8, 3], [8], [7, 2]):
-            ckpt.write_text(good)
-            self._corrupt(ckpt, lambda b: b["params"]["head.W"].update(
-                shape=shape))
+        good = ckpt.read_bytes()
+        want = load_checkpoint(ckpt)[0]["head.W"].shape
+        for shape in (want[::-1], (want[0] * want[1],), (want[0], 3)):
+            ckpt.write_bytes(good)
+
+            def reshape(header, records):
+                i = [r[0] for r in records].index("head.W")
+                records[i] = ("head.W", 0, np.zeros(shape))
+            _rewrite(ckpt, reshape)
             line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
-            assert "'head.W' holds 128 bytes" in line, shape
-            assert f"needs {8 * int(np.prod(shape))}" in line, shape
+            assert line == (f"error: {ckpt}: parameter 'head.W' has shape "
+                            f"{shape}, model expects {want}")
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_parameter_is_2(self, corpus, tmp_path, capsys, bad):
+        # refused when the model is loaded, naming the checkpoint and the
+        # parameter, not at the first question's forward
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+
+        def poison(header, records):
+            records[-1][2][0] = bad
+        _rewrite(ckpt, poison)
+        name = list(load_checkpoint(ckpt)[0])[-1]
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert line == (f"error: {ckpt}: parameter {name!r} holds a "
+                        f"non-finite value")
 
     @pytest.mark.parametrize("edit, why", [
         (lambda hp: hp["model_config"].update(n_layers=2), "n_layers"),
@@ -890,7 +1000,7 @@ class TestEmbedderIdentity:
     def test_pseudo_seed_mismatch_is_2(self, corpus, tmp_path, capsys):
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", "pseudo"])
-        hp = json.loads(ckpt.read_text())["hyperparams"]
+        hp = load_checkpoint(ckpt)[2]
         assert hp["embeddings"] == {"kind": "pseudo", "d_model": 8,
                                     "seed": 0}
         capsys.readouterr()
@@ -912,7 +1022,7 @@ class TestEmbedderIdentity:
                          "--seed", "3"]) == 0
         feats, ckpt = _train_squad_out(corpus, tmp_path,
                                        ["--embeddings", str(emb8)])
-        hp = json.loads(ckpt.read_text())["hyperparams"]
+        hp = load_checkpoint(ckpt)[2]
         assert hp["embeddings"] == {"kind": "fixture", "d_model": 8,
                                     "seed": None}
         capsys.readouterr()
@@ -977,6 +1087,29 @@ class TestTrainSettings:
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert _error_line(capsys) == (
             f"error: {pred}: line 1: non-finite number NaN")
+
+    def test_repeated_qid_in_a_prediction_file_is_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        rec = json.dumps({"qid": "q", "null_score": 4.0, "nbest": []})
+        pred.write_text(f"{rec}\n{rec}\n", encoding="utf-8")
+        assert main(["ensemble", "--strategy", "weighted-voting",
+                     "--pred", str(pred), "--weights", "60",
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert _error_line(capsys) == (
+            "error: duplicate qid 'q' in predictions")
+
+    def test_no_weight_anywhere_is_2(self, tmp_path, capsys):
+        # neither --weights nor a model_f1_weight in the file
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"qid": "q", "null_score": 4.0, "nbest": []}\n',
+                        encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["ensemble", "--strategy", "weighted-voting",
+                     "--pred", str(pred), "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            "error: model model-0: no single model_f1_weight in file and "
+            "none supplied")
+        assert not out.exists()
 
 
 class TestInputErrors:
@@ -1202,6 +1335,25 @@ class TestInputErrors:
                      str(tok), "--out", str(out)]) == 2
         assert _error_line(capsys) == (
             f"error: {tok}: line 1: 2 tokens but 1 spans entries")
+        assert not out.exists()
+
+    def test_pretokenized_span_past_the_context_is_2(self, tmp_path,
+                                                     capsys):
+        # refused by preprocess, naming the pretokenized file and the qid,
+        # not later by predict naming the --data context
+        data = tmp_path / "data.json"
+        write_squad_json(data, make_synthetic_examples(n=1, seed=3))
+        context = json.loads(data.read_text())["data"][0]["paragraphs"][0][
+            "context"]
+        tok = tmp_path / "tok.jsonl"
+        tok.write_text(json.dumps({"qid": "synth-0000", "tokens": ["a"],
+                                   "spans": [[500, 999]]}) + "\n")
+        out = tmp_path / "f.jsonl"
+        assert main(["preprocess", "--data", str(data), "--pretokenized",
+                     str(tok), "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            f"error: {tok}: question 'synth-0000': a span ends at character "
+            f"999, past its context's {len(context)}")
         assert not out.exists()
 
     def test_vocab_with_invalid_utf8_is_2(self, corpus, tmp_path, capsys):

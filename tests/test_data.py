@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from squadlab.data import (DataError, PreprocessConfig, RawExample,
                            TokenizedContext, align_answer_to_tokens,
                            chunk_context, load_pretokenized, load_squad_json,
                            load_vocab, read_features, read_jsonl,
-                           span_to_text, toy_tokenize, write_features,
-                           write_jsonl)
+                           read_records, span_to_text, toy_tokenize,
+                           write_features, write_jsonl, write_records)
 from squadlab.selftest import JAY_TOKENS, jay_context
 from squadlab.synth import make_synthetic_examples, write_squad_json
 
@@ -371,6 +373,48 @@ class TestJsonLines:
         with pytest.raises(DataError) as e:
             load_pretokenized(path)
         assert str(e.value) == f"{path}: line 2: {problem}"
+
+
+class TestRecords:
+    """The one binary container: a JSON header and keyed fp64 arrays."""
+
+    def test_round_trip_keeps_header_keys_shapes_and_bits(self, tmp_path):
+        path = tmp_path / "x.bin"
+        arrays = [np.array(-0.0), np.array([1e-300, np.inf, np.nan]),
+                  np.arange(24.0).reshape(2, 3, 4), np.zeros((0, 5))]
+        header = {"seed": 3, "nested": {"n": [1, 2.5, None]}}
+        write_records(path, b"TEST", 7, header, [
+            (f"k\u00e9{i}", i * 2, a) for i, a in enumerate(arrays)])
+        got_header, records = read_records(path, b"TEST", 7)
+        assert got_header == header
+        assert [(k, i) for k, i, _ in records] == [
+            (f"k\u00e9{i}", i * 2) for i in range(len(arrays))]
+        for (_, _, got), want in zip(records, arrays):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+
+    @pytest.mark.parametrize("header, why", [
+        (b"[1, 2]", "header is not a JSON object"),
+        (b'{"a": ', "header: Expecting value"),
+        (b'{"a": NaN}', "header: non-finite number NaN"),
+    ], ids=["a-list", "cut-json", "nan"])
+    def test_header_must_be_a_finite_json_object(self, tmp_path, header,
+                                                 why):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"TEST" + struct.pack("<II", 1, len(header)) + header
+                         + struct.pack("<I", 0))
+        with pytest.raises(DataError, match=f"^{path}: {re.escape(why)}"):
+            read_records(path, b"TEST", 1)
+
+    def test_repeated_key_and_index_is_refused(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_records(path, b"TEST", 1, {}, [
+            ("a", 0, np.ones(1)), ("a", 1, np.ones(1)), ("a", 0, np.ones(2))])
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: record 2: (key='a', index=0) repeats an earlier "
+                f"record")):
+            read_records(path, b"TEST", 1)
 
 
 class TestFeatureFile:

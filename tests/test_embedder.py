@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_feature
+from squadlab.data import DataError, write_records
 from squadlab.embeddings import (CharEmbeddingTable, EmbeddingError,
                                  EmbeddingMatrix, PseudoEmbedder,
                                  load_embedding_fixture, pseudo_embed,
@@ -115,17 +116,28 @@ class TestFixtureFile:
         with pytest.raises(ValueError, match="magic"):
             load_embedding_fixture(path)
 
+    @pytest.mark.parametrize("header", [{}, {"d_model": "2"}])
+    def test_header_needs_an_integer_d_model(self, tmp_path, header):
+        path = tmp_path / "emb.bin"
+        write_records(path, b"SQEM", 2, header, [("q", 0, np.ones((1, 2)))])
+        with pytest.raises(DataError, match="header d_model .* is not an int"):
+            load_embedding_fixture(path)
+
     def test_documented_byte_layout(self, tmp_path):
-        """Magic, u32 version/d_model/count, then per record u32 qid byte
-        length, UTF-8 qid, u32 feature_index, u32 seq_len, fp64 LE rows."""
+        """Magic, u32 version, u32 header byte length, the JSON header
+        {d_model}, u32 count, then per record u32 qid byte length, UTF-8
+        qid, u32 feature_index, u32 rank 2, u32 seq_len and d_model, fp64
+        LE rows."""
         a = np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5
         b = np.array([[1e-300, -0.0]])
         qa = "q-\u00e9\u4e2d"
-        expected = b"SQEM" + struct.pack("<III", 1, 2, 2)
+        head = b'{"d_model": 2}'
+        expected = (b"SQEM" + struct.pack("<II", 2, len(head)) + head
+                    + struct.pack("<I", 2))
         for qid, fi, m in ((qa, 4, a), ("b", 0, b)):
             qb = qid.encode("utf-8")
             expected += struct.pack("<I", len(qb)) + qb
-            expected += struct.pack("<II", fi, m.shape[0])
+            expected += struct.pack("<IIII", fi, 2, *m.shape)
             expected += struct.pack(f"<{m.size}d", *m.ravel())
         path = tmp_path / "emb.bin"
         save_embedding_fixture(path, [EmbeddingMatrix(qa, 4, a),

@@ -103,9 +103,10 @@ class TestMeanLogits:
             load_logits_dump(path)
 
     def test_documented_byte_layout(self, tmp_path):
-        """Magic, u32 version/count, then per record in (qid,
-        feature_index) order: u32 qid byte length, UTF-8 qid, u32
-        feature_index, u32 seq_len, start then end logits as fp64 LE."""
+        """Magic, u32 version, u32 header byte length, the empty JSON
+        header, u32 count, then per record in (qid, feature_index) order:
+        u32 qid byte length, UTF-8 qid, u32 feature_index, u32 rank 2,
+        u32 dims 2 and seq_len, start then end logits as fp64 LE."""
         qa = "\u00fcber-\u4e2d"
         logits = {
             (qa, 1): SpanLogits(qa, 1, np.array([0.5, -1.25, 3.0]),
@@ -113,12 +114,13 @@ class TestMeanLogits:
             ("a", 0): SpanLogits("a", 0, np.array([1e300]),
                                  np.array([-1e-300])),
         }
-        expected = b"SQLD" + struct.pack("<II", 1, 2)
+        expected = (b"SQLD" + struct.pack("<II", 2, 2) + b"{}"
+                    + struct.pack("<I", 2))
         for key in sorted(logits):
             rec, qb = logits[key], key[0].encode("utf-8")
             n = len(rec.start_logits)
             expected += struct.pack("<I", len(qb)) + qb
-            expected += struct.pack("<II", key[1], n)
+            expected += struct.pack("<IIII", key[1], 2, 2, n)
             expected += struct.pack(f"<{n}d", *rec.start_logits)
             expected += struct.pack(f"<{n}d", *rec.end_logits)
         path = tmp_path / "dump.bin"

@@ -550,7 +550,8 @@ class TestCheckpoint:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"hello": 1}')
-        with pytest.raises(ValueError, match="not a squadlab checkpoint"):
+        with pytest.raises(ValueError, match="bad magic b'{\"he', expected "
+                                             "b'SQCK'"):
             load_checkpoint(path)
 
     def test_zero_grads(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from conftest import feature_context_text, make_feature
 from squadlab import ensemble, training
-from squadlab.autograd import (AdamState, Rng, adam_step, clip_global_norm,
-                               no_grad, zero_grads)
+from squadlab.autograd import (AdamState, Rng, Tensor, adam_step,
+                               clip_global_norm, load_checkpoint, no_grad,
+                               save_checkpoint, zero_grads)
 from squadlab.embeddings import PseudoEmbedder
 from squadlab.ensemble import save_logits_dump
 from squadlab.heads import span_loss, write_predictions
@@ -371,13 +373,12 @@ class TestCheckpoint:
 
     def test_architecture_mismatch_detected(self, tmp_path):
         model = build_model(small_cfg("squad_out"), seed=0)
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.ckpt"
         save_model(path, model)
-        import json
-        blob = json.loads(path.read_text())
-        blob["hyperparams"]["model_config"]["architecture"] = \
-            "highway_squad_out"
-        path.write_text(json.dumps(blob))
+        params, seed, hp = load_checkpoint(path)
+        hp["model_config"]["architecture"] = "highway_squad_out"
+        save_checkpoint(path, {name: Tensor(a) for name, a in params.items()},
+                        seed, hp)
         with pytest.raises(ValueError, match="do not match"):
             load_model(path)
 
@@ -397,15 +398,21 @@ class TestCheckpointFormat:
             flat = params[name].data.reshape(-1)
             n = min(flat.size, SPECIAL_BITS.size)
             flat[:n] = SPECIAL_BITS[:n].view(np.float64)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         save_model(path, model)
-        back = load_model(path).parameters()
-        assert set(back) == set(params)
+        back, _, _ = load_checkpoint(path)
+        assert list(back) == list(params)
         for name, p in params.items():
-            assert back[name].data.dtype == np.float64
-            assert back[name].data.shape == p.data.shape
-            assert np.array_equal(back[name].data.view(np.uint64),
+            assert back[name].dtype == np.float64
+            assert back[name].shape == p.data.shape
+            assert np.array_equal(back[name].view(np.uint64),
                                   p.data.view(np.uint64)), name
+        # the codec keeps every bit; the model loader refuses inf and NaN
+        first = next(name for name, p in params.items()
+                     if not np.isfinite(p.data).all())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: parameter '{first}' holds a non-finite value")):
+            load_model(path)
 
     @pytest.mark.parametrize("tag", ARCHITECTURES)
     def test_reloaded_model_writes_identical_files(self, tag, tmp_path):

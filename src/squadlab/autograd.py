@@ -15,7 +15,11 @@ node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1, B = 1 case.  The
 tests check them against the per-step reference loop, and a batch against
 one scan per chunk.  Layers build fused nodes the same way, through
 ``Tensor._op``: ``layers.CharCNN.forward`` is one node per token, and
-``stack`` makes the token rows one node more.
+``stack`` makes the token rows one node more; ``layers.Highway.forward``
+is one node per layer, and ``affine`` makes each recurrent input
+projection ``x W + b`` one node.  A fused node keeps only what its
+backward reads, and its values and gradients are byte-identical to the
+composed chain it replaced, which the tests keep as the oracle.
 
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
 records no parents, no backward closure and no gradient buffer; inference
@@ -346,6 +350,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(a.data.T @ g)
 
     return Tensor._op(out_data, (a, b), bwd)
+
+
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b for x [N, d], W [d, k] and b [k], as one graph node: the
+    values and gradients of ``matmul(x, W) + b``, without keeping the
+    product.  The backward starts the product's gradient as 0 + g, as its
+    buffer did, so signed zeros match too."""
+    x, W, b = (Tensor._coerce(t) for t in (x, W, b))
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] \
+            or b.shape != W.shape[1:]:
+        raise ValueError(f"affine expects x [N, d], W [d, k] and b [k]; got "
+                         f"{x.shape}, {W.shape} and {b.shape}")
+    out_data = x.data @ W.data
+    out_data += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            b._accum(g)
+        g = 0.0 + g
+        if x.requires_grad:
+            x._accum(g @ W.data.T)
+        if W.requires_grad:
+            W._accum(x.data.T @ g)
+
+    return Tensor._op(out_data, (x, W, b), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

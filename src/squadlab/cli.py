@@ -196,7 +196,7 @@ def cmd_ensemble(args):
     for i, path in enumerate(args.pred):
         weight = args.weights[i] if args.weights else None
         sets.append(PredictionSet.from_records(
-            f"model-{i}", read_predictions(path), weight=weight))
+            path, read_predictions(path), weight=weight))
     if args.strategy == "weighted-voting":
         records = weighted_voting(sets, null_threshold=args.null_threshold)
     else:

@@ -48,7 +48,8 @@ class PredictionSet:
         by_qid = {}
         for rec in records:
             if rec["qid"] in by_qid:
-                raise ValueError(f"duplicate qid {rec['qid']!r} in predictions")
+                raise ValueError(f"model {model_id}: duplicate qid "
+                                 f"{rec['qid']!r} in predictions")
             by_qid[rec["qid"]] = rec
         if weight is None:
             weights = {rec.get("model_f1_weight") for rec in records}

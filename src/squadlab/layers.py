@@ -14,6 +14,10 @@ packed rows, the recurrences advance every chunk in one scan, pooling
 runs on each chunk's own rows, and one attention call is one graph node
 over every chunk, attending within each chunk and keeping only its
 softmax probabilities for the backward.
+
+A highway layer is one graph node that keeps only its gate and its
+transform, and each LSTM/GRU direction's input projection is one
+``autograd.affine`` node, which keeps nothing beyond its inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
-                       chunk_bounds, concat, gru_scans, init_uniform,
-                       lstm_scans, matmul, softmax, stack)
+                       _sigmoid, affine, chunk_bounds, concat, gru_scans,
+                       init_uniform, lstm_scans, matmul, softmax, stack)
 
 
 class Highway(Module):
@@ -36,11 +40,48 @@ class Highway(Module):
         self.b_gate = init_uniform(rng, (d,), d)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d:
-            raise ValueError(f"highway width {self.d}, input width {x.shape[-1]}")
-        g = (matmul(x, self.W_gate) + self.b_gate).sigmoid()
-        t = (matmul(x, self.W_proj) + self.b_proj).relu()
-        return g * t + (g * -1.0 + 1.0) * x
+        """[N, d] -> [N, d] as one graph node.  The forward runs the numpy
+        ops of the composed ``matmul``/add/``sigmoid``/``relu``/mul chain in
+        the same order, so its values are identical to it; the node keeps
+        only the gate g and the transform t (the relu mask is t > 0), and
+        its backward replays the chain's accumulations in its order."""
+        if x.data.ndim != 2 or x.shape[1] != self.d:
+            raise ValueError(f"highway width {self.d}, input shape {x.shape}")
+        W_gate, b_gate = self.W_gate, self.b_gate
+        W_proj, b_proj = self.W_proj, self.b_proj
+        # the gate squashes an overflowed pre-activation to a finite value
+        pre = _check_finite(x.data @ W_gate.data + b_gate.data,
+                            "Highway.forward")
+        g = _sigmoid(pre)
+        pre = _check_finite(x.data @ W_proj.data + b_proj.data,
+                            "Highway.forward")
+        t = np.maximum(pre, 0.0)
+        del pre
+
+        def bwd(dy):
+            # each interior buffer of the chain started as 0 + its first
+            # contribution; the chain ran the transform's branch, then the
+            # carry's, then the gate's.  The weights always take a
+            # gradient (init_uniform); x may not.
+            dy = 0.0 + dy
+            d_pre = 0.0 + (0.0 + dy * g) * (t > 0)
+            b_proj._accum(d_pre)
+            if x.requires_grad:
+                x._accum(d_pre @ W_proj.data.T)
+            W_proj._accum(x.data.T @ d_pre)
+            d_carry = 0.0 + dy * x.data
+            if x.requires_grad:
+                x._accum(dy * (g * -1.0 + 1.0))
+            d_g = 0.0 + dy * t
+            d_g -= d_carry
+            d_pre = 0.0 + d_g * g * (1.0 - g)
+            b_gate._accum(d_pre)
+            if x.requires_grad:
+                x._accum(d_pre @ W_gate.data.T)
+            W_gate._accum(x.data.T @ d_pre)
+
+        return Tensor._op(g * t + (g * -1.0 + 1.0) * x.data,
+                          (x, W_gate, b_gate, W_proj, b_proj), bwd)
 
 
 class LSTMCell(Module):
@@ -59,7 +100,7 @@ def _lstm_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"lstm input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
-    return lstm_scans([matmul(x, c.W) + c.b for c in cells],
+    return lstm_scans([affine(x, c.W, c.b) for c in cells],
                       [c.U for c in cells], reverse, lengths)
 
 
@@ -95,8 +136,8 @@ def _gru_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"gru input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
-    return gru_scans([matmul(x, c.W_ur) + c.b_ur for c in cells],
-                     [matmul(x, c.W_c) + c.b_c for c in cells],
+    return gru_scans([affine(x, c.W_ur, c.b_ur) for c in cells],
+                     [affine(x, c.W_c, c.b_c) for c in cells],
                      [c.U_ur for c in cells], [c.U_c for c in cells], reverse,
                      lengths)
 

@@ -1,11 +1,11 @@
 """Quick self-verification: golden fixtures, gradient spot checks of the
-highway layer, the fused kernels (stacked BiGRU/BiLSTM scans, also over two
-chunks of unequal length, the char-CNN and causal attention over two
-chunks), weighted-average pooling over two chunks and ``stack``, and one
-tiny BiDAF forward that must give the same bytes with and without a
-recorded graph, and a tiny BiDAF minibatch that must give the same gradient
-bytes with one backward per feature as with one backward of the summed
-losses."""
+fused kernels (the highway layer, stacked BiGRU/BiLSTM scans with their
+affine input projections, also over two chunks of unequal length, the
+char-CNN and causal attention over two chunks), weighted-average pooling
+over two chunks and ``stack``, and one tiny BiDAF forward that must give
+the same bytes with and without a recorded graph, and a tiny BiDAF
+minibatch that must give the same gradient bytes with one backward per
+feature as with one backward of the summed losses."""
 
 from __future__ import annotations
 

@@ -1096,7 +1096,7 @@ class TestTrainSettings:
                      "--pred", str(pred), "--weights", "60",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert _error_line(capsys) == (
-            "error: duplicate qid 'q' in predictions")
+            f"error: model {pred}: duplicate qid 'q' in predictions")
 
     def test_no_weight_anywhere_is_2(self, tmp_path, capsys):
         # neither --weights nor a model_f1_weight in the file
@@ -1107,8 +1107,34 @@ class TestTrainSettings:
         assert main(["ensemble", "--strategy", "weighted-voting",
                      "--pred", str(pred), "--out", str(out)]) == 2
         assert _error_line(capsys) == (
-            "error: model model-0: no single model_f1_weight in file and "
-            "none supplied")
+            f"error: model {pred}: no single model_f1_weight in file and "
+            f"none supplied")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second, message", [
+        ('{"qid": "q", "null_score": 4.0, "nbest": [], '
+         '"model_f1_weight": 60}\n' * 2,
+         "duplicate qid 'q' in predictions"),
+        ('{"qid": "q", "null_score": 4.0, "nbest": []}\n',
+         "no single model_f1_weight in file and none supplied"),
+        ('{"qid": "r", "null_score": 4.0, "nbest": [], '
+         '"model_f1_weight": 60}\n',
+         None)], ids=["duplicate-qid", "no-weight", "other-qids"])
+    def test_the_faulty_one_of_two_prediction_files_is_named(
+            self, tmp_path, capsys, second, message):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text('{"qid": "q", "null_score": 4.0, "nbest": [], '
+                        '"model_f1_weight": 70}\n', encoding="utf-8")
+        bad.write_text(second, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["ensemble", "--strategy", "weighted-voting",
+                     "--pred", str(good), str(bad), "--out", str(out)]) == 2
+        if message is None:  # the two files cover different qids
+            message = (f"models {str(good)!r} and {str(bad)!r} cover "
+                       f"different qids; first differences: ['q', 'r']")
+        else:
+            message = f"model {bad}: {message}"
+        assert _error_line(capsys) == f"error: {message}"
         assert not out.exists()
 
 

@@ -1,14 +1,156 @@
 import numpy as np
 import pytest
 
-from squadlab.autograd import (MASK_FILL, Rng, Tensor, chunk_bounds, concat,
-                               masked_fill, matmul, softmax)
+from squadlab.autograd import (MASK_FILL, Rng, Tensor, affine, chunk_bounds,
+                               concat, masked_fill, matmul, no_grad, softmax)
 from squadlab.embeddings import CharEmbeddingTable
 from squadlab.gradcheck import check_gradients
 from squadlab.layers import (CharCNN, EmbeddingCombiner, GRUCell, Highway,
                              LSTMCell, WeightedAvgAttention, bigru_forward,
                              bilstm_forward, dot_product_attention, dropout,
                              gru_forward, lstm_forward)
+
+
+def composed_highway(hw, x):
+    """The highway as the Tensor-op chain it was, the oracle of its node."""
+    g = (matmul(x, hw.W_gate) + hw.b_gate).sigmoid()
+    t = (matmul(x, hw.W_proj) + hw.b_proj).relu()
+    return g * t + (g * -1.0 + 1.0) * x
+
+
+def _feed(y, dy):
+    """A scalar root whose backward hands ``dy`` to y unchanged.  Every
+    gradient buffer that ``backward`` fills starts as 0 + its first
+    contribution, which turns -0.0 into 0.0; this is how a -0.0 gets to
+    y's own backward."""
+    def bwd(_):
+        y.grad = dy.copy()
+
+    return Tensor._op(np.zeros(()), (y,), bwd)
+
+
+def _run(forward, x_data, dy, x_grad, params):
+    """forward's output, its value inside no_grad, and the gradients of x
+    (when it takes one) and of each parameter after a backward from dy."""
+    for p in params:
+        p.zero_grad()
+    x = Tensor(x_data, requires_grad=x_grad)
+    y = forward(x)
+    _feed(y, dy).backward()
+    with no_grad():
+        free = forward(Tensor(x_data))
+    assert free._parents == () and free._backward is None
+    return [y.data, free.data, x.grad] + [p.grad.copy() for p in params]
+
+
+def _assert_same_bytes(got, want):
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        if a is None or b is None:
+            assert a is None and b is None, i
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
+# the fused highway's cases: name -> (weight edits, value written into dy)
+FUSED_CASES = {
+    "random": (None, None),
+    "gate-off": ({"b_gate": -30.0}, None),
+    "gate-on": ({"b_gate": 30.0}, None),
+    "gate-exactly-0": ({"b_gate": -800.0}, None),
+    "gate-exactly-1": ({"b_gate": 40.0}, None),
+    "zero-pre-activation": ({"W_proj": 0.0, "b_proj": -0.0}, None),
+    "negative-zero-dy": (None, -0.0),
+}
+
+
+def _edit(hw, edit):
+    # a weight edit covers the first two output columns, so that the
+    # node sees edited and plain columns side by side
+    for name, value in (edit or {}).items():
+        getattr(hw, name).data[..., :2] = value
+
+
+def _dy(shape, value):
+    dy = Rng(2).normal(shape)
+    if value is not None:
+        dy[::2] = value  # whole rows
+        dy[:, 1] = value  # and a whole column
+    return dy
+
+
+class TestFusedHighway:
+    """``Highway.forward`` is one node whose output and gradients are
+    byte-identical to the composed chain's."""
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("case", FUSED_CASES)
+    def test_matches_the_composed_chain(self, case, x_grad):
+        edit, dy_value = FUSED_CASES[case]
+        hw = Highway(4, Rng(0))
+        _edit(hw, edit)
+        x_data = Rng(1).normal((6, 4))
+        x_data[0, 0] = 0.0
+        dy = _dy((6, 4), dy_value)
+        params = list(hw.parameters().values())
+        _assert_same_bytes(_run(hw.forward, x_data, dy, x_grad, params),
+                           _run(lambda x: composed_highway(hw, x), x_data,
+                                dy, x_grad, params))
+
+    def test_one_graph_node(self):
+        hw = Highway(4, Rng(0))
+        x = Tensor(Rng(1).normal((3, 4)), requires_grad=True)
+        y = hw.forward(x)
+        assert y._parents == (x, hw.W_gate, hw.b_gate, hw.W_proj, hw.b_proj)
+
+    @pytest.mark.parametrize("weight", ["W_gate", "W_proj"])
+    def test_pre_activation_overflow_names_the_highway(self, weight):
+        # sigmoid(-inf) = 0 and relu(-inf) = 0: the output alone would
+        # be finite
+        hw = Highway(3, Rng(0))
+        getattr(hw, weight).data[...] = -1e200
+        x = Tensor(np.full((2, 3), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite value produced in "
+                                          "forward pass by Highway.forward$"):
+            hw.forward(x)
+
+
+class TestAffine:
+    """``affine(x, W, b)`` is one node, byte-identical to ``matmul(x, W) +
+    b``."""
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("case", ["random", "zero-product",
+                                      "negative-zero-dy"])
+    def test_matches_matmul_plus_bias(self, case, x_grad):
+        W = Tensor(Rng(3).normal((4, 5)), requires_grad=True)
+        b = Tensor(Rng(4).normal(5), requires_grad=True)
+        if case == "zero-product":
+            W.data[:, :2] = 0.0
+            b.data[:2] = [0.0, -0.0]
+        dy = _dy((6, 5), -0.0 if case == "negative-zero-dy" else None)
+        x_data = Rng(1).normal((6, 4))
+        _assert_same_bytes(
+            _run(lambda x: affine(x, W, b), x_data, dy, x_grad, [W, b]),
+            _run(lambda x: matmul(x, W) + b, x_data, dy, x_grad, [W, b]))
+
+    def test_one_graph_node(self):
+        x, W, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(
+            np.ones(4), requires_grad=True)
+        assert affine(x, W, b)._parents == (x, W, b)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)),
+                                        ((2, 3), (3, 5), (1, 5)),
+                                        ((3,), (3, 5), (5,))])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(ValueError, match="affine expects"):
+            affine(*(Tensor(np.ones(s)) for s in shapes))
+
+    def test_overflow_names_affine(self):
+        x, W = Tensor([[1e200, 1.0]]), Tensor([[1e200], [1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="by affine$"):
+            affine(x, W, Tensor([0.0]))
 
 
 class TestHighway:

@@ -311,6 +311,41 @@ class TestTrain:
 
         assert peak(4) <= 1.25 * peak(1)
 
+    # (graph nodes reachable from the loss, bytes the graph holds) of one
+    # seq-64 train feature: the highway and the recurrent input projections
+    # as single nodes took (206, 933 kB) and (170, 945 kB) to these values
+    GRAPH_SIZE = {"gru_highway_gru_bidaf": (160, 490_000),
+                  "bilstm_attn_bilstm_bidaf": (140, 556_000)}
+
+    @pytest.mark.parametrize("tag", GRAPH_SIZE)
+    def test_graph_size_of_a_train_feature(self, tag):
+        """An upper bound, so a later fusion still passes: the node count
+        exactly, the bytes (tracemalloc, held between forward and
+        backward) with 5% for other numpy and Python builds."""
+        feat = make_feature(n_context=58, start=3, end=4)  # seq 64
+        emb = provider()(feat)
+        model = build_model(small_cfg(tag), seed=1)
+        with no_grad():
+            model.forward([feat], [emb])  # fills the char-window cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = span_loss(*model.forward([feat], [emb]),
+                             feat.start_position, feat.end_position,
+                             feat.context_mask)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        nodes, size = self.GRAPH_SIZE[tag]
+        assert len(seen) <= nodes
+        assert held <= 1.05 * size
+
     def test_loss_curve_file(self, tmp_path):
         model, feats, prov = self._setup()
         hp = Hyperparams(learning_rate=1e-2, batch_size=2, epochs=2, seed=0)

@@ -13,23 +13,32 @@ repeating the per-step Tensor arithmetic (bit for bit for one chunk), with
 a hand-written backpropagation-through-time backward.  A BiRNN is one such
 node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1, B = 1 case.  The
 tests check them against the per-step reference loop, and a batch against
-one scan per chunk.  Layers build fused nodes the same way, through
-``Tensor._op``: ``layers.CharCNN.forward`` is one node per token, and
-``stack`` makes the token rows one node more; ``layers.Highway.forward``
-is one node per layer, and ``affine`` makes each recurrent input
-projection ``x W + b`` one node.  A fused node keeps only what its
-backward reads, and its values and gradients are byte-identical to the
-composed chain it replaced, which the tests keep as the oracle.
+one scan per chunk.  ``gru_layer``/``lstm_layer`` take the layer input x
+and its cells' W, b and U, and fold the input projections ``affine(x, W,
+b)`` into the scan: a whole recurrent layer is one node, holds no [N, k]
+projection, and its backward accumulates dx, dW, db and dU itself.  A
+recorded scan keeps, per step, only what its backward reads (the gates,
+the candidate, h, and an LSTM's c) and recomputes tanh(c) or r * h there;
+without a graph it keeps h alone.  Its pre-activations are checked at
+every step only when a bound on them cannot rule out an overflow.
+
+Layers build fused nodes the same way, through ``Tensor._op``:
+``layers.CharCNN.forward`` is one node per token, and ``stack`` makes the
+token rows one node more; ``layers.Highway.forward`` is one node per
+layer.  A fused node keeps only what its backward reads, and its values
+and gradients are byte-identical to the composed chain it replaced, which
+the tests keep as the oracle.
 
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
-records no parents, no backward closure and no gradient buffer; inference
-runs there.  An op output allocates its gradient on first accumulation,
-during ``backward``, and releases it once its own backward has run; a leaf
-made with ``requires_grad=True`` (a parameter) holds a zero buffer from
-the start and keeps it, which the optimizer relies on.  Read gradients
-from leaves: after ``backward`` only they and the root hold one.  Every
-value is still checked for finiteness, and a failed check in an op names
-that op.
+records no parents, no backward closure and no gradient buffer, and the
+fused nodes keep nothing for a backward; inference runs there.  An op
+whose inputs take no gradient records nothing either.  An op output
+allocates its gradient on first accumulation, during ``backward``, and
+releases it once its own backward has run; a leaf made with
+``requires_grad=True`` (a parameter) holds a zero buffer from the start
+and keeps it, which the optimizer relies on.  Read gradients from leaves:
+after ``backward`` only they and the root hold one.  Every value is still
+checked for finiteness, and a failed check in an op names that op.
 
 ``save_checkpoint``/``load_checkpoint`` keep named parameters in
 ``data``'s binary container, the one framing of every fp64 artifact.
@@ -72,6 +81,12 @@ def _check_finite(arr: np.ndarray, op: str | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise _non_finite(op)
     return arr
+
+
+def _records(parents) -> bool:
+    """Whether an op over ``parents`` records a graph node: outside
+    ``no_grad``, and only when some parent takes a gradient."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
@@ -167,7 +182,7 @@ class Tensor:
             # the closure is defined in the op: "matmul.<locals>.bwd"
             raise _non_finite(
                 backward.__qualname__.split(".<locals>", 1)[0]) from None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _records(parents):
             # no gradient buffer until backward first reaches this node
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -355,26 +370,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b for x [N, d], W [d, k] and b [k], as one graph node: the
     values and gradients of ``matmul(x, W) + b``, without keeping the
-    product.  The backward starts the product's gradient as 0 + g, as its
-    buffer did, so signed zeros match too."""
+    product."""
     x, W, b = (Tensor._coerce(t) for t in (x, W, b))
     if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] \
             or b.shape != W.shape[1:]:
         raise ValueError(f"affine expects x [N, d], W [d, k] and b [k]; got "
                          f"{x.shape}, {W.shape} and {b.shape}")
-    out_data = x.data @ W.data
-    out_data += b.data
 
     def bwd(g):
-        if b.requires_grad:
-            b._accum(g)
-        g = 0.0 + g
-        if x.requires_grad:
-            x._accum(g @ W.data.T)
-        if W.requires_grad:
-            W._accum(x.data.T @ g)
+        _affine_backward(x, W, b, g)
 
-    return Tensor._op(out_data, (x, W, b), bwd)
+    return Tensor._op(_project(x, W, b), (x, W, b), bwd)
+
+
+def _project(x: Tensor, W: Tensor, b: Tensor) -> np.ndarray:
+    out = x.data @ W.data
+    out += b.data
+    return out
+
+
+def _affine_backward(x: Tensor, W: Tensor, b: Tensor, g: np.ndarray):
+    """Accumulate the gradients of x @ W + b for its output gradient g.
+    The product's gradient starts as 0 + g, as the buffer of the composed
+    chain's product did, so signed zeros match too."""
+    if b.requires_grad:
+        b._accum(g)
+    g = 0.0 + g
+    if x.requires_grad:
+        x._accum(g @ W.data.T)
+    if W.requires_grad:
+        W._accum(x.data.T @ g)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -424,9 +449,13 @@ class _StepOrder:
         self.step = [L[self.chunk] - 1 - t if r else t for r in reverse]
 
     def scatter(self, arrays) -> np.ndarray:
-        """D packed [N, k] arrays -> [T, D, B, k]; padded steps hold 0."""
-        out = np.zeros(self.shape + arrays[0].shape[1:])
+        """D packed [N, k] arrays -> [T, D, B, k]; padded steps hold 0.
+        ``arrays`` may be a generator: each is placed before the next is
+        made."""
+        out = None
         for d, (a, step) in enumerate(zip(arrays, self.step)):
+            if out is None:
+                out = np.zeros(self.shape + a.shape[1:])
             out[step, d, self.chunk] = a
         return out
 
@@ -435,16 +464,45 @@ class _StepOrder:
         return [steps[step, d, self.chunk] for d, step in enumerate(self.step)]
 
 
-def _directions(name, reverse, lengths, shapes, *args):
+def _directions(name, reverse, lengths, rows, shapes, *args):
     """Coerce per-direction scan arguments, check every shape and the chunk
-    lengths (``chunk_bounds``), and place the rows."""
+    lengths of ``rows`` packed rows (``chunk_bounds``), and place the
+    rows."""
     groups = [[Tensor._coerce(t) for t in ts] for ts in args]
     got = [[t.shape for t in ts] for ts in groups]
     if any(g != [s] * len(reverse) for g, s in zip(got, shapes)):
         raise ValueError(f"{name} shapes disagree: got {got} for "
                          f"{len(reverse)} directions, expected {shapes}")
-    bounds = chunk_bounds(lengths, shapes[0][0], name)
+    bounds = chunk_bounds(lengths, rows, name)
     return _StepOrder(bounds, reverse), groups
+
+
+def _layer_rows(name, x):
+    """A layer node's input as a Tensor x [N, d], with N and d."""
+    x = Tensor._coerce(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"{name} expects x [N, d], got shape {x.shape}")
+    return (x, *x.shape)
+
+
+def _fold_projections(order, x, groups):
+    """The step-order input projections ``x W + b`` of each group of
+    per-direction (Ws, bs), each computed as ``affine`` computes it, and
+    the backward that takes their step-order gradients: ``affine``'s
+    backward for every direction of every group in turn, the order in
+    which the ``affine`` nodes feeding a scan ran.  A projection's
+    gradient buffer started as 0 + its gradient, so it starts so here
+    too."""
+    X = [order.scatter(_project(x, W, b) for W, b in zip(Ws, bs))
+         for Ws, bs in groups]
+
+    def backward(*steps):
+        for (Ws, bs), d in zip(groups, steps):
+            for W, b, g in zip(Ws, bs, order.gather(d)):
+                g += 0.0
+                _affine_backward(x, W, b, g)
+
+    return X, backward
 
 
 def _rows(steps: np.ndarray) -> np.ndarray:
@@ -456,6 +514,92 @@ def _accum_each(tensors, grads):
     for t, g in zip(tensors, grads):
         if t.requires_grad:
             t._accum(g)
+
+
+def _may_overflow(h: int, inputs, weights) -> bool:
+    """Whether a scan must check its pre-activations at every step.  Each
+    one is an input entry plus a state times a column of a U [h, k], and
+    every state that multiplies U (h, and a GRU's r * h) has |s| <= 1, so
+    none exceeds max|x| + h max|U|.  While that bound (taken as |max| +
+    |min| of each array) stays below 1e300, far from overflow whatever
+    the rounding, no step can overflow; an inf or NaN in an input or a
+    weight makes the bound inf or NaN, which fails it."""
+    def peak(arrays):
+        return sum(abs(float(a.max())) + abs(float(a.min())) for a in arrays)
+
+    return not peak(inputs) + h * peak(weights) < 1e300
+
+
+def _gru_node(order, X_ur, X_c, U_ur, U_c, parents, input_backward):
+    """The GRU loop of ``gru_scans`` over step-order input projections
+    X_ur [T, D, B, 2h] and X_c [T, D, B, h], as one graph node over
+    ``parents``.  Its backward ends by handing the projections' step-order
+    gradients to ``input_backward``."""
+    T, D, B = order.shape
+    h = X_c.shape[-1]
+    W_ur = np.stack([t.data for t in U_ur])
+    W_c = np.stack([t.data for t in U_c])
+    record = _records(parents)
+    check = _may_overflow(h, (X_ur, X_c), (W_ur, W_c))
+    # the gates and candidates of every step when a backward will read
+    # them, else only the current step's; H[k] is the state step k starts
+    # from, and r * h is recomputed by the backward
+    S = np.empty((T if record else 1, D, B, 2 * h))  # [u | r]
+    C = np.empty(S.shape[:-1] + (h,))
+    H = np.zeros((T + 1, D, B, h))
+    a_ur, a_c = np.empty((D, B, 2 * h)), np.empty((D, B, h))
+    rh, t_h = np.empty((D, B, h)), np.empty((D, B, h))
+    t_sig = _sigmoid_scratch(a_ur.shape)
+    for k in range(T):
+        j = k if record else 0
+        h_k = H[k]
+        np.add(X_ur[k], np.matmul(h_k, W_ur, out=a_ur), out=a_ur)
+        if check:  # the gates squash an overflow to a finite value
+            _check_finite(a_ur, "gru_scans")
+        s = _sigmoid(a_ur, out=S[j], scratch=t_sig)
+        u = s[..., :h]
+        np.multiply(s[..., h:], h_k, out=rh)
+        np.add(X_c[k], np.matmul(rh, W_c, out=a_c), out=a_c)
+        if check:
+            _check_finite(a_c, "gru_scans")
+        np.tanh(a_c, out=C[j])
+        # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
+        np.subtract(1.0, u, out=t_h)
+        t_h *= h_k
+        np.add(t_h, np.multiply(u, C[j], out=a_c), out=H[k + 1])
+
+    def bwd(g):
+        # a padded step's output gradient is 0, so its carry stays 0
+        G = order.scatter(np.split(g, D, axis=1))
+        H_prev = H[:-1]
+        U_g, R = S[..., :h], S[..., h:]
+        dh_du = (C - H_prev) * U_g * (1.0 - U_g)
+        dh_dc = U_g * (1.0 - C * C)
+        drh_dr = H_prev * R * (1.0 - R)
+        keep = 1.0 - U_g
+        W_ur_T = W_ur.transpose(0, 2, 1)
+        W_c_T = W_c.transpose(0, 2, 1)
+        d_ur = np.empty((T, D, B, 2 * h))
+        d_c = np.empty((T, D, B, h))
+        carry = np.zeros((D, B, h))
+        for k in range(T - 1, -1, -1):
+            dh = G[k] + carry
+            dc = np.multiply(dh, dh_dc[k], out=d_c[k])
+            drh = dc @ W_c_T
+            np.multiply(dh, dh_du[k], out=d_ur[k, ..., :h])
+            np.multiply(drh, drh_dr[k], out=d_ur[k, ..., h:])
+            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ W_ur_T
+        del G, dh_du, dh_dc, drh_dr, keep
+        _accum_each(U_ur, [_rows(H_prev[:, d]).T @ _rows(d_ur[:, d])
+                           for d in range(D)])
+        RH = R * H_prev  # the forward's r * h
+        _accum_each(U_c, [_rows(RH[:, d]).T @ _rows(d_c[:, d])
+                          for d in range(D)])
+        del RH
+        input_backward(d_ur, d_c)
+
+    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1), parents,
+                      bwd)
 
 
 def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
@@ -474,76 +618,129 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
     [N, D * h], row t holding every direction's state after step t.  The
     forward repeats the per-step Tensor arithmetic, so one chunk's values
     are identical to it; the backward is backpropagation through time.
+
+    A recorded node keeps, per step, only what its backward reads: the
+    gates, the candidate and h.  Without a graph (``no_grad``, or no
+    input that takes a gradient) every per-step value but h lives in
+    one-step buffers.  The pre-activations are checked at every step only
+    when ``_may_overflow``'s bound cannot rule an overflow out.
     """
     seq, h = Tensor._coerce(x_c[0]).shape
     order, (x_ur, x_c, U_ur, U_c) = _directions(
-        "gru_scan", reverse, lengths,
+        "gru_scan", reverse, lengths, seq,
         [(seq, 2 * h), (seq, h), (h, 2 * h), (h, h)], x_ur, x_c, U_ur, U_c)
-    T, D, B = order.shape
-    X_ur = order.scatter([t.data for t in x_ur])
-    X_c = order.scatter([t.data for t in x_c])
-    W_ur = np.stack([t.data for t in U_ur])
-    W_c = np.stack([t.data for t in U_c])
-    # step-order buffers; H[k] is the state step k starts from
-    A_ur = np.empty((T, D, B, 2 * h))
-    S = np.empty_like(A_ur)  # [u | r]
-    A_c, C, RH = (np.empty((T, D, B, h)) for _ in range(3))  # RH = r * h
-    H = np.zeros((T + 1, D, B, h))
-    t_ur = np.empty((D, B, 2 * h))
-    t_c, t_h = np.empty((D, B, h)), np.empty((D, B, h))
-    t_sig = _sigmoid_scratch(t_ur.shape)
-    for k in range(T):
-        h_k = H[k]
-        np.add(X_ur[k], np.matmul(h_k, W_ur, out=t_ur), out=A_ur[k])
-        s = _sigmoid(A_ur[k], out=S[k], scratch=t_sig)
-        u = s[..., :h]
-        np.multiply(s[..., h:], h_k, out=RH[k])
-        np.add(X_c[k], np.matmul(RH[k], W_c, out=t_c), out=A_c[k])
-        np.tanh(A_c[k], out=C[k])
-        # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
-        np.subtract(1.0, u, out=t_h)
-        t_h *= h_k
-        np.add(t_h, np.multiply(u, C[k], out=t_c), out=H[k + 1])
-    # the gates squash an overflowed pre-activation to a finite value
-    _check_finite(A_ur, "gru_scans")
-    _check_finite(A_c, "gru_scans")
-    H_prev = H[:-1]
 
-    def bwd(g):
-        # a padded step's output gradient is 0, so its carry stays 0
-        G = order.scatter(np.split(g, D, axis=1))
-        U_g, R = S[..., :h], S[..., h:]
-        dh_du = (C - H_prev) * U_g * (1.0 - U_g)
-        dh_dc = U_g * (1.0 - C * C)
-        drh_dr = H_prev * R * (1.0 - R)
-        keep = 1.0 - U_g
-        W_ur_T = W_ur.transpose(0, 2, 1)
-        W_c_T = W_c.transpose(0, 2, 1)
-        d_ur = np.empty((T, D, B, 2 * h))
-        d_c = np.empty((T, D, B, h))
-        carry = np.zeros((D, B, h))
-        for k in range(T - 1, -1, -1):
-            dh = G[k] + carry
-            dc = np.multiply(dh, dh_dc[k], out=d_c[k])
-            drh = dc @ W_c_T
-            np.multiply(dh, dh_du[k], out=d_ur[k, ..., :h])
-            np.multiply(drh, drh_dr[k], out=d_ur[k, ..., h:])
-            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ W_ur_T
-        _accum_each(U_ur, [_rows(H_prev[:, d]).T @ _rows(d_ur[:, d])
-                           for d in range(D)])
-        _accum_each(U_c, [_rows(RH[:, d]).T @ _rows(d_c[:, d])
-                          for d in range(D)])
+    def input_backward(d_ur, d_c):
         _accum_each(x_ur, order.gather(d_ur))
         _accum_each(x_c, order.gather(d_c))
 
-    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1),
-                      (*x_ur, *x_c, *U_ur, *U_c), bwd)
+    return _gru_node(order, order.scatter(t.data for t in x_ur),
+                     order.scatter(t.data for t in x_c), U_ur, U_c,
+                     (*x_ur, *x_c, *U_ur, *U_c), input_backward)
 
 
 def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
              reverse: bool = False) -> Tensor:
     """One GRU direction, [seq, h]: ``gru_scans`` with D = 1."""
     return gru_scans((x_ur,), (x_c,), (U_ur,), (U_c,), (reverse,))
+
+
+def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
+              lengths=None) -> Tensor:
+    """D GRU directions over the layer input x [N, d] as a single graph
+    node: ``gru_scans`` of the input projections ``affine(x, W_ur, b_ur)``
+    and ``affine(x, W_c, b_c)``, folded into the scan.  Every argument but
+    x and ``lengths`` holds one entry per direction (W_ur [d, 2h], b_ur
+    [2h], W_c [d, h], b_c [h], U_ur, U_c, reverse).  The node holds no
+    [N, k] projection; its backward accumulates the gradients of x, W, b
+    and U itself, in the order of the ``affine`` nodes it replaces, so
+    values and gradients are byte-identical to them feeding
+    ``gru_scans``, and a failed check names ``gru_scans`` too."""
+    h = Tensor._coerce(U_c[0]).shape[0]
+    x, n, d = _layer_rows("gru_scan", x)
+    order, (W_ur, b_ur, W_c, b_c, U_ur, U_c) = _directions(
+        "gru_scan", reverse, lengths, n,
+        [(d, 2 * h), (2 * h,), (d, h), (h,), (h, 2 * h), (h, h)],
+        W_ur, b_ur, W_c, b_c, U_ur, U_c)
+    (X_ur, X_c), input_backward = _fold_projections(
+        order, x, [(W_ur, b_ur), (W_c, b_c)])
+    return _gru_node(order, X_ur, X_c, U_ur, U_c,
+                     (x, *W_ur, *b_ur, *W_c, *b_c, *U_ur, *U_c),
+                     input_backward)
+
+
+def _lstm_node(order, X, U, parents, input_backward):
+    """The LSTM loop of ``lstm_scans`` over step-order input projections X
+    [T, D, B, 4h], as ``_gru_node`` is the GRU's."""
+    T, D, B = order.shape
+    h = X.shape[-1] // 4
+    W = np.stack([t.data for t in U])
+    record = _records(parents)
+    check = _may_overflow(h, (X,), (W,))
+    # the gates, candidates and cell states of every step when a backward
+    # will read them, else only the current step's; H[k] and C[k] are what
+    # step k starts from, and tanh(c) is recomputed by the backward
+    S = np.empty((T if record else 1, D, B, 3 * h))  # [in | forget | out]
+    Gc = np.empty(S.shape[:-1] + (h,))
+    C = np.zeros((T + 1 if record else 1, D, B, h))
+    H = np.zeros((T + 1, D, B, h))
+    a = np.empty((D, B, 4 * h))
+    t_c, tc = np.empty((D, B, h)), np.empty((D, B, h))
+    t_sig = _sigmoid_scratch((D, B, 3 * h))
+    for k in range(T):
+        j = k if record else 0
+        c, c_next = (C[k], C[k + 1]) if record else (C[0], C[0])
+        np.add(X[k], np.matmul(H[k], W, out=a), out=a)
+        if check:  # the gates squash an overflow to a finite value
+            _check_finite(a, "lstm_scans")
+        s = _sigmoid(a[..., :3 * h], out=S[j], scratch=t_sig)
+        np.tanh(a[..., 3 * h:], out=Gc[j])
+        # c = f * c + i * cand; h = o * tanh(c)
+        np.multiply(s[..., h : 2 * h], c, out=c_next)
+        c_next += np.multiply(s[..., :h], Gc[j], out=t_c)
+        np.tanh(c_next, out=tc)
+        np.multiply(s[..., 2 * h :], tc, out=H[k + 1])
+
+    def bwd(g):
+        # a padded step's output gradient is 0, so its carries stay 0
+        G = order.scatter(np.split(g, D, axis=1))
+        I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
+        # d(step output) / d(gate pre-activation), per unit of dc, dc, dh
+        # and dc, built in the gradient buffer
+        d_gates = np.empty((T, D, B, 4 * h))
+        d_i, d_f, d_o, d_cand = (d_gates[..., q * h : (q + 1) * h]
+                                 for q in range(4))
+        tmp = np.empty_like(Gc)
+        np.multiply(Gc, I, out=d_i)
+        d_i *= np.subtract(1.0, I, out=tmp)
+        np.multiply(C[:-1], F, out=d_f)
+        d_f *= np.subtract(1.0, F, out=tmp)
+        dh_dc = np.tanh(C[1:])  # the forward's tanh(c)
+        np.multiply(dh_dc, O, out=d_o)
+        d_o *= np.subtract(1.0, O, out=tmp)
+        np.multiply(Gc, Gc, out=tmp)
+        np.multiply(I, np.subtract(1.0, tmp, out=tmp), out=d_cand)
+        del tmp
+        # dh_dc = O * (1 - tanh(c)^2)
+        np.multiply(dh_dc, dh_dc, out=dh_dc)
+        np.subtract(1.0, dh_dc, out=dh_dc)
+        dh_dc *= O
+        W_T = W.transpose(0, 2, 1)
+        dh_carry = np.zeros((D, B, h))
+        dc_carry = np.zeros((D, B, h))
+        for k in range(T - 1, -1, -1):
+            dh = G[k] + dh_carry
+            dc = dc_carry + dh * dh_dc[k]
+            d_gates[k] *= np.concatenate((dc, dc, dh, dc), axis=-1)
+            dc_carry = dc * F[k]
+            dh_carry = d_gates[k] @ W_T
+        del G, dh_dc
+        _accum_each(U, [_rows(H[:-1, d]).T @ _rows(d_gates[:, d])
+                        for d in range(D)])
+        input_backward(d_gates)
+
+    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1), parents,
+                      bwd)
 
 
 def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
@@ -553,66 +750,39 @@ def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
     projection, bias included, gate layout [input | forget | output |
     cand]), U [h, 4h] and reverse.  From h = c = 0 every step computes the
     gates from xw[t] + h U, c = f * c + i * cand and h = o * tanh(c).
-    Chunks, directions, result and exactness are as in ``gru_scans``.
+    Chunks, directions, result, exactness, what the node keeps and when
+    it checks are as in ``gru_scans``; a recorded node keeps the gates,
+    the candidate, c and h of every step.
     """
     seq = Tensor._coerce(xw[0]).shape[0]
     h = Tensor._coerce(U[0]).shape[0]
-    order, (xw, U) = _directions("lstm_scan", reverse, lengths,
+    order, (xw, U) = _directions("lstm_scan", reverse, lengths, seq,
                                  [(seq, 4 * h), (h, 4 * h)], xw, U)
-    T, D, B = order.shape
-    X = order.scatter([t.data for t in xw])
-    W = np.stack([t.data for t in U])
-    # step-order buffers; H[k] and C[k] are what step k starts from
-    A = np.empty((T, D, B, 4 * h))
-    S = np.empty((T, D, B, 3 * h))  # [input | forget | output]
-    Gc, TC = np.empty((T, D, B, h)), np.empty((T, D, B, h))
-    C, H = np.zeros((T + 1, D, B, h)), np.zeros((T + 1, D, B, h))
-    t_a, t_c = np.empty((D, B, 4 * h)), np.empty((D, B, h))
-    t_sig = _sigmoid_scratch((D, B, 3 * h))
-    for k in range(T):
-        np.add(X[k], np.matmul(H[k], W, out=t_a), out=A[k])
-        s = _sigmoid(A[k, ..., :3 * h], out=S[k], scratch=t_sig)
-        np.tanh(A[k, ..., 3 * h:], out=Gc[k])
-        # c = f * c + i * cand; h = o * tanh(c)
-        np.multiply(s[..., h : 2 * h], C[k], out=C[k + 1])
-        C[k + 1] += np.multiply(s[..., :h], Gc[k], out=t_c)
-        np.tanh(C[k + 1], out=TC[k])
-        np.multiply(s[..., 2 * h :], TC[k], out=H[k + 1])
-    # the gates squash an overflowed pre-activation to a finite value
-    _check_finite(A, "lstm_scans")
-    H_prev = H[:-1]
 
-    def bwd(g):
-        # a padded step's output gradient is 0, so its carries stay 0
-        G = order.scatter(np.split(g, D, axis=1))
-        I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
-        dh_dc = O * (1.0 - TC * TC)
-        # d(step output) / d(gate pre-activation), per unit of dc, dc, dh, dc
-        local = np.concatenate([Gc * I * (1.0 - I), C[:-1] * F * (1.0 - F),
-                                TC * O * (1.0 - O), I * (1.0 - Gc * Gc)],
-                               axis=-1)
-        W_T = W.transpose(0, 2, 1)
-        d_gates = np.empty((T, D, B, 4 * h))
-        dh_carry = np.zeros((D, B, h))
-        dc_carry = np.zeros((D, B, h))
-        for k in range(T - 1, -1, -1):
-            dh = G[k] + dh_carry
-            dc = dc_carry + dh * dh_dc[k]
-            np.multiply(local[k], np.concatenate((dc, dc, dh, dc), axis=-1),
-                        out=d_gates[k])
-            dc_carry = dc * F[k]
-            dh_carry = d_gates[k] @ W_T
-        _accum_each(U, [_rows(H_prev[:, d]).T @ _rows(d_gates[:, d])
-                        for d in range(D)])
+    def input_backward(d_gates):
         _accum_each(xw, order.gather(d_gates))
 
-    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1),
-                      (*xw, *U), bwd)
+    return _lstm_node(order, order.scatter(t.data for t in xw), U,
+                      (*xw, *U), input_backward)
 
 
 def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
     """One LSTM direction, [seq, h]: ``lstm_scans`` with D = 1."""
     return lstm_scans((xw,), (U,), (reverse,))
+
+
+def lstm_layer(x, W, b, U, reverse, lengths=None) -> Tensor:
+    """D LSTM directions over the layer input x [N, d] as a single graph
+    node: ``lstm_scans`` of the input projections ``affine(x, W, b)``,
+    folded into the scan, as ``gru_layer`` folds the GRU's.  W [d, 4h], b
+    [4h], U [h, 4h] and reverse hold one entry per direction."""
+    h = Tensor._coerce(U[0]).shape[0]
+    x, n, d = _layer_rows("lstm_scan", x)
+    order, (W, b, U) = _directions("lstm_scan", reverse, lengths, n,
+                                   [(d, 4 * h), (4 * h,), (h, 4 * h)],
+                                   W, b, U)
+    (X,), input_backward = _fold_projections(order, x, [(W, b)])
+    return _lstm_node(order, X, U, (x, *W, *b, *U), input_backward)
 
 
 def masked_fill(x: Tensor, mask, fill: float) -> Tensor:

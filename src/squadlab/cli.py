@@ -17,6 +17,8 @@ import resource
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .data import (DataError, PreprocessConfig, load_pretokenized,
                    load_squad_json, load_vocab, preprocess_dataset,
@@ -36,6 +38,23 @@ from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
                        write_loss_curve)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _build() -> dict:
+    """What an output's bytes may depend on besides the code, the inputs
+    and the seed: numpy's version, its BLAS, and the BLAS thread settings
+    of the environment (None where unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the "dicts" mode
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
+
+
 def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
                     elapsed):
     manifest = {
@@ -46,6 +65,7 @@ def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
         "outputs": outputs,
         "seed": seed,
         "toolkit_version": __version__,
+        "build": _build(),
         "wall_time_s": round(elapsed, 3),
         # the process's peak so far (Linux reports ru_maxrss in KiB)
         "peak_rss_mb": round(

@@ -13,11 +13,11 @@ turns them into each chunk's rows.  Row-wise layers run once on the
 packed rows, the recurrences advance every chunk in one scan, pooling
 runs on each chunk's own rows, and one attention call is one graph node
 over every chunk, attending within each chunk and keeping only its
-softmax probabilities for the backward.
+softmax probabilities for the backward (none without a graph).
 
 A highway layer is one graph node that keeps only its gate and its
-transform, and each LSTM/GRU direction's input projection is one
-``autograd.affine`` node, which keeps nothing beyond its inputs.
+transform, and a whole LSTM/GRU layer, both directions and their input
+projections, is one ``autograd.lstm_layer``/``gru_layer`` node.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
-                       _sigmoid, affine, chunk_bounds, concat, gru_scans,
-                       init_uniform, lstm_scans, matmul, softmax, stack)
+                       _records, _sigmoid, chunk_bounds, concat, gru_layer,
+                       init_uniform, lstm_layer, matmul, softmax, stack)
 
 
 class Highway(Module):
@@ -100,7 +100,7 @@ def _lstm_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"lstm input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
-    return lstm_scans([affine(x, c.W, c.b) for c in cells],
+    return lstm_layer(x, [c.W for c in cells], [c.b for c in cells],
                       [c.U for c in cells], reverse, lengths)
 
 
@@ -136,8 +136,8 @@ def _gru_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
         if x.shape[1] != cell.d_in:
             raise ValueError(f"gru input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
-    return gru_scans([affine(x, c.W_ur, c.b_ur) for c in cells],
-                     [affine(x, c.W_c, c.b_c) for c in cells],
+    return gru_layer(x, [c.W_ur for c in cells], [c.b_ur for c in cells],
+                     [c.W_c for c in cells], [c.b_c for c in cells],
                      [c.U_ur for c in cells], [c.U_c for c in cells], reverse,
                      lengths)
 
@@ -174,11 +174,13 @@ def dot_product_attention(x: Tensor, causal: bool = False,
     ``x x^T / sqrt(d)``, blocked scores set to ``MASK_FILL``, a row softmax,
     ``p @ x``) with the same numpy ops in the same order; the node keeps
     only each chunk's probabilities ``p`` (and its causal keep mask) for a
-    hand-written backward.
+    hand-written backward.  Without a graph, each chunk's probabilities
+    are dropped once its output is made.
     """
     seq, d = x.shape
     bounds = chunk_bounds(lengths, seq, "attention")
     scale = 1.0 / np.sqrt(d)
+    record = _records((x,))
     probs, keeps, outs = [], [], []
     for lo, hi in bounds:
         xc = x.data[lo:hi]
@@ -192,9 +194,11 @@ def dot_product_attention(x: Tensor, causal: bool = False,
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=1, keepdims=True)
-        probs.append(s)
-        keeps.append(keep)
         outs.append(s @ xc)
+        if record:
+            probs.append(s)
+            keeps.append(keep)
+        del s, keep  # without a graph, this chunk's probabilities go now
 
     def bwd(g):
         # dx = ds x + ds^T x + p^T g, ds = scale * keep * p * (dp - rowsum(dp
@@ -271,10 +275,16 @@ class CharCNN(Module):
     def forward(self, windows: np.ndarray) -> Tensor:
         """max over windows of relu(windows @ K + b), [d_out], as one graph
         node: the values of the composed matmul, add, relu and max(axis=0),
-        and a max tie shares its gradient evenly, as in ``Tensor.max``."""
-        w = _check_finite(np.asarray(windows, dtype=np.float64))
+        and a max tie shares its gradient evenly, as in ``Tensor.max``.
+        The pre-activation is checked, as the composed chain checked it,
+        since the relu would hide an overflow to -inf; a non-finite window
+        makes its whole row of it non-finite, so the check reports both
+        (numpy's own warnings are off for the product)."""
+        w = np.asarray(windows, dtype=np.float64)
         K, b = self.K, self.b
-        pre = w @ K.data + b.data
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = w @ K.data + b.data
+        _check_finite(pre, "CharCNN.forward")
         act = np.maximum(pre, 0.0)
         out = act.max(axis=0)
         top = act == out

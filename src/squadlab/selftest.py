@@ -1,11 +1,12 @@
 """Quick self-verification: golden fixtures, gradient spot checks of the
-fused kernels (the highway layer, stacked BiGRU/BiLSTM scans with their
-affine input projections, also over two chunks of unequal length, the
-char-CNN and causal attention over two chunks), weighted-average pooling
-over two chunks and ``stack``, and one tiny BiDAF forward that must give
-the same bytes with and without a recorded graph, and a tiny BiDAF
-minibatch that must give the same gradient bytes with one backward per
-feature as with one backward of the summed losses."""
+fused kernels (the highway layer, the BiGRU and BiLSTM layer nodes, whose
+scans take the layer input and fold its projections in, over two chunks
+of unequal length, the char-CNN and causal attention over two chunks),
+weighted-average pooling over two chunks and ``stack``, and one tiny
+BiDAF forward that must give the same bytes with and without a recorded
+graph, and a tiny BiDAF minibatch that must give the same gradient bytes
+with one backward per feature as with one backward of the summed
+losses."""
 
 from __future__ import annotations
 
@@ -101,10 +102,11 @@ def run_selftest(verbose: bool = False) -> bool:
     wavg = WeightedAvgAttention(4, rng.spawn(6))
     for name, fn, modules, inputs in (
             ("highway", lambda: hw.forward(x), [hw], {"x": x}),
-            ("bigru", lambda: bigru_forward(*gru, x), gru, {"x": x}),
-            ("bilstm", lambda: bilstm_forward(*lstm, x), lstm, {"x": x}),
-            ("bigru over 2 chunks",
+            ("bigru node over 2 chunks",
              lambda: bigru_forward(*gru, chunks, [3, 2]), gru,
+             {"x": chunks}),
+            ("bilstm node over 2 chunks",
+             lambda: bilstm_forward(*lstm, chunks, [3, 2]), lstm,
              {"x": chunks}),
             ("attention",
              lambda: dot_product_attention(chunks, causal=True,

@@ -188,6 +188,25 @@ class TestPreprocess:
         assert peak <= round(resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024, 3)
 
+    def test_manifest_records_the_build(self, corpus, tmp_path, monkeypatch):
+        """numpy's version and BLAS, and the BLAS thread variables as the
+        environment sets them (None where unset)."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus),
+                     "--out", str(out)]) == 0
+        build = json.loads((tmp_path / "feats.jsonl.manifest.json")
+                           .read_text())["build"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert build == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_threads": {"OPENBLAS_NUM_THREADS": "1",
+                             "OMP_NUM_THREADS": "2",
+                             "MKL_NUM_THREADS": None}}
+
     def test_rerun_byte_identical(self, corpus, tmp_path):
         out = tmp_path / "feats.jsonl"
         main(["preprocess", "--data", str(corpus), "--out", str(out)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,30 @@ class TestFusedAttentionMatchesReference:
         out = dot_product_attention(x, causal=True, lengths=[3, 4])
         assert out._parents == (x,)
 
+    def test_without_a_graph_one_chunk_at_a_time(self):
+        """Recorded, the node holds every chunk's probabilities; without a
+        graph the forward peaks at one chunk's scores (plus numpy's 64 kB
+        broadcast buffer and the outputs) and keeps none."""
+        x = Tensor(Rng(15).normal((600, 4)), requires_grad=True)
+        chunk = 200 * 200 * 8
+
+        def held_and_peak():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = dot_product_attention(x, lengths=[200, 200, 200])
+                held, peak = tracemalloc.get_traced_memory()
+                return out, held - before, peak - before
+            finally:
+                tracemalloc.stop()
+
+        recorded, held, _ = held_and_peak()
+        assert held >= 3 * chunk
+        with no_grad():
+            free, held, peak = held_and_peak()
+        assert held < 0.1 * chunk and peak < 1.5 * chunk
+        assert free.data.tobytes() == recorded.data.tobytes()
+
     @pytest.mark.parametrize("lengths", [[3, 3], [5, 0, 2], [8], [8, -1],
                                          []],
                              ids=["short", "empty-chunk", "long",
@@ -470,6 +496,14 @@ class TestCharCnn:
         windows = cnn.windows("world", CharEmbeddingTable(3))
         windows[1, 2] = bad
         with pytest.raises(FloatingPointError):
+            cnn.forward(windows)
+
+    def test_pre_activation_overflow_raises(self):
+        """w @ K overflows to -inf, which the relu would turn into 0."""
+        cnn = CharCNN(3, 4, Rng(2))
+        cnn.K.data[...] = -1e308
+        windows = np.abs(cnn.windows("world", CharEmbeddingTable(3))) + 1.0
+        with pytest.raises(FloatingPointError, match="by CharCNN.forward$"):
             cnn.forward(windows)
 
 

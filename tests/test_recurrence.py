@@ -4,15 +4,21 @@
 timestep-by-timestep Tensor loops the layers used before the whole
 sequence became one graph node.  They stay here as the oracle: the fused
 forward must reproduce them exactly, and its hand-written backward must
-agree with their op-by-op gradients to rounding.
+agree with their op-by-op gradients to rounding.  The layer nodes
+(``lstm_layer``, ``gru_layer``) fold the input projections into the scan;
+``affine`` projections feeding ``lstm_scans``/``gru_scans`` are their
+byte-exact oracle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from squadlab import heads
-from squadlab.autograd import (Rng, Tensor, chunk_bounds, concat, gru_scan,
-                               gru_scans, lstm_scan, lstm_scans, matmul)
+from squadlab import autograd, heads
+from squadlab.autograd import (Rng, Tensor, affine, chunk_bounds, concat,
+                               gru_layer, gru_scan, gru_scans, lstm_layer,
+                               lstm_scan, lstm_scans, matmul, no_grad)
 from squadlab.heads import BidafOut
 from squadlab.layers import (GRUCell, LSTMCell, bigru_forward, bilstm_forward,
                              gru_forward, lstm_forward)
@@ -73,7 +79,7 @@ def _assert_fused_matches_reference(fused, reference, tensors, out_shape,
     got, got_grads = _value_and_grads(fused, tensors, weights)
     want, want_grads = _value_and_grads(reference, tensors, weights)
     if exact:
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
     else:
         err = float(np.abs(got - want).max()) / float(np.abs(want).max())
         assert err <= GRAD_RTOL, f"relative forward error {err:.2e}"
@@ -329,7 +335,7 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 reference_lstm_forward(cell, x, reverse)
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError, match="by lstm_scans$"):
                 lstm_forward(cell, x, reverse)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -339,7 +345,7 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 reference_gru_forward(cell, x, reverse)
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError, match="by gru_scans$"):
                 gru_forward(cell, x, reverse)
 
     @pytest.mark.parametrize("forward, saturated, cell_type", [
@@ -352,9 +358,148 @@ class TestNonFinite:
         cells = [cell_type(3, 4, Rng(2)), cell_type(3, 4, Rng(3))]
         cells[which] = getattr(self, saturated)()
         x = Tensor(Rng(1).normal((3, 3)))
+        kind = "lstm" if cell_type is LSTMCell else "gru"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError,
+                               match=f"by {kind}_scans$"):
                 forward(*cells, x)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_large_finite_projection_is_checked_per_step(self, kind,
+                                                         monkeypatch):
+        """A projection near 1e307 fails the overflow bound, so every step
+        checks its pre-activations, and as none overflows nothing raises;
+        ordinary values pass the bound and check no step."""
+        cell_type, forward = LAYERS[kind]
+        cell = cell_type(3, 4, Rng(0))
+        x = Tensor(Rng(1).normal((5, 3)))
+        checked = []
+        check = autograd._check_finite
+
+        def counting(arr, op=None):
+            checked.append(op)
+            return check(arr, op)
+
+        monkeypatch.setattr(autograd, "_check_finite", counting)
+        forward(cell, x)
+        assert f"{kind}_scans" not in checked
+        bias = cell.b if kind == "lstm" else cell.b_c
+        bias.data[0] = 1e307
+        out = forward(cell, x)
+        steps = {"lstm": 5, "gru": 10}[kind]  # a GRU checks twice a step
+        assert checked.count(f"{kind}_scans") == steps
+        assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_nan_input_names_the_node(self, kind):
+        cell_type, forward = LAYERS[kind]
+        x = Tensor(Rng(1).normal((4, 3)), requires_grad=True)
+        x.data[2, 1] = np.nan  # past the Tensor's own check
+        with pytest.raises(FloatingPointError, match=f"by {kind}_scans$"):
+            forward(cell_type(3, 4, Rng(0)), x)
+
+
+LAYERS = {"lstm": (LSTMCell, lstm_forward), "gru": (GRUCell, gru_forward)}
+
+
+def _layer_node(kind, cells, x, reverse, lengths):
+    if kind == "lstm":
+        return lstm_layer(x, [c.W for c in cells], [c.b for c in cells],
+                          [c.U for c in cells], reverse, lengths)
+    return gru_layer(x, [c.W_ur for c in cells], [c.b_ur for c in cells],
+                     [c.W_c for c in cells], [c.b_c for c in cells],
+                     [c.U_ur for c in cells], [c.U_c for c in cells],
+                     reverse, lengths)
+
+
+def _projections_and_scan(kind, cells, x, reverse, lengths):
+    """The chain a layer node replaced: one ``affine`` node per input
+    projection, feeding the scan node."""
+    if kind == "lstm":
+        return lstm_scans([affine(x, c.W, c.b) for c in cells],
+                          [c.U for c in cells], reverse, lengths)
+    return gru_scans([affine(x, c.W_ur, c.b_ur) for c in cells],
+                     [affine(x, c.W_c, c.b_c) for c in cells],
+                     [c.U_ur for c in cells], [c.U_c for c in cells],
+                     reverse, lengths)
+
+
+class TestLayerNode:
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("D", [1, 2])
+    @pytest.mark.parametrize("lengths", [None, CHUNKS])
+    def test_bytes_equal_projections_and_scan(self, kind, D, lengths):
+        """Values and the gradients of x, W, b and U, byte for byte."""
+        cells = [LAYERS[kind][0](5, 3, Rng(d)) for d in range(D)]
+        n = sum(CHUNKS) if lengths else 12
+        x = Tensor(Rng(7).normal((n, 5)), requires_grad=True)
+        reverse = [False, True][:D]
+        tensors = {"x": x} | {f"{d}.{name}": p for d, c in enumerate(cells)
+                              for name, p in c.parameters().items()}
+        weights = Rng(8).normal((n, 3 * D))
+        got, got_grads = _value_and_grads(
+            lambda: _layer_node(kind, cells, x, reverse, lengths), tensors,
+            weights)
+        want, want_grads = _value_and_grads(
+            lambda: _projections_and_scan(kind, cells, x, reverse, lengths),
+            tensors, weights)
+        assert got.tobytes() == want.tobytes()
+        for name in tensors:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), \
+                name
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_one_node_over_input_and_weights(self, kind):
+        cells = [LAYERS[kind][0](3, 2, Rng(d)) for d in range(2)]
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        out = _layer_node(kind, cells, x, [False, True], None)
+        weights = {id(p) for c in cells for p in c.parameters().values()}
+        assert out._parents[0] is x
+        assert {id(p) for p in out._parents[1:]} == weights
+        assert len(out._parents) == 1 + len(weights)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_input_without_gradient(self, kind):
+        """x takes no gradient; the weights still get the chain's bytes."""
+        cells = [LAYERS[kind][0](5, 3, Rng(d)) for d in range(2)]
+        x = Tensor(Rng(7).normal((9, 5)))
+        tensors = {f"{d}.{name}": p for d, c in enumerate(cells)
+                   for name, p in c.parameters().items()}
+        weights = Rng(8).normal((9, 6))
+        runs = [_value_and_grads(
+            lambda: f(kind, cells, x, [False, True], [4, 5]), tensors,
+            weights) for f in (_layer_node, _projections_and_scan)]
+        assert x.grad is None
+        for name in tensors:
+            assert runs[0][1][name].tobytes() == runs[1][1][name].tobytes()
+
+
+def _held(forward):
+    """Bytes still allocated after ``forward()``, its result alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = forward()  # noqa: F841 (held while measured)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("birnn, cell_type, per_step", [
+    (bilstm_forward, LSTMCell, 7), (bigru_forward, GRUCell, 5)])
+def test_a_scan_holds_only_what_its_backward_reads(birnn, cell_type,
+                                                   per_step):
+    """Recorded, a BiRNN holds, per step, direction and hidden unit, the
+    LSTM's gates (3), candidate, c and h or the GRU's gates (2), candidate
+    and h, plus its output (1); with 10% for the weights, the step
+    indices and the objects.  Without a graph it holds its output alone."""
+    T, h = 300, 8
+    cells = [cell_type(4, h, Rng(d)) for d in range(2)]
+    x = Tensor(Rng(2).normal((T, 4)))
+    unit = T * 2 * h * 8  # one float per step, direction and hidden unit
+    assert _held(lambda: birnn(*cells, x)) <= 1.1 * per_step * unit
+    with no_grad():
+        assert _held(lambda: birnn(*cells, x)) <= 1.05 * unit
 
 
 def test_empty_sequence_rejected():

@@ -313,9 +313,11 @@ class TestTrain:
 
     # (graph nodes reachable from the loss, bytes the graph holds) of one
     # seq-64 train feature: the highway and the recurrent input projections
-    # as single nodes took (206, 933 kB) and (170, 945 kB) to these values
-    GRAPH_SIZE = {"gru_highway_gru_bidaf": (160, 490_000),
-                  "bilstm_attn_bilstm_bidaf": (140, 556_000)}
+    # as single nodes took (206, 933 kB) and (170, 945 kB) to (160, 490 kB)
+    # and (140, 556 kB); each recurrent layer as one node that keeps only
+    # what its backward reads, to these values
+    GRAPH_SIZE = {"gru_highway_gru_bidaf": (150, 402_200),
+                  "bilstm_attn_bilstm_bidaf": (134, 454_500)}
 
     @pytest.mark.parametrize("tag", GRAPH_SIZE)
     def test_graph_size_of_a_train_feature(self, tag):
@@ -667,6 +669,28 @@ class TestPredictPerQuestion:
 
 
 class TestInferenceWithoutGraph:
+    # tracemalloc peak of a packed forward without a graph: 3 chunks of
+    # seq 46, d_model 16, hidden 8.  With every scan step's buffers and
+    # every attention chunk's probabilities kept it was 448 kB and 358 kB.
+    PEAK = {"bilstm_attn_bilstm_bidaf": 244_200,
+            "gru_attn_selfattn_gru_bidaf": 182_400}
+
+    @pytest.mark.parametrize("tag", PEAK)
+    def test_peak_of_a_packed_forward(self, tag):
+        feats = [make_feature(qid="q", feature_index=i, n_context=40,
+                              start=1, end=2) for i in range(3)]
+        embs = [provider(16)(f) for f in feats]
+        model = build_model(small_cfg(tag, d_model=16), seed=1)
+        with no_grad():
+            model.forward(feats, embs)  # fills the char-window cache
+            tracemalloc.start()
+            try:
+                model.forward(feats, embs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.05 * self.PEAK[tag]
+
     @pytest.mark.parametrize("tag", ARCHITECTURES)
     def test_no_grad_logits_equal_recorded(self, tag):
         feat = make_feature(start=2, end=3)

@@ -15,8 +15,11 @@ node (D = 2); ``gru_scan``/``lstm_scan`` are the D = 1, B = 1 case.  The
 tests check them against the per-step reference loop, and a batch against
 one scan per chunk.  ``gru_layer``/``lstm_layer`` take the layer input x
 and its cells' W, b and U, and fold the input projections ``affine(x, W,
-b)`` into the scan: a whole recurrent layer is one node, holds no [N, k]
-projection, and its backward accumulates dx, dW, db and dU itself.  A
+b)`` into the scan: a whole recurrent layer is one node, and its backward
+accumulates dx, dW, db and dU itself.  The node projects x one block of
+``SCAN_BLOCK`` steps at a time, so no projection of the whole sequence
+exists; the blocks' bits equal ``affine``'s by a BLAS property that
+``gathered_rows_mismatches`` checks (see ``_fold_projections``).  A
 recorded scan keeps, per step, only what its backward reads (the gates,
 the candidate, h, and an LSTM's c) and recomputes tanh(c) or r * h there;
 without a graph it keeps h alone.  Its pre-activations are checked at
@@ -380,12 +383,12 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _affine_backward(x, W, b, g)
 
-    return Tensor._op(_project(x, W, b), (x, W, b), bwd)
+    return Tensor._op(_project(x.data, W.data, b.data), (x, W, b), bwd)
 
 
-def _project(x: Tensor, W: Tensor, b: Tensor) -> np.ndarray:
-    out = x.data @ W.data
-    out += b.data
+def _project(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ W
+    out += b
     return out
 
 
@@ -459,9 +462,39 @@ class _StepOrder:
             out[step, d, self.chunk] = a
         return out
 
-    def gather(self, steps: np.ndarray) -> list:
-        """The inverse: [T, D, B, k] -> D packed [N, k] arrays."""
-        return [steps[step, d, self.chunk] for d, step in enumerate(self.step)]
+    def gather(self, steps: np.ndarray):
+        """The inverse: [T, D, B, k] -> D packed [N, k] arrays, each made
+        when the one before it has been taken."""
+        for d, step in enumerate(self.step):
+            yield steps[step, d, self.chunk]
+
+    def pack(self, steps: np.ndarray) -> np.ndarray:
+        """[T, D, B, k] -> [N, D * k]: every direction's packed rows, side
+        by side."""
+        D = len(self.step)
+        return steps[np.stack(self.step, axis=1), np.arange(D),
+                     self.chunk[:, None]].reshape(self.chunk.size, -1)
+
+    def live(self, d: int, k0: int, k1: int):
+        """Direction d's packed rows at steps k0 to k1 - 1, and where they
+        sit in a [k1 - k0, D, B, k] block of those steps."""
+        step = self.step[d]
+        rows = np.flatnonzero((step >= k0) & (step < k1))
+        return rows, (step[rows] - k0, d, self.chunk[rows])
+
+
+# steps whose input projections a layer node makes at once
+SCAN_BLOCK = 32
+
+
+def _step_blocks(T: int) -> list:
+    """The (first, end) steps of each block of ``SCAN_BLOCK`` steps of a
+    T-step scan.  A 1-step remainder joins the block before it, so every
+    block spans 2 or more steps unless T = 1."""
+    edges = [*range(0, T, SCAN_BLOCK), T]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _directions(name, reverse, lengths, rows, shapes, *args):
@@ -485,24 +518,71 @@ def _layer_rows(name, x):
     return (x, *x.shape)
 
 
+GATHERED_ROWS_PROPERTY = ("x[rows] @ W has the bits of (x @ W)[rows] for 2 or "
+                          "more rows")
+
+
+def gathered_rows_mismatches(rng) -> list:
+    """The (W shape, rows) cases where ``x[rows] @ W`` differs in any bit
+    from ``(x @ W)[rows]``, for the recurrent input projections' W at the
+    CLI's default widths (and 32 x 64), with 2, 3, 8 and 64 rows drawn at
+    random from the 1,074 of a 3-chunk seq-384 question: empty when the
+    BLAS has ``GATHERED_ROWS_PROPERTY``, which the layer nodes' blocked
+    projections rest on (``_fold_projections``)."""
+    n, bad = 1074, []
+    for d, k in ((80, 128), (64, 128), (80, 64), (80, 32), (64, 64),
+                 (64, 32), (32, 64)):
+        x, W = rng.normal((n, d)), rng.normal((d, k))
+        full = x @ W
+        for m in (2, 3, 8, 64):
+            rows = np.sort(rng.permutation(n)[:m])
+            if (x[rows] @ W).tobytes() != full[rows].tobytes():
+                bad.append(((d, k), m))
+    return bad
+
+
 def _fold_projections(order, x, groups):
-    """The step-order input projections ``x W + b`` of each group of
-    per-direction (Ws, bs), each computed as ``affine`` computes it, and
-    the backward that takes their step-order gradients: ``affine``'s
-    backward for every direction of every group in turn, the order in
-    which the ``affine`` nodes feeding a scan ran.  A projection's
-    gradient buffer started as 0 + its gradient, so it starts so here
-    too."""
-    X = [order.scatter(_project(x, W, b) for W, b in zip(Ws, bs))
-         for Ws, bs in groups]
+    """The input projections ``x W + b`` of each group of per-direction
+    (Ws, bs), made a block of steps at a time, and the backward that takes
+    their step-order gradients.
+
+    ``project(k0, k1)`` gives each group's [k1 - k0, D, B, k] block of
+    steps k0 to k1 - 1 (padded steps 0), each direction's computed as
+    ``affine`` computes it, ``x[rows] @ W; += b``, over its live rows
+    there.  Those rows carry the
+    bits of ``affine``'s one [N, d] @ [d, k] product, by
+    ``GATHERED_ROWS_PROPERTY`` (a 1-row product takes another BLAS path
+    and need not): the scan calls ``project`` per ``_step_blocks`` block,
+    which spans 2 or more steps unless T = 1, and the longest chunk is live
+    at every step, so every product has 2 or more rows unless x itself has
+    one.
+
+    The backward runs ``affine``'s backward for every direction of every
+    group in turn, the order in which the ``affine`` nodes feeding a scan
+    ran.  A projection's gradient buffer started as 0 + its gradient, so it
+    starts so here too."""
+    T, D, B = order.shape
+
+    def project(k0, k1):
+        blocks = [np.zeros((k1 - k0, D, B, Ws[0].shape[1]))
+                  for Ws, _ in groups]
+        for d in range(D):
+            rows, where = order.live(d, k0, k1)
+            xr = x.data[rows]
+            for out, (Ws, bs) in zip(blocks, groups):
+                out[where] = _project(xr, Ws[d].data, bs[d].data)
+        return blocks
 
     def backward(*steps):
         for (Ws, bs), d in zip(groups, steps):
-            for W, b, g in zip(Ws, bs, order.gather(d)):
+            grads = order.gather(d)
+            for W, b in zip(Ws, bs):
+                g = next(grads)
                 g += 0.0
                 _affine_backward(x, W, b, g)
+                del g  # before the next direction's is gathered
 
-    return X, backward
+    return project, backward
 
 
 def _rows(steps: np.ndarray) -> np.ndarray:
@@ -517,10 +597,11 @@ def _accum_each(tensors, grads):
 
 
 def _may_overflow(h: int, inputs, weights) -> bool:
-    """Whether a scan must check its pre-activations at every step.  Each
-    one is an input entry plus a state times a column of a U [h, k], and
-    every state that multiplies U (h, and a GRU's r * h) has |s| <= 1, so
-    none exceeds max|x| + h max|U|.  While that bound (taken as |max| +
+    """Whether a scan must check its pre-activations at every step of a
+    block of steps whose input projections are ``inputs``.  Each one is an
+    input entry plus a state times a column of a U [h, k], and every state
+    that multiplies U (h, and a GRU's r * h) has |s| <= 1, so none exceeds
+    max|x| + h max|U|.  While that bound (taken as |max| +
     |min| of each array) stays below 1e300, far from overflow whatever
     the rounding, no step can overflow; an inf or NaN in an input or a
     weight makes the bound inf or NaN, which fails it."""
@@ -530,17 +611,18 @@ def _may_overflow(h: int, inputs, weights) -> bool:
     return not peak(inputs) + h * peak(weights) < 1e300
 
 
-def _gru_node(order, X_ur, X_c, U_ur, U_c, parents, input_backward):
-    """The GRU loop of ``gru_scans`` over step-order input projections
-    X_ur [T, D, B, 2h] and X_c [T, D, B, h], as one graph node over
-    ``parents``.  Its backward ends by handing the projections' step-order
-    gradients to ``input_backward``."""
+def _gru_node(order, project, U_ur, U_c, parents, input_backward):
+    """The GRU loop of ``gru_scans`` as one graph node over ``parents``.
+    ``project(k0, k1)`` gives the step-order input projections of steps k0
+    to k1 - 1, X_ur [k1 - k0, D, B, 2h] and X_c [k1 - k0, D, B, h], once
+    per block of ``_step_blocks``.  The backward ends by handing the
+    projections' step-order gradients [T, D, B, k] to
+    ``input_backward``."""
     T, D, B = order.shape
-    h = X_c.shape[-1]
+    h = U_c[0].shape[0]
     W_ur = np.stack([t.data for t in U_ur])
     W_c = np.stack([t.data for t in U_c])
     record = _records(parents)
-    check = _may_overflow(h, (X_ur, X_c), (W_ur, W_c))
     # the gates and candidates of every step when a backward will read
     # them, else only the current step's; H[k] is the state step k starts
     # from, and r * h is recomputed by the backward
@@ -550,23 +632,27 @@ def _gru_node(order, X_ur, X_c, U_ur, U_c, parents, input_backward):
     a_ur, a_c = np.empty((D, B, 2 * h)), np.empty((D, B, h))
     rh, t_h = np.empty((D, B, h)), np.empty((D, B, h))
     t_sig = _sigmoid_scratch(a_ur.shape)
-    for k in range(T):
-        j = k if record else 0
-        h_k = H[k]
-        np.add(X_ur[k], np.matmul(h_k, W_ur, out=a_ur), out=a_ur)
-        if check:  # the gates squash an overflow to a finite value
-            _check_finite(a_ur, "gru_scans")
-        s = _sigmoid(a_ur, out=S[j], scratch=t_sig)
-        u = s[..., :h]
-        np.multiply(s[..., h:], h_k, out=rh)
-        np.add(X_c[k], np.matmul(rh, W_c, out=a_c), out=a_c)
-        if check:
-            _check_finite(a_c, "gru_scans")
-        np.tanh(a_c, out=C[j])
-        # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
-        np.subtract(1.0, u, out=t_h)
-        t_h *= h_k
-        np.add(t_h, np.multiply(u, C[j], out=a_c), out=H[k + 1])
+    for k0, k1 in _step_blocks(T):
+        X_ur, X_c = project(k0, k1)
+        check = _may_overflow(h, (X_ur, X_c), (W_ur, W_c))
+        for k, x_ur, x_c in zip(range(k0, k1), X_ur, X_c):
+            j = k if record else 0
+            h_k = H[k]
+            np.add(x_ur, np.matmul(h_k, W_ur, out=a_ur), out=a_ur)
+            if check:  # the gates squash an overflow to a finite value
+                _check_finite(a_ur, "gru_scans")
+            s = _sigmoid(a_ur, out=S[j], scratch=t_sig)
+            u = s[..., :h]
+            np.multiply(s[..., h:], h_k, out=rh)
+            np.add(x_c, np.matmul(rh, W_c, out=a_c), out=a_c)
+            if check:
+                _check_finite(a_c, "gru_scans")
+            np.tanh(a_c, out=C[j])
+            # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
+            np.subtract(1.0, u, out=t_h)
+            t_h *= h_k
+            np.add(t_h, np.multiply(u, C[j], out=a_c), out=H[k + 1])
+        del X_ur, X_c, x_ur, x_c  # before the next block is made
 
     def bwd(g):
         # a padded step's output gradient is 0, so its carry stays 0
@@ -598,8 +684,7 @@ def _gru_node(order, X_ur, X_c, U_ur, U_c, parents, input_backward):
         del RH
         input_backward(d_ur, d_c)
 
-    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1), parents,
-                      bwd)
+    return Tensor._op(order.pack(H[1:]), parents, bwd)
 
 
 def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
@@ -634,9 +719,10 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
         _accum_each(x_ur, order.gather(d_ur))
         _accum_each(x_c, order.gather(d_c))
 
-    return _gru_node(order, order.scatter(t.data for t in x_ur),
-                     order.scatter(t.data for t in x_c), U_ur, U_c,
-                     (*x_ur, *x_c, *U_ur, *U_c), input_backward)
+    X_ur = order.scatter(t.data for t in x_ur)
+    X_c = order.scatter(t.data for t in x_c)
+    return _gru_node(order, lambda k0, k1: (X_ur[k0:k1], X_c[k0:k1]), U_ur,
+                     U_c, (*x_ur, *x_c, *U_ur, *U_c), input_backward)
 
 
 def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
@@ -651,8 +737,9 @@ def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
     node: ``gru_scans`` of the input projections ``affine(x, W_ur, b_ur)``
     and ``affine(x, W_c, b_c)``, folded into the scan.  Every argument but
     x and ``lengths`` holds one entry per direction (W_ur [d, 2h], b_ur
-    [2h], W_c [d, h], b_c [h], U_ur, U_c, reverse).  The node holds no
-    [N, k] projection; its backward accumulates the gradients of x, W, b
+    [2h], W_c [d, h], b_c [h], U_ur, U_c, reverse).  The node projects x
+    one block of steps at a time (``_fold_projections``) and holds no
+    projection; its backward accumulates the gradients of x, W, b
     and U itself, in the order of the ``affine`` nodes it replaces, so
     values and gradients are byte-identical to them feeding
     ``gru_scans``, and a failed check names ``gru_scans`` too."""
@@ -662,21 +749,20 @@ def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
         "gru_scan", reverse, lengths, n,
         [(d, 2 * h), (2 * h,), (d, h), (h,), (h, 2 * h), (h, h)],
         W_ur, b_ur, W_c, b_c, U_ur, U_c)
-    (X_ur, X_c), input_backward = _fold_projections(
+    project, input_backward = _fold_projections(
         order, x, [(W_ur, b_ur), (W_c, b_c)])
-    return _gru_node(order, X_ur, X_c, U_ur, U_c,
+    return _gru_node(order, project, U_ur, U_c,
                      (x, *W_ur, *b_ur, *W_c, *b_c, *U_ur, *U_c),
                      input_backward)
 
 
-def _lstm_node(order, X, U, parents, input_backward):
-    """The LSTM loop of ``lstm_scans`` over step-order input projections X
-    [T, D, B, 4h], as ``_gru_node`` is the GRU's."""
+def _lstm_node(order, project, U, parents, input_backward):
+    """The LSTM loop of ``lstm_scans``, as ``_gru_node`` is the GRU's;
+    ``project(k0, k1)`` gives (X,), X [k1 - k0, D, B, 4h]."""
     T, D, B = order.shape
-    h = X.shape[-1] // 4
+    h = U[0].shape[0]
     W = np.stack([t.data for t in U])
     record = _records(parents)
-    check = _may_overflow(h, (X,), (W,))
     # the gates, candidates and cell states of every step when a backward
     # will read them, else only the current step's; H[k] and C[k] are what
     # step k starts from, and tanh(c) is recomputed by the backward
@@ -687,19 +773,23 @@ def _lstm_node(order, X, U, parents, input_backward):
     a = np.empty((D, B, 4 * h))
     t_c, tc = np.empty((D, B, h)), np.empty((D, B, h))
     t_sig = _sigmoid_scratch((D, B, 3 * h))
-    for k in range(T):
-        j = k if record else 0
-        c, c_next = (C[k], C[k + 1]) if record else (C[0], C[0])
-        np.add(X[k], np.matmul(H[k], W, out=a), out=a)
-        if check:  # the gates squash an overflow to a finite value
-            _check_finite(a, "lstm_scans")
-        s = _sigmoid(a[..., :3 * h], out=S[j], scratch=t_sig)
-        np.tanh(a[..., 3 * h:], out=Gc[j])
-        # c = f * c + i * cand; h = o * tanh(c)
-        np.multiply(s[..., h : 2 * h], c, out=c_next)
-        c_next += np.multiply(s[..., :h], Gc[j], out=t_c)
-        np.tanh(c_next, out=tc)
-        np.multiply(s[..., 2 * h :], tc, out=H[k + 1])
+    for k0, k1 in _step_blocks(T):
+        X, = project(k0, k1)
+        check = _may_overflow(h, (X,), (W,))
+        for k, x in zip(range(k0, k1), X):
+            j = k if record else 0
+            c, c_next = (C[k], C[k + 1]) if record else (C[0], C[0])
+            np.add(x, np.matmul(H[k], W, out=a), out=a)
+            if check:  # the gates squash an overflow to a finite value
+                _check_finite(a, "lstm_scans")
+            s = _sigmoid(a[..., :3 * h], out=S[j], scratch=t_sig)
+            np.tanh(a[..., 3 * h:], out=Gc[j])
+            # c = f * c + i * cand; h = o * tanh(c)
+            np.multiply(s[..., h : 2 * h], c, out=c_next)
+            c_next += np.multiply(s[..., :h], Gc[j], out=t_c)
+            np.tanh(c_next, out=tc)
+            np.multiply(s[..., 2 * h :], tc, out=H[k + 1])
+        del X, x  # before the next block is made
 
     def bwd(g):
         # a padded step's output gradient is 0, so its carries stay 0
@@ -739,8 +829,7 @@ def _lstm_node(order, X, U, parents, input_backward):
                         for d in range(D)])
         input_backward(d_gates)
 
-    return Tensor._op(np.concatenate(order.gather(H[1:]), axis=1), parents,
-                      bwd)
+    return Tensor._op(order.pack(H[1:]), parents, bwd)
 
 
 def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
@@ -762,8 +851,9 @@ def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
     def input_backward(d_gates):
         _accum_each(xw, order.gather(d_gates))
 
-    return _lstm_node(order, order.scatter(t.data for t in xw), U,
-                      (*xw, *U), input_backward)
+    X = order.scatter(t.data for t in xw)
+    return _lstm_node(order, lambda k0, k1: (X[k0:k1],), U, (*xw, *U),
+                      input_backward)
 
 
 def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
@@ -781,8 +871,8 @@ def lstm_layer(x, W, b, U, reverse, lengths=None) -> Tensor:
     order, (W, b, U) = _directions("lstm_scan", reverse, lengths, n,
                                    [(d, 4 * h), (4 * h,), (h, 4 * h)],
                                    W, b, U)
-    (X,), input_backward = _fold_projections(order, x, [(W, b)])
-    return _lstm_node(order, X, U, (x, *W, *b, *U), input_backward)
+    project, input_backward = _fold_projections(order, x, [(W, b)])
+    return _lstm_node(order, project, U, (x, *W, *b, *U), input_backward)
 
 
 def masked_fill(x: Tensor, mask, fill: float) -> Tensor:

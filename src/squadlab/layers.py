@@ -12,8 +12,8 @@ A layer may see several chunks at once, their rows packed as [N, d] and
 turns them into each chunk's rows.  Row-wise layers run once on the
 packed rows, the recurrences advance every chunk in one scan, pooling
 runs on each chunk's own rows, and one attention call is one graph node
-over every chunk, attending within each chunk and keeping only its
-softmax probabilities for the backward (none without a graph).
+over every chunk, attending within each chunk.  It keeps nothing for its
+backward, which recomputes one chunk's softmax probabilities at a time.
 
 A highway layer is one graph node that keeps only its gate and its
 transform, and a whole LSTM/GRU layer, both directions and their input
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
-                       _records, _sigmoid, chunk_bounds, concat, gru_layer,
+                       _sigmoid, chunk_bounds, concat, gru_layer,
                        init_uniform, lstm_layer, matmul, softmax, stack)
 
 
@@ -80,8 +80,14 @@ class Highway(Module):
                 x._accum(d_pre @ W_gate.data.T)
             W_gate._accum(x.data.T @ d_pre)
 
-        return Tensor._op(g * t + (g * -1.0 + 1.0) * x.data,
-                          (x, W_gate, b_gate, W_proj, b_proj), bwd)
+        # g * t + (g * -1.0 + 1.0) * x, with one temporary
+        y = g * t
+        carry = g * -1.0
+        carry += 1.0
+        carry *= x.data
+        y += carry
+        del carry
+        return Tensor._op(y, (x, W_gate, b_gate, W_proj, b_proj), bwd)
 
 
 class LSTMCell(Module):
@@ -163,6 +169,26 @@ class BiCells(Module):
         self.bwd = bwd
 
 
+# query rows whose rowsum(ds * p) the attention backward forms at once
+ATTENTION_ROW_BLOCK = 32
+
+
+def _attention_probs(xc: np.ndarray, causal: bool, scale: float):
+    """One chunk's attention probabilities p, and its causal keep mask
+    (None when nothing is blocked), by the composed chain's numpy ops."""
+    s = xc @ xc.T.copy()
+    s *= scale
+    _check_finite(s, "dot_product_attention")
+    keep = None
+    if causal and len(xc) > 1:
+        keep = np.tril(np.ones(s.shape, dtype=bool))
+        np.copyto(s, MASK_FILL, where=~keep)
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s, keep
+
+
 def dot_product_attention(x: Tensor, causal: bool = False,
                           lengths=None) -> Tensor:
     """Scaled dot-product self-attention, queries = keys = values = x, over
@@ -172,51 +198,44 @@ def dot_product_attention(x: Tensor, causal: bool = False,
     With ``causal``, row i of a chunk only sees the chunk's rows <= i.  Per
     chunk the forward computes the values of the composed chain (scores
     ``x x^T / sqrt(d)``, blocked scores set to ``MASK_FILL``, a row softmax,
-    ``p @ x``) with the same numpy ops in the same order; the node keeps
-    only each chunk's probabilities ``p`` (and its causal keep mask) for a
-    hand-written backward.  Without a graph, each chunk's probabilities
-    are dropped once its output is made.
+    ``p @ x``) with the same numpy ops in the same order, and drops the
+    chunk's probabilities once its output is made.  The node keeps nothing
+    for its hand-written backward, which recomputes each chunk's
+    probabilities with the forward's ops, so one chunk's [T, T] arrays are
+    alive at a time, recorded or not.
     """
     seq, d = x.shape
     bounds = chunk_bounds(lengths, seq, "attention")
     scale = 1.0 / np.sqrt(d)
-    record = _records((x,))
-    probs, keeps, outs = [], [], []
+    outs = []
     for lo, hi in bounds:
         xc = x.data[lo:hi]
-        s = xc @ xc.T.copy()
-        s *= scale
-        _check_finite(s, "dot_product_attention")
-        keep = None
-        if causal and hi - lo > 1:
-            keep = np.tril(np.ones(s.shape, dtype=bool))
-            s = np.where(keep, s, MASK_FILL)
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        outs.append(s @ xc)
-        if record:
-            probs.append(s)
-            keeps.append(keep)
-        del s, keep  # without a graph, this chunk's probabilities go now
+        p, _ = _attention_probs(xc, causal, scale)
+        outs.append(p @ xc)
+        del p
 
     def bwd(g):
         # dx = ds x + ds^T x + p^T g, ds = scale * keep * p * (dp - rowsum(dp
         # * p)), summed in the composed chain's order and operand layouts,
         # so the gradient is bit-identical to it
         dx = np.empty_like(x.data)
-        for (lo, hi), p, keep in zip(bounds, probs, keeps):
+        for lo, hi in bounds:
             xc, gc = x.data[lo:hi], g[lo:hi]
+            p, keep = _attention_probs(xc, causal, scale)
             ds = gc @ xc.T
-            ds -= (ds * p).sum(axis=1, keepdims=True)
+            for r in range(0, hi - lo, ATTENTION_ROW_BLOCK):
+                rows = slice(r, r + ATTENTION_ROW_BLOCK)
+                ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
             ds *= p
             if keep is not None:
                 ds *= keep
             ds *= scale
             d = dx[lo:hi]
             d[...] = p.T @ gc
+            del p, keep
             d += ds @ xc.T.copy().T
             d += (xc.T @ ds).T
+            del ds
         x._accum(dx)
 
     out = outs[0] if len(outs) == 1 else np.concatenate(outs)

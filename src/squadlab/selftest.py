@@ -1,7 +1,9 @@
-"""Quick self-verification: golden fixtures, gradient spot checks of the
-fused kernels (the highway layer, the BiGRU and BiLSTM layer nodes, whose
-scans take the layer input and fold its projections in, over two chunks
-of unequal length, the char-CNN and causal attention over two chunks),
+"""Quick self-verification: golden fixtures, the BLAS property the
+recurrent layers' blocked input projections rest on, gradient spot checks
+of the fused kernels (the highway layer, the BiGRU and BiLSTM layer
+nodes, whose scans take the layer input and fold its projections in, over
+two chunks of unequal length, the char-CNN and causal attention over two
+chunks),
 weighted-average pooling over two chunks and ``stack``, and one tiny
 BiDAF forward that must give the same bytes with and without a recorded
 graph, and a tiny BiDAF minibatch that must give the same gradient bytes
@@ -10,7 +12,8 @@ losses."""
 
 from __future__ import annotations
 
-from .autograd import Rng, Tensor, no_grad, stack, zero_grads
+from .autograd import (GATHERED_ROWS_PROPERTY, Rng, Tensor,
+                       gathered_rows_mismatches, no_grad, stack, zero_grads)
 from .data import (PreprocessConfig, RawExample, TokenizedContext,
                    align_answer_to_tokens, chunk_context, span_to_text,
                    toy_tokenize)
@@ -87,6 +90,11 @@ def run_selftest(verbose: bool = False) -> bool:
            and compute_em("Albert Einstein", ["Albert Einstein"]) == 1)
     report("einstein f1",
            abs(compute_f1("Einstein", ["Albert Einstein"]) - 2 / 3) < 1e-4)
+
+    # products over gathered rows carry the full product's bits, so the
+    # layer nodes' blocked projections equal affine's
+    report(f"blas: {GATHERED_ROWS_PROPERTY}",
+           not gathered_rows_mismatches(Rng(5)))
 
     # gradient spot checks at tiny shapes, fused kernels included
     rng = Rng(7)

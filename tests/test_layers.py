@@ -321,9 +321,10 @@ class TestFusedAttentionMatchesReference:
         assert out._parents == (x,)
 
     def test_without_a_graph_one_chunk_at_a_time(self):
-        """Recorded, the node holds every chunk's probabilities; without a
-        graph the forward peaks at one chunk's scores (plus numpy's 64 kB
-        broadcast buffer and the outputs) and keeps none."""
+        """Recorded or not, the node holds no probabilities (its output,
+        19.2 kB, is under a tenth of one chunk's); without a graph the
+        forward peaks at one chunk's scores (plus numpy's 64 kB broadcast
+        buffer and the outputs)."""
         x = Tensor(Rng(15).normal((600, 4)), requires_grad=True)
         chunk = 200 * 200 * 8
 
@@ -338,11 +339,64 @@ class TestFusedAttentionMatchesReference:
                 tracemalloc.stop()
 
         recorded, held, _ = held_and_peak()
-        assert held >= 3 * chunk
+        assert held < 0.1 * chunk
         with no_grad():
             free, held, peak = held_and_peak()
         assert held < 0.1 * chunk and peak < 1.5 * chunk
         assert free.data.tobytes() == recorded.data.tobytes()
+
+    def test_backward_peaks_at_one_chunk(self):
+        """The backward recomputes one chunk's probabilities at a time and
+        forms rowsum(ds * p) a block of rows at a time: measured from before
+        the forward, it peaks at one chunk's p and ds, its causal mask, one
+        block of ds * p and the [600, 4] arrays (2.65 chunks); keeping every
+        chunk's p for it and forming the whole ds * p peaked at 5.70."""
+        x = Tensor(Rng(15).normal((600, 4)), requires_grad=True)
+        g = Tensor(Rng(16).normal((600, 4)))
+        chunk = 200 * 200 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = dot_product_attention(x, causal=True,
+                                        lengths=[200, 200, 200])
+            (out * g).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8 * chunk
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_backward_bytes_equal_the_kept_probabilities(self, causal):
+        """Chunks longer than a row block: the recomputed backward gives
+        the bytes of one that keeps p and forms rowsum(ds * p) whole."""
+        lengths = [70, 33, 1]
+        x = Tensor(Rng(17).normal((104, 6)), requires_grad=True)
+        g = Rng(18).normal((104, 6))
+        out = dot_product_attention(x, causal, lengths)
+        (out * Tensor(g)).sum().backward()
+        want = np.empty_like(x.data)
+        scale = 1.0 / np.sqrt(6)
+        for lo, hi in chunk_bounds(lengths, 104, "attention"):
+            xc, gc = x.data[lo:hi], g[lo:hi]
+            s = xc @ xc.T.copy()
+            s *= scale
+            keep = np.tril(np.ones(s.shape, dtype=bool))
+            if causal and hi - lo > 1:
+                s = np.where(keep, s, MASK_FILL)
+            s -= s.max(axis=1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=1, keepdims=True)
+            ds = gc @ xc.T
+            ds -= (ds * s).sum(axis=1, keepdims=True)
+            ds *= s
+            if causal and hi - lo > 1:
+                ds *= keep
+            ds *= scale
+            d = want[lo:hi]
+            d[...] = s.T @ gc
+            d += ds @ xc.T.copy().T
+            d += (xc.T @ ds).T
+        assert x.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lengths", [[3, 3], [5, 0, 2], [8], [8, -1],
                                          []],

@@ -11,19 +11,52 @@ peak_by_op = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(peak_by_op)
 
 
-def test_one_measured_line_per_op(tmp_path):
-    pipeline = peak_by_op.load_pipeline(ROOT)
-    tiny = pipeline.Workload(why="test", train_questions=2,
+def _tiny(pipeline):
+    return pipeline.Workload(why="test", train_questions=2,
                              train_context_words=8, eval_questions=3,
                              eval_context_words=8, max_seq_length=32,
                              doc_stride=4)
+
+
+def test_one_measured_line_per_op(tmp_path):
+    pipeline = peak_by_op.load_pipeline(ROOT)
+    tiny = _tiny(pipeline)
     rows = peak_by_op.peak_by_op(pipeline, tiny, 3, tmp_path)
     ops = pipeline.pass_ops(tiny, 3, tmp_path / "data", tmp_path)
-    assert [op.argv for op, *_ in rows] == [op.argv for op in ops]
-    assert all(rc == 0 and peak > 0 for _, rc, peak, _ in rows)
-    rss = [r for *_, r in rows]
+    assert [row.op.argv for row in rows] == [op.argv for op in ops]
+    assert all(row.rc == 0 and row.peak > 0 for row in rows)
+    assert all(row.sample is None for row in rows)
+    rss = [row.rss for row in rows]
     assert rss == sorted(rss) and rss[0] > 0  # a peak so far only rises
     lines = peak_by_op.format_rows(rows)
     assert len(lines) == len(rows) + 1
     assert lines[0].split() == ["op", "rc", "peak_mb", "maxrss_mb"]
     assert lines[6].split()[:3] == ["train", "highway_squad_out", "0"]
+
+
+def test_top_sites_at_each_ops_highest_sample(tmp_path):
+    """``--top 3``: every BiDAF op names the function running at its
+    highest sample and three allocation sites alive then, and the
+    sampler puts ``Tensor._op`` and ``Tensor._accum`` back."""
+    pipeline = peak_by_op.load_pipeline(ROOT)
+    from squadlab.autograd import Tensor
+    before = Tensor.__dict__["_op"], Tensor.__dict__["_accum"]
+    rows = peak_by_op.peak_by_op(pipeline, _tiny(pipeline), 3, tmp_path,
+                                 top=3)
+    assert (Tensor.__dict__["_op"], Tensor.__dict__["_accum"]) == before
+    bidaf = [row for row in rows if (row.op.arch or "").endswith("_bidaf")]
+    assert len(bidaf) == 6  # train and predict of three architectures
+    for row in bidaf:
+        size, where, sites = row.sample
+        assert row.rc == 0 and 0 < size <= row.peak
+        assert where.startswith("squadlab.")
+        assert len(sites) == 3
+        assert [n for _, n in sites] == sorted((n for _, n in sites),
+                                               reverse=True)
+        assert all(":" in site and n > 0 for site, n in sites)
+    lines = peak_by_op.format_rows(rows)
+    train = lines.index(next(line for line in lines
+                             if line.startswith("train bilstm_attn")))
+    assert lines[train + 1].startswith("    highest sample ")
+    assert len(lines) == 1 + len(rows) + sum(
+        1 + len(row.sample[2]) for row in rows if row.sample is not None)

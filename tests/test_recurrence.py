@@ -400,6 +400,7 @@ class TestNonFinite:
 
 
 LAYERS = {"lstm": (LSTMCell, lstm_forward), "gru": (GRUCell, gru_forward)}
+BLOCK = autograd.SCAN_BLOCK  # steps projected at once
 
 
 def _layer_node(kind, cells, x, reverse, lengths):
@@ -427,11 +428,15 @@ def _projections_and_scan(kind, cells, x, reverse, lengths):
 class TestLayerNode:
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     @pytest.mark.parametrize("D", [1, 2])
-    @pytest.mark.parametrize("lengths", [None, CHUNKS])
+    # one block; a 1-step remainder joining the block before it; a block
+    # and a block with one step more; a 1-row input; two 1-row chunks
+    @pytest.mark.parametrize("lengths", [
+        None, CHUNKS, [BLOCK + 1], [BLOCK + 1, 1], [2 * BLOCK + 1, BLOCK + 1],
+        [1], [1, 1]])
     def test_bytes_equal_projections_and_scan(self, kind, D, lengths):
         """Values and the gradients of x, W, b and U, byte for byte."""
         cells = [LAYERS[kind][0](5, 3, Rng(d)) for d in range(D)]
-        n = sum(CHUNKS) if lengths else 12
+        n = sum(lengths) if lengths else 12
         x = Tensor(Rng(7).normal((n, 5)), requires_grad=True)
         reverse = [False, True][:D]
         tensors = {"x": x} | {f"{d}.{name}": p for d, c in enumerate(cells)
@@ -500,6 +505,34 @@ def test_a_scan_holds_only_what_its_backward_reads(birnn, cell_type,
     assert _held(lambda: birnn(*cells, x)) <= 1.1 * per_step * unit
     with no_grad():
         assert _held(lambda: birnn(*cells, x)) <= 1.05 * unit
+
+
+@pytest.mark.parametrize("birnn, cell_type, peak", [
+    (bilstm_forward, LSTMCell, 115_600), (bigru_forward, GRUCell, 112_900)])
+def test_without_a_graph_projections_go_a_block_at_a_time(birnn, cell_type,
+                                                          peak):
+    """Without a graph a BiRNN over 300 rows peaks at its states and its
+    output (38.4 kB each), not at a [T, D, B, k] buffer of projections:
+    the input is projected 32 steps at a time.  Bound: 1.05 times the
+    peak measured (the whole-sequence projections peaked at 384/248 kB)."""
+    cells = [cell_type(4, 8, Rng(d)) for d in range(2)]
+    x = Tensor(Rng(2).normal((300, 4)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            out = birnn(*cells, x)  # noqa: F841 (alive at the peak)
+        top = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert top <= 1.05 * peak
+
+
+def test_blas_gives_gathered_rows_the_full_products_bits():
+    """The property the layer nodes' blocked projections rest on; without
+    it they still run, but differ from ``affine`` in the last bits."""
+    bad = autograd.gathered_rows_mismatches(Rng(5))
+    assert bad == [], f"{autograd.GATHERED_ROWS_PROPERTY}; fails at {bad}"
 
 
 def test_empty_sequence_rejected():

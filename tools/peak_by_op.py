@@ -1,7 +1,7 @@
 """Memory of each operation of one benchmark pass: the tracemalloc peak of
 every CLI call and the process's peak resident set after it.
 
-    python3 tools/peak_by_op.py --workload paper-infer --seed 5
+    python3 tools/peak_by_op.py --workload paper-infer --seed 5 [--top 5]
 
 The pass is ``perfbench/pipeline.py``'s: its workload's corpora
 (``write_corpora``) and its op list (``pass_ops``), both imported as they
@@ -16,6 +16,15 @@ the memory that tracemalloc saw allocated during the call (MB, blocks
 allocated before the call not counted) and ``ru_maxrss`` after it (MB):
 the process's peak so far, so it only rises.  tracemalloc slows the pass
 down; read no timing from it.  Standard library plus squadlab.
+
+With ``--top N`` the traced memory is also sampled after every
+``Tensor._op`` (each op of a forward) and every ``Tensor._accum`` (each
+gradient a backward accumulates), both wrapped from outside and put back
+afterwards, as perfbench's tracer wraps them.  Under each op that made a
+sample come the highest sample, the squadlab function that was running
+then, and the N largest allocation sites alive then, grouped by line.  A
+peak between two samples is still counted in ``peak_mb``; the snapshots
+the sampler takes are not.
 """
 
 import argparse
@@ -27,9 +36,20 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class Row(NamedTuple):
+    op: object  # pipeline.Op
+    rc: object  # exit code, or the text of the exception it raised
+    peak: int  # tracemalloc peak, bytes
+    rss: float  # ru_maxrss after the op, MB
+    # with --top: (highest sample in bytes, "module:function" running then,
+    # [(file:line, bytes alive then)] largest first); else None
+    sample: tuple = None
 
 
 def load_pipeline(root: Path):
@@ -42,37 +62,101 @@ def load_pipeline(root: Path):
     return pipeline
 
 
-def peak_by_op(pipeline, workload, seed: int, directory: Path) -> list:
-    """One pass of ``workload``: per op, (op, exit code or exception text,
-    tracemalloc peak in bytes, ru_maxrss after it in MB)."""
+def _site(trace_stat) -> str:
+    """file:line of a statistic; squadlab's files from the package down."""
+    frame = trace_stat.traceback[0]
+    parts = Path(frame.filename).parts
+    if "squadlab" in parts:
+        parts = parts[parts.index("squadlab"):]
+    return f"{Path(*parts)}:{frame.lineno}"
+
+
+@contextlib.contextmanager
+def sampled(tensor_class, top: int, found: dict):
+    """Within the block, sample the traced memory after every call of
+    ``tensor_class._op`` and ``_accum``; on a new highest sample, keep its
+    size, the caller's "module:function" and the ``top`` largest sites in
+    ``found`` (keys ``sample`` and ``peak``, the tracemalloc peak without
+    the sampler's snapshots).  The class's attributes are restored on exit.
+    """
+    raw_op = tensor_class.__dict__["_op"]
+    raw_accum = tensor_class.__dict__["_accum"]
+    skip = [tracemalloc.Filter(False, tracemalloc.__file__)]
+
+    def sample():
+        size, peak = tracemalloc.get_traced_memory()
+        found["peak"] = max(found["peak"], peak)
+        if found["sample"] is None or size > found["sample"][0]:
+            frame = sys._getframe(2)  # the caller of _op or _accum
+            where = (f"{frame.f_globals.get('__name__')}:"
+                     f"{frame.f_code.co_qualname}")
+            stats = tracemalloc.take_snapshot().filter_traces(skip) \
+                .statistics("lineno")[:top]
+            found["sample"] = (size, where,
+                               [(_site(s), s.size) for s in stats])
+            del stats
+            # the snapshot's own memory is not the op's
+            tracemalloc.reset_peak()
+
+    def op(data, parents, backward):
+        out = raw_op.__func__(data, parents, backward)
+        sample()
+        return out
+
+    def accum(self, g):
+        raw_accum(self, g)
+        sample()
+
+    tensor_class._op = staticmethod(op)
+    tensor_class._accum = accum
+    try:
+        yield found
+    finally:
+        tensor_class._op = raw_op
+        tensor_class._accum = raw_accum
+
+
+def peak_by_op(pipeline, workload, seed: int, directory: Path,
+               top: int = 0) -> list:
+    """One pass of ``workload``: one ``Row`` per op, with the highest
+    sample and its ``top`` largest allocation sites when ``top`` > 0."""
     from squadlab import cli
+    from squadlab.autograd import Tensor
     data = directory / "data"
     pipeline.write_corpora(workload, seed, data)
     rows = []
     sink = io.StringIO()
     for op in pipeline.pass_ops(workload, seed, data, directory):
+        found = {"peak": 0, "sample": None}
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
+                    contextlib.redirect_stderr(sink), \
+                    (sampled(Tensor, top, found) if top
+                     else contextlib.nullcontext()):
                 rc = cli.main(op.argv)
         except Exception as e:  # report the op, go on with the pass
             rc = f"{type(e).__name__}: {e}"
         finally:
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = max(found["peak"], tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         sink.seek(0)
         sink.truncate()
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        rows.append((op, rc, peak, rss))
+        rows.append(Row(op, rc, peak, rss, found["sample"]))
     return rows
 
 
 def format_rows(rows) -> list:
     lines = [f"{'op':<42} {'rc':>3} {'peak_mb':>9} {'maxrss_mb':>10}"]
-    for op, rc, peak, rss in rows:
-        name = f"{op.command} {op.arch or ''}".strip()
-        lines.append(f"{name:<42} {rc!s:>3} {peak / 1e6:>9.2f} {rss:>10.1f}")
+    for row in rows:
+        name = f"{row.op.command} {row.op.arch or ''}".strip()
+        lines.append(f"{name:<42} {row.rc!s:>3} {row.peak / 1e6:>9.2f} "
+                     f"{row.rss:>10.1f}")
+        if row.sample is not None:
+            size, where, sites = row.sample
+            lines.append(f"    highest sample {size / 1e6:.2f} MB in {where}")
+            lines += [f"    {n / 1e6:>9.2f} MB  {site}" for site, n in sites]
     return lines
 
 
@@ -82,7 +166,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--top", type=int, default=0,
+                        help="largest allocation sites to show at each op's "
+                             "highest sample (default: none, no sampling)")
     args = parser.parse_args(argv)
+    if args.top < 0:
+        parser.error("--top must be 0 or more")
     for var in BLAS_VARS:
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
@@ -95,9 +184,9 @@ def main(argv=None) -> int:
     with contextlib.ExitStack() as stack:
         out = args.out or Path(stack.enter_context(
             tempfile.TemporaryDirectory(prefix="peak-by-op-")))
-        rows = peak_by_op(pipeline, workload, args.seed, out)
+        rows = peak_by_op(pipeline, workload, args.seed, out, args.top)
     print("\n".join(format_rows(rows)))
-    return 0 if all(rc == 0 for _, rc, _, _ in rows) else 2
+    return 0 if all(row.rc == 0 for row in rows) else 2
 
 
 if __name__ == "__main__":

@@ -33,15 +33,15 @@ and gradients are byte-identical to the composed chain it replaced, which
 the tests keep as the oracle.
 
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
-records no parents, no backward closure and no gradient buffer, and the
-fused nodes keep nothing for a backward; inference runs there.  An op
-whose inputs take no gradient records nothing either.  An op output
-allocates its gradient on first accumulation, during ``backward``, and
-releases it once its own backward has run; a leaf made with
-``requires_grad=True`` (a parameter) holds a zero buffer from the start
-and keeps it, which the optimizer relies on.  Read gradients from leaves:
-after ``backward`` only they and the root hold one.  Every value is still
-checked for finiteness, and a failed check in an op names that op.
+records no parents and no backward closure, and the fused nodes keep
+nothing for a backward; inference runs there.  An op whose inputs take no
+gradient records nothing either.  No tensor holds a gradient buffer until
+a backward first accumulates into it, and ``backward`` consumes its
+graph: once a node's own backward has run, the node drops its buffer, its
+closure (with what it saved) and its parents, and a later backward that
+reaches it raises RuntimeError.  Read gradients from leaves: only they
+and the root keep one.  Every value is checked for finiteness, and a
+failed check in an op names that op.
 
 ``save_checkpoint``/``load_checkpoint`` keep named parameters in
 ``data``'s binary container, the one framing of every fp64 artifact.
@@ -65,7 +65,7 @@ _grad_enabled = True  # flipped by no_grad()
 @contextmanager
 def no_grad():
     """Record no graph inside the block: ops still compute and check their
-    values, but keep no parents, backward closure or gradient buffer."""
+    values, but keep no parents or backward closure."""
     global _grad_enabled
     saved = _grad_enabled
     _grad_enabled = False
@@ -111,6 +111,11 @@ def _sigmoid_scratch(shape) -> tuple:
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
+def _consumed(g):
+    """The backward of a node whose own backward has already run."""
+    raise RuntimeError("backward through a graph already backpropagated")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
     while grad.ndim > len(shape):
@@ -129,7 +134,7 @@ class Tensor:
         _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents = ()
         self._backward = None
 
@@ -169,11 +174,14 @@ class Tensor:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
         # every consumer of a node runs before the node itself, so an
-        # interior buffer is complete when its backward runs, and is
-        # released after it; only the root and the leaves keep theirs
-        for node in reversed(topo):
+        # interior buffer is complete when its backward runs; the node then
+        # lets go of its buffer, closure and parents, and only the root and
+        # the leaves keep a gradient
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = _consumed, ()
                 if node is not self:
                     node.grad = None
 
@@ -186,7 +194,6 @@ class Tensor:
             raise _non_finite(
                 backward.__qualname__.split(".<locals>", 1)[0]) from None
         if _records(parents):
-            # no gradient buffer until backward first reaches this node
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -35,8 +35,8 @@ def check_gradients(fn, params: dict, rtol: float = 1e-6) -> dict:
         p.zero_grad()
     loss = fn()
     loss.backward()
-    analytic = {name: np.array(p.grad, copy=True)
-                for name, p in params.items()}
+    analytic = {name: np.zeros_like(p.data) if p.grad is None  # unreached
+                else p.grad.copy() for name, p in params.items()}
     numeric = {name: numerical_gradient(fn, p)
                for name, p in params.items()}
     # normalize by the gradient scale of the whole check so parameters

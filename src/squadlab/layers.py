@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (MASK_FILL, Module, Rng, Tensor, _check_finite,
-                       _sigmoid, chunk_bounds, concat, gru_layer,
-                       init_uniform, lstm_layer, matmul, softmax, stack)
+from .autograd import (MASK_FILL, Module, Rng, Tensor, _affine_backward,
+                       _check_finite, _project, _sigmoid, chunk_bounds,
+                       concat, gru_layer, init_uniform, lstm_layer, matmul,
+                       softmax, stack)
 
 
 class Highway(Module):
@@ -50,10 +51,10 @@ class Highway(Module):
         W_gate, b_gate = self.W_gate, self.b_gate
         W_proj, b_proj = self.W_proj, self.b_proj
         # the gate squashes an overflowed pre-activation to a finite value
-        pre = _check_finite(x.data @ W_gate.data + b_gate.data,
+        pre = _check_finite(_project(x.data, W_gate.data, b_gate.data),
                             "Highway.forward")
         g = _sigmoid(pre)
-        pre = _check_finite(x.data @ W_proj.data + b_proj.data,
+        pre = _check_finite(_project(x.data, W_proj.data, b_proj.data),
                             "Highway.forward")
         t = np.maximum(pre, 0.0)
         del pre
@@ -61,24 +62,16 @@ class Highway(Module):
         def bwd(dy):
             # each interior buffer of the chain started as 0 + its first
             # contribution; the chain ran the transform's branch, then the
-            # carry's, then the gate's.  The weights always take a
-            # gradient (init_uniform); x may not.
+            # carry's, then the gate's
             dy = 0.0 + dy
-            d_pre = 0.0 + (0.0 + dy * g) * (t > 0)
-            b_proj._accum(d_pre)
-            if x.requires_grad:
-                x._accum(d_pre @ W_proj.data.T)
-            W_proj._accum(x.data.T @ d_pre)
+            _affine_backward(x, W_proj, b_proj,
+                             0.0 + (0.0 + dy * g) * (t > 0))
             d_carry = 0.0 + dy * x.data
             if x.requires_grad:
                 x._accum(dy * (g * -1.0 + 1.0))
             d_g = 0.0 + dy * t
             d_g -= d_carry
-            d_pre = 0.0 + d_g * g * (1.0 - g)
-            b_gate._accum(d_pre)
-            if x.requires_grad:
-                x._accum(d_pre @ W_gate.data.T)
-            W_gate._accum(x.data.T @ d_pre)
+            _affine_backward(x, W_gate, b_gate, 0.0 + d_g * g * (1.0 - g))
 
         # g * t + (g * -1.0 + 1.0) * x, with one temporary
         y = g * t
@@ -302,7 +295,7 @@ class CharCNN(Module):
         w = np.asarray(windows, dtype=np.float64)
         K, b = self.K, self.b
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = w @ K.data + b.data
+            pre = _project(w, K.data, b.data)
         _check_finite(pre, "CharCNN.forward")
         act = np.maximum(pre, 0.0)
         out = act.max(axis=0)

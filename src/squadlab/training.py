@@ -307,13 +307,12 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
                         then=lambda start, end: span_loss(
                             start, end, feat.start_position,
                             feat.end_position, feat.context_mask))
-                    # backprop this feature's share of the mean loss and
-                    # drop its graph before the next forward; the parameters
-                    # get the addends, in order, of one backward of the
-                    # summed losses
+                    # backprop this feature's share of the mean loss, which
+                    # consumes its graph before the next forward; the
+                    # parameters get the addends, in order, of one backward
+                    # of the summed losses
                     (loss * scale).backward()
                     total += float(loss.data)
-                    del loss
                 norm = clip_global_norm(params, GRAD_CLIP_NORM)
             if not math.isfinite(norm):
                 raise RuntimeError(f"non-finite gradient at step {step}: "

@@ -229,18 +229,24 @@ def test_batched_birnn_matches_reference_per_chunk(birnn, cell_type,
     """The layers' packed BiRNN against the per-step reference loops run
     on each chunk alone: the backward direction reverses each chunk
     within its own length."""
+    _assert_birnn_matches_reference_per_chunk(birnn, cell_type, reference,
+                                              CHUNKS)
+
+
+def _assert_birnn_matches_reference_per_chunk(birnn, cell_type, reference,
+                                              lengths):
     fwd, bwd = cell_type(5, 3, Rng(0)), cell_type(5, 3, Rng(1))
-    x = Tensor(Rng(2).normal((sum(CHUNKS), 5)), requires_grad=True)
+    x = Tensor(Rng(2).normal((sum(lengths), 5)), requires_grad=True)
 
     def per_chunk():
         return concat([concat([reference(fwd, x[lo:hi]),
                                reference(bwd, x[lo:hi], reverse=True)],
                               axis=1)
-                       for lo, hi in _chunked(CHUNKS)], axis=0)
+                       for lo, hi in _chunked(lengths)], axis=0)
 
     _assert_fused_matches_reference(
-        lambda: birnn(fwd, bwd, x, CHUNKS), per_chunk,
-        _pair_tensors(fwd, bwd, x), (sum(CHUNKS), 6), seed=4, exact=False)
+        lambda: birnn(fwd, bwd, x, lengths), per_chunk,
+        _pair_tensors(fwd, bwd, x), (sum(lengths), 6), seed=4, exact=False)
 
 
 def test_one_chunk_batch_is_the_plain_scan():
@@ -423,6 +429,20 @@ def _projections_and_scan(kind, cells, x, reverse, lengths):
                      [affine(x, c.W_c, c.b_c) for c in cells],
                      [c.U_ur for c in cells], [c.U_c for c in cells],
                      reverse, lengths)
+
+
+@pytest.mark.parametrize("birnn, cell_type, reference", [
+    (bilstm_forward, LSTMCell, reference_lstm_forward),
+    (bigru_forward, GRUCell, reference_gru_forward)])
+@pytest.mark.parametrize("lengths", [[2 * BLOCK + 1, BLOCK + 1, 3],
+                                     [3, BLOCK + 2, 2 * BLOCK + 1]])
+def test_packed_chunks_across_block_edges_match_reference(
+        birnn, cell_type, reference, lengths):
+    """Chunks longer than a block of projected steps, against the per-step
+    reference loops: a shorter chunk's reverse direction crosses a block
+    edge inside the chunk."""
+    _assert_birnn_matches_reference_per_chunk(birnn, cell_type, reference,
+                                              lengths)
 
 
 class TestLayerNode:

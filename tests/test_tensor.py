@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import squadlab
-from squadlab.autograd import (AdamState, Module, Rng, Tensor, _sigmoid,
-                               _sigmoid_scratch, adam_step, backward, concat,
-                               cross_entropy_from_logits, elementwise,
-                               init_uniform, load_checkpoint, masked_fill,
-                               matmul, no_grad, save_checkpoint, softmax,
-                               stack, zero_grads)
+from squadlab.autograd import (AdamState, Module, Rng, Tensor, _consumed,
+                               _sigmoid, _sigmoid_scratch, adam_step,
+                               backward, concat, cross_entropy_from_logits,
+                               elementwise, init_uniform, load_checkpoint,
+                               masked_fill, matmul, no_grad, save_checkpoint,
+                               softmax, stack, zero_grads)
 from squadlab.gradcheck import check_gradients, numerical_gradient
 
 
@@ -401,10 +401,48 @@ class TestLazyGrad:
         assert h.grad is None
         assert np.array_equal(w.grad, [18.0, 36.0])
 
-    def test_parameter_grad_allocated_from_the_start(self):
+    def test_parameter_has_no_buffer_until_a_backward_reaches_it(self):
         p = init_uniform(Rng(0), (2, 3), 3)
+        q = init_uniform(Rng(1), (2, 3), 3)
+        assert p.grad is None and q.grad is None
+        assert Tensor([1.0], requires_grad=True).grad is None
+        (p * 2.0 + q).sum().backward()
+        assert np.array_equal(p.grad, np.full((2, 3), 2.0))
+        (p * 3.0).sum().backward()
+        assert np.array_equal(p.grad, np.full((2, 3), 5.0))
+        # zero_grads keeps a buffer and skips a missing one
+        zero_grads({"p": p, "r": init_uniform(Rng(2), (2,), 2)})
         assert np.array_equal(p.grad, np.zeros((2, 3)))
-        assert Tensor([1.0], requires_grad=True).grad is not None
+
+
+class TestBackwardConsumesTheGraph:
+    def test_nodes_let_go_of_closure_parents_and_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * 2.0
+        loss = (y * y).sum()
+        loss.backward()
+        for node in (y, loss):
+            assert node._parents == ()
+            assert node._backward is _consumed
+        assert y.grad is None and loss.grad is not None
+        assert np.array_equal(x.grad, [8.0, 16.0])
+
+    def test_a_second_backward_of_the_same_loss_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+
+    def test_a_new_graph_on_a_used_intermediate_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * 2.0
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (y * 3.0).sum().backward()
+        # a new forward from the leaves backpropagates as before
+        (x * 2.0 * 3.0).sum().backward()
+        assert np.array_equal(x.grad, [8.0, 8.0])
 
 
 class TestStack:
@@ -470,7 +508,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # with g=1: mhat=1, vhat=1 at t=1, so the step is ~ -lr
         p = Tensor([0.0], requires_grad=True)
-        p.grad[0] = 1.0
+        p.grad = np.array([1.0])
         adam_step({"p": p}, AdamState(), lr=0.1)
         assert abs(p.data[0] + 0.1) < 1e-7
 
@@ -488,7 +526,7 @@ class TestAdam:
         p = Tensor([1.0], requires_grad=True)
         state = AdamState()
         for i in range(3):
-            p.grad[0] = 0.5
+            p.grad = np.array([0.5])
             adam_step({"p": p}, state, lr=0.01)
             assert state.step == i + 1
 
@@ -497,7 +535,7 @@ class TestAdam:
         state = AdamState()
         state.m["p"] = np.zeros(3)
         state.v["p"] = np.zeros(3)
-        p.grad[:] = 1.0
+        p.grad = np.ones(2)
         with pytest.raises(ValueError, match="shape"):
             adam_step({"p": p}, state, lr=0.1)
 
@@ -556,6 +594,6 @@ class TestCheckpoint:
 
     def test_zero_grads(self):
         p = Tensor([1.0], requires_grad=True)
-        p.grad[0] = 5.0
+        p.grad = np.array([5.0])
         zero_grads({"p": p})
         assert p.grad[0] == 0.0

@@ -517,14 +517,6 @@ def _directions(name, reverse, lengths, rows, shapes, *args):
     return _StepOrder(bounds, reverse), groups
 
 
-def _layer_rows(name, x):
-    """A layer node's input as a Tensor x [N, d], with N and d."""
-    x = Tensor._coerce(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"{name} expects x [N, d], got shape {x.shape}")
-    return (x, *x.shape)
-
-
 GATHERED_ROWS_PROPERTY = ("x[rows] @ W has the bits of (x @ W)[rows] for 2 or "
                           "more rows")
 
@@ -618,7 +610,50 @@ def _may_overflow(h: int, inputs, weights) -> bool:
     return not peak(inputs) + h * peak(weights) < 1e300
 
 
-def _gru_node(order, project, U_ur, U_c, parents, input_backward):
+def _scans(name, node, widths, xs, Us, reverse, lengths) -> Tensor:
+    """``gru_scans`` and ``lstm_scans``: the cell's ``node`` over, per gate
+    block width m of ``widths``, the per-direction input projections
+    [N, m h] of ``xs`` and recurrent weights [h, m h] of ``Us``."""
+    n = Tensor._coerce(xs[-1][0]).shape[0]
+    h = Tensor._coerce(Us[-1][0]).shape[0]
+    order, groups = _directions(
+        name, reverse, lengths, n,
+        [(n, m * h) for m in widths] + [(h, m * h) for m in widths], *xs, *Us)
+    xs = groups[:len(widths)]
+
+    def input_backward(*steps):
+        for x, d in zip(xs, steps):
+            _accum_each(x, order.gather(d))
+
+    X = [order.scatter(t.data for t in x) for x in xs]
+    return node(order, lambda k0, k1: [a[k0:k1] for a in X], sum(groups, []),
+                input_backward, *groups[len(widths):])
+
+
+def _layer(name, node, widths, x, projections, Us, reverse,
+           lengths) -> Tensor:
+    """``gru_layer`` and ``lstm_layer``: the cell's ``node`` over x [N, d],
+    its input projections ``x W + b`` folded in (``_fold_projections``),
+    with per-direction (W [d, m h], b [m h]) ``projections`` and U [h, m h]
+    for each gate block width m of ``widths``."""
+    h = Tensor._coerce(Us[-1][0]).shape[0]
+    x = Tensor._coerce(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"{name} expects x [N, d], got shape {x.shape}")
+    n, d = x.shape
+    Wbs = [t for W_b in projections for t in W_b]
+    order, groups = _directions(
+        name, reverse, lengths, n,
+        [s for m in widths for s in ((d, m * h), (m * h,))]
+        + [(h, m * h) for m in widths], *Wbs, *Us)
+    k = len(Wbs)
+    project, input_backward = _fold_projections(
+        order, x, list(zip(groups[:k:2], groups[1:k:2])))
+    return node(order, project, [x, *sum(groups, [])], input_backward,
+                *groups[k:])
+
+
+def _gru_node(order, project, parents, input_backward, U_ur, U_c):
     """The GRU loop of ``gru_scans`` as one graph node over ``parents``.
     ``project(k0, k1)`` gives the step-order input projections of steps k0
     to k1 - 1, X_ur [k1 - k0, D, B, 2h] and X_c [k1 - k0, D, B, h], once
@@ -717,19 +752,8 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
     one-step buffers.  The pre-activations are checked at every step only
     when ``_may_overflow``'s bound cannot rule an overflow out.
     """
-    seq, h = Tensor._coerce(x_c[0]).shape
-    order, (x_ur, x_c, U_ur, U_c) = _directions(
-        "gru_scan", reverse, lengths, seq,
-        [(seq, 2 * h), (seq, h), (h, 2 * h), (h, h)], x_ur, x_c, U_ur, U_c)
-
-    def input_backward(d_ur, d_c):
-        _accum_each(x_ur, order.gather(d_ur))
-        _accum_each(x_c, order.gather(d_c))
-
-    X_ur = order.scatter(t.data for t in x_ur)
-    X_c = order.scatter(t.data for t in x_c)
-    return _gru_node(order, lambda k0, k1: (X_ur[k0:k1], X_c[k0:k1]), U_ur,
-                     U_c, (*x_ur, *x_c, *U_ur, *U_c), input_backward)
+    return _scans("gru_scan", _gru_node, (2, 1), (x_ur, x_c), (U_ur, U_c),
+                  reverse, lengths)
 
 
 def gru_scan(x_ur: Tensor, x_c: Tensor, U_ur: Tensor, U_c: Tensor,
@@ -750,20 +774,11 @@ def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
     and U itself, in the order of the ``affine`` nodes it replaces, so
     values and gradients are byte-identical to them feeding
     ``gru_scans``, and a failed check names ``gru_scans`` too."""
-    h = Tensor._coerce(U_c[0]).shape[0]
-    x, n, d = _layer_rows("gru_scan", x)
-    order, (W_ur, b_ur, W_c, b_c, U_ur, U_c) = _directions(
-        "gru_scan", reverse, lengths, n,
-        [(d, 2 * h), (2 * h,), (d, h), (h,), (h, 2 * h), (h, h)],
-        W_ur, b_ur, W_c, b_c, U_ur, U_c)
-    project, input_backward = _fold_projections(
-        order, x, [(W_ur, b_ur), (W_c, b_c)])
-    return _gru_node(order, project, U_ur, U_c,
-                     (x, *W_ur, *b_ur, *W_c, *b_c, *U_ur, *U_c),
-                     input_backward)
+    return _layer("gru_scan", _gru_node, (2, 1), x,
+                  ((W_ur, b_ur), (W_c, b_c)), (U_ur, U_c), reverse, lengths)
 
 
-def _lstm_node(order, project, U, parents, input_backward):
+def _lstm_node(order, project, parents, input_backward, U):
     """The LSTM loop of ``lstm_scans``, as ``_gru_node`` is the GRU's;
     ``project(k0, k1)`` gives (X,), X [k1 - k0, D, B, 4h]."""
     T, D, B = order.shape
@@ -850,17 +865,8 @@ def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
     it checks are as in ``gru_scans``; a recorded node keeps the gates,
     the candidate, c and h of every step.
     """
-    seq = Tensor._coerce(xw[0]).shape[0]
-    h = Tensor._coerce(U[0]).shape[0]
-    order, (xw, U) = _directions("lstm_scan", reverse, lengths, seq,
-                                 [(seq, 4 * h), (h, 4 * h)], xw, U)
-
-    def input_backward(d_gates):
-        _accum_each(xw, order.gather(d_gates))
-
-    X = order.scatter(t.data for t in xw)
-    return _lstm_node(order, lambda k0, k1: (X[k0:k1],), U, (*xw, *U),
-                      input_backward)
+    return _scans("lstm_scan", _lstm_node, (4,), (xw,), (U,), reverse,
+                  lengths)
 
 
 def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
@@ -873,13 +879,8 @@ def lstm_layer(x, W, b, U, reverse, lengths=None) -> Tensor:
     node: ``lstm_scans`` of the input projections ``affine(x, W, b)``,
     folded into the scan, as ``gru_layer`` folds the GRU's.  W [d, 4h], b
     [4h], U [h, 4h] and reverse hold one entry per direction."""
-    h = Tensor._coerce(U[0]).shape[0]
-    x, n, d = _layer_rows("lstm_scan", x)
-    order, (W, b, U) = _directions("lstm_scan", reverse, lengths, n,
-                                   [(d, 4 * h), (4 * h,), (h, 4 * h)],
-                                   W, b, U)
-    project, input_backward = _fold_projections(order, x, [(W, b)])
-    return _lstm_node(order, project, U, (x, *W, *b, *U), input_backward)
+    return _layer("lstm_scan", _lstm_node, (4,), x, ((W, b),), (U,), reverse,
+                  lengths)
 
 
 def masked_fill(x: Tensor, mask, fill: float) -> Tensor:

@@ -164,7 +164,10 @@ def cmd_train(args):
     return [args.features, *_embedding_inputs(args)], outputs
 
 
-def cmd_predict(args):
+def _evaluation_inputs(args):
+    """The ``--features`` records and the ``--data`` contexts by qid, for
+    ``predict`` and the ensembles that decode; every ``--data`` question
+    needs a feature."""
     features = read_features(args.features)
     examples = load_squad_json(args.data)
     covered = {f.qid for f in features}
@@ -173,7 +176,11 @@ def cmd_predict(args):
         raise DataError(f"{args.features} has no features for "
                         f"{len(uncovered)} of {len(examples)} --data "
                         f"questions; first: {uncovered[:5]}")
-    context_by_qid = {ex.qid: ex.context for ex in examples}
+    return features, {ex.qid: ex.context for ex in examples}
+
+
+def cmd_predict(args):
+    features, context_by_qid = _evaluation_inputs(args)
     model = load_model(args.checkpoint)
     provider = _provider(args.embeddings, model.cfg.d_model, args.seed)
     check_embedder(model.hyperparams.get("embeddings"), provider,
@@ -222,10 +229,8 @@ def cmd_ensemble(args):
     else:
         dumps = [load_logits_dump(p) for p in args.dumps]
         inputs += list(args.dumps) + [args.features, args.data]
-        features = read_features(args.features)
+        features, context_by_qid = _evaluation_inputs(args)
         features_by_key = {(f.qid, f.feature_index): f for f in features}
-        examples = load_squad_json(args.data)
-        context_by_qid = {ex.qid: ex.context for ex in examples}
         if args.strategy == "mean-logits":
             records = decode_logit_set(mean_logits(dumps), features_by_key,
                                        context_by_qid)

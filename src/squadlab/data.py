@@ -388,17 +388,22 @@ _FINITE_JSON = json.JSONDecoder(parse_float=_finite_number,
                                 parse_constant=_finite_number)
 
 
-def read_jsonl(path, parse) -> list:
+def read_jsonl(path, parse, key=None) -> list:
     """``parse`` of each non-blank line's JSON value; a bad line, invalid
-    UTF-8 or a NaN or infinite number included, raises DataError naming
-    the path and the line number."""
-    out = []
+    UTF-8 or a NaN or infinite number included, or one whose ``key`` (a
+    label of the parsed value) repeats an earlier line's, raises DataError
+    naming the path and the line number."""
+    out, seen = [], set()
     with open(path, "rb") as f:
         for ln, raw in enumerate(f, 1):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
                     out.append(parse(_FINITE_JSON.decode(line)))
+                    label = key(out[-1]) if key else ln  # ln never repeats
+                    if label in seen:
+                        raise ValueError(f"{label} repeats an earlier line")
+                    seen.add(label)
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"{path}: line {ln}: {_why(e)}") from None
     return out
@@ -409,20 +414,15 @@ def load_pretokenized(path) -> dict:
     a feature record, every token is a non-empty string with a span,
     [start, end] with 0 <= start <= end, and a qid may appear once; a bad
     record raises DataError naming the line."""
-    contexts = {}
-
     def parse(rec):
         qid, tokens = rec["qid"], _tokens(rec["tokens"])
         spans = [_span(s, "spans", null_ok=False) for s in rec["spans"]]
         if len(tokens) != len(spans):
             raise ValueError(f"{len(tokens)} tokens but {len(spans)} spans "
                              f"entries")
-        if qid in contexts:
-            raise ValueError(f"qid {qid!r} repeats an earlier line")
-        contexts[qid] = TokenizedContext(tokens, spans)
+        return qid, TokenizedContext(tokens, spans)
 
-    read_jsonl(path, parse)
-    return contexts
+    return dict(read_jsonl(path, parse, key=lambda c: f"qid {c[0]!r}"))
 
 
 def write_features(path, features) -> None:
@@ -490,18 +490,8 @@ def read_features(path) -> list:
     ``context_mask`` from an older file) is ignored.  A malformed record,
     or a (qid, feature_index) that repeats an earlier line's, raises
     DataError naming the path and the line."""
-    seen = set()
-
-    def parse(rec):
-        f = _feature(rec)
-        key = (f.qid, f.feature_index)
-        if key in seen:
-            raise ValueError(f"(qid={f.qid!r}, feature_index="
-                             f"{f.feature_index}) repeats an earlier line")
-        seen.add(key)
-        return f
-
-    return read_jsonl(path, parse)
+    return read_jsonl(path, _feature, key=lambda f: (
+        f"(qid={f.qid!r}, feature_index={f.feature_index})"))
 
 
 def load_vocab(path) -> list:

@@ -45,12 +45,6 @@ class PredictionSet:
 
     @classmethod
     def from_records(cls, model_id, records, weight=None):
-        by_qid = {}
-        for rec in records:
-            if rec["qid"] in by_qid:
-                raise ValueError(f"model {model_id}: duplicate qid "
-                                 f"{rec['qid']!r} in predictions")
-            by_qid[rec["qid"]] = rec
         if weight is None:
             weights = {rec.get("model_f1_weight") for rec in records}
             if len(weights) != 1 or None in weights:
@@ -59,7 +53,8 @@ class PredictionSet:
                     f"none supplied"
                 )
             weight = weights.pop()
-        return cls(model_id=model_id, records=by_qid, weight=weight)
+        return cls(model_id=model_id, weight=weight,
+                   records={rec["qid"]: rec for rec in records})
 
     def top_vote(self, qid: str,
                  null_threshold: float = DEFAULT_NULL_THRESHOLD):

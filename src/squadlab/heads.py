@@ -309,9 +309,10 @@ def _prediction(rec) -> dict:
 
 
 def read_predictions(path) -> list:
-    """Read a prediction file; a line that is not a prediction record
-    raises DataError naming the path and the line number."""
-    return read_jsonl(path, _prediction)
+    """Read a prediction file; a line that is not a prediction record, or
+    whose qid repeats an earlier line's, raises DataError naming the path
+    and the line number."""
+    return read_jsonl(path, _prediction, key=lambda r: f"qid {r['qid']!r}")
 
 
 def prediction_record(qid: str, nbest, null_score: float,

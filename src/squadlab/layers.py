@@ -86,6 +86,9 @@ class Highway(Module):
 class LSTMCell(Module):
     """Standard LSTM gates; fused weight layout [input | forget | output | cand]."""
 
+    # the width check's name, the layer node and its weight arguments
+    entry = ("lstm", lstm_layer, ("W", "b", "U"))
+
     def __init__(self, d_in: int, hidden: int, rng: Rng):
         self.d_in = d_in
         self.hidden = hidden
@@ -94,30 +97,34 @@ class LSTMCell(Module):
         self.b = init_uniform(rng, (4 * hidden,), hidden)
 
 
-def _lstm_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
+def _directions(cells, x: Tensor, reverse, lengths) -> Tensor:
+    """One direction per cell over x, as the cells' one layer node."""
+    kind, layer, weights = cells[0].entry
     for cell in cells:
         if x.shape[1] != cell.d_in:
-            raise ValueError(f"lstm input width {x.shape[1]}, cell expects "
+            raise ValueError(f"{kind} input width {x.shape[1]}, cell expects "
                              f"{cell.d_in}")
-    return lstm_layer(x, [c.W for c in cells], [c.b for c in cells],
-                      [c.U for c in cells], reverse, lengths)
+    return layer(x, *([getattr(c, w) for c in cells] for w in weights),
+                 reverse, lengths)
 
 
 def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False,
                  lengths=None) -> Tensor:
     """Run one direction over [seq, d_in], or over each chunk of packed
     rows; zero initial h and c."""
-    return _lstm_directions([cell], x, [reverse], lengths)
+    return _directions([cell], x, [reverse], lengths)
 
 
 def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor,
                    lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _lstm_directions([fwd, bwd], x, [False, True], lengths)
+    return _directions([fwd, bwd], x, [False, True], lengths)
 
 
 class GRUCell(Module):
     """Convention: h_t = (1 - u) * h_{t-1} + u * tanh(W x + U (r * h_{t-1}) + b)."""
+
+    entry = ("gru", gru_layer, ("W_ur", "b_ur", "W_c", "b_c", "U_ur", "U_c"))
 
     def __init__(self, d_in: int, hidden: int, rng: Rng):
         self.d_in = d_in
@@ -130,28 +137,17 @@ class GRUCell(Module):
         self.b_c = init_uniform(rng, (hidden,), hidden)
 
 
-def _gru_directions(cells, x: Tensor, reverse, lengths) -> Tensor:
-    for cell in cells:
-        if x.shape[1] != cell.d_in:
-            raise ValueError(f"gru input width {x.shape[1]}, cell expects "
-                             f"{cell.d_in}")
-    return gru_layer(x, [c.W_ur for c in cells], [c.b_ur for c in cells],
-                     [c.W_c for c in cells], [c.b_c for c in cells],
-                     [c.U_ur for c in cells], [c.U_c for c in cells], reverse,
-                     lengths)
-
-
 def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False,
                 lengths=None) -> Tensor:
     """Run one direction over [seq, d_in], or over each chunk of packed
     rows; zero initial h."""
-    return _gru_directions([cell], x, [reverse], lengths)
+    return _directions([cell], x, [reverse], lengths)
 
 
 def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor,
                   lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _gru_directions([fwd, bwd], x, [False, True], lengths)
+    return _directions([fwd, bwd], x, [False, True], lengths)
 
 
 class BiCells(Module):

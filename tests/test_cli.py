@@ -1115,7 +1115,7 @@ class TestTrainSettings:
                      "--pred", str(pred), "--weights", "60",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert _error_line(capsys) == (
-            f"error: model {pred}: duplicate qid 'q' in predictions")
+            f"error: {pred}: line 2: qid 'q' repeats an earlier line")
 
     def test_no_weight_anywhere_is_2(self, tmp_path, capsys):
         # neither --weights nor a model_f1_weight in the file
@@ -1133,9 +1133,9 @@ class TestTrainSettings:
     @pytest.mark.parametrize("second, message", [
         ('{"qid": "q", "null_score": 4.0, "nbest": [], '
          '"model_f1_weight": 60}\n' * 2,
-         "duplicate qid 'q' in predictions"),
+         "{bad}: line 2: qid 'q' repeats an earlier line"),
         ('{"qid": "q", "null_score": 4.0, "nbest": []}\n',
-         "no single model_f1_weight in file and none supplied"),
+         "model {bad}: no single model_f1_weight in file and none supplied"),
         ('{"qid": "r", "null_score": 4.0, "nbest": [], '
          '"model_f1_weight": 60}\n',
          None)], ids=["duplicate-qid", "no-weight", "other-qids"])
@@ -1152,7 +1152,7 @@ class TestTrainSettings:
             message = (f"models {str(good)!r} and {str(bad)!r} cover "
                        f"different qids; first differences: ['q', 'r']")
         else:
-            message = f"model {bad}: {message}"
+            message = message.format(bad=bad)
         assert _error_line(capsys) == f"error: {message}"
         assert not out.exists()
 

@@ -657,9 +657,9 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
     """The GRU loop of ``gru_scans`` as one graph node over ``parents``.
     ``project(k0, k1)`` gives the step-order input projections of steps k0
     to k1 - 1, X_ur [k1 - k0, D, B, 2h] and X_c [k1 - k0, D, B, h], once
-    per block of ``_step_blocks``.  The backward ends by handing the
-    projections' step-order gradients [T, D, B, k] to
-    ``input_backward``."""
+    per block of ``_step_blocks``.  The backward drops each kept buffer
+    once its last reader has run, and ends by handing the projections'
+    step-order gradients [T, D, B, k] to ``input_backward``."""
     T, D, B = order.shape
     h = U_c[0].shape[0]
     W_ur = np.stack([t.data for t in U_ur])
@@ -697,14 +697,17 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
         del X_ur, X_c, x_ur, x_c  # before the next block is made
 
     def bwd(g):
+        nonlocal S, C, H
         # a padded step's output gradient is 0, so its carry stays 0
         G = order.scatter(np.split(g, D, axis=1))
         H_prev = H[:-1]
         U_g, R = S[..., :h], S[..., h:]
         dh_du = (C - H_prev) * U_g * (1.0 - U_g)
         dh_dc = U_g * (1.0 - C * C)
+        del C
         drh_dr = H_prev * R * (1.0 - R)
         keep = 1.0 - U_g
+        del U_g
         W_ur_T = W_ur.transpose(0, 2, 1)
         W_c_T = W_c.transpose(0, 2, 1)
         d_ur = np.empty((T, D, B, 2 * h))
@@ -721,6 +724,7 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
         _accum_each(U_ur, [_rows(H_prev[:, d]).T @ _rows(d_ur[:, d])
                            for d in range(D)])
         RH = R * H_prev  # the forward's r * h
+        del R, S, H_prev, H
         _accum_each(U_c, [_rows(RH[:, d]).T @ _rows(d_c[:, d])
                           for d in range(D)])
         del RH
@@ -814,6 +818,7 @@ def _lstm_node(order, project, parents, input_backward, U):
         del X, x  # before the next block is made
 
     def bwd(g):
+        nonlocal S, Gc, C, H
         # a padded step's output gradient is 0, so its carries stay 0
         G = order.scatter(np.split(g, D, axis=1))
         I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
@@ -828,15 +833,17 @@ def _lstm_node(order, project, parents, input_backward, U):
         np.multiply(C[:-1], F, out=d_f)
         d_f *= np.subtract(1.0, F, out=tmp)
         dh_dc = np.tanh(C[1:])  # the forward's tanh(c)
+        del C
         np.multiply(dh_dc, O, out=d_o)
         d_o *= np.subtract(1.0, O, out=tmp)
         np.multiply(Gc, Gc, out=tmp)
         np.multiply(I, np.subtract(1.0, tmp, out=tmp), out=d_cand)
-        del tmp
+        del tmp, Gc, I
         # dh_dc = O * (1 - tanh(c)^2)
         np.multiply(dh_dc, dh_dc, out=dh_dc)
         np.subtract(1.0, dh_dc, out=dh_dc)
         dh_dc *= O
+        del O
         W_T = W.transpose(0, 2, 1)
         dh_carry = np.zeros((D, B, h))
         dc_carry = np.zeros((D, B, h))
@@ -846,9 +853,10 @@ def _lstm_node(order, project, parents, input_backward, U):
             d_gates[k] *= np.concatenate((dc, dc, dh, dc), axis=-1)
             dc_carry = dc * F[k]
             dh_carry = d_gates[k] @ W_T
-        del G, dh_dc
+        del G, dh_dc, F, S
         _accum_each(U, [_rows(H[:-1, d]).T @ _rows(d_gates[:, d])
                         for d in range(D)])
+        del H
         input_backward(d_gates)
 
     return Tensor._op(order.pack(H[1:]), parents, bwd)

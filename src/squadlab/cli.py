@@ -374,12 +374,15 @@ _ENSEMBLE_FLAGS = ("--pred", "--weights", "--dumps", "--features", "--data",
 
 
 def _validate(args, parser):
+    source = "--seed"
     if args.seed is None:
-        env = os.environ.get("SQUADLAB_SEED")
+        source, env = "SQUADLAB_SEED", os.environ.get("SQUADLAB_SEED")
         try:
             args.seed = int(env) if env else 0
         except ValueError:
             parser.error(f"SQUADLAB_SEED must be an integer, got {env!r}")
+    if args.seed < 0:
+        parser.error(f"{source} must be at least 0, got {args.seed}")
     if args.command == "predict":
         for flag, value in (("--n-best", args.n_best),
                             ("--max-answer-length", args.max_answer_length)):

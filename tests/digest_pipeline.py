@@ -1,6 +1,8 @@
 """Run a small seeded pipeline through ``squadlab.cli.main`` and print the
 sha256 of every artifact it writes, manifests excluded (they hold wall
-times and peak RSS).
+times and peak RSS), with the build that wrote them: numpy's version, its
+BLAS name and version and the BLAS thread variables (``cli._build()``, as
+manifests record them) and the machine.
 
 The pipeline is the paper's: preprocess and pseudo-embed a training and an
 evaluation corpus (the evaluation corpus is also preprocessed from
@@ -33,8 +35,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
-
-import numpy as np  # noqa: E402
 
 from squadlab import cli  # noqa: E402
 from squadlab.data import write_jsonl  # noqa: E402
@@ -142,7 +142,8 @@ def main() -> int:
     ap.add_argument("--write", action="store_true",
                     help=f"write the digests to {DIGESTS.name}")
     args = ap.parse_args()
-    snapshot = {"numpy": np.__version__, "machine": platform.machine(),
+    # numpy, its BLAS and the BLAS thread variables, as manifests record
+    snapshot = {**cli._build(), "machine": platform.machine(),
                 "digests": run_pipeline()}
     text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
     if args.write:

@@ -3,17 +3,17 @@ artifacts whose sha256 ``artifact_digests.json`` records.
 
 The pipeline (``digest_pipeline.py``) runs in a subprocess with one BLAS
 thread, as the benchmark does.  A change that alters outputs on purpose
-regenerates the list with the command in that script's docstring.
+regenerates the list with the command in that script's docstring.  The
+list also records the build that made it (numpy, the BLAS name and
+version, the BLAS thread variables and the machine), and a failure names
+that build and this run's.
 """
 
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 HERE = Path(__file__).resolve().parent
 SCRIPT = HERE / "digest_pipeline.py"
@@ -26,12 +26,20 @@ def test_pipeline_artifacts_match_committed_digests():
     proc = subprocess.run([sys.executable, str(SCRIPT)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)["digests"]
+    run = json.loads(proc.stdout)
+    got = run["digests"]
     changed = sorted(name for name in want["digests"].keys() | got.keys()
                      if want["digests"].get(name) != got.get(name))
     assert not changed, (
         f"{len(changed)} artifacts differ from the committed digests: "
-        f"{changed}. The list was made with numpy {want['numpy']} on "
-        f"{want['machine']}; this run has numpy {np.__version__} on "
-        f"{platform.machine()}. If the change is meant, regenerate the "
-        f"list as {SCRIPT.name}'s docstring says.")
+        f"{changed}. The list was made with {_build(want)}; this run has "
+        f"{_build(run)}. If the change is meant, regenerate the list as "
+        f"{SCRIPT.name}'s docstring says.")
+
+
+def _build(snapshot) -> str:
+    """What a digest list records of the build that made it."""
+    blas = snapshot["blas"]
+    return (f"numpy {snapshot['numpy']}, BLAS {blas['name']} "
+            f"{blas['version']} and thread variables "
+            f"{snapshot['blas_threads']} on {snapshot['machine']}")

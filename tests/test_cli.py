@@ -10,7 +10,8 @@ import pytest
 from squadlab.autograd import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                load_checkpoint)
 from squadlab.cli import build_parser, main
-from squadlab.data import RawExample, read_features, read_records, write_records
+from squadlab.data import (RawExample, read_features, read_records,
+                           write_features, write_records)
 from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
                                  save_embedding_fixture)
 from squadlab.ensemble import save_logits_dump
@@ -132,6 +133,39 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    # every command, with inputs that do not exist
+    SEEDED = {
+        "preprocess": ["--data", "d.json", "--out", "f.jsonl"],
+        "pseudo-embed": ["--features", "f.jsonl", "--out", "e.bin"],
+        "train": ["--features", "f.jsonl", "--embeddings", "pseudo",
+                  "--arch", "squad_out", "--out", "m.ckpt"],
+        "predict": ["--checkpoint", "m.ckpt", "--features", "f.jsonl",
+                    "--embeddings", "pseudo", "--data", "d.json",
+                    "--out", "p.jsonl"],
+        "evaluate": ["--pred", "p.jsonl", "--gold", "d.json"],
+        "ensemble": ["--strategy", "weighted-voting", "--pred", "p.jsonl",
+                     "--out", "o.jsonl"],
+        "selftest": [],
+    }
+
+    @pytest.mark.parametrize("source", ["--seed", "SQUADLAB_SEED"])
+    @pytest.mark.parametrize("command", list(SEEDED))
+    def test_negative_seed_is_1(self, tmp_path, capsys, monkeypatch, command,
+                                source):
+        # refused before any input is opened or any check runs
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *self.SEEDED[command]]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SQUADLAB_SEED", "-1")
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error" in line]
+        assert errors == [f"squadlab: error: {source} must be at least 0, "
+                          f"got -1"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_json_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1456,6 +1490,72 @@ class TestInputErrors:
             f"error: {some} has no features for {10 - kept} of 10 --data "
             f"questions; first: {first}")
         assert not (tmp_path / "pred.jsonl").exists()
+
+
+class TestOneRulePerInput:
+    """A prediction file that repeats a qid, and --data questions that no
+    feature covers, end every command that reads them in one `error:` line
+    and exit 2."""
+
+    @pytest.mark.parametrize("strategy", [None, "weighted-voting",
+                                          "wv-mean-logits"],
+                             ids=["evaluate", "weighted-voting",
+                                  "wv-mean-logits"])
+    def test_repeated_qid_in_a_prediction_file_is_2(self, corpus, tmp_path,
+                                                    capsys, strategy):
+        qids = [f"synth-{i:04d}" for i in range(10)] + ["synth-0004"]
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [
+            {"qid": q, "nbest": [], "null_score": 0.0,
+             "model_f1_weight": 60.0} for q in qids])
+        if strategy is None:
+            argv = ["evaluate", "--pred", str(pred), "--gold", str(corpus)]
+        else:
+            argv = ["ensemble", "--strategy", strategy, "--pred", str(pred),
+                    "--out", str(tmp_path / "o.jsonl")]
+            if strategy == "wv-mean-logits":  # read after the predictions
+                argv += ["--dumps", "d.bin", "--features", "f.jsonl",
+                         "--data", str(corpus), "--mean-weight", "70"]
+        assert main(argv) == 2
+        assert _error_line(capsys) == (
+            f"error: {pred}: line 11: qid 'synth-0004' repeats an earlier "
+            f"line")
+
+    @pytest.mark.parametrize("strategy", ["mean-logits", "wv-mean-logits"])
+    def test_data_questions_without_features_are_2(self, corpus, tmp_path,
+                                                   capsys, strategy):
+        feats = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(corpus),
+                     "--out", str(feats)]) == 0
+        some = [f for f in read_features(feats)
+                if f.qid in ("synth-0000", "synth-0001", "synth-0002")]
+        kept = tmp_path / "some.jsonl"
+        write_features(kept, some)
+        rng = np.random.default_rng(0)
+        dumps, preds = [], []
+        for k in range(2):
+            dumps.append(tmp_path / f"dump{k}.bin")
+            save_logits_dump(dumps[-1], {
+                (f.qid, f.feature_index): SpanLogits(
+                    f.qid, f.feature_index, rng.normal(size=len(f.tokens)),
+                    rng.normal(size=len(f.tokens))) for f in some})
+            preds.append(tmp_path / f"pred{k}.jsonl")
+            write_predictions(preds[-1], [
+                {"qid": f.qid, "nbest": [], "null_score": 0.0,
+                 "model_f1_weight": 60.0 + k} for f in some])
+        out = tmp_path / "o.jsonl"
+        argv = ["ensemble", "--strategy", strategy, "--dumps", *map(str, dumps),
+                "--features", str(kept), "--data", str(corpus),
+                "--out", str(out)]
+        if strategy == "wv-mean-logits":
+            argv += ["--pred", *map(str, preds), "--mean-weight", "70"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert _error_line(capsys) == (
+            f"error: {kept} has no features for 7 of 10 --data questions; "
+            f"first: ['synth-0003', 'synth-0004', 'synth-0005', "
+            f"'synth-0006', 'synth-0007']")
+        assert not out.exists()
 
 
 class TestShortContext:

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import squadlab
+from squadlab import autograd
 from squadlab.autograd import (AdamState, Module, Rng, Tensor, _consumed,
                                _sigmoid, _sigmoid_scratch, adam_step,
                                backward, concat, cross_entropy_from_logits,
@@ -15,6 +17,7 @@ from squadlab.autograd import (AdamState, Module, Rng, Tensor, _consumed,
                                masked_fill, matmul, no_grad, save_checkpoint,
                                softmax, stack, zero_grads)
 from squadlab.gradcheck import check_gradients, numerical_gradient
+from squadlab.layers import GRUCell, LSTMCell, bigru_forward, bilstm_forward
 
 
 class TestElementwise:
@@ -443,6 +446,39 @@ class TestBackwardConsumesTheGraph:
         # a new forward from the leaves backpropagates as before
         (x * 2.0 * 3.0).sum().backward()
         assert np.array_equal(x.grad, [8.0, 8.0])
+
+
+class TestScanBackwardReleasesItsBuffers:
+    """A recurrent layer's backward drops the buffers its forward kept
+    before it hands the input projections their gradients."""
+
+    @pytest.mark.parametrize("cell, layer, kept", [
+        (GRUCell, bigru_forward, ("S", "C", "H")),
+        (LSTMCell, bilstm_forward, ("S", "Gc", "C", "H")),
+    ], ids=["gru", "lstm"])
+    def test_kept_buffers_are_gone_before_the_input_backward(
+            self, monkeypatch, cell, layer, kept):
+        rng = Rng(0)
+        x = Tensor(rng.normal((7, 3)), requires_grad=True)
+        out = layer(cell(3, 4, rng), cell(3, 4, rng), x, lengths=[4, 3])
+        bwd = out._backward
+        closure = dict(zip(bwd.__code__.co_freevars,
+                           (c.cell_contents for c in bwd.__closure__)))
+        refs = {name: weakref.ref(closure[name]) for name in kept}
+        del closure
+        alive = []
+
+        def spy(*args, real=autograd._affine_backward):
+            alive.append([name for name, ref in refs.items()
+                          if ref() is not None])
+            real(*args)
+
+        monkeypatch.setattr(autograd, "_affine_backward", spy)
+        (out * out).sum().backward()
+        # one input projection backward per direction and gate block
+        assert len(alive) == 2 * (2 if cell is GRUCell else 1)
+        assert alive == [[]] * len(alive)
+        assert x.grad is not None
 
 
 class TestStack:

@@ -3,7 +3,8 @@ evaluate -> ensemble, plus a selftest of the golden fixtures.
 
 Every command writes a run manifest next to its outputs so the invocation
 can be reproduced.  Exit codes: 0 success, 1 usage error, 2 data error.
-All randomness flows from --seed (fallback: the SQUADLAB_SEED env var).
+All randomness flows from --seed (fallback: the SQUADLAB_SEED env var, then
+0), a non-negative integer.
 """
 
 from __future__ import annotations

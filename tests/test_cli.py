@@ -1497,26 +1497,22 @@ class TestOneRulePerInput:
     feature covers, end every command that reads them in one `error:` line
     and exit 2."""
 
-    @pytest.mark.parametrize("strategy", [None, "weighted-voting",
-                                          "wv-mean-logits"],
-                             ids=["evaluate", "weighted-voting",
-                                  "wv-mean-logits"])
+    # weighted-voting's case is TestTrainSettings'
+    @pytest.mark.parametrize("command", ["evaluate", "wv-mean-logits"])
     def test_repeated_qid_in_a_prediction_file_is_2(self, corpus, tmp_path,
-                                                    capsys, strategy):
+                                                    capsys, command):
         qids = [f"synth-{i:04d}" for i in range(10)] + ["synth-0004"]
         pred = tmp_path / "pred.jsonl"
         write_predictions(pred, [
             {"qid": q, "nbest": [], "null_score": 0.0,
              "model_f1_weight": 60.0} for q in qids])
-        if strategy is None:
-            argv = ["evaluate", "--pred", str(pred), "--gold", str(corpus)]
-        else:
-            argv = ["ensemble", "--strategy", strategy, "--pred", str(pred),
-                    "--out", str(tmp_path / "o.jsonl")]
-            if strategy == "wv-mean-logits":  # read after the predictions
-                argv += ["--dumps", "d.bin", "--features", "f.jsonl",
-                         "--data", str(corpus), "--mean-weight", "70"]
-        assert main(argv) == 2
+        if command == "evaluate":
+            argv = ["evaluate", "--gold", str(corpus)]
+        else:  # the other inputs are read after the predictions
+            argv = ["ensemble", "--strategy", command, "--dumps", "d.bin",
+                    "--features", "f.jsonl", "--data", str(corpus),
+                    "--mean-weight", "70", "--out", str(tmp_path / "o.jsonl")]
+        assert main(argv + ["--pred", str(pred)]) == 2
         assert _error_line(capsys) == (
             f"error: {pred}: line 11: qid 'synth-0004' repeats an earlier "
             f"line")

@@ -28,9 +28,11 @@ every step only when a bound on them cannot rule out an overflow.
 Layers build fused nodes the same way, through ``Tensor._op``:
 ``layers.CharCNN.forward`` is one node per token, and ``stack`` makes the
 token rows one node more; ``layers.Highway.forward`` is one node per
-layer.  A fused node keeps only what its backward reads, and its values
-and gradients are byte-identical to the composed chain it replaced, which
-the tests keep as the oracle.
+layer.  A fused node keeps only what its backward reads.  It matches the
+chain it replaced (the tests' oracle) byte for byte in every value and in
+every gradient a caller can read, a leaf's or the root's: those start at
++0.0, so a -0.0 inside a backward never shows.  It adds the parts of one
+input's gradient in the chain's order, since that order changes bytes.
 
 Only the work a caller needs is done.  Inside ``with no_grad():`` an op
 records no parents and no backward closure, and the fused nodes keep
@@ -313,14 +315,11 @@ class Tensor:
 
         return Tensor._op(out_data, (self,), bwd)
 
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        out_data = self.data.sum()
 
         def bwd(g):
-            gg = np.asarray(g)
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            self._accum(np.broadcast_to(gg, self.data.shape))
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor._op(out_data, (self,), bwd)
 
@@ -400,12 +399,9 @@ def _project(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _affine_backward(x: Tensor, W: Tensor, b: Tensor, g: np.ndarray):
-    """Accumulate the gradients of x @ W + b for its output gradient g.
-    The product's gradient starts as 0 + g, as the buffer of the composed
-    chain's product did, so signed zeros match too."""
+    """Accumulate the gradients of x @ W + b for its output gradient g."""
     if b.requires_grad:
         b._accum(g)
-    g = 0.0 + g
     if x.requires_grad:
         x._accum(g @ W.data.T)
     if W.requires_grad:
@@ -558,8 +554,7 @@ def _fold_projections(order, x, groups):
 
     The backward runs ``affine``'s backward for every direction of every
     group in turn, the order in which the ``affine`` nodes feeding a scan
-    ran.  A projection's gradient buffer started as 0 + its gradient, so it
-    starts so here too."""
+    ran."""
     T, D, B = order.shape
 
     def project(k0, k1):
@@ -577,7 +572,6 @@ def _fold_projections(order, x, groups):
             grads = order.gather(d)
             for W, b in zip(Ws, bs):
                 g = next(grads)
-                g += 0.0
                 _affine_backward(x, W, b, g)
                 del g  # before the next direction's is gathered
 

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .data import (DataError, PreprocessConfig, load_pretokenized,
                    load_squad_json, load_vocab, preprocess_dataset,
                    read_features, toy_tokenize, write_features)
@@ -39,10 +39,6 @@ from .training import (ARCHITECTURES, Hyperparams, ModelConfig, build_model,
                        write_loss_curve)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
-
-
 def _build() -> dict:
     """What an output's bytes may depend on besides the code, the inputs
     and the seed: numpy's version, its BLAS, and the BLAS thread settings
@@ -53,7 +49,7 @@ def _build() -> dict:
         blas = {}
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
 
 
 def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
@@ -112,7 +108,8 @@ def cmd_preprocess(args):
     write_features(args.out, features)
     print(f"wrote {len(features)} features for {len(examples)} examples "
           f"to {args.out}", file=sys.stderr)
-    return [args.data], [args.out]
+    tokens = args.pretokenized or args.vocab  # the file _tokenizers read
+    return [args.data, *([tokens] if tokens else [])], [args.out]
 
 
 def cmd_pseudo_embed(args):

@@ -60,18 +60,15 @@ class Highway(Module):
         del pre
 
         def bwd(dy):
-            # each interior buffer of the chain started as 0 + its first
-            # contribution; the chain ran the transform's branch, then the
-            # carry's, then the gate's
-            dy = 0.0 + dy
-            _affine_backward(x, W_proj, b_proj,
-                             0.0 + (0.0 + dy * g) * (t > 0))
-            d_carry = 0.0 + dy * x.data
+            # the chain ran the transform's branch, then the carry's, then
+            # the gate's, and x's gradient sums their parts in that order
+            _affine_backward(x, W_proj, b_proj, dy * g * (t > 0))
+            d_carry = dy * x.data
             if x.requires_grad:
                 x._accum(dy * (g * -1.0 + 1.0))
-            d_g = 0.0 + dy * t
+            d_g = dy * t
             d_g -= d_carry
-            _affine_backward(x, W_gate, b_gate, 0.0 + d_g * g * (1.0 - g))
+            _affine_backward(x, W_gate, b_gate, d_g * g * (1.0 - g))
 
         # g * t + (g * -1.0 + 1.0) * x, with one temporary
         y = g * t

@@ -10,13 +10,13 @@ evaluation corpus (the evaluation corpus is also preprocessed from
 that nothing downstream reads), train all five architectures (with ``--loss-curve``),
 predict with each checkpoint (with ``--logits-out``), combine the members
 with the three ensemble strategies, and evaluate every prediction file.
-``tests/test_artifact_digests.py`` runs this script in a subprocess with one
-BLAS thread and compares its output with ``tests/artifact_digests.json``.
+``tests/test_artifact_digests.py`` runs this script in a subprocess with the
+BLAS thread variables removed, so at the package's one-thread default, and
+compares its output with ``tests/artifact_digests.json``.
 
 A change that alters outputs on purpose regenerates that list with::
 
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        python tests/digest_pipeline.py --write
+    python tests/digest_pipeline.py --write
 
 and names in CHANGES.md which artifacts changed and why.
 """

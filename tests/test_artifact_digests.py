@@ -1,12 +1,13 @@
 """Byte identity across commits: a small seeded pipeline must write the
 artifacts whose sha256 ``artifact_digests.json`` records.
 
-The pipeline (``digest_pipeline.py``) runs in a subprocess with one BLAS
-thread, as the benchmark does.  A change that alters outputs on purpose
-regenerates the list with the command in that script's docstring.  The
-list also records the build that made it (numpy, the BLAS name and
-version, the BLAS thread variables and the machine), and a failure names
-that build and this run's.
+The pipeline (``digest_pipeline.py``) runs in a subprocess with the BLAS
+thread variables removed, so it checks the package's own one-thread
+default.  A change that alters outputs on purpose regenerates the list
+with the command in that script's docstring.  The list also records the
+build that made it (numpy, the BLAS name and version, the BLAS thread
+variables and the machine), and a failure names that build and this
+run's.
 """
 
 import json
@@ -15,14 +16,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from squadlab import BLAS_THREAD_VARS
+
 HERE = Path(__file__).resolve().parent
 SCRIPT = HERE / "digest_pipeline.py"
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_pipeline_artifacts_match_committed_digests():
     want = json.loads((HERE / "artifact_digests.json").read_text())
-    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     proc = subprocess.run([sys.executable, str(SCRIPT)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

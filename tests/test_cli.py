@@ -7,17 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from squadlab import selftest
 from squadlab.autograd import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                load_checkpoint)
 from squadlab.cli import build_parser, main
 from squadlab.data import (RawExample, read_features, read_records,
-                           write_features, write_records)
+                           write_features, write_jsonl, write_records)
 from squadlab.embeddings import (EmbeddingMatrix, load_embedding_fixture,
                                  save_embedding_fixture)
 from squadlab.ensemble import save_logits_dump
 from squadlab.heads import (SpanLogits, read_predictions,
                             write_predictions)
-from squadlab.synth import make_synthetic_examples, write_squad_json
+from squadlab.synth import (make_synthetic_examples, word_tokenize,
+                            write_squad_json)
 from squadlab.training import ModelConfig, build_model, load_model, save_model
 
 
@@ -38,6 +40,15 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_failed_check_prints_fail_and_exits_2(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(selftest, "align_answer_to_tokens",
+                            lambda ctx, span: (0, 0))
+        assert main(["selftest"]) == 2
+        out, err = capsys.readouterr()
+        assert "FAIL  obama align" in out.splitlines()
+        assert err.splitlines()[-1] == "error: selftest failed"
 
 
 class TestExitCodes:
@@ -101,6 +112,14 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_weights_count_must_match_pred(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.VOTE + ["--weights", "1"]) == 1
+        assert "--weights must match the number of --pred files" in \
+            capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_predict_has_no_null_threshold(self, tmp_path, capsys):
@@ -221,6 +240,24 @@ class TestPreprocess:
         assert peak == round(peak, 3)
         assert peak <= round(resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024, 3)
+
+    @pytest.mark.parametrize("flag", ["--pretokenized", "--vocab"])
+    def test_manifest_names_the_token_file(self, tmp_path, flag):
+        examples = make_synthetic_examples(n=3, seed=3)
+        data, tokens = tmp_path / "data.json", tmp_path / "tokens"
+        write_squad_json(data, examples)
+        if flag == "--vocab":
+            tokens.write_text("alpha\nbravo\n")
+        else:
+            write_jsonl(tokens, [
+                {"qid": ex.qid, "tokens": ctx.tokens,
+                 "spans": ctx.token_word_span}
+                for ex in examples for ctx in [word_tokenize(ex.context)]])
+        out = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(data), flag, str(tokens),
+                     "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == [str(data), str(tokens)]
 
     def test_manifest_records_the_build(self, corpus, tmp_path, monkeypatch):
         """numpy's version and BLAS, and the BLAS thread variables as the
@@ -1340,7 +1377,12 @@ class TestInputErrors:
     @pytest.mark.parametrize("data, where", [
         ([7], "$.data[0] must be an object"),
         ([{"paragraphs": [7]}], "$.data[0].paragraphs[0] must be an object"),
-    ], ids=["article", "paragraph"])
+        ([{"paragraphs": {}}], "$.data[0].paragraphs must be a list"),
+        ([{"paragraphs": [{"context": 7, "qas": []}]}],
+         "$.data[0].paragraphs[0] needs string 'context' and list 'qas'"),
+        ([{"paragraphs": [{"context": "a"}]}],
+         "$.data[0].paragraphs[0] needs string 'context' and list 'qas'"),
+    ], ids=["article", "paragraph", "paragraphs", "context", "qas"])
     def test_non_object_squad_entry_is_2(self, tmp_path, capsys, data,
                                          where):
         path = tmp_path / "data.json"

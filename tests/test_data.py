@@ -176,6 +176,50 @@ class TestChunking:
         with pytest.raises(DataError, match="no room for context"):
             chunk_context(example, ctx, cfg, ["x"] * 20)
 
+    @pytest.mark.parametrize("impossible, answers", [
+        (False, []), (True, [("ab", 0)])])
+    def test_is_impossible_must_agree_with_answers(self, impossible,
+                                                   answers):
+        with pytest.raises(DataError) as e:
+            RawExample(qid="q", question="?", context="ab cd",
+                       answers=answers, is_impossible=impossible)
+        assert str(e.value) == (f"qid q: is_impossible={impossible} but "
+                                f"{len(answers)} answers given")
+
+    @staticmethod
+    def _words(n):
+        """n two-letter words; word i spans characters 3i to 3i + 2."""
+        text = " ".join(["ab"] * n)
+        return text, TokenizedContext(["ab"] * n,
+                                      [(3 * i, 3 * i + 2) for i in range(n)])
+
+    def test_stride_must_leave_a_step_when_chunking(self):
+        # budget 10 - 1 - 3 = 6 context tokens; a stride of 6 never advances
+        cfg = PreprocessConfig(max_seq_length=10, doc_stride=6)
+
+        def chunks(n):
+            text, ctx = self._words(n)
+            return chunk_context(RawExample("q", "?", text, [], True), ctx,
+                                 cfg, ["?"])
+
+        assert len(chunks(6)) == 1  # fits the budget: no stride is taken
+        with pytest.raises(DataError) as e:
+            chunks(7)
+        assert str(e.value) == ("doc_stride=6 must be smaller than the "
+                                "context budget 6 when chunking is needed")
+
+    def test_gold_span_longer_than_a_chunk(self):
+        text, ctx = self._words(20)
+        # words 2..9: eight tokens against a budget of six
+        example = RawExample(qid="q", question="?", context=text,
+                             answers=[(text[6:29], 6)], is_impossible=False)
+        cfg = PreprocessConfig(max_seq_length=10, doc_stride=2)
+        with pytest.raises(DataError) as e:
+            chunk_context(example, ctx, cfg, ["?"])
+        assert str(e.value) == ("qid q: gold token span (2, 9) not fully "
+                                "contained in any chunk (budget=6, "
+                                "doc_stride=2)")
+
     def test_coverage_and_overlap_bookkeeping(self):
         rng = Rng(55)
         for _ in range(500):

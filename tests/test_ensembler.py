@@ -144,6 +144,11 @@ class TestWeightedVoting:
         assert str(e.value) == (f"model a: weight must be finite and "
                                 f"positive, got {weight!r}")
 
+    def test_no_sets_rejected(self):
+        with pytest.raises(ValueError, match="^weighted_voting needs at "
+                                             "least one prediction set$"):
+            weighted_voting([])
+
     def test_two_model_hand_sum(self):
         # weights 0.7 + 0.6 on span (2,3) beat 0.9 on span (5,6)
         a = pset("a", [span_rec("q", 2, 3, 4.0)], 0.7)

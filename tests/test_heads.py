@@ -150,6 +150,15 @@ class TestBidafOut:
         for c in cands:
             assert c.is_null or (c.start_token == c.end_token == 5)
 
+    @pytest.mark.parametrize("att, dec", [(5, 3), (4, 2)])
+    def test_width_mismatch(self, att, dec):
+        head = BidafOut(4, 3, 2, Rng(0))
+        with pytest.raises(ValueError) as e:
+            head.forward(Tensor(np.ones((3, att))), Tensor(np.ones((3, dec))),
+                         [False, True, True])
+        assert str(e.value) == (f"bidaf head widths (4, 3), inputs "
+                                f"({att}, {dec})")
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_over_all_parameters(self, seed):
         head = BidafOut(3, 3, 2, Rng(seed))
@@ -642,6 +651,13 @@ class TestAggregate:
     def test_zero_features_rejected(self):
         with pytest.raises(ValueError, match="zero features"):
             aggregate_features([])
+
+    def test_candidates_without_a_null_rejected(self):
+        f = make_feature(qid="qx", n_context=4)
+        spans = [c for c in self._cands(f, Rng(7)) if not c.is_null]
+        with pytest.raises(ValueError) as e:
+            aggregate_features([spans])
+        assert str(e.value) == "qid qx: no null candidate present"
 
 
 def _span(text, score, start):

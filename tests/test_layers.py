@@ -461,6 +461,11 @@ class TestWeightedAvgAttention:
             att.forward(E, lengths)
         assert str(info.value) == f"pooling: chunk lengths {lengths} {why}"
 
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError) as e:
+            WeightedAvgAttention(4, Rng(0)).forward(Tensor(np.ones((3, 5))))
+        assert str(e.value) == "attention width 4, input width 5"
+
     def test_identical_rows_double(self):
         att = WeightedAvgAttention(4, Rng(0))
         row = Rng(1).normal(4)

@@ -474,6 +474,27 @@ class TestLayerNode:
                 name
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_negative_zero_upstream_rows(self, kind):
+        """The node's own backward gets an upstream gradient with -0.0
+        rows (a root hands it over as is; a buffer that ``backward`` fills
+        would start at +0.0); x, W, b and U still get the chain's bytes."""
+        cells = [LAYERS[kind][0](5, 3, Rng(d)) for d in range(2)]
+        x = Tensor(Rng(7).normal((9, 5)), requires_grad=True)
+        tensors = {"x": x} | {f"{d}.{name}": p for d, c in enumerate(cells)
+                              for name, p in c.parameters().items()}
+        dy = Rng(8).normal((9, 6))
+        dy[::2] = -0.0
+        grads = []
+        for forward in (_layer_node, _projections_and_scan):
+            for t in tensors.values():
+                t.zero_grad()
+            y = forward(kind, cells, x, [False, True], [4, 5])
+            Tensor._op(np.zeros(()), (y,),
+                       lambda _, y=y: setattr(y, "grad", dy.copy())).backward()
+            grads.append({n: t.grad.tobytes() for n, t in tensors.items()})
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_one_node_over_input_and_weights(self, kind):
         cells = [LAYERS[kind][0](3, 2, Rng(d)) for d in range(2)]
         x = Tensor(np.ones((4, 3)), requires_grad=True)
@@ -558,6 +579,15 @@ def test_blas_gives_gathered_rows_the_full_products_bits():
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError, match="empty"):
         lstm_forward(LSTMCell(3, 2, Rng(0)), Tensor(np.zeros((0, 3))))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_layer_needs_a_rank_2_input(kind):
+    cells = [LAYERS[kind][0](3, 2, Rng(0))]
+    with pytest.raises(ValueError) as e:
+        _layer_node(kind, cells, Tensor(np.ones((2, 4, 3))), [False], None)
+    assert str(e.value) == (f"{kind}_scan expects x [N, d], got shape "
+                            f"(2, 4, 3)")
 
 
 def test_shape_mismatch_rejected():

@@ -78,6 +78,27 @@ class TestElementwise:
         with pytest.raises(ValueError, match="op_kind"):
             elementwise("log", Tensor([1.0]))
 
+    @pytest.mark.parametrize("kind, operands, why", [
+        ("tanh", 2, "tanh is unary"), ("mul", 1, "mul needs two operands")])
+    def test_arity(self, kind, operands, why):
+        with pytest.raises(ValueError) as e:
+            elementwise(kind, *[Tensor([1.0])] * operands)
+        assert str(e.value) == why
+
+    def test_sub_gradient_of_each_operand(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([[3.0, 5.0], [7.0, 9.0]], requires_grad=True)
+        (elementwise("sub", a, b) * Tensor([[1.0, 2.0], [3.0, 4.0]])
+         ).sum().backward()
+        assert a.grad.tolist() == [4.0, 6.0]
+        assert b.grad.tolist() == [[-1.0, -2.0], [-3.0, -4.0]]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_transpose_needs_rank_2(self, shape):
+        with pytest.raises(ValueError) as e:
+            Tensor(np.ones(shape)).transpose()
+        assert str(e.value) == f"transpose expects rank-2, got shape {shape}"
+
     def test_nonfinite_rejected(self):
         with pytest.raises(FloatingPointError):
             Tensor([np.nan])
@@ -220,6 +241,15 @@ class TestCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="index 5 out of range.*2"):
             cross_entropy_from_logits(Tensor([[0.0, 0.0]]), [5])
+
+    @pytest.mark.parametrize("logits, targets, why", [
+        ([0.0, 0.0], [0], "logits must be [batch, seq], got (2,)"),
+        ([[0.0, 0.0]], [0, 1], "need 1 targets, got shape (2,)"),
+        ([[0.0, 0.0]], 0, "need 1 targets, got shape ()")])
+    def test_shapes_it_cannot_take(self, logits, targets, why):
+        with pytest.raises(ValueError) as e:
+            cross_entropy_from_logits(Tensor(logits), targets)
+        assert str(e.value) == why
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_is_softmax_minus_onehot(self, seed):

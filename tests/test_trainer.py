@@ -169,6 +169,12 @@ class TestBuild:
             ModelConfig("gru_highway_gru_bidaf", **{field: value})
         assert str(e.value) == f"{field} must be positive, got {value}"
 
+    @pytest.mark.parametrize("rate", [1.0, -0.5])
+    def test_dropout_rate_must_be_below_one(self, rate):
+        with pytest.raises(ValueError) as e:
+            ModelConfig("gru_highway_gru_bidaf", dropout_rate=rate)
+        assert str(e.value) == f"dropout_rate must be in [0, 1), got {rate}"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError) as e:

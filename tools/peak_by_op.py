@@ -5,11 +5,11 @@ every CLI call and the process's peak resident set after it.
 
 The pass is ``perfbench/pipeline.py``'s: its workload's corpora
 (``write_corpora``) and its op list (``pass_ops``), both imported as they
-are, run in order through ``squadlab.cli.main`` in this process with one
-BLAS thread, as ``perfbench/run.py`` runs them.  squadlab is imported from
-the ``src/`` of the checkout given by ``--root`` (default: the one holding
-this script), and the pass writes under ``--out`` (default: a temporary
-directory, removed afterwards).
+are, run in order through ``squadlab.cli.main`` in this process, on the
+package's default of one BLAS thread, as ``perfbench/run.py`` runs them.
+squadlab is imported from the ``src/`` of the checkout given by ``--root``
+(default: the one holding this script), and the pass writes under
+``--out`` (default: a temporary directory, removed afterwards).
 
 Each line names the op (command, architecture), its exit code, the peak of
 the memory that tracemalloc saw allocated during the call (MB, blocks
@@ -30,7 +30,6 @@ the sampler takes are not.
 import argparse
 import contextlib
 import io
-import os
 import resource
 import sys
 import tempfile
@@ -39,7 +38,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Row(NamedTuple):
@@ -172,8 +170,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.top < 0:
         parser.error("--top must be 0 or more")
-    for var in BLAS_VARS:
-        os.environ[var] = "1"
     sys.dont_write_bytecode = True
     pipeline = load_pipeline(args.root.resolve())
     workload = pipeline.WORKLOADS.get(args.workload)

@@ -20,15 +20,18 @@ accumulates dx, dW, db and dU itself.  The node projects x one block of
 ``SCAN_BLOCK`` steps at a time, so no projection of the whole sequence
 exists; the blocks' bits equal ``affine``'s by a BLAS property that
 ``gathered_rows_mismatches`` checks (see ``_fold_projections``).  A
-recorded scan keeps, per step, only what its backward reads (the gates,
-the candidate, h, and an LSTM's c) and recomputes tanh(c) or r * h there;
-without a graph it keeps h alone.  Its pre-activations are checked at
-every step only when a bound on them cannot rule out an overflow.
+recorded scan keeps only its states h (and an LSTM's c); its backward
+rebuilds the gates and candidates from them one block of steps at a time,
+with the forward's ops and bits, and without a graph it keeps h alone.
+Its pre-activations are checked at every step only when a bound on them
+cannot rule out an overflow.
 
 Layers build fused nodes the same way, through ``Tensor._op``:
 ``layers.CharCNN.forward`` is one node per token, and ``stack`` makes the
-token rows one node more; ``layers.Highway.forward`` is one node per
-layer.  A fused node keeps only what its backward reads.  It matches the
+token rows one node more; ``layers.Highway.forward``, the pooling of
+``layers.WeightedAvgAttention`` and ``layers.dropout`` are one node each.
+A fused node keeps only what its backward reads, or less where the
+backward can recompute it with the forward's ops.  It matches the
 chain it replaced (the tests' oracle) byte for byte in every value and in
 every gradient a caller can read, a leaf's or the root's: those start at
 +0.0, so a -0.0 inside a backward never shows.  It adds the parts of one
@@ -548,9 +551,9 @@ def _fold_projections(order, x, groups):
     bits of ``affine``'s one [N, d] @ [d, k] product, by
     ``GATHERED_ROWS_PROPERTY`` (a 1-row product takes another BLAS path
     and need not): the scan calls ``project`` per ``_step_blocks`` block,
-    which spans 2 or more steps unless T = 1, and the longest chunk is live
-    at every step, so every product has 2 or more rows unless x itself has
-    one.
+    in its forward and again in its backward, and a block spans 2 or more
+    steps unless T = 1; the longest chunk is live at every step, so every
+    product has 2 or more rows unless x itself has one.
 
     The backward runs ``affine``'s backward for every direction of every
     group in turn, the order in which the ``affine`` nodes feeding a scan
@@ -614,14 +617,22 @@ def _scans(name, node, widths, xs, Us, reverse, lengths) -> Tensor:
         name, reverse, lengths, n,
         [(n, m * h) for m in widths] + [(h, m * h) for m in widths], *xs, *Us)
     xs = groups[:len(widths)]
+    T, D, B = order.shape
+
+    def project(k0, k1):
+        blocks = [np.zeros((k1 - k0, D, B, x[0].shape[1])) for x in xs]
+        for d in range(D):
+            rows, where = order.live(d, k0, k1)
+            for out, x in zip(blocks, xs):
+                out[where] = x[d].data[rows]
+        return blocks
 
     def input_backward(*steps):
         for x, d in zip(xs, steps):
             _accum_each(x, order.gather(d))
 
-    X = [order.scatter(t.data for t in x) for x in xs]
-    return node(order, lambda k0, k1: [a[k0:k1] for a in X], sum(groups, []),
-                input_backward, *groups[len(widths):])
+    return node(order, project, sum(groups, []), input_backward,
+                *groups[len(widths):])
 
 
 def _layer(name, node, widths, x, projections, Us, reverse,
@@ -651,74 +662,80 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
     """The GRU loop of ``gru_scans`` as one graph node over ``parents``.
     ``project(k0, k1)`` gives the step-order input projections of steps k0
     to k1 - 1, X_ur [k1 - k0, D, B, 2h] and X_c [k1 - k0, D, B, h], once
-    per block of ``_step_blocks``.  The backward drops each kept buffer
-    once its last reader has run, and ends by handing the projections'
-    step-order gradients [T, D, B, k] to ``input_backward``."""
+    per block of ``_step_blocks``, and once more in the backward.
+
+    The node keeps only the states.  Its backward runs the blocks in
+    reverse and rebuilds each one's gates and candidates from them with
+    the forward's ops, each recurrent product one [D, B, h] @ [D, h, k]
+    of a stacked ``np.matmul``, so they carry the forward's bits.  It drops
+    each buffer once its last reader has run, and ends by handing the
+    projections' step-order gradients [T, D, B, k] to ``input_backward``."""
     T, D, B = order.shape
     h = U_c[0].shape[0]
     W_ur = np.stack([t.data for t in U_ur])
     W_c = np.stack([t.data for t in U_c])
-    record = _records(parents)
-    # the gates and candidates of every step when a backward will read
-    # them, else only the current step's; H[k] is the state step k starts
-    # from, and r * h is recomputed by the backward
-    S = np.empty((T if record else 1, D, B, 2 * h))  # [u | r]
-    C = np.empty(S.shape[:-1] + (h,))
-    H = np.zeros((T + 1, D, B, h))
+    H = np.zeros((T + 1, D, B, h))  # H[k]: the state step k starts from
     a_ur, a_c = np.empty((D, B, 2 * h)), np.empty((D, B, h))
+    s, cand = np.empty(a_ur.shape), np.empty(a_c.shape)  # [u | r], tanh
     rh, t_h = np.empty((D, B, h)), np.empty((D, B, h))
     t_sig = _sigmoid_scratch(a_ur.shape)
     for k0, k1 in _step_blocks(T):
         X_ur, X_c = project(k0, k1)
         check = _may_overflow(h, (X_ur, X_c), (W_ur, W_c))
         for k, x_ur, x_c in zip(range(k0, k1), X_ur, X_c):
-            j = k if record else 0
             h_k = H[k]
             np.add(x_ur, np.matmul(h_k, W_ur, out=a_ur), out=a_ur)
             if check:  # the gates squash an overflow to a finite value
                 _check_finite(a_ur, "gru_scans")
-            s = _sigmoid(a_ur, out=S[j], scratch=t_sig)
+            _sigmoid(a_ur, out=s, scratch=t_sig)
             u = s[..., :h]
             np.multiply(s[..., h:], h_k, out=rh)
             np.add(x_c, np.matmul(rh, W_c, out=a_c), out=a_c)
             if check:
                 _check_finite(a_c, "gru_scans")
-            np.tanh(a_c, out=C[j])
+            np.tanh(a_c, out=cand)
             # h = (1 - u) * h + u * cand; 1 - u is bitwise u * -1.0 + 1.0
             np.subtract(1.0, u, out=t_h)
             t_h *= h_k
-            np.add(t_h, np.multiply(u, C[j], out=a_c), out=H[k + 1])
+            np.add(t_h, np.multiply(u, cand, out=a_c), out=H[k + 1])
         del X_ur, X_c, x_ur, x_c  # before the next block is made
 
     def bwd(g):
-        nonlocal S, C, H
+        nonlocal H
         # a padded step's output gradient is 0, so its carry stays 0
         G = order.scatter(np.split(g, D, axis=1))
-        H_prev = H[:-1]
-        U_g, R = S[..., :h], S[..., h:]
-        dh_du = (C - H_prev) * U_g * (1.0 - U_g)
-        dh_dc = U_g * (1.0 - C * C)
-        del C
-        drh_dr = H_prev * R * (1.0 - R)
-        keep = 1.0 - U_g
-        del U_g
         W_ur_T = W_ur.transpose(0, 2, 1)
         W_c_T = W_c.transpose(0, 2, 1)
         d_ur = np.empty((T, D, B, 2 * h))
         d_c = np.empty((T, D, B, h))
+        RH = np.empty((T, D, B, h))  # the forward's r * h, for U_c
         carry = np.zeros((D, B, h))
-        for k in range(T - 1, -1, -1):
-            dh = G[k] + carry
-            dc = np.multiply(dh, dh_dc[k], out=d_c[k])
-            drh = dc @ W_c_T
-            np.multiply(dh, dh_du[k], out=d_ur[k, ..., :h])
-            np.multiply(drh, drh_dr[k], out=d_ur[k, ..., h:])
-            carry = dh * keep[k] + drh * R[k] + d_ur[k] @ W_ur_T
-        del G, dh_du, dh_dc, drh_dr, keep
-        _accum_each(U_ur, [_rows(H_prev[:, d]).T @ _rows(d_ur[:, d])
+        for k0, k1 in reversed(_step_blocks(T)):
+            X_ur, X_c = project(k0, k1)
+            H_prev = H[k0:k1]
+            S = _sigmoid(np.add(X_ur, np.matmul(H_prev, W_ur)))
+            U_g, R = S[..., :h], S[..., h:]
+            np.multiply(R, H_prev, out=RH[k0:k1])
+            C = np.tanh(np.add(X_c, np.matmul(RH[k0:k1], W_c)))
+            del X_ur, X_c
+            dh_du = (C - H_prev) * U_g * (1.0 - U_g)
+            dh_dc = U_g * (1.0 - C * C)
+            del C
+            drh_dr = H_prev * R * (1.0 - R)
+            keep = 1.0 - U_g
+            for k in range(k1 - 1, k0 - 1, -1):
+                j = k - k0
+                dh = G[k] + carry
+                dc = np.multiply(dh, dh_dc[j], out=d_c[k])
+                drh = dc @ W_c_T
+                np.multiply(dh, dh_du[j], out=d_ur[k, ..., :h])
+                np.multiply(drh, drh_dr[j], out=d_ur[k, ..., h:])
+                carry = dh * keep[j] + drh * R[j] + d_ur[k] @ W_ur_T
+            del S, U_g, R, H_prev, dh_du, dh_dc, drh_dr, keep
+        del G
+        _accum_each(U_ur, [_rows(H[:-1, d]).T @ _rows(d_ur[:, d])
                            for d in range(D)])
-        RH = R * H_prev  # the forward's r * h
-        del R, S, H_prev, H
+        del H
         _accum_each(U_c, [_rows(RH[:, d]).T @ _rows(d_c[:, d])
                           for d in range(D)])
         del RH
@@ -744,11 +761,13 @@ def gru_scans(x_ur, x_c, U_ur, U_c, reverse, lengths=None) -> Tensor:
     forward repeats the per-step Tensor arithmetic, so one chunk's values
     are identical to it; the backward is backpropagation through time.
 
-    A recorded node keeps, per step, only what its backward reads: the
-    gates, the candidate and h.  Without a graph (``no_grad``, or no
-    input that takes a gradient) every per-step value but h lives in
-    one-step buffers.  The pre-activations are checked at every step only
-    when ``_may_overflow``'s bound cannot rule an overflow out.
+    The node keeps h alone, recorded or not: a recorded node's backward
+    rebuilds the gates and candidates of one block of steps at a time from
+    h and the input projections, with the forward's ops, so its
+    gradients are those of the kept values.  Every other per-step value of
+    the forward lives in one-step buffers.  The pre-activations are
+    checked at every step only when ``_may_overflow``'s bound cannot rule
+    an overflow out.
     """
     return _scans("gru_scan", _gru_node, (2, 1), (x_ur, x_c), (U_ur, U_c),
                   reverse, lengths)
@@ -771,83 +790,90 @@ def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
     projection; its backward accumulates the gradients of x, W, b
     and U itself, in the order of the ``affine`` nodes it replaces, so
     values and gradients are byte-identical to them feeding
-    ``gru_scans``, and a failed check names ``gru_scans`` too."""
-    return _layer("gru_scan", _gru_node, (2, 1), x,
+    ``gru_scans``.  A malformed argument raises ValueError naming
+    ``gru_layer``; a failed overflow check names ``gru_scans``, as the
+    scan's own does."""
+    return _layer("gru_layer", _gru_node, (2, 1), x,
                   ((W_ur, b_ur), (W_c, b_c)), (U_ur, U_c), reverse, lengths)
 
 
 def _lstm_node(order, project, parents, input_backward, U):
     """The LSTM loop of ``lstm_scans``, as ``_gru_node`` is the GRU's;
-    ``project(k0, k1)`` gives (X,), X [k1 - k0, D, B, 4h]."""
+    ``project(k0, k1)`` gives (X,), X [k1 - k0, D, B, 4h].  A recorded
+    node keeps the cell states as well as h."""
     T, D, B = order.shape
     h = U[0].shape[0]
     W = np.stack([t.data for t in U])
     record = _records(parents)
-    # the gates, candidates and cell states of every step when a backward
-    # will read them, else only the current step's; H[k] and C[k] are what
-    # step k starts from, and tanh(c) is recomputed by the backward
-    S = np.empty((T if record else 1, D, B, 3 * h))  # [in | forget | out]
-    Gc = np.empty(S.shape[:-1] + (h,))
+    # H[k] and C[k] are what step k starts from; without a graph only the
+    # current step's c is kept
     C = np.zeros((T + 1 if record else 1, D, B, h))
     H = np.zeros((T + 1, D, B, h))
     a = np.empty((D, B, 4 * h))
-    t_c, tc = np.empty((D, B, h)), np.empty((D, B, h))
-    t_sig = _sigmoid_scratch((D, B, 3 * h))
+    s = np.empty((D, B, 3 * h))  # [in | forget | out]
+    cand, t_c, tc = (np.empty((D, B, h)) for _ in range(3))
+    t_sig = _sigmoid_scratch(s.shape)
     for k0, k1 in _step_blocks(T):
         X, = project(k0, k1)
         check = _may_overflow(h, (X,), (W,))
         for k, x in zip(range(k0, k1), X):
-            j = k if record else 0
             c, c_next = (C[k], C[k + 1]) if record else (C[0], C[0])
             np.add(x, np.matmul(H[k], W, out=a), out=a)
             if check:  # the gates squash an overflow to a finite value
                 _check_finite(a, "lstm_scans")
-            s = _sigmoid(a[..., :3 * h], out=S[j], scratch=t_sig)
-            np.tanh(a[..., 3 * h:], out=Gc[j])
+            _sigmoid(a[..., :3 * h], out=s, scratch=t_sig)
+            np.tanh(a[..., 3 * h:], out=cand)
             # c = f * c + i * cand; h = o * tanh(c)
             np.multiply(s[..., h : 2 * h], c, out=c_next)
-            c_next += np.multiply(s[..., :h], Gc[j], out=t_c)
+            c_next += np.multiply(s[..., :h], cand, out=t_c)
             np.tanh(c_next, out=tc)
             np.multiply(s[..., 2 * h :], tc, out=H[k + 1])
         del X, x  # before the next block is made
 
     def bwd(g):
-        nonlocal S, Gc, C, H
+        nonlocal C, H
         # a padded step's output gradient is 0, so its carries stay 0
         G = order.scatter(np.split(g, D, axis=1))
-        I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
+        W_T = W.transpose(0, 2, 1)
         # d(step output) / d(gate pre-activation), per unit of dc, dc, dh
         # and dc, built in the gradient buffer
         d_gates = np.empty((T, D, B, 4 * h))
-        d_i, d_f, d_o, d_cand = (d_gates[..., q * h : (q + 1) * h]
-                                 for q in range(4))
-        tmp = np.empty_like(Gc)
-        np.multiply(Gc, I, out=d_i)
-        d_i *= np.subtract(1.0, I, out=tmp)
-        np.multiply(C[:-1], F, out=d_f)
-        d_f *= np.subtract(1.0, F, out=tmp)
-        dh_dc = np.tanh(C[1:])  # the forward's tanh(c)
-        del C
-        np.multiply(dh_dc, O, out=d_o)
-        d_o *= np.subtract(1.0, O, out=tmp)
-        np.multiply(Gc, Gc, out=tmp)
-        np.multiply(I, np.subtract(1.0, tmp, out=tmp), out=d_cand)
-        del tmp, Gc, I
-        # dh_dc = O * (1 - tanh(c)^2)
-        np.multiply(dh_dc, dh_dc, out=dh_dc)
-        np.subtract(1.0, dh_dc, out=dh_dc)
-        dh_dc *= O
-        del O
-        W_T = W.transpose(0, 2, 1)
         dh_carry = np.zeros((D, B, h))
         dc_carry = np.zeros((D, B, h))
-        for k in range(T - 1, -1, -1):
-            dh = G[k] + dh_carry
-            dc = dc_carry + dh * dh_dc[k]
-            d_gates[k] *= np.concatenate((dc, dc, dh, dc), axis=-1)
-            dc_carry = dc * F[k]
-            dh_carry = d_gates[k] @ W_T
-        del G, dh_dc, F, S
+        for k0, k1 in reversed(_step_blocks(T)):
+            X, = project(k0, k1)
+            A = np.add(X, np.matmul(H[k0:k1], W))
+            del X
+            S = _sigmoid(A[..., :3 * h])
+            Gc = np.tanh(A[..., 3 * h:])
+            del A
+            I, F, O = S[..., :h], S[..., h : 2 * h], S[..., 2 * h :]
+            d_i, d_f, d_o, d_cand = (d_gates[k0:k1, ..., q * h : (q + 1) * h]
+                                     for q in range(4))
+            tmp = np.empty_like(Gc)
+            np.multiply(Gc, I, out=d_i)
+            d_i *= np.subtract(1.0, I, out=tmp)
+            np.multiply(C[k0:k1], F, out=d_f)
+            d_f *= np.subtract(1.0, F, out=tmp)
+            dh_dc = np.tanh(C[k0 + 1 : k1 + 1])  # the forward's tanh(c)
+            np.multiply(dh_dc, O, out=d_o)
+            d_o *= np.subtract(1.0, O, out=tmp)
+            np.multiply(Gc, Gc, out=tmp)
+            np.multiply(I, np.subtract(1.0, tmp, out=tmp), out=d_cand)
+            del tmp, Gc, I
+            # dh_dc = O * (1 - tanh(c)^2)
+            np.multiply(dh_dc, dh_dc, out=dh_dc)
+            np.subtract(1.0, dh_dc, out=dh_dc)
+            dh_dc *= O
+            del O
+            for k in range(k1 - 1, k0 - 1, -1):
+                dh = G[k] + dh_carry
+                dc = dc_carry + dh * dh_dc[k - k0]
+                d_gates[k] *= np.concatenate((dc, dc, dh, dc), axis=-1)
+                dc_carry = dc * F[k - k0]
+                dh_carry = d_gates[k] @ W_T
+            del S, F, dh_dc
+        del G, C
         _accum_each(U, [_rows(H[:-1, d]).T @ _rows(d_gates[:, d])
                         for d in range(D)])
         del H
@@ -864,8 +890,8 @@ def lstm_scans(xw, U, reverse, lengths=None) -> Tensor:
     cand]), U [h, 4h] and reverse.  From h = c = 0 every step computes the
     gates from xw[t] + h U, c = f * c + i * cand and h = o * tanh(c).
     Chunks, directions, result, exactness, what the node keeps and when
-    it checks are as in ``gru_scans``; a recorded node keeps the gates,
-    the candidate, c and h of every step.
+    it checks are as in ``gru_scans``, except that a recorded node keeps c
+    as well as h, for every step.
     """
     return _scans("lstm_scan", _lstm_node, (4,), (xw,), (U,), reverse,
                   lengths)
@@ -879,9 +905,10 @@ def lstm_scan(xw: Tensor, U: Tensor, reverse: bool = False) -> Tensor:
 def lstm_layer(x, W, b, U, reverse, lengths=None) -> Tensor:
     """D LSTM directions over the layer input x [N, d] as a single graph
     node: ``lstm_scans`` of the input projections ``affine(x, W, b)``,
-    folded into the scan, as ``gru_layer`` folds the GRU's.  W [d, 4h], b
-    [4h], U [h, 4h] and reverse hold one entry per direction."""
-    return _layer("lstm_scan", _lstm_node, (4,), x, ((W, b),), (U,), reverse,
+    folded into the scan, as ``gru_layer`` folds the GRU's, and named in
+    its messages as ``gru_layer`` is.  W [d, 4h], b [4h], U [h, 4h] and
+    reverse hold one entry per direction."""
+    return _layer("lstm_layer", _lstm_node, (4,), x, ((W, b),), (U,), reverse,
                   lengths)
 
 

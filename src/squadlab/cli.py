@@ -275,8 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seq-length", type=int,
                    default=Hyperparams.max_seq_length)
     p.add_argument("--doc-stride", type=int, default=Hyperparams.doc_stride)
-    p.add_argument("--pretokenized", help="JSON-lines {qid, tokens, spans}")
-    p.add_argument("--vocab", help="subword vocab file for the toy tokenizer")
+    tokens = p.add_mutually_exclusive_group()
+    tokens.add_argument("--pretokenized",
+                        help="JSON-lines {qid, tokens, spans}")
+    tokens.add_argument("--vocab",
+                        help="subword vocab file for the toy tokenizer")
     _add_seed(p)
     p.set_defaults(func=cmd_preprocess)
 

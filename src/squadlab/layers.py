@@ -10,14 +10,16 @@ A layer may see several chunks at once, their rows packed as [N, d] and
 ``lengths`` giving each chunk's row count (None: one chunk);
 ``autograd.chunk_bounds`` is the one rule that checks the lengths and
 turns them into each chunk's rows.  Row-wise layers run once on the
-packed rows, the recurrences advance every chunk in one scan, pooling
-runs on each chunk's own rows, and one attention call is one graph node
-over every chunk, attending within each chunk.  It keeps nothing for its
-backward, which recomputes one chunk's softmax probabilities at a time.
+packed rows, the recurrences advance every chunk in one scan, and one
+pooling or attention call is one graph node over every chunk, pooling or
+attending within each chunk.  Attention keeps nothing for its backward,
+which recomputes one chunk's softmax probabilities at a time.
 
-A highway layer is one graph node that keeps only its gate and its
-transform, and a whole LSTM/GRU layer, both directions and their input
-projections, is one ``autograd.lstm_layer``/``gru_layer`` node.
+A highway layer is one graph node that keeps nothing but its parents and
+recomputes its gate and transform in its backward; dropout is one node
+that keeps a bool mask; and a whole LSTM/GRU layer, both directions and
+their input projections, is one ``autograd.lstm_layer``/``gru_layer``
+node.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _affine_backward,
                        _check_finite, _project, _sigmoid, chunk_bounds,
-                       concat, gru_layer, init_uniform, lstm_layer, matmul,
-                       softmax, stack)
+                       concat, gru_layer, init_uniform, lstm_layer, stack)
 
 
 class Highway(Module):
@@ -43,23 +44,27 @@ class Highway(Module):
     def forward(self, x: Tensor) -> Tensor:
         """[N, d] -> [N, d] as one graph node.  The forward runs the numpy
         ops of the composed ``matmul``/add/``sigmoid``/``relu``/mul chain in
-        the same order, so its values are identical to it; the node keeps
-        only the gate g and the transform t (the relu mask is t > 0), and
-        its backward replays the chain's accumulations in its order."""
+        the same order, so its values are identical to it.  The node keeps
+        nothing but its parents: its backward recomputes the gate g and the
+        transform t with the forward's ops (the relu mask is t > 0) and
+        replays the chain's accumulations in its order."""
         if x.data.ndim != 2 or x.shape[1] != self.d:
             raise ValueError(f"highway width {self.d}, input shape {x.shape}")
         W_gate, b_gate = self.W_gate, self.b_gate
         W_proj, b_proj = self.W_proj, self.b_proj
-        # the gate squashes an overflowed pre-activation to a finite value
-        pre = _check_finite(_project(x.data, W_gate.data, b_gate.data),
-                            "Highway.forward")
-        g = _sigmoid(pre)
-        pre = _check_finite(_project(x.data, W_proj.data, b_proj.data),
-                            "Highway.forward")
-        t = np.maximum(pre, 0.0)
-        del pre
+
+        def gate_and_transform():
+            # the gate squashes an overflowed pre-activation to a finite
+            # value
+            pre = _check_finite(_project(x.data, W_gate.data, b_gate.data),
+                                "Highway.forward")
+            g = _sigmoid(pre)
+            pre = _check_finite(_project(x.data, W_proj.data, b_proj.data),
+                                "Highway.forward")
+            return g, np.maximum(pre, 0.0)
 
         def bwd(dy):
+            g, t = gate_and_transform()
             # the chain ran the transform's branch, then the carry's, then
             # the gate's, and x's gradient sums their parts in that order
             _affine_backward(x, W_proj, b_proj, dy * g * (t > 0))
@@ -67,12 +72,17 @@ class Highway(Module):
             if x.requires_grad:
                 x._accum(dy * (g * -1.0 + 1.0))
             d_g = dy * t
+            del t
             d_g -= d_carry
+            del d_carry
             _affine_backward(x, W_gate, b_gate, d_g * g * (1.0 - g))
 
         # g * t + (g * -1.0 + 1.0) * x, with one temporary
+        g, t = gate_and_transform()
         y = g * t
+        del t
         carry = g * -1.0
+        del g
         carry += 1.0
         carry *= x.data
         y += carry
@@ -236,18 +246,47 @@ class WeightedAvgAttention(Module):
         self.W = init_uniform(rng, (d, 1), d)
 
     def forward(self, E: Tensor, lengths=None) -> Tensor:
-        """[seq, d], or packed chunks each pooled over its own rows."""
+        """[seq, d], or packed chunks each pooled over its own rows, as one
+        graph node.  Per chunk the forward runs the numpy ops of the
+        composed chain ``E + matmul(softmax(matmul(E, W), axis=0)^T, E)``
+        in the same order, so its values are identical to it; the node
+        keeps only each chunk's pooling weights.  The backward adds the
+        parts of E's gradient in the chain's order, so one chunk's
+        gradients are identical to the chain's too."""
         if E.shape[1] != self.d:
             raise ValueError(f"attention width {self.d}, input width {E.shape[1]}")
         bounds = chunk_bounds(lengths, E.shape[0], "pooling")
-        if len(bounds) == 1:
-            return self._pool(E)
-        return concat([self._pool(E[lo:hi]) for lo, hi in bounds], axis=0)
+        W = self.W
+        out = np.empty_like(E.data)
+        weights = []  # each chunk's softmax over its rows, [rows, 1]
+        for lo, hi in bounds:
+            Ec = E.data[lo:hi]
+            s = _check_finite(Ec @ W.data, "WeightedAvgAttention.forward")
+            e = np.exp(s - s.max(axis=0, keepdims=True))
+            a = e / e.sum(axis=0, keepdims=True)
+            np.add(Ec, a.T.copy() @ Ec, out=out[lo:hi])
+            weights.append(a)
+        del s, e, a
 
-    def _pool(self, E: Tensor) -> Tensor:
-        a = softmax(matmul(E, self.W), axis=0)  # [seq, 1]
-        c = matmul(a.transpose(), E)  # [1, d]
-        return E + c
+        def bwd(g):
+            # per chunk, as in the chain: c = a^T E gets g_c, g summed over
+            # the rows, and the scores get g_s; E gets g, then a g_c
+            # (through c), then g_s W^T (through the scores)
+            g_c = [g[lo:hi].sum(axis=0, keepdims=True) for lo, hi in bounds]
+            g_s = []
+            for (lo, hi), a, gc in zip(bounds, weights, g_c):
+                g_a = (gc @ E.data[lo:hi].T).T
+                g_s.append(a * (g_a - (g_a * a).sum(axis=0, keepdims=True)))
+            if E.requires_grad:
+                E._accum(g)
+                E._accum(np.concatenate([a @ gc for a, gc in zip(weights,
+                                                                 g_c)]))
+                E._accum(np.concatenate([gs @ W.data.T for gs in g_s]))
+            if W.requires_grad:
+                for (lo, hi), gs in zip(bounds, g_s):
+                    W._accum(E.data[lo:hi].T @ gs)
+
+        return Tensor._op(out, (E, W), bwd)
 
 
 CHAR_KERNEL_WIDTH = 3
@@ -345,8 +384,14 @@ class EmbeddingCombiner(Module):
 
 
 def dropout(x: Tensor, rate: float, rng: Rng) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+    """Inverted dropout, identity when rate is 0: the values and gradient
+    of ``x * Tensor(mask / (1 - rate))`` as one graph node that keeps the
+    bool mask of the entries kept, one byte per entry."""
     if rate <= 0.0:
         return x
-    keep = (rng.uniform(0.0, 1.0, x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    mask = rng.uniform(0.0, 1.0, x.shape) >= rate
+
+    def bwd(g):
+        x._accum(g * (mask / (1.0 - rate)))
+
+    return Tensor._op(x.data * (mask / (1.0 - rate)), (x,), bwd)

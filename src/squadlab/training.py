@@ -15,13 +15,13 @@ Training is mini-batch Adam with gradient clipping; everything is driven
 by a single seed so checkpoints and loss curves reproduce bit-exactly.
 ``QaModel.forward`` takes a list of features and their embedding matrices
 and runs them as one packed batch, with dropout when given a dropout rng.
-``_forward_chunks`` is the one caller: ``train`` passes it one feature at
-a time and its rng, and backprops that feature's share of the mean loss
-before the next forward, so a step holds one feature's graph;
-``predict`` passes one question's chunks.  It turns a
-non-finite value into an error naming the chunk (``qid``,
-``feature_index``) it came from, or the question when no chunk fails
-alone.
+``_forward_chunks`` is the one caller, and both callers pass it one
+question's chunks: ``train`` those in a step's batch, with its rng and the
+summed span loss of the chunks, which it backprops before the next
+question's forward, so a step holds one question's graph; ``predict``
+every chunk of the question.  It turns a non-finite value into an error
+naming the chunk (``qid``, ``feature_index``) it came from, or the
+question when no chunk fails alone.
 """
 
 from __future__ import annotations
@@ -240,29 +240,32 @@ class TrainResult:
 def _forward_chunks(model: QaModel, chunks, provider, what: str,
                     drop_rng: Rng | None = None, then=None):
     """Packed (start, end) logits of one forward over ``chunks`` (features
-    of one question) and their ``provider`` embeddings, or ``then`` of
-    them (``train``'s span loss).
+    of one question) and their ``provider`` embeddings, or ``then(chunks,
+    start, end)`` (``train``'s summed span loss).
 
     A non-finite value, in the forward or in ``then``, becomes a
     RuntimeError that starts with ``what`` and names the chunk it came
-    from: a lone chunk at once; of several, the first whose forward fails
-    when rerun alone, else the question.
+    from: a lone chunk at once; of several, the first whose forward, and
+    ``then`` of it, fails when rerun alone, else the question.
 
     numpy's floating-point warnings are off in here: ``Tensor`` checks
     every value the forward makes, so an overflow is reported once, as
     that error, and not also as stray ``RuntimeWarning`` lines.
     """
+    def run(chunks, embeddings):
+        logits = model.forward(chunks, embeddings, drop_rng=drop_rng)
+        return logits if then is None else then(chunks, *logits)
+
     embeddings = [provider(f) for f in chunks]
     try:
-        logits = model.forward(chunks, embeddings, drop_rng=drop_rng)
-        return logits if then is None else then(*logits)
+        return run(chunks, embeddings)
     except FloatingPointError as e:
         error = e
     named = chunks
     if len(chunks) > 1:
         for feat, emb in zip(chunks, embeddings):
             try:
-                model.forward([feat], [emb], drop_rng=drop_rng)
+                run([feat], [emb])
             except FloatingPointError as e:
                 error, named = e, [feat]
                 break
@@ -272,9 +275,33 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
     raise RuntimeError(f"{what} ({where}): {error}") from None
 
 
+def _span_loss_sum(chunks, start: Tensor, end: Tensor) -> Tensor:
+    """The sum of each chunk's ``span_loss`` over its rows of the packed
+    logits; one chunk's is its ``span_loss`` of the logits themselves."""
+    if len(chunks) == 1:
+        f, = chunks
+        return span_loss(start, end, f.start_position, f.end_position,
+                         f.context_mask)
+    bounds = chunk_bounds([len(f.tokens) for f in chunks], start.shape[0],
+                          "span loss")
+    total = None
+    for f, (lo, hi) in zip(chunks, bounds):
+        loss = span_loss(start[lo:hi], end[lo:hi], f.start_position,
+                         f.end_position, f.context_mask)
+        total = loss if total is None else total + loss
+    return total
+
+
 def train(model: QaModel, features, provider, hp: Hyperparams,
           max_steps: int | None = None) -> TrainResult:
     """Mini-batch Adam over seeded shuffles of the feature list.
+
+    A step's features run one question at a time, in the order each
+    question first appears in the batch: its chunks there are one packed
+    forward (with dropout masks drawn over the packed rows), its loss the
+    sum of their span losses, and one backward of that sum's share of the
+    batch mean consumes its graph before the next question's forward.  A
+    question with one chunk in the batch is its own forward and backward.
 
     A step whose gradients' global norm is not finite raises RuntimeError
     naming the step, before the optimiser uses them.
@@ -295,22 +322,21 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             zero_grads(params)
             scale = 1.0 / len(batch)
             total = 0.0
+            questions = {}
+            for feat in batch:
+                questions.setdefault(feat.qid, []).append(feat)
             # an overflow in backward or in the clip's sum of squares makes
             # the norm non-finite, and that is reported once, as the error
             # below, not also as numpy RuntimeWarnings
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
-                for feat in batch:
+                for chunks in questions.values():
                     loss = _forward_chunks(
-                        model, [feat], provider,
+                        model, chunks, provider,
                         f"non-finite loss at step {step}", drop_rng,
-                        then=lambda start, end: span_loss(
-                            start, end, feat.start_position,
-                            feat.end_position, feat.context_mask))
-                    # backprop this feature's share of the mean loss, which
-                    # consumes its graph before the next forward; the
-                    # parameters get the addends, in order, of one backward
-                    # of the summed losses
+                        then=_span_loss_sum)
+                    # the parameters get the addends, in order, of one
+                    # backward of the summed losses
                     (loss * scale).backward()
                     total += float(loss.data)
                 norm = clip_global_norm(params, GRAD_CLIP_NORM)

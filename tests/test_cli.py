@@ -259,6 +259,26 @@ class TestPreprocess:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["inputs"] == [str(data), str(tokens)]
 
+    def test_pretokenized_with_vocab_is_1(self, tmp_path, capsys):
+        """One tokenizer per run: --vocab beside --pretokenized was dropped
+        while the manifest's config still named it."""
+        examples = make_synthetic_examples(n=3, seed=3)
+        data, tok, vocab = (tmp_path / name for name in
+                            ("data.json", "tok.jsonl", "vocab.txt"))
+        write_squad_json(data, examples)
+        write_jsonl(tok, [{"qid": ex.qid, "tokens": ctx.tokens,
+                           "spans": ctx.token_word_span}
+                          for ex in examples
+                          for ctx in [word_tokenize(ex.context)]])
+        vocab.write_text("alpha\nbravo\n")
+        out = tmp_path / "feats.jsonl"
+        assert main(["preprocess", "--data", str(data), "--pretokenized",
+                     str(tok), "--vocab", str(vocab), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --vocab: not allowed with argument "
+            "--pretokenized")
+        assert not out.exists()
+
     def test_manifest_records_the_build(self, corpus, tmp_path, monkeypatch):
         """numpy's version and BLAS, and the BLAS thread variables as the
         environment sets them (None where unset)."""

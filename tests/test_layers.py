@@ -20,6 +20,30 @@ def composed_highway(hw, x):
     return g * t + (g * -1.0 + 1.0) * x
 
 
+def composed_pooling(att, E, lengths=None):
+    """The pooling as the Tensor-op chain it was, one chain per chunk, the
+    oracle of its node."""
+    def pool(E):
+        a = softmax(matmul(E, att.W), axis=0)
+        return E + matmul(a.transpose(), E)
+
+    bounds = chunk_bounds(lengths, E.shape[0], "pooling")
+    if len(bounds) == 1:
+        return pool(E)
+    return concat([pool(E[lo:hi]) for lo, hi in bounds], axis=0)
+
+
+def _held(forward):
+    """Bytes still allocated after ``forward()``, its result alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = forward()  # noqa: F841 (held while measured)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def _feed(y, dy):
     """A scalar root whose backward hands ``dy`` to y unchanged.  Every
     gradient buffer that ``backward`` fills starts as 0 + its first
@@ -103,6 +127,14 @@ class TestFusedHighway:
         x = Tensor(Rng(1).normal((3, 4)), requires_grad=True)
         y = hw.forward(x)
         assert y._parents == (x, hw.W_gate, hw.b_gate, hw.W_proj, hw.b_proj)
+
+    def test_holds_its_output_only(self):
+        """Recorded, the node holds its [N, d] output and nothing more (it
+        kept the gate and the transform, three such arrays in all); its
+        backward recomputes them.  5% for the objects."""
+        hw = Highway(16, Rng(0))
+        x = Tensor(Rng(1).normal((300, 16)), requires_grad=True)
+        assert _held(lambda: hw.forward(x)) <= 1.05 * x.data.nbytes
 
     @pytest.mark.parametrize("weight", ["W_gate", "W_proj"])
     def test_pre_activation_overflow_names_the_highway(self, weight):
@@ -466,6 +498,49 @@ class TestWeightedAvgAttention:
             WeightedAvgAttention(4, Rng(0)).forward(Tensor(np.ones((3, 5))))
         assert str(e.value) == "attention width 4, input width 5"
 
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("dy_value", [None, -0.0],
+                             ids=["random", "negative-zero-dy"])
+    def test_one_chunk_matches_the_composed_chain(self, dy_value, x_grad):
+        att = WeightedAvgAttention(4, Rng(0))
+        x_data = Rng(1).normal((7, 4))
+        dy = _dy((7, 4), dy_value)
+        _assert_same_bytes(
+            _run(att.forward, x_data, dy, x_grad, [att.W]),
+            _run(lambda E: composed_pooling(att, E), x_data, dy, x_grad,
+                 [att.W]))
+
+    def test_packed_chunks_match_the_per_chunk_chains(self):
+        """The chains' values byte for byte, their gradients within
+        1e-12."""
+        att = WeightedAvgAttention(4, Rng(0))
+        x_data = Rng(1).normal((12, 4))
+        dy = _dy((12, 4), None)
+        lengths = [5, 1, 6]
+        got, want = (_run(lambda E: pool(E, lengths), x_data, dy, True,
+                          [att.W])
+                     for pool in (att.forward, lambda E, n: composed_pooling(
+                         att, E, n)))
+        _assert_same_bytes(got[:2], want[:2])
+        for g, w in zip(got[2:], want[2:], strict=True):
+            assert float(np.abs(g - w).max()) <= 1e-12 * float(
+                np.abs(w).max())
+
+    def test_one_graph_node(self):
+        att = WeightedAvgAttention(3, Rng(0))
+        E = Tensor(Rng(1).normal((6, 3)), requires_grad=True)
+        assert att.forward(E, [2, 4])._parents == (E, att.W)
+
+    def test_score_overflow_names_the_pooling(self):
+        # the softmax would give a -inf score the weight 0
+        att = WeightedAvgAttention(2, Rng(0))
+        att.W.data[...] = 1e200
+        E = Tensor([[1.0, 1.0], [-1e200, -1e200]])
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError,
+                match="by WeightedAvgAttention.forward$"):
+            att.forward(E)
+
     def test_identical_rows_double(self):
         att = WeightedAvgAttention(4, Rng(0))
         row = Rng(1).normal(4)
@@ -611,6 +686,27 @@ class TestDropout:
         kept = out != 0
         assert abs(kept.mean() - 0.8) < 0.02
         assert np.allclose(out[kept], 1.25)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_the_product_with_its_keep_tensor(self, x_grad):
+        def chain(x):
+            keep = (Rng(3).uniform(0.0, 1.0, x.shape) >= 0.3) / (1.0 - 0.3)
+            return x * Tensor(keep)
+
+        x_data = Rng(1).normal((6, 4))
+        dy = _dy((6, 4), -0.0)
+        _assert_same_bytes(
+            _run(lambda x: dropout(x, 0.3, Rng(3)), x_data, dy, x_grad, []),
+            _run(chain, x_data, dy, x_grad, []))
+
+    def test_one_node_holding_a_bool_mask(self):
+        """Recorded, dropout holds its output and one byte per entry (it
+        held a float64 keep tensor, 8 bytes); 5% for the objects."""
+        x = Tensor(Rng(1).normal((300, 16)), requires_grad=True)
+        y = dropout(x, 0.2, Rng(3))
+        assert y._parents == (x,)
+        assert _held(lambda: dropout(x, 0.2, Rng(3))) <= \
+            1.05 * (8 + 1) * x.data.size
 
     def test_seeded_reproducible(self):
         x = Tensor(np.ones((10, 10)))

@@ -638,6 +638,102 @@ class TestPackedForward:
             model.forward(feats, shifted)
 
 
+class TestPackedStep:
+    """A train step runs the chunks of each question in its batch as one
+    packed forward, and backprops the sum of their span losses once."""
+
+    @staticmethod
+    def two_questions():
+        # chunk 1 of "qa" has no answer: its gold positions are the null
+        return [make_feature(qid=qid, feature_index=i, n_context=n,
+                             **({} if (qid, i) == ("qa", 1) else
+                                {"start": 1, "end": 2}))
+                for qid, lengths in (("qa", (7, 3, 10)), ("qb", (5, 9, 4)))
+                for i, n in enumerate(lengths)]
+
+    def test_one_forward_per_question_in_order_of_first_appearance(self):
+        feats = self.two_questions()
+        model = build_model(small_cfg("gru_highway_gru_bidaf"), seed=0)
+        calls = []
+
+        def forward(features, embeddings, **kwargs):
+            calls.append([(f.qid, f.feature_index) for f in features])
+            return QaModel.forward(model, features, embeddings, **kwargs)
+
+        model.forward = forward
+        train(model, feats, provider(), Hyperparams(batch_size=4, epochs=1,
+                                                    seed=0))
+        order = Rng(0).spawn(101).permutation(len(feats))
+        want = []
+        for lo in (0, 4):
+            questions = {}
+            for f in (feats[i] for i in order[lo : lo + 4]):
+                questions.setdefault(f.qid, []).append(
+                    (f.qid, f.feature_index))
+            want += questions.values()
+        assert calls == want
+        assert max(len(c) for c in calls) > 1
+
+    @pytest.mark.parametrize("tag", ["squad_out", *ARCHITECTURES[2:]])
+    def test_matches_one_forward_per_feature_without_dropout(self, tag):
+        """The loss curve and every parameter after 2 steps agree with
+        ``reference_train`` (one forward per chunk) to 1e-12: only the
+        rounding of the packed sums differs.  Adam moves a parameter whose
+        gradient is 0 but for rounding (``squad_out``'s bias) by up to lr *
+        g / eps, 1e8 times that rounding, so the rate is small; a gradient
+        that is wrong, not rounded, still moves a parameter by about the
+        rate, a million times the tolerance."""
+        feats = self.two_questions()
+        hp = Hyperparams(learning_rate=1e-6, batch_size=4, epochs=1, seed=4)
+        models, curves = [], []
+        for run in (train, reference_train):
+            model = build_model(small_cfg(tag), seed=8)
+            curves.append(run(model, feats, provider(), hp,
+                              max_steps=2).loss_curve)
+            models.append(model.parameters())
+        assert [step for step, _ in curves[0]] == [1, 2]
+        for (step, got), (_, want) in zip(*curves, strict=True):
+            assert abs(got - want) <= 1e-12 * abs(want), step
+        for name, p in models[0].items():
+            assert _rel_err(p.data, models[1][name].data) <= 1e-12, name
+
+    @pytest.mark.parametrize("tag", ARCHITECTURES[1:])
+    def test_reruns_with_dropout_are_byte_identical(self, tag):
+        feats = self.two_questions()
+        hp = Hyperparams(learning_rate=1e-2, batch_size=4, epochs=2, seed=4)
+        runs = []
+        for _ in range(2):
+            model = build_model(small_cfg(tag), seed=8)
+            model.cfg.dropout_rate = 0.2
+            curve = train(model, feats, provider(), hp).loss_curve
+            runs.append((curve, [p.data.tobytes()
+                                 for p in model.parameters().values()]))
+        assert runs[0] == runs[1]
+
+    def test_nonfinite_loss_in_one_chunk_names_it(self):
+        feats = [f for f in self.two_questions() if f.qid == "qa"]
+        model = build_model(small_cfg("squad_out", d_model=4), seed=0)
+        model.head.W.data[...] = 0.0
+        model.head.W.data[0, :] = 1.0
+        model.head.b.data[...] = 0.0
+
+        def huge_middle(f):
+            # finite logits in every chunk; chunk 1's log-softmax overflows
+            x = np.zeros((len(f.tokens), 4))
+            if f.feature_index == 1:
+                x[:, 0] = 1.5e308
+                x[0, 0] = -1.5e308
+            return x
+
+        with pytest.raises(RuntimeError) as info:
+            train(model, feats, huge_middle,
+                  Hyperparams(batch_size=3, epochs=1, seed=0))
+        assert str(info.value).startswith(
+            "non-finite loss at step 1 (qid='qa', feature_index=1): "
+            "non-finite value produced in forward pass by "
+            "cross_entropy_from_logits")
+
+
 class TestPredictPerQuestion:
     def test_one_forward_per_question(self):
         feats = question_chunks("qa") + question_chunks("qb", (3, 8))

@@ -455,36 +455,35 @@ class _StepOrder:
         self.shape = (int(L.max()), len(reverse), len(L))
         self.chunk = np.repeat(np.arange(len(L)), L)
         t = np.arange(self.chunk.size) - np.repeat(first, L)
-        self.step = [L[self.chunk] - 1 - t if r else t for r in reverse]
-
-    def scatter(self, arrays) -> np.ndarray:
-        """D packed [N, k] arrays -> [T, D, B, k]; padded steps hold 0.
-        ``arrays`` may be a generator: each is placed before the next is
-        made."""
-        out = None
-        for d, (a, step) in enumerate(zip(arrays, self.step)):
-            if out is None:
-                out = np.zeros(self.shape + a.shape[1:])
-            out[step, d, self.chunk] = a
-        return out
-
-    def gather(self, steps: np.ndarray):
-        """The inverse: [T, D, B, k] -> D packed [N, k] arrays, each made
-        when the one before it has been taken."""
-        for d, step in enumerate(self.step):
-            yield steps[step, d, self.chunk]
+        # [N, D]: each packed row's step in each direction
+        self.step = np.stack([L[self.chunk] - 1 - t if r else t
+                              for r in reverse], axis=1)
+        # where each packed row of each direction sits: (step, d, chunk)
+        self.index = (self.step, np.arange(len(reverse)), self.chunk[:, None])
 
     def pack(self, steps: np.ndarray) -> np.ndarray:
         """[T, D, B, k] -> [N, D * k]: every direction's packed rows, side
         by side."""
-        D = len(self.step)
-        return steps[np.stack(self.step, axis=1), np.arange(D),
-                     self.chunk[:, None]].reshape(self.chunk.size, -1)
+        return steps[self.index].reshape(self.chunk.size, -1)
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """The inverse of ``pack``: [N, D * k] -> [T, D, B, k]; padded
+        steps hold 0."""
+        n, D = self.step.shape
+        out = np.zeros(self.shape + (rows.shape[1] // D,))
+        out[self.index] = rows.reshape(n, D, -1)
+        return out
+
+    def gather(self, steps: np.ndarray):
+        """[T, D, B, k] -> D packed [N, k] arrays, each made when the one
+        before it has been taken."""
+        for d, step in enumerate(self.step.T):
+            yield steps[step, d, self.chunk]
 
     def live(self, d: int, k0: int, k1: int):
         """Direction d's packed rows at steps k0 to k1 - 1, and where they
         sit in a [k1 - k0, D, B, k] block of those steps."""
-        step = self.step[d]
+        step = self.step[:, d]
         rows = np.flatnonzero((step >= k0) & (step < k1))
         return rows, (step[rows] - k0, d, self.chunk[rows])
 
@@ -703,7 +702,7 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
     def bwd(g):
         nonlocal H
         # a padded step's output gradient is 0, so its carry stays 0
-        G = order.scatter(np.split(g, D, axis=1))
+        G = order.scatter(g)
         W_ur_T = W_ur.transpose(0, 2, 1)
         W_c_T = W_c.transpose(0, 2, 1)
         d_ur = np.empty((T, D, B, 2 * h))
@@ -833,7 +832,7 @@ def _lstm_node(order, project, parents, input_backward, U):
     def bwd(g):
         nonlocal C, H
         # a padded step's output gradient is 0, so its carries stay 0
-        G = order.scatter(np.split(g, D, axis=1))
+        G = order.scatter(g)
         W_T = W.transpose(0, 2, 1)
         # d(step output) / d(gate pre-activation), per unit of dc, dc, dh
         # and dc, built in the gradient buffer

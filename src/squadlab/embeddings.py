@@ -98,17 +98,18 @@ def pseudo_embed(feature, d_model: int, seed: int) -> EmbeddingMatrix:
 
 
 class CharEmbeddingTable:
-    """Frozen character -> fp64 vector map with an unknown-character fallback."""
+    """Frozen character -> fp64 vector map; every character's vector is
+    hashed from it, so no character is unknown."""
 
-    def __init__(self, d_char: int, seed: int = 0):
+    def __init__(self, d_char: int):
         self.d_char = d_char
-        self.seed = int(seed)
         self._cache = {}
 
     def vector(self, ch: str) -> np.ndarray:
         v = self._cache.get(ch)
         if v is None:
-            v = _hashed_vector(self.d_char, "char", self.seed, ch)
+            # a fixed 0 where PseudoEmbedder hashes its seed
+            v = _hashed_vector(self.d_char, "char", 0, ch)
             self._cache[ch] = v
         return v
 

@@ -68,13 +68,14 @@ class AnswerCandidate:
                 self.end_token if not self.is_null else 0)
 
 
-def _head_mask(context_mask, lengths=None) -> np.ndarray:
-    """Positions to blank: outside the context and not a chunk's null
-    sentinel."""
+def _masked(start: Tensor, end: Tensor, context_mask, lengths=None):
+    """The start and end logits, ``MASK_FILL`` at every position outside
+    the context but each chunk's null sentinel."""
     blocked = ~np.asarray(context_mask, dtype=bool)
     for first, _ in chunk_bounds(lengths, len(blocked), "span head"):
         blocked[first + NULL_POSITION] = False
-    return blocked
+    return (masked_fill(start, blocked, MASK_FILL),
+            masked_fill(end, blocked, MASK_FILL))
 
 
 class AlbertSquadOut(Module):
@@ -89,10 +90,7 @@ class AlbertSquadOut(Module):
         if x.shape[1] != self.d:
             raise ValueError(f"head width {self.d}, input width {x.shape[1]}")
         logits = matmul(x, self.W) + self.b  # [seq, 2]
-        blocked = _head_mask(context_mask, lengths)
-        start = masked_fill(logits[:, 0], blocked, MASK_FILL)
-        end = masked_fill(logits[:, 1], blocked, MASK_FILL)
-        return start, end
+        return _masked(logits[:, 0], logits[:, 1], context_mask, lengths)
 
 
 class BidafOut(Module):
@@ -117,9 +115,7 @@ class BidafOut(Module):
         m2 = gru_forward(self.end_rnn, dec_out, lengths=lengths)
         start = (matmul(att_out, self.w1) + matmul(dec_out, self.w2))[:, 0]
         end = (matmul(att_out, self.w3) + matmul(m2, self.w4))[:, 0]
-        blocked = _head_mask(context_mask, lengths)
-        return (masked_fill(start, blocked, MASK_FILL),
-                masked_fill(end, blocked, MASK_FILL))
+        return _masked(start, end, context_mask, lengths)
 
 
 def span_loss(start_logits: Tensor, end_logits: Tensor, gold_start: int,

@@ -104,7 +104,7 @@ class LSTMCell(Module):
         self.b = init_uniform(rng, (4 * hidden,), hidden)
 
 
-def _directions(cells, x: Tensor, reverse, lengths) -> Tensor:
+def _layer_node(cells, x: Tensor, reverse, lengths) -> Tensor:
     """One direction per cell over x, as the cells' one layer node."""
     kind, layer, weights = cells[0].entry
     for cell in cells:
@@ -119,13 +119,13 @@ def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False,
                  lengths=None) -> Tensor:
     """Run one direction over [seq, d_in], or over each chunk of packed
     rows; zero initial h and c."""
-    return _directions([cell], x, [reverse], lengths)
+    return _layer_node([cell], x, [reverse], lengths)
 
 
 def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor,
                    lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _directions([fwd, bwd], x, [False, True], lengths)
+    return _layer_node([fwd, bwd], x, [False, True], lengths)
 
 
 class GRUCell(Module):
@@ -148,13 +148,13 @@ def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False,
                 lengths=None) -> Tensor:
     """Run one direction over [seq, d_in], or over each chunk of packed
     rows; zero initial h."""
-    return _directions([cell], x, [reverse], lengths)
+    return _layer_node([cell], x, [reverse], lengths)
 
 
 def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor,
                   lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _directions([fwd, bwd], x, [False, True], lengths)
+    return _layer_node([fwd, bwd], x, [False, True], lengths)
 
 
 class BiCells(Module):
@@ -203,11 +203,11 @@ def dot_product_attention(x: Tensor, causal: bool = False,
     seq, d = x.shape
     bounds = chunk_bounds(lengths, seq, "attention")
     scale = 1.0 / np.sqrt(d)
-    outs = []
+    out = np.empty_like(x.data)
     for lo, hi in bounds:
         xc = x.data[lo:hi]
         p, _ = _attention_probs(xc, causal, scale)
-        outs.append(p @ xc)
+        np.matmul(p, xc, out=out[lo:hi])
         del p
 
     def bwd(g):
@@ -234,7 +234,6 @@ def dot_product_attention(x: Tensor, causal: bool = False,
             del ds
         x._accum(dx)
 
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
     return Tensor._op(out, (x,), bwd)
 
 

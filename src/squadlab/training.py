@@ -16,12 +16,13 @@ by a single seed so checkpoints and loss curves reproduce bit-exactly.
 ``QaModel.forward`` takes a list of features and their embedding matrices
 and runs them as one packed batch, with dropout when given a dropout rng.
 ``_forward_chunks`` is the one caller, and both callers pass it one
-question's chunks: ``train`` those in a step's batch, with its rng and the
-summed span loss of the chunks, which it backprops before the next
-question's forward, so a step holds one question's graph; ``predict``
-every chunk of the question.  It turns a non-finite value into an error
-naming the chunk (``qid``, ``feature_index``) it came from, or the
-question when no chunk fails alone.
+question's chunks: ``train`` those in a step's batch, with its rng;
+``predict`` every chunk of the question.  It turns a non-finite value into
+an error naming the chunk (``qid``, ``feature_index``) it came from, or
+the question when no chunk fails alone.  ``train`` then takes
+``_span_loss_sum`` of the packed logits, whose own errors name the chunk
+whose rows failed, and backprops it before the next question's forward,
+so a step holds one question's graph.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class QaModel(Module):
             return
         self.combiner = EmbeddingCombiner(
             cfg.d_model, cfg.d_char, cfg.d_char_out, rng.spawn(4),
-            CharEmbeddingTable(cfg.d_char, seed=0))
+            CharEmbeddingTable(cfg.d_char))
         d_comb = self.combiner.d_comb
         h = cfg.hidden
         cell = LSTMCell if tag == "bilstm_attn_bilstm_bidaf" else GRUCell
@@ -166,9 +167,7 @@ class QaModel(Module):
         context_mask = np.concatenate([f.context_mask for f in features])
         cfg = self.cfg
         rate = cfg.dropout_rate if drop_rng is not None else 0.0
-        x = Tensor(np.concatenate(embeddings))
-        if rate > 0:
-            x = dropout(x, rate, drop_rng)
+        x = dropout(Tensor(np.concatenate(embeddings)), rate, drop_rng)
         tag = cfg.architecture
         if tag not in _BIDAF_TAGS:
             for hw in self.highway:
@@ -176,9 +175,7 @@ class QaModel(Module):
             return self.head.forward(x, context_mask, lengths)
 
         tokens = [t for f in features for t in f.tokens]
-        x = self.combiner.forward(x, tokens, lengths)
-        if rate > 0:
-            x = dropout(x, rate, drop_rng)
+        x = dropout(self.combiner.forward(x, tokens, lengths), rate, drop_rng)
         birnn = (bilstm_forward if tag == "bilstm_attn_bilstm_bidaf"
                  else bigru_forward)
         enc = birnn(self.encoder.fwd, self.encoder.bwd, x, lengths)
@@ -236,60 +233,64 @@ class TrainResult:
         return self.loss_curve[-1][1] if self.loss_curve else None
 
 
+def _where(chunks) -> str:
+    """``qid=…`` of ``chunks``' question, with ``feature_index=…`` when
+    they are one chunk."""
+    where = f"qid={chunks[0].qid!r}"
+    if len(chunks) == 1:
+        where += f", feature_index={chunks[0].feature_index}"
+    return where
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _forward_chunks(model: QaModel, chunks, provider, what: str,
-                    drop_rng: Rng | None = None, then=None):
+                    drop_rng: Rng | None = None):
     """Packed (start, end) logits of one forward over ``chunks`` (features
-    of one question) and their ``provider`` embeddings, or ``then(chunks,
-    start, end)`` (``train``'s summed span loss).
+    of one question) and their ``provider`` embeddings.
 
-    A non-finite value, in the forward or in ``then``, becomes a
-    RuntimeError that starts with ``what`` and names the chunk it came
-    from: a lone chunk at once; of several, the first whose forward, and
-    ``then`` of it, fails when rerun alone, else the question.
+    A non-finite value becomes a RuntimeError that starts with ``what``
+    and names the chunk it came from: a lone chunk at once; of several,
+    the first whose forward fails when rerun alone, else the question.
 
     numpy's floating-point warnings are off in here: ``Tensor`` checks
     every value the forward makes, so an overflow is reported once, as
     that error, and not also as stray ``RuntimeWarning`` lines.
     """
-    def run(chunks, embeddings):
-        logits = model.forward(chunks, embeddings, drop_rng=drop_rng)
-        return logits if then is None else then(chunks, *logits)
-
     embeddings = [provider(f) for f in chunks]
     try:
-        return run(chunks, embeddings)
+        return model.forward(chunks, embeddings, drop_rng=drop_rng)
     except FloatingPointError as e:
         error = e
     named = chunks
     if len(chunks) > 1:
         for feat, emb in zip(chunks, embeddings):
             try:
-                run([feat], [emb])
+                model.forward([feat], [emb], drop_rng=drop_rng)
             except FloatingPointError as e:
                 error, named = e, [feat]
                 break
-    where = f"qid={named[0].qid!r}"
-    if len(named) == 1:
-        where += f", feature_index={named[0].feature_index}"
-    raise RuntimeError(f"{what} ({where}): {error}") from None
+    raise RuntimeError(f"{what} ({_where(named)}): {error}") from None
 
 
-def _span_loss_sum(chunks, start: Tensor, end: Tensor) -> Tensor:
+def _span_loss_sum(chunks, start: Tensor, end: Tensor, what: str) -> Tensor:
     """The sum of each chunk's ``span_loss`` over its rows of the packed
-    logits; one chunk's is its ``span_loss`` of the logits themselves."""
-    if len(chunks) == 1:
-        f, = chunks
-        return span_loss(start, end, f.start_position, f.end_position,
-                         f.context_mask)
+    logits.  A chunk loss that is not finite becomes a RuntimeError that
+    starts with ``what`` and names the chunk; a sum that is not finite,
+    one that names the question."""
     bounds = chunk_bounds([len(f.tokens) for f in chunks], start.shape[0],
                           "span loss")
-    total = None
+    losses = []
     for f, (lo, hi) in zip(chunks, bounds):
-        loss = span_loss(start[lo:hi], end[lo:hi], f.start_position,
-                         f.end_position, f.context_mask)
-        total = loss if total is None else total + loss
-    return total
+        try:
+            losses.append(span_loss(start[lo:hi], end[lo:hi],
+                                    f.start_position, f.end_position,
+                                    f.context_mask))
+        except FloatingPointError as e:
+            raise RuntimeError(f"{what} ({_where([f])}): {e}") from None
+    try:
+        return sum(losses[1:], losses[0])
+    except FloatingPointError as e:
+        raise RuntimeError(f"{what} ({_where(chunks)}): {e}") from None
 
 
 def train(model: QaModel, features, provider, hp: Hyperparams,
@@ -330,11 +331,11 @@ def train(model: QaModel, features, provider, hp: Hyperparams,
             # below, not also as numpy RuntimeWarnings
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
+                what = f"non-finite loss at step {step}"
                 for chunks in questions.values():
-                    loss = _forward_chunks(
-                        model, chunks, provider,
-                        f"non-finite loss at step {step}", drop_rng,
-                        then=_span_loss_sum)
+                    logits = _forward_chunks(model, chunks, provider, what,
+                                             drop_rng)
+                    loss = _span_loss_sum(chunks, *logits, what)
                     # the parameters get the addends, in order, of one
                     # backward of the summed losses
                     (loss * scale).backward()

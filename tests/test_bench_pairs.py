@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py``'s summary, on fixed numbers (no benchmark run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,33 @@ def test_verdict_reads_lower_is_better_metrics_the_other_way():
 def test_verdict_without_runs():
     assert _verdict([20] * 3, [None] * 3, 0.25) == "worse"
     assert _verdict([None] * 3, [20] * 3, 0.25) == "unresolved"
+
+
+def test_spread_is_the_parents_iqr_over_its_median():
+    rows = _rows(list(range(20, 30)), list(range(30, 40)))
+    # parent quartiles 22.25, 24.5, 26.75
+    assert bench_pairs.spread(rows["q_per_s"]) == pytest.approx(4.5 / 24.5)
+    assert bench_pairs.spread(_rows([None] * 2, [30] * 2)["q_per_s"]) is None
+    # a median of 0: any spread at all exceeds every bound
+    assert bench_pairs.spread({"parent": (0.0, 0.0, 0.0)}) == 0.0
+    assert bench_pairs.spread({"parent": (-1.0, 0.0, 1.0)}) == float("inf")
+
+
+def test_summary_shows_why_a_metric_is_unresolved(tmp_path, monkeypatch,
+                                                  capsys):
+    # a 5% drop inside a 10% bound, the parent spreading by 0.184
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "q_per_s", "better": "higher", "bound": 0.1}]}))
+
+    def run_once(checkout, workload, seed, seconds):
+        value = 20 + seed
+        return {"q_per_s": value if checkout == parent else value - 1.2}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seed0", "0"]) == 0
+    row, = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:2] == ["q_per_s", "higher"]]
+    assert row[-3:] == ["0.184", "0.100", "unresolved"]

@@ -46,8 +46,8 @@ class TestPseudoEmbed:
 
 class TestCharTable:
     def test_deterministic_and_total(self):
-        t1 = CharEmbeddingTable(8, seed=3)
-        t2 = CharEmbeddingTable(8, seed=3)
+        t1 = CharEmbeddingTable(8)
+        t2 = CharEmbeddingTable(8)
         for ch in "abé中":
             assert np.array_equal(t1.vector(ch), t2.vector(ch))
             assert t1.vector(ch).shape == (8,)

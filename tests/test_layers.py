@@ -646,7 +646,7 @@ class TestCombiner:
         return [f"tok{i}" for i in range(n)]
 
     def test_single_token_char_branch(self):
-        table = CharEmbeddingTable(4, seed=0)
+        table = CharEmbeddingTable(4)
         comb = EmbeddingCombiner(6, 4, 3, Rng(0), char_table=table)
         E = Tensor(Rng(1).normal((1, 6)))
         pooled = comb.char_cnn.forward(
@@ -659,7 +659,7 @@ class TestCombiner:
         assert out.data.shape == (1, 9)
 
     def test_gradient_through_full_combiner(self):
-        table = CharEmbeddingTable(3, seed=0)
+        table = CharEmbeddingTable(3)
         comb = EmbeddingCombiner(4, 3, 2, Rng(2), char_table=table)
         E = Tensor(Rng(3).normal((4, 4)))
         tokens = ["ab", "cde", "f", "ghij"]

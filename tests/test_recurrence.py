@@ -261,6 +261,28 @@ def test_one_chunk_batch_is_the_plain_scan():
     assert batched().data.tobytes() == plain.data.tobytes()
 
 
+def test_step_order_scatter_inverts_pack():
+    """``pack`` takes every direction's packed rows out of a scan's
+    step-order buffer and ``scatter`` puts them back: on live steps
+    ``scatter(pack(X))`` is X, and padded steps hold 0.  A row t of a
+    chunk of L rows is step t forward and step L - 1 - t in reverse."""
+    lengths, k = [3, 5, 2], 4
+    bounds = chunk_bounds(lengths, sum(lengths), "test")
+    order = autograd._StepOrder(bounds, [False, True])
+    assert order.shape == (5, 2, 3)
+    X = Rng(0).normal((*order.shape, k))
+    rows = order.pack(X)
+    assert rows.shape == (sum(lengths), 2 * k)
+    for b, (lo, hi) in enumerate(bounds):
+        for t in range(hi - lo):
+            assert (rows[lo + t, :k] == X[t, 0, b]).all()
+            assert (rows[lo + t, k:] == X[hi - lo - 1 - t, 1, b]).all()
+    back = order.scatter(rows)
+    live = (np.arange(5)[:, None] < lengths)[:, None, :, None]
+    assert (back == np.where(live, X, 0.0)).all()
+    assert order.pack(back).tobytes() == rows.tobytes()
+
+
 def test_chunk_lengths_checked():
     x = [np.zeros((5, 8))]
     U = [np.zeros((2, 8))]

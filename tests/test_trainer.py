@@ -710,28 +710,93 @@ class TestPackedStep:
                                  for p in model.parameters().values()]))
         assert runs[0] == runs[1]
 
-    def test_nonfinite_loss_in_one_chunk_names_it(self):
-        feats = [f for f in self.two_questions() if f.qid == "qa"]
+    @staticmethod
+    def overflowing(scale):
+        """A squad_out model, the 3 chunks of "qa" and a provider that
+        gives a chunk's gold start and end logits -s and its other context
+        logits s, s = ``scale(feature_index)`` * 1e308: the logits are
+        finite, and the chunk's start and end cross-entropies are each
+        about 2 s."""
+        feats = [f for f in TestPackedStep.two_questions() if f.qid == "qa"]
         model = build_model(small_cfg("squad_out", d_model=4), seed=0)
         model.head.W.data[...] = 0.0
         model.head.W.data[0, :] = 1.0
         model.head.b.data[...] = 0.0
 
-        def huge_middle(f):
-            # finite logits in every chunk; chunk 1's log-softmax overflows
+        def provider(f):
             x = np.zeros((len(f.tokens), 4))
-            if f.feature_index == 1:
-                x[:, 0] = 1.5e308
-                x[0, 0] = -1.5e308
+            x[:, 0] = scale(f.feature_index) * 1e308
+            x[[f.start_position, f.end_position], 0] *= -1
             return x
 
+        return model, feats, provider
+
+    @staticmethod
+    def count_forwards(model):
+        calls = []
+
+        def forward(features, embeddings, **kwargs):
+            calls.append(features)
+            return QaModel.forward(model, features, embeddings, **kwargs)
+
+        model.forward = forward
+        return calls
+
+    # chunk 1's log-softmax overflows
+    HUGE_MIDDLE = staticmethod(lambda i: 1.5 if i == 1 else 0.0)
+    HUGE_MIDDLE_ERROR = ("non-finite loss at step 1 (qid='qa', "
+                         "feature_index=1): non-finite value produced in "
+                         "forward pass by cross_entropy_from_logits")
+
+    def test_nonfinite_loss_in_one_chunk_names_it(self):
+        model, feats, huge_middle = self.overflowing(self.HUGE_MIDDLE)
         with pytest.raises(RuntimeError) as info:
             train(model, feats, huge_middle,
                   Hyperparams(batch_size=3, epochs=1, seed=0))
+        assert str(info.value).startswith(self.HUGE_MIDDLE_ERROR)
+
+    def test_nonfinite_loss_costs_no_second_forward(self):
+        """The loss names its chunk from its rows of the packed logits, so
+        the question's one forward is all a failing loss runs."""
+        model, feats, huge_middle = self.overflowing(self.HUGE_MIDDLE)
+        calls = self.count_forwards(model)
+        with pytest.raises(RuntimeError) as info:
+            train(model, feats, huge_middle,
+                  Hyperparams(batch_size=3, epochs=1, seed=0))
+        assert str(info.value).startswith(self.HUGE_MIDDLE_ERROR)
+        assert [len(c) for c in calls] == [3]
+
+    def test_nonfinite_sum_of_finite_losses_names_the_question(self):
+        # each chunk's loss is about 0.7e308, and three of them sum past
+        # the largest float
+        model, feats, big = self.overflowing(lambda i: 0.35)
+        calls = self.count_forwards(model)
+        with pytest.raises(RuntimeError) as info:
+            train(model, feats, big,
+                  Hyperparams(batch_size=3, epochs=1, seed=0))
         assert str(info.value).startswith(
-            "non-finite loss at step 1 (qid='qa', feature_index=1): "
-            "non-finite value produced in forward pass by "
-            "cross_entropy_from_logits")
+            "non-finite loss at step 1 (qid='qa'): non-finite value")
+        assert [len(c) for c in calls] == [3]
+
+    @pytest.mark.parametrize("tag", ["squad_out", "gru_highway_gru_bidaf"])
+    def test_lone_chunk_loss_is_span_loss_of_its_logits(self, tag):
+        """One chunk's summed loss is ``span_loss`` of its rows, the whole
+        logits: the same value and every gradient byte the same."""
+        f = make_feature(qid="q", n_context=9, start=2, end=4)
+        model = build_model(small_cfg(tag), seed=5)
+        params = model.parameters()
+        emb = provider()(f)
+        runs = []
+        for loss_of in (
+                lambda s, e: training._span_loss_sum([f], s, e, "loss"),
+                lambda s, e: span_loss(s, e, f.start_position,
+                                       f.end_position, f.context_mask)):
+            zero_grads(params)
+            loss = loss_of(*model.forward([f], [emb]))
+            loss.backward()
+            runs.append([loss.data.tobytes()]
+                        + [p.grad.tobytes() for p in params.values()])
+        assert runs[0] == runs[1]
 
 
 class TestPredictPerQuestion:

@@ -25,11 +25,15 @@ Each metric also gets a verdict against its ``bound`` in ``BENCHMARK.json``:
 - ``ok``: otherwise.
 
 A metric with no run left on the change's side is ``worse``; with none on
-the parent's, ``unresolved``.  Standard library only; run it from anywhere.
+the parent's, ``unresolved``.  Next to each verdict the script prints the
+parent's IQR over its median and the bound, so an ``unresolved`` shows
+how far the parent's own spread exceeds the bound.  Standard library
+only; run it from anywhere.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -95,6 +99,18 @@ def summarize(pairs, metrics):
     return out
 
 
+def spread(row):
+    """The parent's IQR over its median for one row of ``summarize``, the
+    share that ``verdict`` holds against the bound (inf when the median
+    is 0 and the IQR is not), or None without a parent run."""
+    if row["parent"] is None:
+        return None
+    q1, median, q3 = row["parent"]
+    if median == 0:
+        return math.inf if q3 > q1 else 0.0
+    return (q3 - q1) / abs(median)
+
+
 def verdict(row, bound) -> str:
     """``worse``, ``unresolved`` or ``ok`` for one row of ``summarize``,
     against the metric's relative ``bound`` (see the module docstring)."""
@@ -102,17 +118,21 @@ def verdict(row, bound) -> str:
         return "worse"
     if row["parent"] is None:
         return "unresolved"
-    q1, median, q3 = row["parent"]
+    median = row["parent"][1]
     sign = 1 if row["better"] == "higher" else -1
     if sign * (row["change"][1] - median) < -bound * abs(median):
         return "worse"
-    if q3 - q1 > bound * abs(median) and not row["separated"]:
+    if spread(row) > bound and not row["separated"]:
         return "unresolved"
     return "ok"
 
 
 def _fmt(q):
     return "failed" if q is None else f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def _share(v):
+    return "-" if v is None else f"{v:.3f}"
 
 
 def main(argv=None) -> int:
@@ -147,13 +167,16 @@ def main(argv=None) -> int:
           f"{args.seed0 + args.pairs - 1}; failed runs: parent "
           f"{failed['parent']}, change {failed['change']}")
     print(f"  {'metric':20s} {'better':6s} {'parent median [q1, q3]':>28s} "
-          f"{'change median [q1, q3]':>28s} {'wins':>6s}  gain holds  verdict")
+          f"{'change median [q1, q3]':>28s} {'wins':>6s}  gain holds  "
+          f"{'IQR/med':>7s} {'bound':>6s}  verdict")
     for row in summarize(pairs, metrics):
+        bound = bounds[row['name']]
         print(f"  {row['name']:20s} {row['better']:6s} "
               f"{_fmt(row['parent']):>28s} {_fmt(row['change']):>28s} "
               f"{row['wins']:>3d}/{row['pairs']:<2d}  "
               f"{'yes' if row['holds'] else 'no':10s}  "
-              f"{verdict(row, bounds[row['name']])}")
+              f"{_share(spread(row)):>7s} {_share(bound):>6s}  "
+              f"{verdict(row, bound)}")
     return 0
 
 

@@ -360,6 +360,14 @@ def load_squad_json(path) -> list:
     return examples
 
 
+def _chunk_name(qid, feature_index=None) -> str:
+    """How every message names a chunk, ``(qid=…, feature_index=…)``;
+    without a feature_index, how it names the chunk's question."""
+    if feature_index is None:
+        return f"(qid={qid!r})"
+    return f"(qid={qid!r}, feature_index={feature_index})"
+
+
 def _why(e) -> str:
     """A parse failure's message; a KeyError is a missing field."""
     return f"missing field {e}" if isinstance(e, KeyError) else str(e)
@@ -456,8 +464,9 @@ def _tokens(tokens) -> list:
 
 
 def _feature(rec) -> Feature:
-    """A feature record's fields, typed as ``Feature`` declares them; the
-    binary codecs store feature_index as a u32."""
+    """A feature record's fields, typed as ``Feature`` declares them and
+    laid out as the module docstring states: token 0 is the sentinel, which
+    carries no span.  The binary codecs store feature_index as a u32."""
     qid, fi, tokens = rec["qid"], rec["feature_index"], rec["tokens"]
     if not isinstance(qid, str):
         raise ValueError(f"qid {qid!r} is not a string")
@@ -477,6 +486,12 @@ def _feature(rec) -> Feature:
     if len(f.tokens) != len(f.token_word_span):
         raise ValueError(f"{len(f.tokens)} tokens but "
                          f"{len(f.token_word_span)} token_word_span entries")
+    if not f.tokens:
+        raise ValueError("no tokens: a feature starts with the sentinel")
+    if mask[NULL_POSITION]:
+        raise ValueError(f"the sentinel, token {NULL_POSITION}, has word "
+                         f"span {list(f.token_word_span[NULL_POSITION])}: it "
+                         f"is the no-answer position and carries none")
     if (s, e) != (NULL_POSITION, NULL_POSITION) and not (
             0 <= s <= e < len(mask) and mask[s] and mask[e]):
         raise ValueError(f"start/end positions ({s}, {e}) are neither the "
@@ -490,8 +505,8 @@ def read_features(path) -> list:
     ``context_mask`` from an older file) is ignored.  A malformed record,
     or a (qid, feature_index) that repeats an earlier line's, raises
     DataError naming the path and the line."""
-    return read_jsonl(path, _feature, key=lambda f: (
-        f"(qid={f.qid!r}, feature_index={f.feature_index})"))
+    return read_jsonl(path, _feature,
+                      key=lambda f: _chunk_name(f.qid, f.feature_index))
 
 
 def load_vocab(path) -> list:

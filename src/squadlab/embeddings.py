@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Rng
-from .data import DataError, read_records, write_records
+from .data import DataError, _chunk_name, read_records, write_records
 
 MAGIC = b"SQEM"
 VERSION = 2
@@ -145,18 +145,17 @@ class EmbeddingStore:
     def get(self, qid: str, feature_index: int) -> EmbeddingMatrix:
         key = (qid, feature_index)
         if key not in self._records:
-            raise EmbeddingError(f"no embedding for (qid={qid!r}, "
-                                 f"feature_index={feature_index})")
+            raise EmbeddingError(
+                f"no embedding for {_chunk_name(qid, feature_index)}")
         return self._records[key]
 
     def __call__(self, feature) -> np.ndarray:
         m = self.get(feature.qid, feature.feature_index)
         if m.matrix.shape[0] != len(feature.tokens):
+            name = _chunk_name(feature.qid, feature.feature_index)
             raise EmbeddingError(
-                f"embedding for (qid={feature.qid!r}, "
-                f"feature_index={feature.feature_index}) has seq_len "
-                f"{m.matrix.shape[0]}, feature has {len(feature.tokens)} tokens"
-            )
+                f"embedding for {name} has seq_len {m.matrix.shape[0]}, "
+                f"feature has {len(feature.tokens)} tokens")
         return m.matrix
 
     def identity(self) -> dict:
@@ -201,7 +200,7 @@ def load_embedding_fixture(path) -> EmbeddingStore:
     for qid, fi, matrix in records:
         if matrix.ndim != 2 or matrix.shape[1] != d_model:
             raise DataError(
-                f"{path}: matrix for (qid={qid!r}, feature_index={fi}) has "
+                f"{path}: matrix for {_chunk_name(qid, fi)} has "
                 f"shape {list(matrix.shape)}, not [seq_len, {d_model}]")
         store[(qid, fi)] = EmbeddingMatrix(qid=qid, feature_index=fi,
                                            matrix=matrix)

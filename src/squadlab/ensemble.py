@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, read_records, write_records
+from .data import DataError, _chunk_name, read_records, write_records
 from .heads import (DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
                     best_answer, prediction_record)
 from .training import decode_logit_set
@@ -94,7 +94,8 @@ def mean_logits(dumps) -> dict:
     for d in dumps[1:]:
         if sorted(d) != keys:
             diff = sorted(set(d) ^ set(keys))
-            raise ValueError(f"logits dumps disagree on key {diff[0]!r}")
+            raise ValueError(
+                f"logits dumps disagree on {_chunk_name(*diff[0])}")
     combined = {}
     for key in keys:
         qid, fi = key
@@ -106,13 +107,15 @@ def mean_logits(dumps) -> dict:
             if (rec.start_logits.shape != start.shape
                     or rec.end_logits.shape != end.shape):
                 raise ValueError(
-                    f"logits dumps disagree on sequence length at key {key!r}"
+                    f"logits dumps disagree on sequence length at "
+                    f"{_chunk_name(qid, fi)}"
                 )
             with np.errstate(over="ignore"):
                 start += rec.start_logits
                 end += rec.end_logits
         if not (np.isfinite(start).all() and np.isfinite(end).all()):
-            raise ValueError(f"summed logits overflow at key {key!r}")
+            raise ValueError(
+                f"summed logits overflow at {_chunk_name(qid, fi)}")
         combined[key] = SpanLogits(qid=qid, feature_index=fi,
                                    start_logits=start, end_logits=end)
     return combined
@@ -194,7 +197,7 @@ def load_logits_dump(path) -> dict:
     _, records = read_records(path, DUMP_MAGIC, DUMP_VERSION)
     out = {}
     for qid, fi, logits in records:
-        where = f"{path}: logits for (qid={qid!r}, feature_index={fi})"
+        where = f"{path}: logits for {_chunk_name(qid, fi)}"
         if logits.ndim != 2 or logits.shape[0] != 2:
             raise DataError(f"{where} have shape {list(logits.shape)}, not "
                             f"[2, seq_len]")

@@ -31,8 +31,8 @@ import numpy as np
 from .autograd import (MASK_FILL, Module, Rng, Tensor, chunk_bounds,
                        cross_entropy_from_logits, init_uniform, masked_fill,
                        matmul)
-from .data import (NULL_POSITION, DataError, Feature, read_jsonl,
-                   write_jsonl)
+from .data import (NULL_POSITION, DataError, Feature, _chunk_name,
+                   read_jsonl, write_jsonl)
 from .layers import GRUCell, gru_forward
 
 DEFAULT_N_BEST = 20
@@ -197,8 +197,8 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
         scores = sl[s] + el[e]
         null_score = sl[NULL_POSITION] + el[NULL_POSITION]
     if not (np.isfinite(scores).all() and np.isfinite(null_score)):
-        raise ValueError(f"decode (qid={qid!r}, feature_index={fi}): a span "
-                         f"or null score overflows")
+        raise ValueError(f"decode {_chunk_name(qid, fi)}: a span or null "
+                         f"score overflows")
     kept = np.zeros(len(scores), dtype=bool)
     kept[top_k(scores, n_best - 1)] = True
     chars = np.array([feature.token_word_span[t] for t in ctx.tolist()],

@@ -19,7 +19,9 @@ A highway layer is one graph node that keeps nothing but its parents and
 recomputes its gate and transform in its backward; dropout is one node
 that keeps a bool mask; and a whole LSTM/GRU layer, both directions and
 their input projections, is one ``autograd.lstm_layer``/``gru_layer``
-node.
+node.  A cell's ``entry`` picks that node, so ``lstm_forward`` and
+``gru_forward`` are one body and ``bilstm_forward`` and ``bigru_forward``
+another, kept under four names for the callers that use their kind's.
 """
 
 from __future__ import annotations
@@ -68,16 +70,15 @@ class Highway(Module):
             # the chain ran the transform's branch, then the carry's, then
             # the gate's, and x's gradient sums their parts in that order
             _affine_backward(x, W_proj, b_proj, dy * g * (t > 0))
-            d_carry = dy * x.data
             if x.requires_grad:
                 x._accum(dy * (g * -1.0 + 1.0))
-            d_g = dy * t
-            del t
-            d_g -= d_carry
-            del d_carry
-            _affine_backward(x, W_gate, b_gate, d_g * g * (1.0 - g))
+            _affine_backward(x, W_gate, b_gate,
+                             (dy * t - dy * x.data) * g * (1.0 - g))
 
-        # g * t + (g * -1.0 + 1.0) * x, with one temporary
+        # g * t + (g * -1.0 + 1.0) * x.  The temporaries are dropped as
+        # they are used up: as one expression the traced peaks stay, but
+        # paper-infer's peak RSS rises by 0.6-0.7 MB, memory the allocator
+        # holds that tracemalloc does not count
         g, t = gate_and_transform()
         y = g * t
         del t
@@ -115,17 +116,20 @@ def _layer_node(cells, x: Tensor, reverse, lengths) -> Tensor:
                  reverse, lengths)
 
 
-def lstm_forward(cell: LSTMCell, x: Tensor, reverse: bool = False,
-                 lengths=None) -> Tensor:
+def _one_direction(cell, x: Tensor, reverse: bool = False,
+                   lengths=None) -> Tensor:
     """Run one direction over [seq, d_in], or over each chunk of packed
-    rows; zero initial h and c."""
+    rows; zero initial state."""
     return _layer_node([cell], x, [reverse], lengths)
 
 
-def bilstm_forward(fwd: LSTMCell, bwd: LSTMCell, x: Tensor,
-                   lengths=None) -> Tensor:
+def _two_directions(fwd, bwd, x: Tensor, lengths=None) -> Tensor:
     """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
     return _layer_node([fwd, bwd], x, [False, True], lengths)
+
+
+lstm_forward = gru_forward = _one_direction
+bilstm_forward = bigru_forward = _two_directions
 
 
 class GRUCell(Module):
@@ -142,19 +146,6 @@ class GRUCell(Module):
         self.W_c = init_uniform(rng, (d_in, hidden), d_in)
         self.U_c = init_uniform(rng, (hidden, hidden), hidden)
         self.b_c = init_uniform(rng, (hidden,), hidden)
-
-
-def gru_forward(cell: GRUCell, x: Tensor, reverse: bool = False,
-                lengths=None) -> Tensor:
-    """Run one direction over [seq, d_in], or over each chunk of packed
-    rows; zero initial h."""
-    return _layer_node([cell], x, [reverse], lengths)
-
-
-def bigru_forward(fwd: GRUCell, bwd: GRUCell, x: Tensor,
-                  lengths=None) -> Tensor:
-    """A forward and a backward pass, stacked in one scan: [seq, 2h]."""
-    return _layer_node([fwd, bwd], x, [False, True], lengths)
 
 
 class BiCells(Module):
@@ -199,6 +190,12 @@ def dot_product_attention(x: Tensor, causal: bool = False,
     for its hand-written backward, which recomputes each chunk's
     probabilities with the forward's ops, so one chunk's [T, T] arrays are
     alive at a time, recorded or not.
+
+    At two OpenBLAS threads (0.3.31, Haswell) two kinds of its products
+    give other bits than at the package's one: those with a chunk's T
+    output columns (``xc @ xc.T``, ``g @ xc.T``, ``xc.T @ ds``) when T is
+    not a multiple of 8, from 91-126 rows on by product, and those with d
+    output columns (``p @ xc``, ``p.T @ g``, ``ds @ xc``) from about 390.
     """
     seq, d = x.shape
     bounds = chunk_bounds(lengths, seq, "attention")
@@ -265,7 +262,6 @@ class WeightedAvgAttention(Module):
             a = e / e.sum(axis=0, keepdims=True)
             np.add(Ec, a.T.copy() @ Ec, out=out[lo:hi])
             weights.append(a)
-        del s, e, a
 
         def bwd(g):
             # per chunk, as in the chain: c = a^T E gets g_c, g summed over

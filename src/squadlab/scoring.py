@@ -107,10 +107,11 @@ def evaluate(predictions: dict, examples) -> EvalReport:
             answerable += 1
         pred = predictions[ex.qid]
         em = compute_em(pred, golds)
-        f1 = compute_f1(pred, golds)
-        best_gold = ""
-        if golds:
-            best_gold = max(golds, key=lambda g: _f1_single(pred, g))
+        # each gold scored once; the best is the first with the top F1
+        scored = _golds_or_empty(golds)
+        f1s = [_f1_single(pred, g) for g in scored]
+        f1 = max(f1s)
+        best_gold = scored[f1s.index(f1)]
         per_question[ex.qid] = (em, f1, pred, best_gold)
 
     n = len(per_question)

@@ -36,6 +36,7 @@ import numpy as np
 from .autograd import (AdamState, Module, Rng, Tensor, adam_step,
                        chunk_bounds, clip_global_norm, load_checkpoint,
                        no_grad, save_checkpoint, zero_grads)
+from .data import _chunk_name
 from .embeddings import CharEmbeddingTable
 from .heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
                     AlbertSquadOut, BidafOut, aggregate_features,
@@ -234,12 +235,10 @@ class TrainResult:
 
 
 def _where(chunks) -> str:
-    """``qid=…`` of ``chunks``' question, with ``feature_index=…`` when
-    they are one chunk."""
-    where = f"qid={chunks[0].qid!r}"
-    if len(chunks) == 1:
-        where += f", feature_index={chunks[0].feature_index}"
-    return where
+    """The name of ``chunks``: the chunk's own when they are one, else
+    their question's."""
+    f = chunks[0]
+    return _chunk_name(f.qid, f.feature_index if len(chunks) == 1 else None)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -269,7 +268,7 @@ def _forward_chunks(model: QaModel, chunks, provider, what: str,
             except FloatingPointError as e:
                 error, named = e, [feat]
                 break
-    raise RuntimeError(f"{what} ({_where(named)}): {error}") from None
+    raise RuntimeError(f"{what} {_where(named)}: {error}") from None
 
 
 def _span_loss_sum(chunks, start: Tensor, end: Tensor, what: str) -> Tensor:
@@ -286,11 +285,11 @@ def _span_loss_sum(chunks, start: Tensor, end: Tensor, what: str) -> Tensor:
                                     f.start_position, f.end_position,
                                     f.context_mask))
         except FloatingPointError as e:
-            raise RuntimeError(f"{what} ({_where([f])}): {e}") from None
+            raise RuntimeError(f"{what} {_where([f])}: {e}") from None
     try:
         return sum(losses[1:], losses[0])
     except FloatingPointError as e:
-        raise RuntimeError(f"{what} ({_where(chunks)}): {e}") from None
+        raise RuntimeError(f"{what} {_where(chunks)}: {e}") from None
 
 
 def train(model: QaModel, features, provider, hp: Hyperparams,
@@ -371,16 +370,16 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
     for (qid, fi), logits in sorted(logit_sets.items()):
         feature = features_by_key.get((qid, fi))
         if feature is None:
-            raise ValueError(f"logits for (qid={qid!r}, feature_index={fi}) "
-                             f"have no feature of that key in the features")
+            raise ValueError(f"logits for {_chunk_name(qid, fi)} have no "
+                             f"feature of that key in the features")
         if qid not in context_by_qid:
-            raise ValueError(f"logits for (qid={qid!r}, feature_index={fi}) "
-                             f"have no context: the data has no question "
+            raise ValueError(f"logits for {_chunk_name(qid, fi)} have no "
+                             f"context: the data has no question "
                              f"{qid!r}")
         lengths = (len(logits.start_logits), len(logits.end_logits))
         if lengths != (len(feature.tokens),) * 2:
             raise ValueError(
-                f"logits for (qid={qid!r}, feature_index={fi}) have start/end "
+                f"logits for {_chunk_name(qid, fi)} have start/end "
                 f"lengths {lengths[0]}/{lengths[1]} but the feature has "
                 f"{len(feature.tokens)} tokens")
         context = context_by_qid[qid]
@@ -388,7 +387,7 @@ def decode_logit_set(logit_sets: dict, features_by_key: dict,
                      if span is not None), default=0)
         if reach > len(context):
             raise ValueError(
-                f"feature (qid={qid!r}, feature_index={fi}) spans context "
+                f"feature {_chunk_name(qid, fi)} spans context "
                 f"characters up to {reach}, but the data's context for "
                 f"{qid!r} has {len(context)}")
         cands = decode_spans(logits, feature, context,

@@ -1378,6 +1378,32 @@ class TestInputErrors:
             f"error: {feats}: line 1: tokens[1] {shown} is not a non-empty "
             f"string")
 
+    @pytest.mark.parametrize("command", ["pseudo-embed", "train", "predict"])
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rec: rec.update(tokens=[], token_word_span=[]),
+         "no tokens: a feature starts with the sentinel"),
+        (lambda rec: rec["token_word_span"].__setitem__(0, [0, 1]),
+         "the sentinel, token 0, has word span [0, 1]: it is the no-answer "
+         "position and carries none"),
+    ], ids=["no-tokens", "span-on-the-sentinel"])
+    def test_feature_without_its_sentinel_is_2(self, corpus, tmp_path, capsys,
+                                               command, edit, problem):
+        pseudo = ["--embeddings", "pseudo"]
+        if command == "predict":
+            _, ckpt = _train_squad_out(corpus, tmp_path, pseudo)
+        feats = self._edited_features(corpus, tmp_path, capsys, edit)
+        argv = {
+            "pseudo-embed": ["pseudo-embed", "--features", str(feats),
+                             "--out", str(tmp_path / "e.bin")],
+            "train": ["train", "--features", str(feats), "--arch",
+                      "squad_out", "--d-model", "8",
+                      "--out", str(tmp_path / "m.json")] + pseudo,
+        }.get(command)
+        code = (_predict(ckpt, feats, corpus, tmp_path, pseudo)
+                if argv is None else main(argv))
+        assert code == 2
+        assert _error_line(capsys) == f"error: {feats}: line 1: {problem}"
+
     @staticmethod
     def _edited_features(corpus, tmp_path, capsys, edit):
         """A features file whose first record, a no-answer chunk, is
@@ -1735,7 +1761,8 @@ class TestOverflowAfterForward:
     @pytest.mark.parametrize("value, where", [
         (6e307, "error: decode (qid='synth-0000', feature_index=0): a span "
                 "or null score overflows"),
-        (1e308, "error: summed logits overflow at key ('synth-0000', 0)"),
+        (1e308, "error: summed logits overflow at (qid='synth-0000', "
+                "feature_index=0)"),
     ], ids=["span-score", "logit-sum"])
     def test_mean_logits_overflow_is_one_error_line(self, corpus, tmp_path,
                                                     capsys, value, where):

@@ -158,6 +158,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="duplicate"):
             evaluate({"t3-0": "x"}, [ex, ex])
 
+    @pytest.mark.parametrize("golds", [("cat", "dog"), ("dog", "cat")])
+    def test_first_of_two_golds_tied_on_f1_is_best(self, golds):
+        context = " ".join(golds)
+        ex = RawExample(qid="q", question="?", context=context,
+                        answers=[(golds[0], 0),
+                                 (golds[1], len(golds[0]) + 1)],
+                        is_impossible=False)
+        report = evaluate({"q": "the cat dog"}, [ex])
+        em, f1, pred, best_gold = report.per_question["q"]
+        assert (em, pred, best_gold) == (0, "the cat dog", golds[0])
+        assert f1 == compute_f1("cat dog", ["cat"]) == 2 / 3
+
     def test_unanswerable_counting(self):
         ex = RawExample(qid="na", question="?", context="ctx", answers=[],
                         is_impossible=True)

@@ -225,9 +225,13 @@ def test_batched_scans_match_per_chunk_scans(cell, D):
                                         seed=D, exact=False)
 
 
+# explicit ids keep each layer's public name: the two names of one shape
+# are one function, whose own name is private
 @pytest.mark.parametrize("birnn, cell_type, reference", [
     (bilstm_forward, LSTMCell, reference_lstm_forward),
-    (bigru_forward, GRUCell, reference_gru_forward)])
+    (bigru_forward, GRUCell, reference_gru_forward)], ids=[
+    "bilstm_forward-LSTMCell-reference_lstm_forward",
+    "bigru_forward-GRUCell-reference_gru_forward"])
 def test_batched_birnn_matches_reference_per_chunk(birnn, cell_type,
                                                    reference):
     """The layers' packed BiRNN against the per-step reference loops run
@@ -314,7 +318,8 @@ def _graph_nodes(out):
 
 
 @pytest.mark.parametrize("forward, cell_type", [(lstm_forward, LSTMCell),
-                                                (gru_forward, GRUCell)])
+                                                (gru_forward, GRUCell)],
+                         ids=["lstm_forward-LSTMCell", "gru_forward-GRUCell"])
 def test_graph_size_independent_of_length(forward, cell_type):
     cell = cell_type(3, 2, Rng(0))
     sizes = {seq: len(_graph_nodes(forward(cell, Tensor(np.ones((seq, 3))),
@@ -325,7 +330,8 @@ def test_graph_size_independent_of_length(forward, cell_type):
 
 @pytest.mark.parametrize("forward, cell_type, recurrent", [
     (bilstm_forward, LSTMCell, ("U",)),
-    (bigru_forward, GRUCell, ("U_ur", "U_c"))])
+    (bigru_forward, GRUCell, ("U_ur", "U_c"))], ids=[
+    "bilstm_forward-LSTMCell-recurrent0", "bigru_forward-GRUCell-recurrent1"])
 def test_one_scan_node_per_birnn(forward, cell_type, recurrent):
     """Both directions run in one scan node, whatever the length."""
     cells = cell_type(3, 2, Rng(0)), cell_type(3, 2, Rng(1))
@@ -382,7 +388,9 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("forward, saturated, cell_type", [
         (bilstm_forward, "_saturated_lstm", LSTMCell),
-        (bigru_forward, "_saturated_gru", GRUCell)])
+        (bigru_forward, "_saturated_gru", GRUCell)], ids=[
+        "bilstm_forward-_saturated_lstm-LSTMCell",
+        "bigru_forward-_saturated_gru-GRUCell"])
     @pytest.mark.parametrize("which", [0, 1])
     def test_stacked_gate_overflow_raises(self, forward, saturated,
                                           cell_type, which):
@@ -459,7 +467,9 @@ def _projections_and_scan(kind, cells, x, reverse, lengths):
 
 @pytest.mark.parametrize("birnn, cell_type, reference", [
     (bilstm_forward, LSTMCell, reference_lstm_forward),
-    (bigru_forward, GRUCell, reference_gru_forward)])
+    (bigru_forward, GRUCell, reference_gru_forward)], ids=[
+    "bilstm_forward-LSTMCell-reference_lstm_forward",
+    "bigru_forward-GRUCell-reference_gru_forward"])
 @pytest.mark.parametrize("lengths", [[2 * BLOCK + 1, BLOCK + 1, 3],
                                      [3, BLOCK + 2, 2 * BLOCK + 1]])
 def test_packed_chunks_across_block_edges_match_reference(
@@ -558,7 +568,8 @@ def _held(forward):
 
 
 @pytest.mark.parametrize("birnn, cell_type, per_step", [
-    (bilstm_forward, LSTMCell, 3), (bigru_forward, GRUCell, 2)])
+    (bilstm_forward, LSTMCell, 3), (bigru_forward, GRUCell, 2)],
+    ids=["bilstm_forward-LSTMCell-3", "bigru_forward-GRUCell-2"])
 def test_a_scan_holds_only_what_its_backward_reads(birnn, cell_type,
                                                    per_step):
     """Recorded, a BiRNN holds, per step, direction and hidden unit, the
@@ -577,7 +588,8 @@ def test_a_scan_holds_only_what_its_backward_reads(birnn, cell_type,
 
 
 @pytest.mark.parametrize("birnn, cell_type, peak", [
-    (bilstm_forward, LSTMCell, 115_600), (bigru_forward, GRUCell, 112_900)])
+    (bilstm_forward, LSTMCell, 115_600), (bigru_forward, GRUCell, 112_900)],
+    ids=["bilstm_forward-LSTMCell-115600", "bigru_forward-GRUCell-112900"])
 def test_without_a_graph_projections_go_a_block_at_a_time(birnn, cell_type,
                                                           peak):
     """Without a graph a BiRNN over 300 rows peaks at its states and its

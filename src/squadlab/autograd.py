@@ -16,10 +16,11 @@ tests check them against the per-step reference loop, and a batch against
 one scan per chunk.  ``gru_layer``/``lstm_layer`` take the layer input x
 and its cells' W, b and U, and fold the input projections ``affine(x, W,
 b)`` into the scan: a whole recurrent layer is one node, and its backward
-accumulates dx, dW, db and dU itself.  The node projects x one block of
-``SCAN_BLOCK`` steps at a time, so no projection of the whole sequence
-exists; the blocks' bits equal ``affine``'s by a BLAS property that
-``gathered_rows_mismatches`` checks (see ``_fold_projections``).  A
+accumulates dx, dW, db and dU itself.  One helper, ``_input_blocks``,
+feeds every scan and layer node its input a block of ``SCAN_BLOCK`` steps
+at a time and hands back the inputs' gradients, so no projection of the
+whole sequence exists; a layer's blocks carry ``affine``'s bits by a BLAS
+property that ``gathered_rows_mismatches`` checks (see ``_layer``).  A
 recorded scan keeps only its states h (and an LSTM's c); its backward
 rebuilds the gates and candidates from them one block of steps at a time,
 with the forward's ops and bits, and without a graph it keeps h alone.
@@ -525,7 +526,7 @@ def gathered_rows_mismatches(rng) -> list:
     CLI's default widths (and 32 x 64), with 2, 3, 8 and 64 rows drawn at
     random from the 1,074 of a 3-chunk seq-384 question: empty when the
     BLAS has ``GATHERED_ROWS_PROPERTY``, which the layer nodes' blocked
-    projections rest on (``_fold_projections``)."""
+    projections rest on (``_layer``)."""
     n, bad = 1074, []
     for d, k in ((80, 128), (64, 128), (80, 64), (80, 32), (64, 64),
                  (64, 32), (32, 64)):
@@ -538,43 +539,36 @@ def gathered_rows_mismatches(rng) -> list:
     return bad
 
 
-def _fold_projections(order, x, groups):
-    """The input projections ``x W + b`` of each group of per-direction
-    (Ws, bs), made a block of steps at a time, and the backward that takes
-    their step-order gradients.
+def _input_blocks(order, widths, groups, make, take):
+    """A scan's input blocks, made a block of steps at a time, and the
+    backward that hands back their step-order gradients.
 
-    ``project(k0, k1)`` gives each group's [k1 - k0, D, B, k] block of
-    steps k0 to k1 - 1 (padded steps 0), each direction's computed as
-    ``affine`` computes it, ``x[rows] @ W; += b``, over its live rows
-    there.  Those rows carry the
-    bits of ``affine``'s one [N, d] @ [d, k] product, by
-    ``GATHERED_ROWS_PROPERTY`` (a 1-row product takes another BLAS path
-    and need not): the scan calls ``project`` per ``_step_blocks`` block,
-    in its forward and again in its backward, and a block spans 2 or more
-    steps unless T = 1; the longest chunk is live at every step, so every
-    product has 2 or more rows unless x itself has one.
-
-    The backward runs ``affine``'s backward for every direction of every
-    group in turn, the order in which the ``affine`` nodes feeding a scan
-    ran."""
+    ``groups`` holds, per gate block of width m h in ``widths``, one entry
+    per direction.  ``project(k0, k1)`` gives each group's [k1 - k0, D, B,
+    m h] block of steps k0 to k1 - 1 (padded steps 0): ``make(entries,
+    rows)``, given direction d's entry of each group and its live packed
+    rows there, yields those rows of each group in turn, and each is placed
+    before the next is made.  ``backward(*steps)`` gathers each group's
+    [T, D, B, m h] step-order gradient one direction at a time and calls
+    ``take(entry, g)`` with its packed rows g [N, m h], group by group and
+    direction by direction, one gathered array alive at a time."""
     T, D, B = order.shape
 
     def project(k0, k1):
-        blocks = [np.zeros((k1 - k0, D, B, Ws[0].shape[1]))
-                  for Ws, _ in groups]
+        blocks = [np.zeros((k1 - k0, D, B, w)) for w in widths]
         for d in range(D):
             rows, where = order.live(d, k0, k1)
-            xr = x.data[rows]
-            for out, (Ws, bs) in zip(blocks, groups):
-                out[where] = _project(xr, Ws[d].data, bs[d].data)
+            made = make([group[d] for group in groups], rows)
+            for out in blocks:
+                out[where] = next(made)
         return blocks
 
     def backward(*steps):
-        for (Ws, bs), d in zip(groups, steps):
-            grads = order.gather(d)
-            for W, b in zip(Ws, bs):
+        for group, s in zip(groups, steps):
+            grads = order.gather(s)
+            for entry in group:
                 g = next(grads)
-                _affine_backward(x, W, b, g)
+                take(entry, g)
                 del g  # before the next direction's is gathered
 
     return project, backward
@@ -615,31 +609,31 @@ def _scans(name, node, widths, xs, Us, reverse, lengths) -> Tensor:
     order, groups = _directions(
         name, reverse, lengths, n,
         [(n, m * h) for m in widths] + [(h, m * h) for m in widths], *xs, *Us)
-    xs = groups[:len(widths)]
-    T, D, B = order.shape
-
-    def project(k0, k1):
-        blocks = [np.zeros((k1 - k0, D, B, x[0].shape[1])) for x in xs]
-        for d in range(D):
-            rows, where = order.live(d, k0, k1)
-            for out, x in zip(blocks, xs):
-                out[where] = x[d].data[rows]
-        return blocks
-
-    def input_backward(*steps):
-        for x, d in zip(xs, steps):
-            _accum_each(x, order.gather(d))
-
-    return node(order, project, sum(groups, []), input_backward,
-                *groups[len(widths):])
+    k = len(widths)
+    project, input_backward = _input_blocks(
+        order, [m * h for m in widths], groups[:k],
+        lambda xs, rows: (x.data[rows] for x in xs),
+        lambda x, g: _accum_each((x,), (g,)))
+    return node(order, project, sum(groups, []), input_backward, *groups[k:])
 
 
 def _layer(name, node, widths, x, projections, Us, reverse,
            lengths) -> Tensor:
     """``gru_layer`` and ``lstm_layer``: the cell's ``node`` over x [N, d],
-    its input projections ``x W + b`` folded in (``_fold_projections``),
-    with per-direction (W [d, m h], b [m h]) ``projections`` and U [h, m h]
-    for each gate block width m of ``widths``."""
+    its input projections ``x W + b`` folded in, with per-direction (W [d,
+    m h], b [m h]) ``projections`` and U [h, m h] for each gate block width
+    m of ``widths``.
+
+    Each input block holds, for each direction, ``affine``'s ops over the
+    direction's live rows, ``x[rows] @ W; += b``, x's rows gathered once.
+    Those rows carry the bits of ``affine``'s one [N, d] @ [d, k] product,
+    by ``GATHERED_ROWS_PROPERTY`` (a 1-row product takes another BLAS path
+    and need not): the scan makes its blocks per ``_step_blocks`` block, in
+    its forward and again in its backward, and a block spans 2 or more
+    steps unless T = 1; the longest chunk is live at every step, so every
+    product has 2 or more rows unless x itself has one.  The backward runs
+    ``affine``'s backward for every direction of every group in turn, the
+    order in which the ``affine`` nodes feeding a scan ran."""
     h = Tensor._coerce(Us[-1][0]).shape[0]
     x = Tensor._coerce(x)
     if x.data.ndim != 2:
@@ -651,8 +645,15 @@ def _layer(name, node, widths, x, projections, Us, reverse,
         [s for m in widths for s in ((d, m * h), (m * h,))]
         + [(h, m * h) for m in widths], *Wbs, *Us)
     k = len(Wbs)
-    project, input_backward = _fold_projections(
-        order, x, list(zip(groups[:k:2], groups[1:k:2])))
+
+    def make(pairs, rows):
+        xr = x.data[rows]
+        return (_project(xr, W.data, b.data) for W, b in pairs)
+
+    project, input_backward = _input_blocks(
+        order, [m * h for m in widths],
+        [list(zip(Ws, bs)) for Ws, bs in zip(groups[:k:2], groups[1:k:2])],
+        make, lambda Wb, g: _affine_backward(x, *Wb, g))
     return node(order, project, [x, *sum(groups, [])], input_backward,
                 *groups[k:])
 
@@ -785,7 +786,7 @@ def gru_layer(x, W_ur, b_ur, W_c, b_c, U_ur, U_c, reverse,
     and ``affine(x, W_c, b_c)``, folded into the scan.  Every argument but
     x and ``lengths`` holds one entry per direction (W_ur [d, 2h], b_ur
     [2h], W_c [d, h], b_c [h], U_ur, U_c, reverse).  The node projects x
-    one block of steps at a time (``_fold_projections``) and holds no
+    one block of steps at a time (``_layer``) and holds no
     projection; its backward accumulates the gradients of x, W, b
     and U itself, in the order of the ``affine`` nodes it replaces, so
     values and gradients are byte-identical to them feeding

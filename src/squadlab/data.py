@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ SEPARATOR_TOKEN = "[SEP]"
 NULL_POSITION = 0
 
 _TRAILING_PUNCT = ".,!?;:"
+# a whitespace-separated word: \s is str.isspace, so these are str.split()'s
+_WORD = re.compile(r"\S+")
 
 
 class DataError(ValueError):
@@ -182,17 +185,8 @@ def toy_tokenize(text: str, vocab) -> TokenizedContext:
     """
     vocab = set(vocab)
     tokens, spans = [], []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < n and not text[end].isspace():
-            end += 1
-        word = text[pos:end]
-        span_end = end
+    for m in _WORD.finditer(text):
+        word, pos, span_end = m.group(), m.start(), m.end()
         while span_end - pos > 1 and text[span_end - 1] in _TRAILING_PUNCT:
             span_end -= 1
         span = (pos, span_end)
@@ -208,7 +202,6 @@ def toy_tokenize(text: str, vocab) -> TokenizedContext:
             tokens.append(match)
             spans.append(span)
             i += len(match)
-        pos = end
     return TokenizedContext(tokens=tokens, token_word_span=spans)
 
 

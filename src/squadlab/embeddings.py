@@ -2,11 +2,15 @@
 
 Two providers feed the layer stack: a file-backed fixture store and a
 deterministic hash-based pseudo-embedder.  Both are frozen inputs; no
-gradient flows into them.
+gradient flows into them.  The pseudo-embedder's token and position
+vectors and ``CharEmbeddingTable``'s character vectors are pure functions
+of their key, each memoized by a ``functools.cache`` that its instance
+holds, so a vector is hashed once per object and the memo goes with it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -57,22 +61,10 @@ class PseudoEmbedder:
             raise ValueError(f"d_model must be positive, got {d_model}")
         self.d_model = d_model
         self.seed = int(seed)
-        self._token_cache = {}
-        self._pos_cache = {}
-
-    def _token_vec(self, token: str) -> np.ndarray:
-        v = self._token_cache.get(token)
-        if v is None:
-            v = _hashed_vector(self.d_model, "tok", self.seed, token)
-            self._token_cache[token] = v
-        return v
-
-    def _pos_vec(self, position: int) -> np.ndarray:
-        v = self._pos_cache.get(position)
-        if v is None:
-            v = _hashed_vector(self.d_model, "pos", position)
-            self._pos_cache[position] = v
-        return v
+        self._token_vec = functools.cache(functools.partial(
+            _hashed_vector, d_model, "tok", self.seed))
+        self._pos_vec = functools.cache(functools.partial(
+            _hashed_vector, d_model, "pos"))
 
     def embed(self, feature) -> EmbeddingMatrix:
         rows = [
@@ -103,15 +95,9 @@ class CharEmbeddingTable:
 
     def __init__(self, d_char: int):
         self.d_char = d_char
-        self._cache = {}
-
-    def vector(self, ch: str) -> np.ndarray:
-        v = self._cache.get(ch)
-        if v is None:
-            # a fixed 0 where PseudoEmbedder hashes its seed
-            v = _hashed_vector(self.d_char, "char", 0, ch)
-            self._cache[ch] = v
-        return v
+        # a fixed 0 where PseudoEmbedder hashes its seed
+        self.vector = functools.cache(functools.partial(
+            _hashed_vector, d_char, "char", 0))
 
 
 # -- fixture file ---------------------------------------------------------

@@ -22,9 +22,13 @@ their input projections, is one ``autograd.lstm_layer``/``gru_layer``
 node.  A cell's ``entry`` picks that node, so ``lstm_forward`` and
 ``gru_forward`` are one body and ``bilstm_forward`` and ``bigru_forward``
 another, kept under four names for the callers that use their kind's.
+The combiner makes each token's char-CNN windows once per combiner, in a
+``functools.cache`` it holds, as the char table memoizes its vectors.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -357,14 +361,8 @@ class EmbeddingCombiner(Module):
         self.d_comb = d_model + d_char_out
         self.highway = [Highway(self.d_comb, rng.spawn(4)),
                         Highway(self.d_comb, rng.spawn(5))]
-        self._window_cache = {}
-
-    def _token_windows(self, token: str) -> np.ndarray:
-        w = self._window_cache.get(token)
-        if w is None:
-            w = self.char_cnn.windows(token, self.char_table)
-            self._window_cache[token] = w
-        return w
+        self._token_windows = functools.cache(functools.partial(
+            self.char_cnn.windows, table=char_table))
 
     def forward(self, token_embedding: Tensor, tokens,
                 lengths=None) -> Tensor:

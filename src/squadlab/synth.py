@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .autograd import Rng
-from .data import RawExample, TokenizedContext
+from .data import _WORD, RawExample, TokenizedContext
 
 _FILLER = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
            "hotel", "india", "juliet", "kilo", "lima", "mike", "november",
@@ -21,14 +21,9 @@ _NUMBERS = ["11", "23", "37", "42", "58", "64", "71", "89", "95", "107"]
 
 def word_tokenize(text: str) -> TokenizedContext:
     """One token per whitespace word, spanning the word verbatim."""
-    tokens, spans = [], []
-    pos = 0
-    for word in text.split():
-        start = text.index(word, pos)
-        tokens.append(word)
-        spans.append((start, start + len(word)))
-        pos = start + len(word)
-    return TokenizedContext(tokens=tokens, token_word_span=spans)
+    words = list(_WORD.finditer(text))
+    return TokenizedContext(tokens=[m.group() for m in words],
+                            token_word_span=[m.span() for m in words])
 
 
 def question_tokens(text: str) -> list:

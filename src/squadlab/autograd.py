@@ -1130,11 +1130,16 @@ def save_checkpoint(path, params: dict, seed: int, hyperparams: dict) -> None:
 
 def load_checkpoint(path):
     """(name -> array, seed, hyperparams) of what ``save_checkpoint``
-    wrote; a header without seed or hyperparams raises DataError."""
+    wrote; a header without seed or hyperparams, or a record at an index
+    other than 0, raises DataError."""
     header, records = read_records(path, CHECKPOINT_MAGIC,
                                    CHECKPOINT_VERSION)
     for key in ("seed", "hyperparams"):
         if key not in header:
             raise DataError(f"{path}: checkpoint missing field {key!r}")
+    for name, index, _ in records:
+        if index != 0:
+            raise DataError(f"{path}: parameter {name!r} is stored at index "
+                            f"{index}; a checkpoint keeps each at index 0")
     params = {name: array for name, _, array in records}
     return params, header["seed"], header["hyperparams"]

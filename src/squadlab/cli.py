@@ -372,6 +372,26 @@ _ENSEMBLE_INPUTS = {
 }
 _ENSEMBLE_FLAGS = ("--pred", "--weights", "--dumps", "--features", "--data",
                    "--mean-weight", "--null-threshold")
+# the flags that name files a command writes, and those that name files it
+# reads; each output needs a path no other of these names
+_OUTPUT_FLAGS = ("--out", "--loss-curve", "--logits-out")
+_INPUT_FLAGS = ("--data", "--features", "--embeddings", "--checkpoint",
+                "--pretokenized", "--vocab", "--pred", "--dumps", "--gold")
+
+
+def _flag(args, flag):
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
+def _paths(args, flags):
+    """(flag, path) for each path the command's ``flags`` name; the
+    pseudo embedder is no file."""
+    for flag in flags:
+        value = _flag(args, flag)
+        for path in value if isinstance(value, list) else [value]:
+            if path is not None and (flag, path) != ("--embeddings",
+                                                     "pseudo"):
+                yield flag, path
 
 
 def _validate(args, parser):
@@ -391,8 +411,8 @@ def _validate(args, parser):
                 parser.error(f"{flag} must be at least 1")
     if args.command == "ensemble":
         needs, may = _ENSEMBLE_INPUTS[args.strategy]
-        given = [flag for flag in _ENSEMBLE_FLAGS if getattr(
-            args, flag[2:].replace("-", "_")) not in (None, [])]
+        given = [flag for flag in _ENSEMBLE_FLAGS
+                 if _flag(args, flag) not in (None, [])]
         missing = [flag for flag in needs if flag not in given]
         if missing:
             parser.error(f"{args.strategy} requires {', '.join(missing)}")
@@ -416,6 +436,15 @@ def _validate(args, parser):
     threshold = getattr(args, "null_threshold", None)
     if threshold is not None and not math.isfinite(threshold):
         parser.error(f"--null-threshold must be finite, got {threshold}")
+    written = {}
+    for flag, path in [*_paths(args, _OUTPUT_FLAGS),
+                       *_paths(args, _INPUT_FLAGS)]:
+        real = os.path.realpath(path)
+        if real in written:
+            parser.error(f"{flag} and {written[real]} name the same file "
+                         f"{path}; each output needs a path of its own")
+        if flag in _OUTPUT_FLAGS:
+            written[real] = flag
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import squadlab
 from squadlab import BLAS_THREAD_VARS, cli
 from squadlab.synth import make_synthetic_examples, write_squad_json
@@ -52,14 +54,14 @@ class TestDefault:
             "MKL_NUM_THREADS": "2"}
 
 
-def test_predict_with_unset_variables_writes_the_one_thread_dump(tmp_path):
-    """An attention model's predict at long-train's shape (seq 160, stride
-    64, 300-word contexts: 3 packed chunks) writes the same logit dump with
-    the thread variables unset as with each at 1.  Unset, OpenBLAS would
-    use one thread per CPU, and at these shapes a product inside
-    ``dot_product_attention`` then takes another summation order; on a
-    1-CPU machine both runs use one thread, so this test cannot fail
-    there whatever the package does."""
+@pytest.fixture(scope="module")
+def attention_model(tmp_path_factory):
+    """An attention model trained at long-train's shape (seq 160, stride
+    64, 300-word contexts: 3 packed chunks), and a predict of it that runs
+    in a fresh process with ``_env(**variables)`` and gives its logit dump
+    and its manifest."""
+    tmp_path = tmp_path_factory.mktemp("threads")
+
     def o(name):
         return str(tmp_path / name)
 
@@ -76,9 +78,8 @@ def test_predict_with_unset_variables_writes_the_one_thread_dump(tmp_path):
                      "--arch", "gru_attn_selfattn_gru_bidaf",
                      "--use-char-embedding", "--epochs", "1",
                      "--out", o("model.ckpt")] + shape) == 0
-    dumps = {}
-    for name, variables in (("unset", {}),
-                            ("one", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+
+    def predict(name, **variables):
         done = subprocess.run(
             [sys.executable, "-m", "squadlab.cli", "predict",
              "--checkpoint", o("model.ckpt"), "--features", o("eval.jsonl"),
@@ -88,5 +89,38 @@ def test_predict_with_unset_variables_writes_the_one_thread_dump(tmp_path):
             env=_env(**variables), capture_output=True, text=True,
             timeout=300)
         assert done.returncode == 0, done.stderr
-        dumps[name] = (tmp_path / f"{name}.logits.bin").read_bytes()
-    assert dumps["unset"] == dumps["one"]
+        manifest = json.loads(
+            (tmp_path / f"{name}.logits.bin.manifest.json").read_text())
+        return (tmp_path / f"{name}.logits.bin").read_bytes(), manifest
+
+    return predict
+
+
+def test_predict_with_unset_variables_writes_the_one_thread_dump(
+        attention_model):
+    """The attention model's predict writes the same logit dump with the
+    thread variables unset as with each at 1.  Unset, OpenBLAS would
+    use one thread per CPU, and at these shapes a product inside
+    ``dot_product_attention`` then takes another summation order; on a
+    1-CPU machine both runs use one thread, so this test cannot fail
+    there whatever the package does."""
+    unset, _ = attention_model("unset")
+    one, _ = attention_model("one", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    assert unset == one
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs 2 CPUs for 2 BLAS threads")
+def test_a_callers_two_threads_are_kept_and_recorded(attention_model):
+    """A caller that sets OPENBLAS_NUM_THREADS=2 keeps it: two such
+    predicts write the same dump, and each manifest records "2" beside
+    the package's 1 for the variables left unset.  Whether that dump
+    equals the one-thread dump depends on the BLAS, so it is not
+    checked."""
+    runs = [attention_model(f"two-{i}", OPENBLAS_NUM_THREADS="2")
+            for i in range(2)]
+    assert runs[0][0] == runs[1][0]
+    for _, manifest in runs:
+        assert manifest["build"]["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1"}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squadlab import selftest
+from squadlab import cli, selftest
 from squadlab.autograd import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                load_checkpoint)
 from squadlab.cli import build_parser, main
@@ -192,6 +192,82 @@ class TestExitCodes:
         code = main(["preprocess", "--data", str(bad),
                      "--out", str(tmp_path / "f.jsonl")])
         assert code == 2
+
+
+class TestOutputPaths:
+    """Each file a command writes needs a path that no other output and no
+    input of the call names, however spelled; a clash is a usage error
+    before anything is opened."""
+
+    @staticmethod
+    def _refused(argv, capsys, flags):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "error:" in line]) == 1
+        assert err[-1].startswith("squadlab: error: ")
+        assert f"{flags[0]} and {flags[1]} name the same file" in err[-1]
+
+    def test_train_out_and_loss_curve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("m.ckpt").write_bytes(b"kept")
+        self._refused(["train", "--features", "f.jsonl", "--embeddings",
+                       "pseudo", "--arch", "squad_out", "--out", "m.ckpt",
+                       "--loss-curve", "m.ckpt"], capsys,
+                      ("--loss-curve", "--out"))
+        assert list(tmp_path.iterdir()) == [tmp_path / "m.ckpt"]
+        assert Path("m.ckpt").read_bytes() == b"kept"
+
+    def test_pseudo_embed_over_its_features(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("f.jsonl").write_bytes(b"kept")
+        self._refused(["pseudo-embed", "--features", "f.jsonl", "--out",
+                       "f.jsonl"], capsys, ("--features", "--out"))
+        assert list(tmp_path.iterdir()) == [tmp_path / "f.jsonl"]
+        assert Path("f.jsonl").read_bytes() == b"kept"
+
+    PREDICT = ["predict", "--features", "f", "--embeddings", "e",
+               "--data", "d.json", "--out", "p.jsonl"]
+    CLASHES = [
+        (PREDICT + ["--checkpoint", "c", "--logits-out", "sub/../c"],
+         ("--checkpoint", "--logits-out")),
+        (PREDICT + ["--checkpoint", "c", "--logits-out", "p.jsonl"],
+         ("--logits-out", "--out")),
+        (PREDICT + ["--checkpoint", "link"], ("--checkpoint", "--out")),
+        (["evaluate", "--pred", "p.jsonl", "--gold", "g.json", "--out",
+          "./g.json"], ("--gold", "--out")),
+        (["ensemble", "--strategy", "weighted-voting", "--pred", "a.jsonl",
+          "o.jsonl", "--out", "o.jsonl"], ("--pred", "--out")),
+        (["ensemble", "--strategy", "mean-logits", "--dumps", "a.bin",
+          "--features", "f", "--data", "d.json", "--out", "a.bin"],
+         ("--dumps", "--out")),
+        (["preprocess", "--data", "d.json", "--vocab", "v.txt", "--out",
+          "v.txt"], ("--vocab", "--out")),
+        (["preprocess", "--data", "d.json", "--pretokenized", "t.jsonl",
+          "--out", "t.jsonl"], ("--pretokenized", "--out")),
+        (["train", "--features", "f", "--embeddings", "e.bin", "--arch",
+          "squad_out", "--out", "e.bin"], ("--embeddings", "--out")),
+    ]
+
+    @pytest.mark.parametrize("argv, flags", CLASHES,
+                             ids=["-".join(f[2:] for f in flags)
+                                  for _, flags in CLASHES])
+    def test_an_output_over_another_path_is_1(self, tmp_path, capsys,
+                                              monkeypatch, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "p.jsonl")
+        self._refused(argv, capsys, flags)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+    def test_pseudo_names_no_file(self, tmp_path, monkeypatch):
+        # --embeddings pseudo reads nothing, so an output may be "pseudo"
+        monkeypatch.chdir(tmp_path)
+        parser = build_parser()
+        args = parser.parse_args(["train", "--features", "f",
+                                  "--embeddings", "pseudo", "--arch",
+                                  "squad_out", "--out", "pseudo"])
+        cli._validate(args, parser)
 
 
 class TestPreprocess:
@@ -1001,6 +1077,19 @@ class TestCheckpointErrors:
         line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
         assert line.startswith(f"error: {ckpt}: parameter names do not "
                                f"match the architecture")
+
+    def test_a_record_at_another_index_is_2(self, corpus, tmp_path, capsys):
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+
+        def second_head(header, records):
+            W = next(r[2] for r in records if r[0] == "head.W")
+            records.append(("head.W", 1, np.full_like(W, 7.0)))
+        _rewrite(ckpt, second_head)
+        line = self._expect_2(corpus, tmp_path, capsys, feats, ckpt)
+        assert line == (f"error: {ckpt}: parameter 'head.W' is stored at "
+                        f"index 1; a checkpoint keeps each at index 0")
+        assert not (tmp_path / "pred.jsonl").exists()
 
     def test_parameter_shape_must_match_model(self, corpus, tmp_path,
                                               capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import struct
 
@@ -15,7 +16,8 @@ from squadlab.data import (DataError, PreprocessConfig, RawExample,
                            read_records, span_to_text, toy_tokenize,
                            write_features, write_jsonl, write_records)
 from squadlab.selftest import JAY_TOKENS, jay_context
-from squadlab.synth import make_synthetic_examples, write_squad_json
+from squadlab.synth import (make_synthetic_examples, question_tokens,
+                            word_tokenize, write_squad_json)
 
 WORDS = ["apple", "boat", "cat", "door", "elephant", "fish", "grape",
          "house", "ink", "jump"]
@@ -578,6 +580,54 @@ class TestFeatureRecordChecks:
                  make_feature(qid="b", feature_index=1, start=3, end=3)]
         write_features(path, feats)
         assert read_features(path) == feats
+
+
+UNICODE_SPACES = " \t\n\x0b\x1c\xa0\u2003\u3000"
+
+
+def spaced_texts(n=300, seed=11):
+    """Seeded strings of letters, trailing punctuation and the whitespace
+    of ``UNICODE_SPACES``, each a run of 0-3 of them between words."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randrange(6)):
+            parts.append("".join(rng.choice(UNICODE_SPACES)
+                                 for _ in range(rng.randrange(4))))
+            parts.append("".join(rng.choice("ab.,!?;:")
+                                 for _ in range(1 + rng.randrange(4))))
+        parts.append("".join(rng.choice(UNICODE_SPACES)
+                             for _ in range(rng.randrange(3))))
+        texts.append("".join(parts))
+    return texts
+
+
+class TestWordSplit:
+    """Both tokenizers find their words where ``str.split()`` does, over
+    every kind of Unicode whitespace."""
+
+    def test_word_tokenize_gives_split_words_and_their_spans(self):
+        for text in spaced_texts():
+            ctx = word_tokenize(text)
+            assert ctx.tokens == text.split(), repr(text)
+            assert [text[a:b] for a, b in ctx.token_word_span] == ctx.tokens
+
+    def test_toy_tokenize_spans_words_less_trailing_punctuation(self):
+        for text in spaced_texts():
+            want = []
+            for a, b in word_tokenize(text).token_word_span:
+                while b - a > 1 and text[b - 1] in ".,!?;:":
+                    b -= 1
+                want.append((a, b))
+            ctx = toy_tokenize(text, vocab=["ab", "a."])
+            assert "".join(ctx.tokens) == "".join(text.split())
+            assert [s for i, s in enumerate(ctx.token_word_span)
+                    if i == 0 or s != ctx.token_word_span[i - 1]] == want
+
+    def test_question_tokens_are_split_words(self):
+        for text in spaced_texts():
+            assert question_tokens(text) == text.split()
 
 
 class TestSynth:

@@ -1,14 +1,19 @@
 import struct
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_feature
+from squadlab import embeddings
+from squadlab.autograd import Rng, Tensor, no_grad
 from squadlab.data import DataError, write_records
 from squadlab.embeddings import (CharEmbeddingTable, EmbeddingError,
                                  EmbeddingMatrix, PseudoEmbedder,
                                  load_embedding_fixture, pseudo_embed,
                                  save_embedding_fixture)
+from squadlab.layers import CharCNN, EmbeddingCombiner
 
 
 class TestPseudoEmbed:
@@ -51,6 +56,62 @@ class TestCharTable:
         for ch in "abé中":
             assert np.array_equal(t1.vector(ch), t2.vector(ch))
             assert t1.vector(ch).shape == (8,)
+
+
+class TestMemos:
+    """Each frozen lookup computes a key's value once per object, and the
+    memo lives and dies with that object."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = Counter()
+        raw = embeddings._hashed_vector
+
+        def counted(d, *parts):
+            calls[parts] += 1
+            return raw(d, *parts)
+        monkeypatch.setattr(embeddings, "_hashed_vector", counted)
+        return calls
+
+    def test_embedder_hashes_each_token_and_position_once(self, hashed):
+        f = make_feature(n_context=5)  # [SEP] appears twice
+        emb = PseudoEmbedder(8, seed=3)
+        first = emb.embed(f).matrix
+        assert np.array_equal(emb.embed(f).matrix, first)
+        assert hashed == Counter(
+            [("tok", 3, t) for t in set(f.tokens)]
+            + [("pos", i) for i in range(len(f.tokens))])
+        assert np.array_equal(PseudoEmbedder(8, seed=3).embed(f).matrix,
+                              first)
+        assert set(hashed.values()) == {2}  # a new embedder, a new memo
+        gone = weakref.ref(emb)
+        del emb
+        assert gone() is None
+
+    def test_char_table_hashes_each_character_once(self, hashed):
+        table = CharEmbeddingTable(4)
+        for ch in "abcab\u3000a":
+            table.vector(ch)
+        assert hashed == Counter(("char", 0, ch) for ch in "abc\u3000")
+
+    def test_combiner_makes_each_tokens_windows_once(self, monkeypatch):
+        calls = Counter()
+        raw = CharCNN.windows
+
+        def counted(self, token, table):
+            calls[token] += 1
+            return raw(self, token, table)
+        monkeypatch.setattr(CharCNN, "windows", counted)
+        comb = EmbeddingCombiner(4, 3, 2, Rng(0),
+                                 char_table=CharEmbeddingTable(3))
+        tokens = ["ab", "cde", "ab", "f", "cde"]
+        E = Tensor(Rng(1).normal((len(tokens), 4)))
+        with no_grad():
+            first = comb.forward(E, tokens).data
+            comb.forward(E, tokens[::-1])
+            assert np.array_equal(comb.forward(E, tokens).data, first)
+        assert calls == Counter(set(tokens))
+        assert "_token_windows" not in comb.parameters()
 
 
 class TestFixtureFile:

@@ -30,8 +30,38 @@ def test_one_measured_line_per_op(tmp_path):
     assert rss == sorted(rss) and rss[0] > 0  # a peak so far only rises
     lines = peak_by_op.format_rows(rows)
     assert len(lines) == len(rows) + 1
-    assert lines[0].split() == ["op", "rc", "peak_mb", "maxrss_mb"]
+    assert lines[0].split() == ["op", "rc", "peak_mb", "maxrss_mb", "gen2"]
     assert lines[6].split()[:3] == ["train", "highway_squad_out", "0"]
+    assert [int(line.split()[-1]) for line in lines[1:]] == \
+        [row.gen2 for row in rows]
+
+
+def test_full_collections_are_counted_per_op(tmp_path, monkeypatch):
+    """A full collection inside an op counts in its ``gen2``, a younger
+    one does not, and the counting callback is removed afterwards."""
+    import gc
+
+    from squadlab import cli
+    pipeline = peak_by_op.load_pipeline(ROOT)
+    raw_main = cli.main
+
+    def collecting(argv):
+        gc.collect(0)
+        gc.collect(1)
+        gc.collect()
+        return raw_main(argv)
+
+    callbacks = list(gc.callbacks)
+    monkeypatch.setattr(cli, "main", collecting)
+    rows = peak_by_op.peak_by_op(pipeline, _tiny(pipeline), 3, tmp_path)
+    assert gc.callbacks == callbacks
+    assert all(row.rc == 0 and row.gen2 >= 1 for row in rows)
+    with peak_by_op.full_collections() as count:
+        gc.collect(1)
+        assert count == [0]
+        gc.collect(2)
+        assert count == [1]
+    assert gc.callbacks == callbacks
 
 
 def test_top_sites_at_each_ops_highest_sample(tmp_path):

@@ -16,6 +16,7 @@ from squadlab.autograd import (AdamState, Module, Rng, Tensor, _consumed,
                                elementwise, init_uniform, load_checkpoint,
                                masked_fill, matmul, no_grad, save_checkpoint,
                                softmax, stack, zero_grads)
+from squadlab.data import DataError, read_records, write_records
 from squadlab.gradcheck import check_gradients, numerical_gradient
 from squadlab.layers import GRUCell, LSTMCell, bigru_forward, bilstm_forward
 
@@ -650,6 +651,23 @@ class TestCheckpoint:
         for name, p in params.items():
             assert loaded[name].shape == p.data.shape
             assert np.array_equal(loaded[name], p.data)
+
+    def test_a_record_at_another_index_is_refused(self, tmp_path):
+        # save_checkpoint writes index 0 only; a second head.W at index 1
+        # would otherwise replace the first without a word
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"head.W": Tensor(np.ones((2, 3)))}, seed=1,
+                        hyperparams={})
+        header, records = read_records(path, autograd.CHECKPOINT_MAGIC,
+                                       autograd.CHECKPOINT_VERSION)
+        records.append(("head.W", 1, np.full((2, 3), 7.0)))
+        write_records(path, autograd.CHECKPOINT_MAGIC,
+                      autograd.CHECKPOINT_VERSION, header, records)
+        with pytest.raises(DataError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == (f"{path}: parameter 'head.W' is stored at "
+                                f"index 1; a checkpoint keeps each at "
+                                f"index 0")
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

@@ -13,9 +13,12 @@ squadlab is imported from the ``src/`` of the checkout given by ``--root``
 
 Each line names the op (command, architecture), its exit code, the peak of
 the memory that tracemalloc saw allocated during the call (MB, blocks
-allocated before the call not counted) and ``ru_maxrss`` after it (MB):
-the process's peak so far, so it only rises.  tracemalloc slows the pass
-down; read no timing from it.  Standard library plus squadlab.
+allocated before the call not counted), ``ru_maxrss`` after it (MB): the
+process's peak so far, so it only rises, and the number of full
+(generation-2) garbage collections that started during the call, counted
+through ``gc.callbacks``: a full collection frees cycles, so it can move a
+peak.  tracemalloc slows the pass down; read no timing from it.  Standard
+library plus squadlab.
 
 With ``--top N`` the traced memory is also sampled after every
 ``Tensor._op`` (each op of a forward) and every ``Tensor._accum`` (each
@@ -29,6 +32,7 @@ the sampler takes are not.
 
 import argparse
 import contextlib
+import gc
 import io
 import resource
 import sys
@@ -45,6 +49,7 @@ class Row(NamedTuple):
     rc: object  # exit code, or the text of the exception it raised
     peak: int  # tracemalloc peak, bytes
     rss: float  # ru_maxrss after the op, MB
+    gen2: int  # full garbage collections that started during the op
     # with --top: (highest sample in bytes, "module:function" running then,
     # [(file:line, bytes alive then)] largest first); else None
     sample: tuple = None
@@ -67,6 +72,23 @@ def _site(trace_stat) -> str:
     if "squadlab" in parts:
         parts = parts[parts.index("squadlab"):]
     return f"{Path(*parts)}:{frame.lineno}"
+
+
+@contextlib.contextmanager
+def full_collections():
+    """Within the block, count in the yielded list's one entry the
+    generation-2 collections that start; the callback is removed on exit."""
+    count = [0]
+
+    def seen(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            count[0] += 1
+
+    gc.callbacks.append(seen)
+    try:
+        yield count
+    finally:
+        gc.callbacks.remove(seen)
 
 
 @contextlib.contextmanager
@@ -130,6 +152,7 @@ def peak_by_op(pipeline, workload, seed: int, directory: Path,
         try:
             with contextlib.redirect_stdout(sink), \
                     contextlib.redirect_stderr(sink), \
+                    full_collections() as gen2, \
                     (sampled(Tensor, top, found) if top
                      else contextlib.nullcontext()):
                 rc = cli.main(op.argv)
@@ -141,16 +164,17 @@ def peak_by_op(pipeline, workload, seed: int, directory: Path,
         sink.seek(0)
         sink.truncate()
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        rows.append(Row(op, rc, peak, rss, found["sample"]))
+        rows.append(Row(op, rc, peak, rss, gen2[0], found["sample"]))
     return rows
 
 
 def format_rows(rows) -> list:
-    lines = [f"{'op':<42} {'rc':>3} {'peak_mb':>9} {'maxrss_mb':>10}"]
+    lines = [f"{'op':<42} {'rc':>3} {'peak_mb':>9} {'maxrss_mb':>10} "
+             f"{'gen2':>4}"]
     for row in rows:
         name = f"{row.op.command} {row.op.arch or ''}".strip()
         lines.append(f"{name:<42} {row.rc!s:>3} {row.peak / 1e6:>9.2f} "
-                     f"{row.rss:>10.1f}")
+                     f"{row.rss:>10.1f} {row.gen2:>4}")
         if row.sample is not None:
             size, where, sites = row.sample
             lines.append(f"    highest sample {size / 1e6:.2f} MB in {where}")

@@ -52,6 +52,10 @@ def _build() -> dict:
             "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
 
 
+def _manifest_path(out_path) -> str:
+    return str(out_path) + ".manifest.json"
+
+
 def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
                     elapsed):
     manifest = {
@@ -68,8 +72,7 @@ def _write_manifest(out_path, command, args_dict, inputs, outputs, seed,
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
+    with open(_manifest_path(out_path), "w", encoding="utf-8") as f:
         json.dump(manifest, f, ensure_ascii=False, indent=2)
 
 
@@ -373,7 +376,8 @@ _ENSEMBLE_INPUTS = {
 _ENSEMBLE_FLAGS = ("--pred", "--weights", "--dumps", "--features", "--data",
                    "--mean-weight", "--null-threshold")
 # the flags that name files a command writes, and those that name files it
-# reads; each output needs a path no other of these names
+# reads; each output, and the manifest written next to it, needs a path no
+# other of these names
 _OUTPUT_FLAGS = ("--out", "--loss-curve", "--logits-out")
 _INPUT_FLAGS = ("--data", "--features", "--embeddings", "--checkpoint",
                 "--pretokenized", "--vocab", "--pred", "--dumps", "--gold")
@@ -439,12 +443,16 @@ def _validate(args, parser):
     written = {}
     for flag, path in [*_paths(args, _OUTPUT_FLAGS),
                        *_paths(args, _INPUT_FLAGS)]:
-        real = os.path.realpath(path)
-        if real in written:
-            parser.error(f"{flag} and {written[real]} name the same file "
-                         f"{path}; each output needs a path of its own")
+        names = [(flag, path)]
         if flag in _OUTPUT_FLAGS:
-            written[real] = flag
+            names.append((f"{flag}'s manifest", _manifest_path(path)))
+        for name, named in names:
+            real = os.path.realpath(named)
+            if real in written:
+                parser.error(f"{name} and {written[real]} name the same file "
+                             f"{named}; each output needs a path of its own")
+            if flag in _OUTPUT_FLAGS:
+                written[real] = name
 
 
 def main(argv=None) -> int:

@@ -12,9 +12,10 @@ attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
 chunk's candidates with array ops: it scores every legal (start, end) pair
 at once and marks the best ``n_best - 1`` with ``top_k`` (a partition to the
 cut, then a stable sort of the pairs at or above it).  It builds one
-candidate per pair from the band as it lies and keeps only the marked ones
-alive, so reference counting frees each of the others before the next is
-built.  ``aggregate_features`` merges a question's chunks into its n-best
+candidate per pair in band order, ``DECODE_BLOCK`` pairs at a time, and
+keeps only the marked ones, so neither the band's Python values nor its
+unmarked candidates are ever all alive at once.
+``aggregate_features`` merges a question's chunks into its n-best
 list; ``training.decode_logit_set`` is the one path that runs both, for
 ``predict`` and for the mean-logits ensemble.
 ``best_answer`` is the one no-answer rule, applied to a prediction record
@@ -38,6 +39,9 @@ from .layers import GRUCell, gru_forward
 DEFAULT_N_BEST = 20
 DEFAULT_MAX_ANSWER_LENGTH = 30
 DEFAULT_NULL_THRESHOLD = 0.0
+# legal pairs turned into Python values at once while decode builds its
+# candidates, so the whole band never lies in Python lists
+DECODE_BLOCK = 512
 
 
 @dataclass
@@ -176,10 +180,11 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     Every legal pair is scored at once (``sl[s] + el[e]``).  The band lists
     the pairs in (start, end) order, so ``top_k`` of the scores, a stable
     ranking, marks the best ``n_best - 1`` by ``sort_key``.  One
-    ``AnswerCandidate`` is built per pair, in band order, and
-    ``itertools.compress`` keeps the marked ones; reference counting frees
-    each of the others before the next is built, so at most ``n_best``
-    candidates are alive at once.
+    ``AnswerCandidate`` is built per pair, in band order, a block of
+    ``DECODE_BLOCK`` pairs at a time: only that block's positions, scores
+    and marks are turned into Python values, and ``itertools.compress``
+    keeps its marked candidates.  So at most ``n_best`` candidates and one
+    block's values are alive at once, whatever the band's length.
     """
     if n_best < 1 or max_answer_length < 1:
         raise ValueError(f"n_best and max_answer_length must be >= 1, got "
@@ -203,11 +208,16 @@ def decode_spans(logits: SpanLogits, feature: Feature, context_text: str,
     kept[top_k(scores, n_best - 1)] = True
     chars = np.array([feature.token_word_span[t] for t in ctx.tolist()],
                      dtype=np.int64).reshape(-1, 2)
-    built = (AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
-             for a, b, st, en, score in zip(
-                 chars[i, 0].tolist(), chars[j, 1].tolist(), s.tolist(),
-                 e.tolist(), scores.tolist()))
-    out = list(itertools.compress(built, kept.tolist()))
+    first_char, last_char = chars[i, 0], chars[j, 1]
+    out = []
+    for lo in range(0, len(scores), DECODE_BLOCK):
+        block = slice(lo, lo + DECODE_BLOCK)
+        built = (AnswerCandidate(qid, context_text[a:b], st, en, score, fi)
+                 for a, b, st, en, score in zip(
+                     first_char[block].tolist(), last_char[block].tolist(),
+                     s[block].tolist(), e[block].tolist(),
+                     scores[block].tolist()))
+        out.extend(itertools.compress(built, kept[block].tolist()))
     out.append(AnswerCandidate(qid, "", None, None, float(null_score), fi))
     out.sort(key=AnswerCandidate.sort_key)
     return out

@@ -260,6 +260,38 @@ class TestOutputPaths:
         self._refused(argv, capsys, flags)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
 
+    MANIFEST_CLASHES = [
+        (["train", "--features", "f", "--embeddings", "pseudo", "--arch",
+          "squad_out", "--out", "m.ckpt", "--loss-curve",
+          "m.ckpt.manifest.json"], ("--loss-curve", "--out's manifest")),
+        (PREDICT + ["--checkpoint", "c", "--logits-out",
+                    "p.jsonl.manifest.json"],
+         ("--logits-out", "--out's manifest")),
+        (["train", "--features", "f", "--embeddings", "pseudo", "--arch",
+          "squad_out", "--out", "m.ckpt.manifest.json", "--loss-curve",
+          "m.ckpt"], ("--loss-curve's manifest", "--out")),
+        (["evaluate", "--pred", "p.jsonl", "--gold",
+          "sub/../r.json.manifest.json", "--out", "r.json"],
+         ("--gold", "--out's manifest")),
+    ]
+
+    @pytest.mark.parametrize("argv, flags", MANIFEST_CLASHES,
+                             ids=["train-loss-curve", "predict-logits-out",
+                                  "train-out", "evaluate-gold"])
+    def test_a_path_over_an_outputs_manifest_is_1(self, tmp_path, capsys,
+                                                  monkeypatch, argv, flags):
+        """Each output's manifest is written after the command, so a path
+        that names it would be overwritten or, for an input, replaced."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("m.ckpt.manifest.json", "p.jsonl.manifest.json",
+                     "r.json.manifest.json"):
+            Path(name).write_bytes(b"kept")
+        before = sorted(tmp_path.iterdir())
+        self._refused(argv, capsys, flags)
+        assert sorted(tmp_path.iterdir()) == before
+        assert all(p.read_bytes() == b"kept" for p in before if p.is_file())
+
     def test_pseudo_names_no_file(self, tmp_path, monkeypatch):
         # --embeddings pseudo reads nothing, so an output may be "pseudo"
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from squadlab.data import NULL_POSITION, PreprocessConfig, preprocess_dataset
 from squadlab.gradcheck import check_gradients
 from squadlab.scoring import predictions_from_file
 from squadlab.ensemble import NULL_KEY, PredictionSet
-from squadlab.heads import (DEFAULT_MAX_ANSWER_LENGTH, DEFAULT_N_BEST,
-                            AlbertSquadOut, AnswerCandidate,
+from squadlab.heads import (DECODE_BLOCK, DEFAULT_MAX_ANSWER_LENGTH,
+                            DEFAULT_N_BEST, AlbertSquadOut, AnswerCandidate,
                             BidafOut, SpanLogits, aggregate_features,
                             best_answer, decode_spans, prediction_record,
                             read_predictions, span_loss, to_span_logits,
@@ -480,6 +482,100 @@ class TestTopKRanking:
                     rf"decode \(qid={f.qid!r}, feature_index=0\): a span "
                     rf"or null score overflows")):
                 decode_spans(logits, f, text)
+
+
+def _band(feature, max_answer_length):
+    """The legal (start, end) pairs in band order: by start, then end."""
+    ctx = feature.context_token_indices()
+    return [(s, e) for s in ctx for e in ctx if s <= e < s + max_answer_length]
+
+
+def _band_of(pairs, max_answer_length=7):
+    """A ``make_feature`` context, at most one of its tokens masked, whose
+    band at ``max_answer_length`` holds exactly ``pairs`` legal pairs."""
+    for n in itertools.count(pairs // max_answer_length):
+        f = make_feature(n_context=n)
+        first = f.context_token_indices()[0]
+        for gap in [None, *range(n)]:
+            g = f if gap is None else _with_gap(f, first + gap, first + gap + 1)
+            if len(_band(g, max_answer_length)) == pairs:
+                return g, feature_context_text(n)
+
+
+class TestDecodeBlocks:
+    """``decode_spans`` builds its candidates ``DECODE_BLOCK`` pairs at a
+    time; against both oracles on bands that end one pair before, at and
+    one pair after a block edge, and one pair into a third block."""
+
+    MAX_LEN = 7
+
+    @staticmethod
+    def _assert_both_oracles(logits, f, text, n_best, max_len):
+        got = decode_spans(logits, f, text, n_best=n_best,
+                           max_answer_length=max_len)
+        for want in (reference_decode_spans(logits, f, text, n_best, max_len),
+                     brute_force_decode(logits, f, text, n_best, max_len)):
+            assert got == want, n_best
+            assert [repr(c) for c in got] == [repr(c) for c in want]
+        return got
+
+    @pytest.mark.parametrize("pairs", [DECODE_BLOCK - 1, DECODE_BLOCK,
+                                       DECODE_BLOCK + 1,
+                                       2 * DECODE_BLOCK + 1])
+    def test_bands_at_block_edges(self, pairs):
+        f, text = _band_of(pairs, self.MAX_LEN)
+        band = _band(f, self.MAX_LEN)
+        n = len(f.tokens)
+        # every pair ties: the cut falls just before, at and just after the
+        # first block edge
+        even = SpanLogits(f.qid, f.feature_index, np.full(n, 0.5),
+                          np.full(n, 0.5))
+        for kept in (1, DECODE_BLOCK - 1, DECODE_BLOCK, DECODE_BLOCK + 1,
+                     pairs):
+            got = self._assert_both_oracles(even, f, text, kept + 1,
+                                            self.MAX_LEN)
+            assert len(got) == min(kept, pairs) + 1
+        # the first and last pair, and the two either side of the first
+        # block edge, tie on top; cuts inside that tie keep survivors from
+        # both sides of the edge or only from before it
+        edge = [k for k in (0, DECODE_BLOCK - 1, DECODE_BLOCK, pairs - 1)
+                if k < pairs]
+        sl, el = np.zeros(n), np.zeros(n)
+        for k in edge:
+            sl[band[k][0]] += 1.0
+            el[band[k][1]] += 1.0
+        tied = SpanLogits(f.qid, f.feature_index, sl, el)
+        for n_best in (2, 3, 4, 5, DEFAULT_N_BEST):
+            got = self._assert_both_oracles(tied, f, text, n_best,
+                                            self.MAX_LEN)
+        blocks = {band.index((c.start_token, c.end_token)) // DECODE_BLOCK
+                  for c in got if not c.is_null}
+        assert blocks == {k // DECODE_BLOCK for k in edge}
+        # integer logits: many ties, survivors wherever they fall
+        logits = random_logits(f, Rng(pairs))
+        logits.start_logits = np.round(logits.start_logits)
+        logits.end_logits = np.round(logits.end_logits)
+        for n_best in (2, DEFAULT_N_BEST, 200):
+            self._assert_both_oracles(logits, f, text, n_best, self.MAX_LEN)
+        every = self._assert_both_oracles(logits, f, text, pairs + 1,
+                                          self.MAX_LEN)
+        assert len(every) == pairs + 1
+
+    def test_a_seq384_decode_holds_one_block_of_values(self):
+        """After a warm call, one seq-384 decode peaks under 1 MB of
+        traced memory; the whole band as Python values took about 2 MB."""
+        feats, text = _seq384_features()
+        f = feats[0]
+        logits = random_logits(f, Rng(25))
+        assert _legal_pairs(f) > 10_000
+        decode_spans(logits, f, text)
+        tracemalloc.start()
+        try:
+            decode_spans(logits, f, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCollectorPause:

@@ -90,3 +90,29 @@ def test_top_sites_at_each_ops_highest_sample(tmp_path):
     assert lines[train + 1].startswith("    highest sample ")
     assert len(lines) == 1 + len(rows) + sum(
         1 + len(row.sample[2]) for row in rows if row.sample is not None)
+
+
+def test_two_passes_in_one_process(tmp_path, capsys, monkeypatch):
+    """``--passes 2``: each pass sets up and runs every op in its own
+    directory, and prints its lines under its own ``pass k/2`` line; the
+    process's peak so far only rises across both."""
+    pipeline = peak_by_op.load_pipeline(ROOT)
+    tiny = _tiny(pipeline)
+    monkeypatch.setitem(pipeline.WORKLOADS, "tiny", tiny)
+    assert peak_by_op.main(["--workload", "tiny", "--seed", "3", "--passes",
+                            "2", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ops = pipeline.pass_ops(tiny, 3, tmp_path / "pass-00" / "data",
+                            tmp_path / "pass-00")
+    each = len(ops) + 2  # the pass line, the header, one line per op
+    assert len(lines) == 2 * each
+    assert [lines[0], lines[each]] == ["pass 1/2", "pass 2/2"]
+    rss = []
+    for k in range(2):
+        header, *rows = lines[k * each + 1:(k + 1) * each]
+        assert header.split() == ["op", "rc", "peak_mb", "maxrss_mb", "gen2"]
+        assert [row.split()[0] for row in rows] == [op.command for op in ops]
+        assert all(row.split()[-4] == "0" for row in rows)
+        rss += [float(row.split()[-2]) for row in rows]
+        assert (tmp_path / f"pass-{k:02d}" / "data" / "eval.json").is_file()
+    assert rss == sorted(rss) and rss[0] > 0

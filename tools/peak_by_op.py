@@ -1,14 +1,19 @@
-"""Memory of each operation of one benchmark pass: the tracemalloc peak of
+"""Memory of each operation of benchmark passes: the tracemalloc peak of
 every CLI call and the process's peak resident set after it.
 
-    python3 tools/peak_by_op.py --workload paper-infer --seed 5 [--top 5]
+    python3 tools/peak_by_op.py --workload paper-infer --seed 5 \
+        [--top 5] [--passes 12]
 
-The pass is ``perfbench/pipeline.py``'s: its workload's corpora
-(``write_corpora``) and its op list (``pass_ops``), both imported as they
-are, run in order through ``squadlab.cli.main`` in this process, on the
-package's default of one BLAS thread, as ``perfbench/run.py`` runs them.
+A pass is ``perfbench/pipeline.py``'s: its ``set_up`` (squadlab imported
+afresh and the workload's corpora written, ``SETUP_REPEATS`` times) and its
+op list (``pass_ops``), both imported as they are, run in order through
+``squadlab.cli.main`` in this process, on the package's default of one BLAS
+thread, as ``perfbench/run.py`` runs them.  ``--passes N`` (default 1)
+runs N such passes one after another in the one process, each in its own
+``pass-NN`` directory, and prints each pass's lines under a ``pass k/N``
+line, so the op and the pass that set the process's peak can be named.
 squadlab is imported from the ``src/`` of the checkout given by ``--root``
-(default: the one holding this script), and the pass writes under
+(default: the one holding this script), and the passes write under
 ``--out`` (default: a temporary directory, removed afterwards).
 
 Each line names the op (command, architecture), its exit code, the peak of
@@ -138,12 +143,13 @@ def sampled(tensor_class, top: int, found: dict):
 
 def peak_by_op(pipeline, workload, seed: int, directory: Path,
                top: int = 0) -> list:
-    """One pass of ``workload``: one ``Row`` per op, with the highest
-    sample and its ``top`` largest allocation sites when ``top`` > 0."""
+    """One pass of ``workload`` after ``pipeline.set_up``: one ``Row`` per
+    op, with the highest sample and its ``top`` largest allocation sites
+    when ``top`` > 0."""
+    data = directory / "data"
+    pipeline.set_up(workload, seed, data)
     from squadlab import cli
     from squadlab.autograd import Tensor
-    data = directory / "data"
-    pipeline.write_corpora(workload, seed, data)
     rows = []
     sink = io.StringIO()
     for op in pipeline.pass_ops(workload, seed, data, directory):
@@ -191,9 +197,13 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=0,
                         help="largest allocation sites to show at each op's "
                              "highest sample (default: none, no sampling)")
+    parser.add_argument("--passes", type=int, default=1,
+                        help="passes to run in this process (default: 1)")
     args = parser.parse_args(argv)
     if args.top < 0:
         parser.error("--top must be 0 or more")
+    if args.passes < 1:
+        parser.error("--passes must be 1 or more")
     sys.dont_write_bytecode = True
     pipeline = load_pipeline(args.root.resolve())
     workload = pipeline.WORKLOADS.get(args.workload)
@@ -204,9 +214,13 @@ def main(argv=None) -> int:
     with contextlib.ExitStack() as stack:
         out = args.out or Path(stack.enter_context(
             tempfile.TemporaryDirectory(prefix="peak-by-op-")))
-        rows = peak_by_op(pipeline, workload, args.seed, out, args.top)
-    print("\n".join(format_rows(rows)))
-    return 0 if all(row.rc == 0 for row in rows) else 2
+        passes = [peak_by_op(pipeline, workload, args.seed,
+                             out / f"pass-{k:02d}", args.top)
+                  for k in range(args.passes)]
+    for k, rows in enumerate(passes, 1):
+        print(f"pass {k}/{args.passes}")
+        print("\n".join(format_rows(rows)))
+    return 0 if all(row.rc == 0 for rows in passes for row in rows) else 2
 
 
 if __name__ == "__main__":

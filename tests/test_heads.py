@@ -535,22 +535,26 @@ class TestDecodeBlocks:
             got = self._assert_both_oracles(even, f, text, kept + 1,
                                             self.MAX_LEN)
             assert len(got) == min(kept, pairs) + 1
-        # the first and last pair, and the two either side of the first
-        # block edge, tie on top; cuts inside that tie keep survivors from
-        # both sides of the edge or only from before it
-        edge = [k for k in (0, DECODE_BLOCK - 1, DECODE_BLOCK, pairs - 1)
-                if k < pairs]
-        sl, el = np.zeros(n), np.zeros(n)
-        for k in edge:
-            sl[band[k][0]] += 1.0
-            el[band[k][1]] += 1.0
-        tied = SpanLogits(f.qid, f.feature_index, sl, el)
-        for n_best in (2, 3, 4, 5, DEFAULT_N_BEST):
-            got = self._assert_both_oracles(tied, f, text, n_best,
-                                            self.MAX_LEN)
-        blocks = {band.index((c.start_token, c.end_token)) // DECODE_BLOCK
-                  for c in got if not c.is_null}
-        assert blocks == {k // DECODE_BLOCK for k in edge}
+        # every pair that starts where pair 0, the two pairs either side of
+        # the first block edge, or the last pair starts ties on top: cuts
+        # inside that tie fall before, at and after the edge, and with room
+        # for the whole tie every one of its pairs survives, from every
+        # block of the band
+        starts = {band[k][0] for k in (0, DECODE_BLOCK - 1, DECODE_BLOCK,
+                                       pairs - 1) if k < pairs}
+        tied = [k for k, (s, _) in enumerate(band) if s in starts]
+        before = sum(k < DECODE_BLOCK for k in tied)
+        sl = np.zeros(n)
+        sl[sorted(starts)] = 1.0
+        top = SpanLogits(f.qid, f.feature_index, sl, np.zeros(n))
+        for kept in (1, before - 1, before, before + 1):
+            self._assert_both_oracles(top, f, text, kept + 1, self.MAX_LEN)
+        got = self._assert_both_oracles(top, f, text, len(tied) + 1,
+                                        self.MAX_LEN)
+        assert sorted(band.index((c.start_token, c.end_token))
+                      for c in got if not c.is_null) == tied
+        assert len({k // DECODE_BLOCK for k in tied}) == \
+            1 + (pairs - 1) // DECODE_BLOCK
         # integer logits: many ties, survivors wherever they fall
         logits = random_logits(f, Rng(pairs))
         logits.start_logits = np.round(logits.start_logits)

@@ -2,6 +2,7 @@
 benchmark's pass, every op run and measured."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +100,8 @@ def test_two_passes_in_one_process(tmp_path, capsys, monkeypatch):
     pipeline = peak_by_op.load_pipeline(ROOT)
     tiny = _tiny(pipeline)
     monkeypatch.setitem(pipeline.WORKLOADS, "tiny", tiny)
+    # main sets it for the process; put it back afterwards
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     assert peak_by_op.main(["--workload", "tiny", "--seed", "3", "--passes",
                             "2", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()

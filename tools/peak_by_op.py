@@ -22,8 +22,11 @@ allocated before the call not counted), ``ru_maxrss`` after it (MB): the
 process's peak so far, so it only rises, and the number of full
 (generation-2) garbage collections that started during the call, counted
 through ``gc.callbacks``: a full collection frees cycles, so it can move a
-peak.  tracemalloc slows the pass down; read no timing from it.  Standard
-library plus squadlab.
+peak.  tracemalloc slows the pass down; read no timing from it.  Nor is
+all of its own memory returned when it stops: on paper-infer ``ru_maxrss``
+climbs about 0.6 MB a pass under it that an untraced run of the same
+passes does not, so compare ops and passes with each other, not with
+perfbench's ``peak_rss_mb``.  Standard library plus squadlab.
 
 With ``--top N`` the traced memory is also sampled after every
 ``Tensor._op`` (each op of a forward) and every ``Tensor._accum`` (each

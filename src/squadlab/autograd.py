@@ -101,20 +101,23 @@ def _records(parents) -> bool:
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
              scratch=None) -> np.ndarray:
     """Logistic function that never exponentiates a positive number:
-    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere.  ``scratch``,
-    from ``_sigmoid_scratch(x.shape)``, holds the temporaries, so a scan
-    allocates them once and not on every step."""
-    e, d, pos = scratch or _sigmoid_scratch(np.shape(x))
-    np.negative(np.abs(x, out=e), out=e)
-    np.exp(e, out=e)
-    np.add(1.0, e, out=d)
-    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=pos))  # numerator
-    return np.divide(e, d, out=np.empty_like(e) if out is None else out)
+    e^min(x, 0) / (1 + e^-|x|), which is 1 / (1 + e^-x) where x >= 0 and
+    e^x / (1 + e^x) elsewhere.  Its one temporary is the denominator;
+    ``scratch``, from ``_sigmoid_scratch(x.shape)``, holds it, so a scan
+    allocates it once and not on every step.  ``out`` may be ``x``."""
+    d = _sigmoid_scratch(np.shape(x)) if scratch is None else scratch
+    np.negative(np.abs(x, out=d), out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    # the numerator's exponent
+    out = np.minimum(x, 0.0, out=np.empty_like(d) if out is None else out)
+    np.exp(out, out=out)
+    return np.divide(out, d, out=out)
 
 
-def _sigmoid_scratch(shape) -> tuple:
-    """The (e^-|x|, 1 + e^-|x|, x >= 0) buffers of ``_sigmoid``."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+def _sigmoid_scratch(shape) -> np.ndarray:
+    """The 1 + e^-|x| buffer of ``_sigmoid``."""
+    return np.empty(shape)
 
 
 def _consumed(g):
@@ -491,14 +494,23 @@ class _StepOrder:
 
 # steps whose input projections a layer node makes at once
 SCAN_BLOCK = 32
+# query rows whose score gradient the attention backward forms at once.
+# With OpenBLAS 0.3.31's SkylakeX kernels a block of a multiple of 12 rows
+# keeps the whole product's bits in its last columns when T is not a
+# multiple of 8, and other blocks do not
+ATTENTION_ROW_BLOCK = 48
 
 
-def _step_blocks(T: int) -> list:
-    """The (first, end) steps of each block of ``SCAN_BLOCK`` steps of a
-    T-step scan.  A 1-step remainder joins the block before it, so every
-    block spans 2 or more steps unless T = 1."""
-    edges = [*range(0, T, SCAN_BLOCK), T]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+def _step_blocks(T: int, size: int, least: int = 2) -> list:
+    """The (first, end) steps of each block of ``size`` steps of a T-step
+    scan (``SCAN_BLOCK``), or rows of a T-row product
+    (``ATTENTION_ROW_BLOCK``).  A remainder of fewer than ``least`` steps
+    joins the block before it, so a block spans ``least`` steps or more
+    unless T is shorter: a product over fewer rows can take another BLAS
+    path than the same rows of a larger one (a 1-row product always
+    does)."""
+    edges = [*range(0, T, size), T]
+    if len(edges) > 2 and edges[-1] - edges[-2] < least:
         del edges[-2]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -516,26 +528,48 @@ def _directions(name, reverse, lengths, rows, shapes, *args):
     return _StepOrder(bounds, reverse), groups
 
 
-GATHERED_ROWS_PROPERTY = ("x[rows] @ W has the bits of (x @ W)[rows] for 2 or "
-                          "more rows")
+GATHERED_ROWS_PROPERTY = ("x[rows] @ W has the bits of (x @ W)[rows] for a "
+                          "projection's 2 or more rows and attention's row "
+                          "blocks")
+
+
+def _attention_row_blocks(T: int) -> list:
+    """The attention backward's row blocks of a T-row chunk: a remainder
+    shorter than a block joins the block before it, so every block starts
+    at a multiple of ``ATTENTION_ROW_BLOCK`` and none is small enough for
+    the small-matrix path of OpenBLAS's SkylakeX kernels (up to about
+    1,200 / T rows), whose bits differ from the whole product's."""
+    return _step_blocks(T, ATTENTION_ROW_BLOCK, ATTENTION_ROW_BLOCK)
 
 
 def gathered_rows_mismatches(rng) -> list:
     """The (W shape, rows) cases where ``x[rows] @ W`` differs in any bit
-    from ``(x @ W)[rows]``, for the recurrent input projections' W at the
+    from ``(x @ W)[rows]``: for the recurrent input projections' W at the
     CLI's default widths (and 32 x 64), with 2, 3, 8 and 64 rows drawn at
-    random from the 1,074 of a 3-chunk seq-384 question: empty when the
-    BLAS has ``GATHERED_ROWS_PROPERTY``, which the layer nodes' blocked
-    projections rest on (``_layer``)."""
-    n, bad = 1074, []
+    random from the 1,074 of a 3-chunk seq-384 question, and for the
+    attention backward's ``g[rows] @ x.T`` (x [T, 64]) over each of a
+    T-row chunk's ``_attention_row_blocks``, T 160 and 384.  Empty when
+    the BLAS has ``GATHERED_ROWS_PROPERTY``, which the layer nodes' blocked
+    projections (``_layer``) and the attention backward's row blocks rest
+    on.  Both T are multiples of 8, so the check holds at any thread
+    count: at two OpenBLAS threads a T x T product with T not a multiple
+    of 8 has other bits than at one from about 8,200 entries on (ROADMAP
+    item 12), and no block matches those."""
+    bad = []
     for d, k in ((80, 128), (64, 128), (80, 64), (80, 32), (64, 64),
                  (64, 32), (32, 64)):
-        x, W = rng.normal((n, d)), rng.normal((d, k))
+        x, W = rng.normal((1074, d)), rng.normal((d, k))
         full = x @ W
         for m in (2, 3, 8, 64):
-            rows = np.sort(rng.permutation(n)[:m])
+            rows = np.sort(rng.permutation(len(x))[:m])
             if (x[rows] @ W).tobytes() != full[rows].tobytes():
                 bad.append(((d, k), m))
+    for T in (160, 384):
+        g, W = rng.normal((T, 64)), rng.normal((T, 64)).T
+        full = g @ W
+        for lo, hi in _attention_row_blocks(T):
+            if (g[lo:hi] @ W).tobytes() != full[lo:hi].tobytes():
+                bad.append((W.shape, hi - lo))
     return bad
 
 
@@ -679,7 +713,7 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
     s, cand = np.empty(a_ur.shape), np.empty(a_c.shape)  # [u | r], tanh
     rh, t_h = np.empty((D, B, h)), np.empty((D, B, h))
     t_sig = _sigmoid_scratch(a_ur.shape)
-    for k0, k1 in _step_blocks(T):
+    for k0, k1 in _step_blocks(T, SCAN_BLOCK):
         X_ur, X_c = project(k0, k1)
         check = _may_overflow(h, (X_ur, X_c), (W_ur, W_c))
         for k, x_ur, x_c in zip(range(k0, k1), X_ur, X_c):
@@ -710,7 +744,7 @@ def _gru_node(order, project, parents, input_backward, U_ur, U_c):
         d_c = np.empty((T, D, B, h))
         RH = np.empty((T, D, B, h))  # the forward's r * h, for U_c
         carry = np.zeros((D, B, h))
-        for k0, k1 in reversed(_step_blocks(T)):
+        for k0, k1 in reversed(_step_blocks(T, SCAN_BLOCK)):
             X_ur, X_c = project(k0, k1)
             H_prev = H[k0:k1]
             S = _sigmoid(np.add(X_ur, np.matmul(H_prev, W_ur)))
@@ -813,7 +847,7 @@ def _lstm_node(order, project, parents, input_backward, U):
     s = np.empty((D, B, 3 * h))  # [in | forget | out]
     cand, t_c, tc = (np.empty((D, B, h)) for _ in range(3))
     t_sig = _sigmoid_scratch(s.shape)
-    for k0, k1 in _step_blocks(T):
+    for k0, k1 in _step_blocks(T, SCAN_BLOCK):
         X, = project(k0, k1)
         check = _may_overflow(h, (X,), (W,))
         for k, x in zip(range(k0, k1), X):
@@ -840,7 +874,7 @@ def _lstm_node(order, project, parents, input_backward, U):
         d_gates = np.empty((T, D, B, 4 * h))
         dh_carry = np.zeros((D, B, h))
         dc_carry = np.zeros((D, B, h))
-        for k0, k1 in reversed(_step_blocks(T)):
+        for k0, k1 in reversed(_step_blocks(T, SCAN_BLOCK)):
             X, = project(k0, k1)
             A = np.add(X, np.matmul(H[k0:k1], W))
             del X

@@ -13,7 +13,8 @@ turns them into each chunk's rows.  Row-wise layers run once on the
 packed rows, the recurrences advance every chunk in one scan, and one
 pooling or attention call is one graph node over every chunk, pooling or
 attending within each chunk.  Attention keeps nothing for its backward,
-which recomputes one chunk's softmax probabilities at a time.
+which recomputes one chunk's softmax probabilities at a time and
+overwrites them with the score gradient a block of rows at a time.
 
 A highway layer is one graph node that keeps nothing but its parents and
 recomputes its gate and transform in its backward; dropout is one node
@@ -33,8 +34,9 @@ import functools
 import numpy as np
 
 from .autograd import (MASK_FILL, Module, Rng, Tensor, _affine_backward,
-                       _check_finite, _project, _sigmoid, chunk_bounds,
-                       concat, gru_layer, init_uniform, lstm_layer, stack)
+                       _attention_row_blocks, _check_finite, _project,
+                       _sigmoid, chunk_bounds, concat, gru_layer,
+                       init_uniform, lstm_layer, stack)
 
 
 class Highway(Module):
@@ -64,10 +66,10 @@ class Highway(Module):
             # value
             pre = _check_finite(_project(x.data, W_gate.data, b_gate.data),
                                 "Highway.forward")
-            g = _sigmoid(pre)
+            g = _sigmoid(pre, out=pre)
             pre = _check_finite(_project(x.data, W_proj.data, b_proj.data),
                                 "Highway.forward")
-            return g, np.maximum(pre, 0.0)
+            return g, np.maximum(pre, 0.0, out=pre)
 
         def bwd(dy):
             g, t = gate_and_transform()
@@ -79,19 +81,16 @@ class Highway(Module):
             _affine_backward(x, W_gate, b_gate,
                              (dy * t - dy * x.data) * g * (1.0 - g))
 
-        # g * t + (g * -1.0 + 1.0) * x.  The temporaries are dropped as
-        # they are used up: as one expression the traced peaks stay, but
-        # paper-infer's peak RSS rises by 0.6-0.7 MB, memory the allocator
-        # holds that tracemalloc does not count
-        g, t = gate_and_transform()
-        y = g * t
-        del t
-        carry = g * -1.0
+        # g * t + (g * -1.0 + 1.0) * x formed in place: y in t's buffer,
+        # then the carry in g's, so the forward holds two [N, d] arrays at
+        # most, the gate and its denominator, then the gate and y
+        g, y = gate_and_transform()
+        y *= g
+        g *= -1.0
+        g += 1.0
+        g *= x.data
+        y += g
         del g
-        carry += 1.0
-        carry *= x.data
-        y += carry
-        del carry
         return Tensor._op(y, (x, W_gate, b_gate, W_proj, b_proj), bwd)
 
 
@@ -160,10 +159,6 @@ class BiCells(Module):
         self.bwd = bwd
 
 
-# query rows whose rowsum(ds * p) the attention backward forms at once
-ATTENTION_ROW_BLOCK = 32
-
-
 def _attention_probs(xc: np.ndarray, causal: bool, scale: float):
     """One chunk's attention probabilities p, and its causal keep mask
     (None when nothing is blocked), by the composed chain's numpy ops."""
@@ -192,14 +187,23 @@ def dot_product_attention(x: Tensor, causal: bool = False,
     ``p @ x``) with the same numpy ops in the same order, and drops the
     chunk's probabilities once its output is made.  The node keeps nothing
     for its hand-written backward, which recomputes each chunk's
-    probabilities with the forward's ops, so one chunk's [T, T] arrays are
-    alive at a time, recorded or not.
+    probabilities with the forward's ops, so one chunk's arrays are alive
+    at a time, recorded or not.  Its backward holds one [T, T] buffer per
+    chunk: once ``p^T g`` is made, the score gradient ds overwrites p one
+    block of query rows at a time (``autograd._attention_row_blocks``: 48
+    to 95 rows, or the whole chunk), each block's ``g[rows] @ x^T`` a
+    product of its own.  The blocks carry the bits of the whole ``g @
+    x^T`` by the BLAS property that ``autograd.gathered_rows_mismatches``
+    checks; a block of a few rows would not, since OpenBLAS gives small
+    products a path of their own.
 
-    At two OpenBLAS threads (0.3.31, Haswell) two kinds of its products
-    give other bits than at the package's one: those with a chunk's T
-    output columns (``xc @ xc.T``, ``g @ xc.T``, ``xc.T @ ds``) when T is
-    not a multiple of 8, from 91-126 rows on by product, and those with d
-    output columns (``p @ xc``, ``p.T @ g``, ``ds @ xc``) from about 390.
+    At two OpenBLAS threads (0.3.31) its products with a chunk's T output
+    columns (``xc @ xc.T``, each row block's ``g[rows] @ xc.T``, ``xc.T @
+    ds``) give other bits than at the package's one when T is not a
+    multiple of 8, once they have about 8,200 entries (91 rows of 91; a
+    48-row block from T = 171), and those with d output columns (``p @
+    xc``, ``p.T @ g``, ``ds @ xc``) from about 390 rows.  Products under
+    that size keep their one-thread bits (ROADMAP item 12).
     """
     seq, d = x.shape
     bounds = chunk_bounds(lengths, seq, "attention")
@@ -219,17 +223,19 @@ def dot_product_attention(x: Tensor, causal: bool = False,
         for lo, hi in bounds:
             xc, gc = x.data[lo:hi], g[lo:hi]
             p, keep = _attention_probs(xc, causal, scale)
-            ds = gc @ xc.T
-            for r in range(0, hi - lo, ATTENTION_ROW_BLOCK):
-                rows = slice(r, r + ATTENTION_ROW_BLOCK)
-                ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
-            ds *= p
-            if keep is not None:
-                ds *= keep
-            ds *= scale
             d = dx[lo:hi]
             d[...] = p.T @ gc
-            del p, keep
+            # ds overwrites p a block of rows at a time, once they are read
+            for r0, r1 in _attention_row_blocks(hi - lo):
+                p_r = p[r0:r1]
+                ds_r = gc[r0:r1] @ xc.T
+                ds_r -= (ds_r * p_r).sum(axis=1, keepdims=True)
+                np.multiply(ds_r, p_r, out=p_r)
+                if keep is not None:
+                    p_r *= keep[r0:r1]
+                p_r *= scale
+            ds = p
+            del p, p_r, ds_r, keep
             d += ds @ xc.T.copy().T
             d += (xc.T @ ds).T
             del ds

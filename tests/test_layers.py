@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squadlab
 from squadlab.autograd import (MASK_FILL, Rng, Tensor, affine, chunk_bounds,
                                concat, masked_fill, matmul, no_grad, softmax)
 from squadlab.embeddings import CharEmbeddingTable
@@ -213,6 +219,25 @@ class TestHighway:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             Highway(3, Rng(0)).forward(Tensor(np.ones((2, 5))))
+
+    def test_forward_without_a_graph_holds_two_arrays(self):
+        """The gate and transform are formed in their pre-activations'
+        buffers, y and the carry in theirs: at the combiner's [1080, 80]
+        (0.69 MB an array) the forward peaks at the gate and its
+        denominator, then the gate and y, 1.47 MB; forming each product in
+        a new array peaked at 2.85."""
+        hw = Highway(80, Rng(23))
+        x = Tensor(Rng(24).normal((1080, 80)))
+        with no_grad():
+            hw.forward(x)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                y = hw.forward(x)  # noqa: F841 (held while measured)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.6e6
 
 
 class TestLstm:
@@ -440,6 +465,102 @@ class TestFusedAttentionMatchesReference:
             dot_product_attention(x, lengths=lengths)
         with pytest.raises(ValueError, match="^attention: chunk lengths"):
             chunk_bounds(lengths, 7, "attention")
+
+
+def full_ds_attention_backward(x, g, causal=False, lengths=None):
+    """dx of ``dot_product_attention`` as its backward formed it while it
+    held the whole score gradient ds beside p: the oracle of the row-block
+    backward."""
+    dx = np.empty_like(x)
+    scale = 1.0 / np.sqrt(x.shape[1])
+    for lo, hi in chunk_bounds(lengths, len(x), "attention"):
+        xc, gc = x[lo:hi], g[lo:hi]
+        p = xc @ xc.T.copy()
+        p *= scale
+        keep = None
+        if causal and hi - lo > 1:
+            keep = np.tril(np.ones(p.shape, dtype=bool))
+            np.copyto(p, MASK_FILL, where=~keep)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        ds = gc @ xc.T
+        for r in range(0, hi - lo, 32):
+            rows = slice(r, r + 32)
+            ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
+        ds *= p
+        if keep is not None:
+            ds *= keep
+        ds *= scale
+        d = dx[lo:hi]
+        d[...] = p.T @ gc
+        d += ds @ xc.T.copy().T
+        d += (xc.T @ ds).T
+    return dx
+
+
+# chunk lengths at the row blocks' edges (48 to 95 rows each), the old
+# 32-row blocks' and seq-384's; and packed chunks
+ROW_BLOCK_CASES = [[n] for n in (1, 2, 31, 32, 33, 47, 48, 49, 64, 65, 95,
+                                 96, 97, 98, 143, 144, 145, 380, 384)] + \
+    [[33, 1, 65], [49, 1, 98]]
+
+
+def row_block_mismatches() -> list:
+    """The (lengths, causal) cases where the fused backward's dx (d = 64)
+    differs in any bit from ``full_ds_attention_backward``'s."""
+    bad = []
+    for k, lengths in enumerate(ROW_BLOCK_CASES):
+        rng = Rng(40 + k)
+        data, g = rng.normal((sum(lengths), 64)), rng.normal((sum(lengths), 64))
+        for causal in (False, True):
+            x = Tensor(data, requires_grad=True)
+            dot_product_attention(x, causal, lengths)._backward(g)
+            want = full_ds_attention_backward(data, g, causal, lengths)
+            if x.grad.tobytes() != want.tobytes():
+                bad.append((lengths, causal))
+    return bad
+
+
+class TestAttentionRowBlocks:
+    """The backward overwrites p with ds a block of query rows at a time,
+    each block's ``g[rows] @ x.T`` a product of its own."""
+
+    def test_dx_bytes_equal_the_full_ds_backward_at_one_thread(self):
+        """Byte for byte at the package's one BLAS thread, in a fresh
+        process (this one may have loaded numpy first).  At two threads a
+        T x T product with T not a multiple of 8 has other bits from about
+        8,200 entries on, whole or in blocks (ROADMAP item 12)."""
+        paths = [str(Path(squadlab.__file__).resolve().parent.parent),
+                 str(Path(__file__).resolve().parent)]
+        code = (f"import json, sys\nsys.path[:0] = {paths!r}\n"
+                "import squadlab\n"
+                "from test_layers import row_block_mismatches\n"
+                "print(json.dumps(row_block_mismatches()))")
+        env = {k: v for k, v in os.environ.items()
+               if k not in squadlab.BLAS_THREAD_VARS}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    def test_seq384_backward_holds_one_buffer(self):
+        """One seq-384 chunk (d = 64): the backward peaks at p's buffer
+        (1.18 MB), a block's products and the [384, 64] arrays, 1.77 MB;
+        holding ds beside p peaked at 2.75."""
+        x = Tensor(Rng(21).normal((384, 64)), requires_grad=True)
+        g = Rng(22).normal((384, 64))
+        dot_product_attention(x)._backward(g)  # warm
+        x.grad = None
+        out = dot_product_attention(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
 
 
 class TestDotProductAttention:

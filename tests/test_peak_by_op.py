@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "peak_by_op", ROOT / "tools" / "peak_by_op.py")
@@ -119,3 +121,42 @@ def test_two_passes_in_one_process(tmp_path, capsys, monkeypatch):
         rss += [float(row.split()[-2]) for row in rows]
         assert (tmp_path / f"pass-{k:02d}" / "data" / "eval.json").is_file()
     assert rss == sorted(rss) and rss[0] > 0
+
+
+def test_rss_sites_sample_the_resident_set_untraced(tmp_path, monkeypatch):
+    """``--rss-sites``: every op runs without tracemalloc, and its row has
+    the highest resident-set sample taken at a squadlab call or return,
+    the squadlab function running then and its squadlab callers down to
+    ``cli.main``; the profiler is removed after each op."""
+    import tracemalloc
+
+    from squadlab import cli
+    pipeline = peak_by_op.load_pipeline(ROOT)
+    raw_main = cli.main
+    seen = []
+
+    def watched(argv):
+        seen.append((tracemalloc.is_tracing(), sys.getprofile() is not None))
+        return raw_main(argv)
+
+    monkeypatch.setattr(cli, "main", watched)
+    rows = peak_by_op.peak_by_op(pipeline, _tiny(pipeline), 3, tmp_path,
+                                 rss_sites=True)
+    assert sys.getprofile() is None
+    assert seen == [(False, True)] * len(rows)
+    assert all(row.rc == 0 for row in rows)
+    for row in rows:
+        size, where, callers = row.sample
+        assert size == row.peak > 0
+        # the kernel's resident counters are approximate to a few pages
+        assert size <= (row.rss + 1) * 2 ** 20
+        stack = [where, *callers]
+        assert all(name.startswith("squadlab.") for name in stack)
+        assert stack[-1] == "squadlab.cli:main"
+    lines = peak_by_op.format_rows(rows, rss_sites=True)
+    assert lines[0].split() == ["op", "rc", "rss_mb", "maxrss_mb", "gen2"]
+    assert len(lines) == 1 + sum(2 + len(row.sample[2]) for row in rows)
+    assert lines[2].startswith("    highest sample ")
+    with pytest.raises(SystemExit):
+        peak_by_op.main(["--workload", "tiny", "--seed", "3", "--top", "2",
+                         "--rss-sites"])

@@ -2,7 +2,7 @@
 every CLI call and the process's peak resident set after it.
 
     python3 tools/peak_by_op.py --workload paper-infer --seed 5 \
-        [--top 5] [--passes 12]
+        [--top 5 | --rss-sites] [--passes 12]
 
 A pass is ``perfbench/pipeline.py``'s: its ``set_up`` (squadlab imported
 afresh and the workload's corpora written, ``SETUP_REPEATS`` times) and its
@@ -36,12 +36,25 @@ sample come the highest sample, the squadlab function that was running
 then, and the N largest allocation sites alive then, grouped by line.  A
 peak between two samples is still counted in ``peak_mb``; the snapshots
 the sampler takes are not.
+
+With ``--rss-sites`` the passes run without tracemalloc, so ``maxrss_mb``
+is the peak perfbench's ``peak_rss_mb`` reads, and the process's current
+resident set (``/proc/self/statm``, so Linux only) is sampled at every
+call of a squadlab function and every return from one, through
+``sys.setprofile``; the profiler is removed after each op.  The
+``rss_mb`` column is the op's highest sample, and under each op come the
+squadlab function running then and its squadlab callers, innermost
+first.  Memory numpy frees inside a squadlab function before it returns
+is not seen, and the kernel's resident counters are approximate, so a
+sample can read about 0.2 MB above ``maxrss_mb``; the profiler slows the
+pass down several times.
 """
 
 import argparse
 import contextlib
 import gc
 import io
+import os
 import resource
 import sys
 import tempfile
@@ -55,11 +68,13 @@ ROOT = Path(__file__).resolve().parent.parent
 class Row(NamedTuple):
     op: object  # pipeline.Op
     rc: object  # exit code, or the text of the exception it raised
-    peak: int  # tracemalloc peak, bytes
+    peak: int  # tracemalloc peak, or with --rss-sites the highest sample, bytes
     rss: float  # ru_maxrss after the op, MB
     gen2: int  # full garbage collections that started during the op
     # with --top: (highest sample in bytes, "module:function" running then,
-    # [(file:line, bytes alive then)] largest first); else None
+    # [(file:line, bytes alive then)] largest first); with --rss-sites:
+    # (highest sample in bytes, "module:function" running then, [its
+    # squadlab callers' "module:function"], innermost first); else None
     sample: tuple = None
 
 
@@ -144,11 +159,56 @@ def sampled(tensor_class, top: int, found: dict):
         tensor_class._accum = raw_accum
 
 
+def _squadlab_name(frame):
+    """"module:function" of a frame of squadlab's code, else None."""
+    module = frame.f_globals.get("__name__") or ""
+    if module == "squadlab" or module.startswith("squadlab."):
+        return f"{module}:{frame.f_code.co_qualname}"
+    return None
+
+
+@contextlib.contextmanager
+def resident_sites(found: dict):
+    """Within the block, sample the process's resident set at every call
+    of a squadlab function and every return from one; on a new highest
+    sample, keep its size, the running function and its squadlab callers
+    in ``found`` (keys ``sample`` and ``peak``).  The profiler is removed
+    on exit."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    fd = os.open("/proc/self/statm", os.O_RDONLY)
+
+    def profile(frame, event, arg):
+        if event not in ("call", "return"):
+            return
+        where = _squadlab_name(frame)
+        if where is None:
+            return
+        size = int(os.pread(fd, 128, 0).split()[1]) * page
+        if size > found["peak"]:
+            callers = []
+            caller = frame.f_back
+            while caller is not None:
+                name = _squadlab_name(caller)
+                if name is not None:
+                    callers.append(name)
+                caller = caller.f_back
+            found["peak"] = size
+            found["sample"] = (size, where, callers)
+
+    try:
+        sys.setprofile(profile)
+        yield found
+    finally:
+        sys.setprofile(None)
+        os.close(fd)
+
+
 def peak_by_op(pipeline, workload, seed: int, directory: Path,
-               top: int = 0) -> list:
+               top: int = 0, rss_sites: bool = False) -> list:
     """One pass of ``workload`` after ``pipeline.set_up``: one ``Row`` per
     op, with the highest sample and its ``top`` largest allocation sites
-    when ``top`` > 0."""
+    when ``top`` > 0, or untraced with the highest resident sample and
+    its squadlab stack when ``rss_sites``."""
     data = directory / "data"
     pipeline.set_up(workload, seed, data)
     from squadlab import cli
@@ -157,19 +217,24 @@ def peak_by_op(pipeline, workload, seed: int, directory: Path,
     sink = io.StringIO()
     for op in pipeline.pass_ops(workload, seed, data, directory):
         found = {"peak": 0, "sample": None}
-        tracemalloc.start()
+        if rss_sites:
+            sampler = resident_sites(found)
+        else:
+            tracemalloc.start()
+            sampler = (sampled(Tensor, top, found) if top
+                       else contextlib.nullcontext())
         try:
             with contextlib.redirect_stdout(sink), \
                     contextlib.redirect_stderr(sink), \
-                    full_collections() as gen2, \
-                    (sampled(Tensor, top, found) if top
-                     else contextlib.nullcontext()):
+                    full_collections() as gen2, sampler:
                 rc = cli.main(op.argv)
         except Exception as e:  # report the op, go on with the pass
             rc = f"{type(e).__name__}: {e}"
         finally:
-            peak = max(found["peak"], tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            peak = found["peak"]
+            if not rss_sites:
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
         sink.seek(0)
         sink.truncate()
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -177,17 +242,24 @@ def peak_by_op(pipeline, workload, seed: int, directory: Path,
     return rows
 
 
-def format_rows(rows) -> list:
-    lines = [f"{'op':<42} {'rc':>3} {'peak_mb':>9} {'maxrss_mb':>10} "
-             f"{'gen2':>4}"]
+def format_rows(rows, rss_sites: bool = False) -> list:
+    """The header and one line per row; under a row with a sample, the
+    sample's line and its sites (``--top``) or callers (``rss_sites``)."""
+    # a resident sample in ru_maxrss's unit (2^20 bytes, as perfbench's)
+    peak, unit = ("rss_mb", 2 ** 20) if rss_sites else ("peak_mb", 1e6)
+    lines = [f"{'op':<42} {'rc':>3} {peak:>9} {'maxrss_mb':>10} {'gen2':>4}"]
     for row in rows:
         name = f"{row.op.command} {row.op.arch or ''}".strip()
-        lines.append(f"{name:<42} {row.rc!s:>3} {row.peak / 1e6:>9.2f} "
+        lines.append(f"{name:<42} {row.rc!s:>3} {row.peak / unit:>9.2f} "
                      f"{row.rss:>10.1f} {row.gen2:>4}")
-        if row.sample is not None:
-            size, where, sites = row.sample
-            lines.append(f"    highest sample {size / 1e6:.2f} MB in {where}")
-            lines += [f"    {n / 1e6:>9.2f} MB  {site}" for site, n in sites]
+        if row.sample is None:
+            continue
+        size, where, below = row.sample
+        lines.append(f"    highest sample {size / unit:.2f} MB in {where}")
+        if rss_sites:
+            lines += [f"      called from {caller}" for caller in below]
+        else:
+            lines += [f"    {n / unit:>9.2f} MB  {site}" for site, n in below]
     return lines
 
 
@@ -202,9 +274,14 @@ def main(argv=None) -> int:
                              "highest sample (default: none, no sampling)")
     parser.add_argument("--passes", type=int, default=1,
                         help="passes to run in this process (default: 1)")
+    parser.add_argument("--rss-sites", action="store_true",
+                        help="run untraced and name the squadlab stack at "
+                             "each op's highest resident-set sample")
     args = parser.parse_args(argv)
     if args.top < 0:
         parser.error("--top must be 0 or more")
+    if args.top and args.rss_sites:
+        parser.error("--top and --rss-sites exclude each other")
     if args.passes < 1:
         parser.error("--passes must be 1 or more")
     sys.dont_write_bytecode = True
@@ -218,11 +295,11 @@ def main(argv=None) -> int:
         out = args.out or Path(stack.enter_context(
             tempfile.TemporaryDirectory(prefix="peak-by-op-")))
         passes = [peak_by_op(pipeline, workload, args.seed,
-                             out / f"pass-{k:02d}", args.top)
+                             out / f"pass-{k:02d}", args.top, args.rss_sites)
                   for k in range(args.passes)]
     for k, rows in enumerate(passes, 1):
         print(f"pass {k}/{args.passes}")
-        print("\n".join(format_rows(rows)))
+        print("\n".join(format_rows(rows, args.rss_sites)))
     return 0 if all(row.rc == 0 for rows in passes for row in rows) else 2
 
 

@@ -1,8 +1,13 @@
 """Command-line pipeline: preprocess -> pseudo-embed -> train -> predict ->
 evaluate -> ensemble, plus a selftest of the golden fixtures.
 
-Every command writes a run manifest next to its outputs so the invocation
-can be reproduced.  Exit codes: 0 success, 1 usage error, 2 data error.
+Every output gets a run manifest next to it so the invocation can be
+reproduced.  ``main`` alone names a call's files, from the flag tables: the
+manifest's inputs are the files the input flags name, in ``_INPUT_FLAGS``
+order and without ``--embeddings pseudo``; its outputs are the ``--out``,
+``--loss-curve`` and ``--logits-out`` paths given.  A call that writes no
+file (``selftest``, ``evaluate`` without ``--out``) writes no manifest.
+Exit codes: 0 success, 1 usage error, 2 data error.
 All randomness flows from --seed (fallback: the SQUADLAB_SEED env var, then
 0), a non-negative integer.
 """
@@ -111,8 +116,6 @@ def cmd_preprocess(args):
     write_features(args.out, features)
     print(f"wrote {len(features)} features for {len(examples)} examples "
           f"to {args.out}", file=sys.stderr)
-    tokens = args.pretokenized or args.vocab  # the file _tokenizers read
-    return [args.data, *([tokens] if tokens else [])], [args.out]
 
 
 def cmd_pseudo_embed(args):
@@ -124,7 +127,6 @@ def cmd_pseudo_embed(args):
     save_embedding_fixture(args.out, matrices)
     print(f"wrote {len(matrices)} embedding matrices to {args.out}",
           file=sys.stderr)
-    return [args.features], [args.out]
 
 
 def _provider(spec, d_model, seed):
@@ -132,11 +134,6 @@ def _provider(spec, d_model, seed):
     if spec == "pseudo":
         return PseudoEmbedder(d_model, seed)
     return load_embedding_fixture(spec)
-
-
-def _embedding_inputs(args):
-    """The embedding fixture a command read, as manifest inputs."""
-    return [] if args.embeddings == "pseudo" else [args.embeddings]
 
 
 def cmd_train(args):
@@ -156,13 +153,10 @@ def cmd_train(args):
     result = train(model, features, provider, hp)
     save_model(args.out, model,
                hyperparams={**vars(hp), "embeddings": provider.identity()})
-    outputs = [args.out]
     if args.loss_curve:
         write_loss_curve(args.loss_curve, result)
-        outputs.append(args.loss_curve)
     print(f"trained {args.arch} ({model.parameter_count()} parameters), "
           f"final loss {result.final_loss():.4f}", file=sys.stderr)
-    return [args.features, *_embedding_inputs(args)], outputs
 
 
 def _evaluation_inputs(args):
@@ -192,14 +186,10 @@ def cmd_predict(args):
         model_f1_weight=args.model_f1_weight,
     )
     write_predictions(args.out, records)
-    outputs = [args.out]
     if args.logits_out:
         save_logits_dump(args.logits_out, logit_sets)
-        outputs.append(args.logits_out)
     print(f"wrote predictions for {len(records)} questions to {args.out}",
           file=sys.stderr)
-    return ([args.features, args.data, args.checkpoint,
-             *_embedding_inputs(args)], outputs)
 
 
 def cmd_evaluate(args):
@@ -211,15 +201,11 @@ def cmd_evaluate(args):
     print(report.summary())
     print(f"EM={report.em:.1f}")
     print(f"F1={report.f1:.1f}")
-    outputs = []
     if args.out:
         write_report(args.out, report)
-        outputs.append(args.out)
-    return [args.pred, args.gold], outputs
 
 
 def cmd_ensemble(args):
-    inputs = list(args.pred)
     sets = []
     for i, path in enumerate(args.pred):
         weight = args.weights[i] if args.weights else None
@@ -229,7 +215,6 @@ def cmd_ensemble(args):
         records = weighted_voting(sets, null_threshold=args.null_threshold)
     else:
         dumps = [load_logits_dump(p) for p in args.dumps]
-        inputs += list(args.dumps) + [args.features, args.data]
         features, context_by_qid = _evaluation_inputs(args)
         features_by_key = {(f.qid, f.feature_index): f for f in features}
         if args.strategy == "mean-logits":
@@ -242,7 +227,6 @@ def cmd_ensemble(args):
     write_predictions(args.out, records)
     print(f"{args.strategy}: wrote {len(records)} predictions to {args.out}",
           file=sys.stderr)
-    return inputs, [args.out]
 
 
 def cmd_selftest(args):
@@ -250,7 +234,6 @@ def cmd_selftest(args):
     ok = run_selftest(verbose=True)
     if not ok:
         raise DataError("selftest failed")
-    return [], []
 
 
 def _add_seed(p):
@@ -376,26 +359,26 @@ _ENSEMBLE_INPUTS = {
 _ENSEMBLE_FLAGS = ("--pred", "--weights", "--dumps", "--features", "--data",
                    "--mean-weight", "--null-threshold")
 # the flags that name files a command writes, and those that name files it
-# reads; each output, and the manifest written next to it, needs a path no
-# other of these names
+# reads, in the order its manifest lists them; each output, and the manifest
+# written next to it, needs a path no other of these names
 _OUTPUT_FLAGS = ("--out", "--loss-curve", "--logits-out")
-_INPUT_FLAGS = ("--data", "--features", "--embeddings", "--checkpoint",
-                "--pretokenized", "--vocab", "--pred", "--dumps", "--gold")
+_INPUT_FLAGS = ("--pred", "--dumps", "--features", "--data", "--checkpoint",
+                "--embeddings", "--pretokenized", "--vocab", "--gold")
 
 
 def _flag(args, flag):
     return getattr(args, flag[2:].replace("-", "_"), None)
 
 
-def _paths(args, flags):
-    """(flag, path) for each path the command's ``flags`` name; the
-    pseudo embedder is no file."""
+def _given(args, flags):
+    """(flag, value) for each value the command's ``flags`` were given, one
+    per item of a list; the pseudo embedder is no file."""
     for flag in flags:
         value = _flag(args, flag)
-        for path in value if isinstance(value, list) else [value]:
-            if path is not None and (flag, path) != ("--embeddings",
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None and (flag, item) != ("--embeddings",
                                                      "pseudo"):
-                yield flag, path
+                yield flag, item
 
 
 def _validate(args, parser):
@@ -428,21 +411,18 @@ def _validate(args, parser):
             parser.error("--weights must match the number of --pred files")
         if "--null-threshold" in may and args.null_threshold is None:
             args.null_threshold = DEFAULT_NULL_THRESHOLD
-    weights = [("--model-f1-weight", getattr(args, "model_f1_weight", None)),
-               ("--mean-weight", getattr(args, "mean_weight", None))]
-    weights += [("--weights", w) for w in getattr(args, "weights", None) or []]
-    for flag, weight in weights:
-        if weight is not None:
-            try:
-                check_weight(flag, weight)
-            except ValueError as e:
-                parser.error(str(e))
+    for flag, weight in _given(args, ("--model-f1-weight", "--mean-weight",
+                                      "--weights")):
+        try:
+            check_weight(flag, weight)
+        except ValueError as e:
+            parser.error(str(e))
     threshold = getattr(args, "null_threshold", None)
     if threshold is not None and not math.isfinite(threshold):
         parser.error(f"--null-threshold must be finite, got {threshold}")
     written = {}
-    for flag, path in [*_paths(args, _OUTPUT_FLAGS),
-                       *_paths(args, _INPUT_FLAGS)]:
+    for flag, path in [*_given(args, _OUTPUT_FLAGS),
+                       *_given(args, _INPUT_FLAGS)]:
         names = [(flag, path)]
         if flag in _OUTPUT_FLAGS:
             names.append((f"{flag}'s manifest", _manifest_path(path)))
@@ -464,11 +444,13 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     started = time.monotonic()
     try:
-        inputs, outputs = args.func(args)
+        args.func(args)
     except (DataError, OSError, KeyError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
+    inputs = [path for _, path in _given(args, _INPUT_FLAGS)]
+    outputs = [path for _, path in _given(args, _OUTPUT_FLAGS)]
     for out in outputs:
         _write_manifest(out, args.command, vars(args), inputs, outputs,
                         args.seed, elapsed)

@@ -130,8 +130,8 @@ def weighted_voting(sets,
 
     A model votes no-answer when its null score beats its best span by
     more than ``null_threshold``.  Winner per qid by (highest total weight,
-    then highest single contributing weight, then earlier start, then
-    earlier end, then non-null).  Returns prediction-file records.
+    then highest single contributing weight, then non-null, then earlier
+    start, then earlier end).  Returns prediction-file records.
     """
     sets = list(sets)
     if not sets:

@@ -1,3 +1,8 @@
+# squadlab first: imported before numpy, it sets the BLAS thread variables
+# the environment left unset to one thread, so in-process tests compare
+# the bytes the CLI writes
+import squadlab  # noqa: F401
+
 import numpy as np
 import pytest
 

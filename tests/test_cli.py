@@ -1226,6 +1226,58 @@ class TestManifests:
             assert pred["inputs"] == [str(feats), str(corpus),
                                       str(ckpt)] + listed
 
+    @pytest.mark.parametrize("call", [
+        "pseudo-embed", "evaluate", "evaluate-without-out",
+        "weighted-voting", "mean-logits", "wv-mean-logits"])
+    def test_inputs_and_outputs_of_every_command(self, corpus, tmp_path,
+                                                 call):
+        """A manifest lists the files the input flags name, in a fixed flag
+        order whatever the order on the command line, and the outputs
+        given; evaluate without --out writes no file and no manifest."""
+        feats, ckpt = _train_squad_out(corpus, tmp_path,
+                                       ["--embeddings", "pseudo"])
+        preds, dumps = [], []
+        for i in (1, 2):
+            preds.append(str(tmp_path / f"pred{i}.jsonl"))
+            dumps.append(str(tmp_path / f"logits{i}.bin"))
+            assert main(["predict", "--checkpoint", str(ckpt),
+                         "--features", str(feats), "--embeddings", "pseudo",
+                         "--data", str(corpus), "--out", preds[-1],
+                         "--logits-out", dumps[-1],
+                         "--model-f1-weight", f"{60 + i}"]) == 0
+        feats, corpus = str(feats), str(corpus)
+        out = str(tmp_path / "out")
+        argv, inputs, outputs = {
+            "pseudo-embed": (["pseudo-embed", "--features", feats,
+                              "--d-model", "8", "--out", out],
+                             [feats], [out]),
+            "evaluate": (["evaluate", "--gold", corpus, "--pred", preds[0],
+                          "--out", out], [preds[0], corpus], [out]),
+            "evaluate-without-out": (["evaluate", "--gold", corpus,
+                                      "--pred", preds[0]],
+                                     [preds[0], corpus], []),
+            "weighted-voting": (["ensemble", "--strategy", "weighted-voting",
+                                 "--pred", *preds, "--out", out],
+                                preds, [out]),
+            "mean-logits": (["ensemble", "--strategy", "mean-logits",
+                             "--data", corpus, "--features", feats,
+                             "--dumps", *dumps, "--out", out],
+                            [*dumps, feats, corpus], [out]),
+            "wv-mean-logits": (["ensemble", "--strategy", "wv-mean-logits",
+                                "--data", corpus, "--dumps", *dumps,
+                                "--features", feats, "--mean-weight", "62",
+                                "--pred", *preds, "--out", out],
+                               [*preds, *dumps, feats, corpus], [out]),
+        }[call]
+        before = set(tmp_path.glob("*.manifest.json"))
+        assert main(argv) == 0
+        written = set(tmp_path.glob("*.manifest.json")) - before
+        assert written == {Path(f"{path}.manifest.json") for path in outputs}
+        for path in written:
+            manifest = json.loads(path.read_text())
+            assert manifest["inputs"] == inputs
+            assert manifest["outputs"] == outputs
+
 
 class TestEmbedderIdentity:
     def test_pseudo_seed_mismatch_is_2(self, corpus, tmp_path, capsys):

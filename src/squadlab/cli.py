@@ -392,10 +392,11 @@ def _validate(args, parser):
     if args.seed < 0:
         parser.error(f"{source} must be at least 0, got {args.seed}")
     if args.command == "predict":
-        for flag, value in (("--n-best", args.n_best),
-                            ("--max-answer-length", args.max_answer_length)):
-            if value < 1:
-                parser.error(f"{flag} must be at least 1")
+        if args.n_best < 2:
+            parser.error("--n-best counts the no-answer candidate and must "
+                         "be at least 2")
+        if args.max_answer_length < 1:
+            parser.error("--max-answer-length must be at least 1")
     if args.command == "ensemble":
         needs, may = _ENSEMBLE_INPUTS[args.strategy]
         given = [flag for flag in _ENSEMBLE_FLAGS

@@ -413,14 +413,15 @@ def read_jsonl(path, parse, key=None) -> list:
 def load_pretokenized(path) -> dict:
     """JSON-lines {qid, tokens, spans} -> qid -> TokenizedContext.  As in
     a feature record, every token is a non-empty string with a span,
-    [start, end] with 0 <= start <= end, and a qid may appear once; a bad
-    record raises DataError naming the line."""
+    [start, end] with 0 <= start <= end, the spans run forward, and a qid
+    may appear once; a bad record raises DataError naming the line."""
     def parse(rec):
         qid, tokens = rec["qid"], _tokens(rec["tokens"])
         spans = [_span(s, "spans", null_ok=False) for s in rec["spans"]]
         if len(tokens) != len(spans):
             raise ValueError(f"{len(tokens)} tokens but {len(spans)} spans "
                              f"entries")
+        _spans_run_forward(spans, "spans")
         return qid, TokenizedContext(tokens, spans)
 
     return dict(read_jsonl(path, parse, key=lambda c: f"qid {c[0]!r}"))
@@ -444,6 +445,20 @@ def _span(s, field="token_word_span", null_ok=True):
     either = "neither null nor" if null_ok else "not"
     raise ValueError(f"{field} entry {s!r} is {either} [start, end] with "
                      f"0 <= start <= end")
+
+
+def _spans_run_forward(spans, field="token_word_span") -> None:
+    """Word spans follow the text: each non-null span repeats the one
+    before it (two tokens of one word) or starts at or after its end."""
+    before = None
+    for span in spans:
+        if span is None:
+            continue
+        if before is not None and span != before and span[0] < before[1]:
+            raise ValueError(f"{field} entry {list(span)} starts before the "
+                             f"end of the span before it, {list(before)}, "
+                             f"and does not repeat it")
+        before = span
 
 
 def _tokens(tokens) -> list:
@@ -490,6 +505,7 @@ def _feature(rec) -> Feature:
         raise ValueError(f"start/end positions ({s}, {e}) are neither the "
                          f"null position nor context positions with "
                          f"start <= end")
+    _spans_run_forward(f.token_word_span)
     return f
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, _chunk_name, read_records, write_records
-from .heads import (DEFAULT_NULL_THRESHOLD, AnswerCandidate, SpanLogits,
-                    best_answer, prediction_record)
+from .heads import (DEFAULT_NULL_THRESHOLD, ENTRY_FIELDS, AnswerCandidate,
+                    SpanLogits, best_answer, nbest_entry, prediction_record)
 from .training import decode_logit_set
 
 DUMP_MAGIC = b"SQLD"
@@ -58,13 +58,12 @@ class PredictionSet:
 
     def top_vote(self, qid: str,
                  null_threshold: float = DEFAULT_NULL_THRESHOLD):
-        """(vote key, candidate dict) for this model's single best prediction."""
+        """(vote key, n-best entry) for this model's single best prediction."""
         rec = self.records[qid]
         best = best_answer(rec, null_threshold)
         if best is None:
-            return NULL_KEY, {"text": "", "start_token": None,
-                              "end_token": None, "feature_index": 0,
-                              "score": rec["null_score"]}
+            null = AnswerCandidate(qid, "", None, None, rec["null_score"])
+            return NULL_KEY, nbest_entry(null)
         key = (best["feature_index"], best["start_token"], best["end_token"])
         return key, best
 
@@ -129,9 +128,12 @@ def weighted_voting(sets,
     """Each model's best prediction votes with the model's F1 weight.
 
     A model votes no-answer when its null score beats its best span by
-    more than ``null_threshold``.  Winner per qid by (highest total weight,
-    then highest single contributing weight, then non-null, then earlier
-    start, then earlier end).  Returns prediction-file records.
+    more than ``null_threshold``.  The winner per qid has the highest total
+    weight, then the highest single weight, then comes first in the answer
+    order (``heads``): a span before no-answer, then the smaller start, end
+    and chunk.  It is written with its total weight as its score, so the
+    prediction files' order does not change the output.  Returns
+    prediction-file records.
     """
     sets = list(sets)
     if not sets:
@@ -139,29 +141,19 @@ def weighted_voting(sets,
     qids = _check_same_qids(sets)
     records = []
     for qid in qids:
-        tallies = {}  # key -> [total, max_single, candidate]
+        tallies = {}  # vote key -> (its entry, the weights that voted it)
         for s in sets:
-            key, cand = s.top_vote(qid, null_threshold)
-            if key not in tallies:
-                tallies[key] = [0.0, 0.0, cand]
-            tallies[key][0] += s.weight
-            tallies[key][1] = max(tallies[key][1], s.weight)
-
-        def rank(item):
-            key, (total, max_single, cand) = item
-            is_null = key == NULL_KEY
-            start = 0 if is_null else cand["start_token"]
-            end = 0 if is_null else cand["end_token"]
-            return (-total, -max_single, is_null, start, end)
-
-        _, (total, _, winner) = min(tallies.items(), key=rank)
+            key, vote = s.top_vote(qid, null_threshold)
+            tallies.setdefault(key, (vote, []))[1].append(s.weight)
+        ranked = []  # (the vote scored with its total weight, top weight)
+        for vote, weights in tallies.values():
+            cand = AnswerCandidate(qid, **{f: vote[f] for f in ENTRY_FIELDS})
+            cand.score = math.fsum(weights)
+            ranked.append((cand, max(weights)))
+        winner, _ = min(ranked, key=lambda r: (-r[0].score, -r[1],
+                                               r[0].sort_key()))
         null_scores = [s.records[qid]["null_score"] for s in sets]
-        final = AnswerCandidate(
-            qid=qid, text=winner["text"], start_token=winner["start_token"],
-            end_token=winner["end_token"], score=total,
-            feature_index=winner["feature_index"],
-        )
-        records.append(prediction_record(qid, [final], min(null_scores)))
+        records.append(prediction_record(qid, [winner], min(null_scores)))
     return records
 
 

@@ -3,9 +3,13 @@
 Both heads mask every position outside the context chunk to ``MASK_FILL``
 except index 0, the sentinel, which stays live to score the no-answer
 hypothesis; given packed chunks (``lengths``, as in ``layers``), each chunk
-keeps its own sentinel.  A span's score is start_logit + end_logit; ties
-are broken by (non-null first, smaller start, smaller end) so decoding is
-deterministic.
+keeps its own sentinel.  A span's score is start_logit + end_logit.
+
+One order ranks every answer, ``AnswerCandidate.sort_key``: the higher
+score first, then a span before no-answer, then the smaller start, end and
+chunk (``feature_index``).  Decode, aggregation and voting all rank by it,
+so each is deterministic.  One tuple, ``ENTRY_FIELDS``, lists an n-best
+entry's fields in the order prediction files hold them.
 
 Both heads are ``autograd.Module``s, so their parameter names come from the
 attribute walk (``W``, ``end_rnn.W_ur``, ...).  ``decode_spans`` ranks one
@@ -66,10 +70,9 @@ class AnswerCandidate:
         return self.start_token is None
 
     def sort_key(self):
-        # higher score first; at equal score non-null wins, then position
-        return (-self.score, self.is_null,
-                self.start_token if not self.is_null else 0,
-                self.end_token if not self.is_null else 0)
+        """The answer order (module docstring)."""
+        return (-self.score, self.is_null, self.start_token or 0,
+                self.end_token or 0, self.feature_index)
 
 
 def _masked(start: Tensor, end: Tensor, context_mask, lengths=None):
@@ -238,10 +241,9 @@ def aggregate_features(candidates_per_feature, n_best: int = DEFAULT_N_BEST):
         qid = merged[-1].qid if merged else None
         raise ValueError(f"qid {qid}: no null candidate present")
     null_score = min(nulls)
-    merged.sort(key=AnswerCandidate.sort_key)
-    spans = [c for c in merged if not c.is_null][: n_best - 1]
-    null = AnswerCandidate(qid=merged[0].qid, text="", start_token=None,
-                           end_token=None, score=null_score)
+    spans = sorted((c for c in merged if not c.is_null),
+                   key=AnswerCandidate.sort_key)[: n_best - 1]
+    null = AnswerCandidate(merged[0].qid, "", None, None, null_score)
     return sorted(spans + [null], key=AnswerCandidate.sort_key), null_score
 
 
@@ -272,8 +274,13 @@ def write_predictions(path, records) -> None:
     write_jsonl(path, records)
 
 
-_ENTRY_KEYS = frozenset(("text", "start_token", "end_token", "feature_index",
-                         "score"))
+# an n-best entry's fields, in the order prediction files hold them
+ENTRY_FIELDS = ("text", "start_token", "end_token", "feature_index", "score")
+
+
+def nbest_entry(c: AnswerCandidate) -> dict:
+    """``c`` as an n-best entry of a prediction record."""
+    return {f: getattr(c, f) for f in ENTRY_FIELDS}
 
 
 def _is_number(v) -> bool:
@@ -297,9 +304,9 @@ def _prediction(rec) -> dict:
     if "model_f1_weight" in rec and not _is_number(rec["model_f1_weight"]):
         raise DataError("model_f1_weight must be a number")
     for i, c in enumerate(rec["nbest"]):
-        if not (isinstance(c, dict) and _ENTRY_KEYS <= c.keys()):
+        if not (isinstance(c, dict) and c.keys() >= set(ENTRY_FIELDS)):
             raise DataError(f"nbest[{i}] must be an object with "
-                            f"{', '.join(sorted(_ENTRY_KEYS))}")
+                            f"{', '.join(sorted(ENTRY_FIELDS))}")
         s, e = c["start_token"], c["end_token"]
         if not _is_number(c["score"]):
             raise DataError(f"nbest[{i}].score must be a number")
@@ -323,20 +330,8 @@ def read_predictions(path) -> list:
 
 def prediction_record(qid: str, nbest, null_score: float,
                       model_f1_weight: float | None = None) -> dict:
-    rec = {
-        "qid": qid,
-        "nbest": [
-            {
-                "text": c.text,
-                "start_token": c.start_token,
-                "end_token": c.end_token,
-                "feature_index": c.feature_index,
-                "score": c.score,
-            }
-            for c in nbest
-        ],
-        "null_score": null_score,
-    }
+    rec = {"qid": qid, "nbest": [nbest_entry(c) for c in nbest],
+           "null_score": null_score}
     if model_f1_weight is not None:
         rec["model_f1_weight"] = model_f1_weight
     return rec

@@ -57,31 +57,35 @@ def _tokens(text: str) -> list:
     return normalize_answer(text).split()
 
 
-def _golds_or_empty(golds) -> list:
-    golds = [g for g in golds]
-    return golds if golds else [""]
+def score_answer(pred: str, golds) -> tuple:
+    """(EM, F1, best gold) of an answer against its golds, or against the
+    empty string when there are none.  EM and F1 are each the maximum over
+    the golds, and the best gold is the first with the top F1.  Each answer
+    is normalized once."""
+    pred_toks = _tokens(pred)
+    em, f1, best_gold = 0, -1.0, None
+    for gold in list(golds) or [""]:
+        gold_toks = _tokens(gold)
+        em = max(em, int(pred_toks == gold_toks))
+        if not pred_toks or not gold_toks:
+            score = float(pred_toks == gold_toks)
+        else:
+            overlap = sum((Counter(pred_toks) & Counter(gold_toks)).values())
+            precision = overlap / len(pred_toks)
+            recall = overlap / len(gold_toks)
+            score = (2 * precision * recall / (precision + recall)
+                     if overlap else 0.0)
+        if score > f1:
+            f1, best_gold = score, gold
+    return em, f1, best_gold
 
 
 def compute_em(pred: str, golds) -> int:
-    np_pred = normalize_answer(pred)
-    return int(any(np_pred == normalize_answer(g) for g in _golds_or_empty(golds)))
-
-
-def _f1_single(pred: str, gold: str) -> float:
-    pred_toks = _tokens(pred)
-    gold_toks = _tokens(gold)
-    if not pred_toks or not gold_toks:
-        return float(pred_toks == gold_toks)
-    overlap = sum((Counter(pred_toks) & Counter(gold_toks)).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(pred_toks)
-    recall = overlap / len(gold_toks)
-    return 2 * precision * recall / (precision + recall)
+    return score_answer(pred, golds)[0]
 
 
 def compute_f1(pred: str, golds) -> float:
-    return max(_f1_single(pred, g) for g in _golds_or_empty(golds))
+    return score_answer(pred, golds)[1]
 
 
 def evaluate(predictions: dict, examples) -> EvalReport:
@@ -106,12 +110,7 @@ def evaluate(predictions: dict, examples) -> EvalReport:
         else:
             answerable += 1
         pred = predictions[ex.qid]
-        em = compute_em(pred, golds)
-        # each gold scored once; the best is the first with the top F1
-        scored = _golds_or_empty(golds)
-        f1s = [_f1_single(pred, g) for g in scored]
-        f1 = max(f1s)
-        best_gold = scored[f1s.index(f1)]
+        em, f1, best_gold = score_answer(pred, golds)
         per_question[ex.qid] = (em, f1, pred, best_gold)
 
     n = len(per_question)

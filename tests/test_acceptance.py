@@ -11,16 +11,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import feature_context_text, make_feature
+from conftest import (check_random_elections, feature_context_text,
+                      make_feature)
 from squadlab.autograd import Rng, Tensor, softmax
 from squadlab.cli import main as cli_main
 from squadlab.data import (PreprocessConfig, RawExample,
                            align_answer_to_tokens, chunk_context,
                            preprocess_dataset, span_to_text, toy_tokenize)
 from squadlab.embeddings import PseudoEmbedder
-from squadlab.ensemble import (NULL_KEY, PredictionSet, decode_logit_set,
-                               mean_logits, weighted_voting,
-                               weighted_voting_with_mean_logits)
+from squadlab.ensemble import (PredictionSet, decode_logit_set,
+                               mean_logits, weighted_voting_with_mean_logits)
 from squadlab.gradcheck import check_gradients
 from squadlab.heads import (MASK_FILL, NULL_POSITION, AlbertSquadOut,
                             AnswerCandidate, BidafOut, SpanLogits, decode_spans,
@@ -230,46 +230,11 @@ def _vote_rec(qid, start, end, score, fi=0):
          "feature_index": fi, "score": score}]}
 
 
-def _null_rec(qid, null_score=10.0):
-    return {"qid": qid, "null_score": null_score, "nbest": [
-        {"text": "", "start_token": None, "end_token": None,
-         "feature_index": 0, "score": null_score}]}
-
-
 def test_criterion_07_ensemble_oracles():
     with criterion(7, "voting tally oracle, identical-dump identity, "
                       "fifth-voter tiebreak"):
         # brute-force tally on randomized elections
-        rng = Rng(77)
-        choices = [NULL_KEY, (0, 2, 3), (0, 2, 4), (1, 2, 3), (0, 5, 6)]
-        for _ in range(1000):
-            n_models = 3 + int(rng.uniform(0, 3))
-            sets, votes = [], []
-            for m in range(n_models):
-                key = choices[int(rng.uniform(0, len(choices)))]
-                w = round(rng.uniform(0.1, 1.0), 2)
-                rec = _null_rec("q") if key == NULL_KEY else \
-                    _vote_rec("q", key[1], key[2], 1.0, fi=key[0])
-                sets.append(PredictionSet.from_records(f"m{m}", [rec],
-                                                       weight=w))
-                votes.append((key, w))
-
-            def quality(key):
-                total = sum(w for k, w in votes if k == key)
-                biggest = max(w for k, w in votes if k == key)
-                if key == NULL_KEY:
-                    return (total, biggest, 0, 0, 0)
-                return (total, biggest, 1, -key[1], -key[2])
-
-            cast = {k for k, _ in votes}
-            best_q = max(quality(k) for k in cast)
-            winners = {k for k in cast if quality(k) == best_q}
-            top = weighted_voting(sets)[0]["nbest"][0]
-            if top["start_token"] is None:
-                assert NULL_KEY in winners
-            else:
-                assert (top["feature_index"], top["start_token"],
-                        top["end_token"]) in winners
+        check_random_elections(77)
 
         # mean of k identical dumps reproduces the single model exactly
         feat = make_feature(qid="q")

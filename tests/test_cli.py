@@ -71,10 +71,14 @@ class TestExitCodes:
         base = ["predict", "--checkpoint", "c", "--features", "f",
                 "--embeddings", "e", "--data", "d",
                 "--out", str(tmp_path / "p.jsonl")]
-        for flag in ("--n-best", "--max-answer-length"):
-            for value in ("0", "-1"):
+        for flag, values, problem in (
+                ("--n-best", ("1", "0", "-1"), "--n-best counts the "
+                 "no-answer candidate and must be at least 2"),
+                ("--max-answer-length", ("0", "-1"),
+                 "--max-answer-length must be at least 1")):
+            for value in values:
                 assert main(base + [flag, value]) == 1, (flag, value)
-                assert f"{flag} must be at least 1" in capsys.readouterr().err
+                assert problem in capsys.readouterr().err
 
     PREDICT = ["predict", "--checkpoint", "c", "--features", "f",
                "--embeddings", "e", "--data", "d", "--out", "p.jsonl"]
@@ -1480,12 +1484,15 @@ class TestInputErrors:
         ("feature_index", -1, "nbest[0].feature_index must be an int >= 0"),
         ("feature_index", True, "nbest[0].feature_index must be an int >= 0"),
         ("feature_index", "0", "nbest[0].feature_index must be an int >= 0"),
+        ("score", "1.0", "nbest[0].score must be a number"),
+        ("score", True, "nbest[0].score must be a number"),
         ("model_f1_weight", [1], "model_f1_weight must be a number"),
         ("model_f1_weight", "0.5", "model_f1_weight must be a number"),
     ], ids=["list-text", "list-start", "string-start", "float-start",
             "bool-start", "null-start-int-end", "start-after-end",
             "negative-end", "negative-feature-index", "bool-feature-index",
-            "string-feature-index", "list-weight", "string-weight"])
+            "string-feature-index", "string-score", "bool-score",
+            "list-weight", "string-weight"])
     @pytest.mark.parametrize("command", ["evaluate", "weighted-voting"])
     def test_mistyped_prediction_field_is_2(self, tmp_path, capsys, field,
                                             value, problem, command):
@@ -1695,6 +1702,43 @@ class TestInputErrors:
             f"error: {tok}: question 'synth-0000': a span ends at character "
             f"999, past its context's {len(context)}")
         assert not out.exists()
+
+    def test_pretokenized_spans_running_backwards_are_2(self, tmp_path,
+                                                        capsys):
+        # two words in reverse order would answer with context[6:5], ""
+        data = tmp_path / "data.json"
+        write_squad_json(data, make_synthetic_examples(n=1, seed=3))
+        tok = tmp_path / "tok.jsonl"
+        tok.write_text(json.dumps({"qid": "synth-0000", "tokens": ["b", "a"],
+                                   "spans": [[6, 11], [0, 5]]}) + "\n")
+        out = tmp_path / "f.jsonl"
+        assert main(["preprocess", "--data", str(data), "--pretokenized",
+                     str(tok), "--out", str(out)]) == 2
+        assert _error_line(capsys) == (
+            f"error: {tok}: line 1: spans entry [0, 5] starts before the end "
+            f"of the span before it, [6, 11], and does not repeat it")
+        assert not out.exists()
+
+    def test_feature_spans_running_backwards_are_2(self, corpus, tmp_path,
+                                                   capsys):
+        swapped = []
+
+        def edit(rec):
+            spans = rec["token_word_span"]
+            k = next(k for k in range(1, len(spans))
+                     if spans[k - 1] is not None and spans[k] is not None
+                     and spans[k - 1] != spans[k])
+            spans[k - 1], spans[k] = spans[k], spans[k - 1]
+            swapped.extend(spans[k - 1:k + 1])
+
+        feats = self._edited_features(corpus, tmp_path, capsys, edit)
+        assert main(["pseudo-embed", "--features", str(feats),
+                     "--out", str(tmp_path / "e.bin")]) == 2
+        later, earlier = swapped
+        assert _error_line(capsys) == (
+            f"error: {feats}: line 1: token_word_span entry {earlier} starts "
+            f"before the end of the span before it, {later}, and does not "
+            f"repeat it")
 
     def test_vocab_with_invalid_utf8_is_2(self, corpus, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"

@@ -400,13 +400,17 @@ class TestJsonLines:
         (["a", "b"], [[0, 1], [2.0, 3]], "spans entry [2.0, 3] is not "
                                          "[start, end] with 0 <= start <= "
                                          "end"),
+        (["b", "a"], [[6, 11], [0, 5]], "spans entry [0, 5] starts before "
+                                        "the end of the span before it, "
+                                        "[6, 11], and does not repeat it"),
         (["a", "b"], [[0, 1], [2, 3]], "qid 'p' repeats an earlier line"),
         (["a", ""], [[0, 1], [2, 3]], "tokens[1] '' is not a non-empty "
                                       "string"),
         (["a", 3], [[0, 1], [2, 3]], "tokens[1] 3 is not a non-empty "
                                      "string"),
         ("ab", [[0, 1], [2, 3]], "tokens is not a list"),
-    ], ids=["one-short", "null", "reversed", "float", "repeated-qid",
+    ], ids=["one-short", "null", "reversed", "float", "backwards",
+            "repeated-qid",
             "empty-token", "int-token", "tokens-not-a-list"])
     def test_pretokenized_records_follow_the_feature_rules(
             self, tmp_path, tokens, spans, problem):

@@ -3,13 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import feature_context_text, make_feature
+from conftest import (check_random_elections, feature_context_text,
+                      make_feature)
 from squadlab.autograd import Rng
-from squadlab.ensemble import (NULL_KEY, PredictionSet, decode_logit_set,
+from squadlab.cli import main as cli_main
+from squadlab.ensemble import (PredictionSet, decode_logit_set,
                                load_logits_dump, mean_logits,
                                save_logits_dump, weighted_voting,
                                weighted_voting_with_mean_logits)
-from squadlab.heads import MASK_FILL, SpanLogits
+from squadlab.heads import (MASK_FILL, SpanLogits, read_predictions,
+                            write_predictions)
 from squadlab.scoring import predictions_from_file
 
 
@@ -247,41 +250,34 @@ class TestWeightedVoting:
 
     def test_matches_brute_force_tally(self):
         """1000 random 3..5-model elections against an independent count."""
-        rng = Rng(123)
-        choices = [NULL_KEY, (0, 2, 3), (0, 2, 4), (1, 2, 3), (0, 5, 6)]
-        for _ in range(1000):
-            n_models = 3 + int(rng.uniform(0, 3))
-            sets, votes = [], []
-            for m in range(n_models):
-                key = choices[int(rng.uniform(0, len(choices)))]
-                w = round(rng.uniform(0.1, 1.0), 2)
-                if key == NULL_KEY:
-                    rec = null_rec("q")
-                else:
-                    rec = span_rec("q", key[1], key[2], 1.0, fi=key[0])
-                sets.append(pset(f"m{m}", [rec], w))
-                votes.append((key, w))
+        check_random_elections(123)
 
-            # brute force: best by (total, max single, non-null, start, end)
-            def quality(key):
-                total = sum(w for k, w in votes if k == key)
-                biggest = max(w for k, w in votes if k == key)
-                if key == NULL_KEY:
-                    return (total, biggest, 0, 0, 0)
-                return (total, biggest, 1, -key[1], -key[2])
+    def test_total_weight_does_not_depend_on_the_order(self):
+        """Summed one by one, 0.1 + 0.2 + 0.3 is 0.6000000000000001 and
+        0.3 + 0.2 + 0.1 is 0.6; the exact sum is 0.6 in every order."""
+        sets = [pset(f"m{w}", [span_rec("q", 2, 3, 1.0)], w)
+                for w in (0.1, 0.2, 0.3)]
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            top = weighted_voting([sets[i] for i in order])[0]["nbest"][0]
+            assert top["score"] == 0.6, order
 
-            # ties that the ordering can't separate (same span, different
-            # chunk, equal weights) may legitimately go either way
-            cast = {k for k, _ in votes}
-            best_q = max(quality(k) for k in cast)
-            winners = {k for k in cast if quality(k) == best_q}
-            top = weighted_voting(sets)[0]["nbest"][0]
-            if top["start_token"] is None:
-                assert NULL_KEY in winners
-            else:
-                got = (top["feature_index"], top["start_token"],
-                       top["end_token"])
-                assert got in winners
+    def test_file_order_does_not_change_the_output(self, tmp_path):
+        """One span voted from chunk 0 and from chunk 1 at equal weight is
+        a full tie, which the earlier chunk wins in either file order."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_predictions(a, [dict(span_rec("q", 2, 3, 1.0, fi=0),
+                                   model_f1_weight=1.0)])
+        write_predictions(b, [dict(span_rec("q", 2, 3, 1.5, fi=1),
+                                   model_f1_weight=1.0)])
+        written = []
+        for order in ((a, b), (b, a)):
+            out = tmp_path / f"vote-{len(written)}.jsonl"
+            assert cli_main(["ensemble", "--strategy", "weighted-voting",
+                             "--pred", *map(str, order),
+                             "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert read_predictions(out)[0]["nbest"][0]["feature_index"] == 0
 
 
 class TestVotingWithMeanLogits:

@@ -131,8 +131,8 @@ def weighted_voting(sets,
     more than ``null_threshold``.  The winner per qid has the highest total
     weight, then the highest single weight, then comes first in the answer
     order (``heads``): a span before no-answer, then the smaller start, end
-    and chunk.  It is written with its total weight as its score, so the
-    prediction files' order does not change the output.  Returns
+    and chunk.  Its score is its total weight, an exact ``math.fsum``, so
+    the prediction files' order does not change the output.  Returns
     prediction-file records.
     """
     sets = list(sets)
